@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -81,7 +79,7 @@ func RunApache(k *kernel.Kernel, opts ApacheOpts) Result {
 			}
 		}
 		for _, c := range workers {
-			p.Engine().Spawn(c, fmt.Sprintf("apache-%d", c), p.Now(), func(wp *sim.Proc) {
+			p.Engine().Spawn(c, "apache", p.Now(), func(wp *sim.Proc) {
 				for i := 0; i < opts.RequestsPerCore; i++ {
 					apacheRequest(k, wp, stack, nic, listeners[c], opts)
 				}

@@ -71,7 +71,7 @@ func RunExim(k *kernel.Kernel, opts EximOpts) Result {
 	cores := k.Machine.NCores
 	workers := onlineCores(k)
 	for _, c := range workers {
-		e.Spawn(c, fmt.Sprintf("exim-%d", c), 0, func(p *sim.Proc) {
+		e.Spawn(c, "exim", 0, func(p *sim.Proc) {
 			mailAS := k.NewAddressSpace(p.Chip())
 			master := k.Procs.NewInitProcess(mailAS)
 			sent := 0

@@ -85,7 +85,7 @@ func RunGmake(k *kernel.Kernel, opts GmakeOpts) Result {
 		// Serial preparation stage.
 		master.AdvanceUser(prep)
 		for _, c := range workers {
-			master.Engine().Spawn(c, fmt.Sprintf("cc-%d", c), master.Now(), func(p *sim.Proc) {
+			master.Engine().Spawn(c, "cc", master.Now(), func(p *sim.Proc) {
 				as := k.NewAddressSpace(p.Chip())
 				self := k.Procs.NewInitProcess(as)
 				for {

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -49,7 +47,7 @@ func RunMemcached(k *kernel.Kernel, opts MemcachedOpts) Result {
 	cores := k.Machine.NCores
 	workers := onlineCores(k)
 	for _, c := range workers {
-		e.Spawn(c, fmt.Sprintf("memcached-%d", c), 0, func(p *sim.Proc) {
+		e.Spawn(c, "memcached", 0, func(p *sim.Proc) {
 			sock := stack.NewUDPSocket(p)
 			for i := 0; i < opts.RequestsPerCore; i++ {
 				stack.RecvUDP(p, sock, opts.RequestBytes)

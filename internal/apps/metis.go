@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/mm"
@@ -73,7 +71,7 @@ func RunMetis(k *kernel.Kernel, opts MetisOpts) Result {
 	}
 
 	for _, c := range workers {
-		e.Spawn(c, fmt.Sprintf("metis-%d", c), 0, func(p *sim.Proc) {
+		e.Spawn(c, "metis", 0, func(p *sim.Proc) {
 			// Map phase: allocate temporary tables with mmap and fault
 			// them in while scanning the input.
 			r := sharedAS.Mmap(p, tableBytes, opts.SuperPages)

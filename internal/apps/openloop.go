@@ -130,7 +130,7 @@ func RunMemcachedOpenLoop(k *kernel.Kernel, opts MemcachedOpts, ol OpenLoopOpts)
 
 	spawnCalib := func(n int) {
 		for _, c := range onlineCores(k) {
-			e.Spawn(c, fmt.Sprintf("memcached-calib-%d", c), 0, func(p *sim.Proc) {
+			e.Spawn(c, "memcached-calib", 0, func(p *sim.Proc) {
 				sock := stack.NewUDPSocket(p)
 				for i := 0; i < n; i++ {
 					stack.RecvUDP(p, sock, opts.RequestBytes)
@@ -196,7 +196,7 @@ func RunApacheOpenLoop(k *kernel.Kernel, opts ApacheOpts, ol OpenLoopOpts) Resul
 				}
 			}
 			for _, c := range onlineCores(k) {
-				p.Engine().Spawn(c, fmt.Sprintf("apache-calib-%d", c), p.Now(), func(wp *sim.Proc) {
+				p.Engine().Spawn(c, "apache-calib", p.Now(), func(wp *sim.Proc) {
 					for i := 0; i < n; i++ {
 						apacheRequest(k, wp, stack, nic, listeners[c], opts)
 					}
@@ -242,7 +242,7 @@ func RunEximOpenLoop(k *kernel.Kernel, opts EximOpts, ol OpenLoopOpts) Result {
 
 	spawnCalib := func(n int) {
 		for _, c := range onlineCores(k) {
-			e.Spawn(c, fmt.Sprintf("exim-calib-%d", c), 0, func(p *sim.Proc) {
+			e.Spawn(c, "exim-calib", 0, func(p *sim.Proc) {
 				mailAS := k.NewAddressSpace(p.Chip())
 				master := k.Procs.NewInitProcess(mailAS)
 				sent := 0
@@ -303,7 +303,7 @@ func RunPostgresOpenLoop(k *kernel.Kernel, opts PostgresOpts, ol OpenLoopOpts) R
 
 	spawnCalib := func(n int) {
 		for _, c := range onlineCores(k) {
-			e.Spawn(c, fmt.Sprintf("postgres-calib-%d", c), 0, func(p *sim.Proc) {
+			e.Spawn(c, "postgres-calib", 0, func(p *sim.Proc) {
 				conn := stack.NewSteeredConn(p)
 				table := fs.Open(p, "/pgdata/base/table")
 				index := fs.Open(p, "/pgdata/base/index")

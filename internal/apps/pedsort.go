@@ -101,7 +101,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 
 	next := 0 // shared work queue of input files (engine-serialized)
 	for _, c := range workers {
-		e.Spawn(c, fmt.Sprintf("pedsort-%d", c), 0, func(p *sim.Proc) {
+		e.Spawn(c, "pedsort", 0, func(p *sim.Proc) {
 			as := sharedAS
 			if as == nil {
 				as = k.NewAddressSpace(p.Chip())

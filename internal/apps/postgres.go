@@ -104,7 +104,7 @@ func RunPostgres(k *kernel.Kernel, opts PostgresOpts) Result {
 	cores := k.Machine.NCores
 	workers := onlineCores(k)
 	for _, c := range workers {
-		e.Spawn(c, fmt.Sprintf("postgres-%d", c), 0, func(p *sim.Proc) {
+		e.Spawn(c, "postgres", 0, func(p *sim.Proc) {
 			conn := stack.NewSteeredConn(p)
 			table := fs.Open(p, "/pgdata/base/table")
 			index := fs.Open(p, "/pgdata/base/index")

@@ -13,7 +13,7 @@ import (
 // engineSlot owns one reusable simulation engine for a sweep worker. Each
 // point the worker runs resets the engine (ResetFor handles the changing
 // core count) instead of building a new one, so the engine's parked proc
-// goroutines, core arrays, and heap storage carry across the whole grid.
+// coroutines, core arrays, and heap storage carry across the whole grid.
 //
 // The generation counter exists for the watchdog in isolate.go: a point
 // that wedges past its deadline is abandoned on its goroutine, which may
@@ -58,7 +58,7 @@ func (s *engineSlot) engine(gen uint64, m *topo.Machine, seed uint64) *sim.Engin
 }
 
 // abandon disowns the slot's engine without closing it — the wedged
-// point's goroutine may still be parked inside it, so Close could hang.
+// point's goroutine may still be running inside it, so Close could hang.
 // The engine (and that goroutine) leak, deliberately: this only runs when
 // a point has already blown its wall-clock deadline.
 func (s *engineSlot) abandon() {
@@ -71,7 +71,7 @@ func (s *engineSlot) abandon() {
 // engineArena is the process-wide sync.Pool-style arena the sweep workers
 // draw engine slots from: a 48-point x N-variant grid reuses at most
 // GOMAXPROCS engines in total. Unlike a real sync.Pool the arena never
-// lets the GC drop a slot silently — an engine holds parked goroutines, so
+// lets the GC drop a slot silently — an engine holds parked coroutines, so
 // slots beyond the cap are Closed explicitly when returned.
 type engineArena struct {
 	mu   sync.Mutex

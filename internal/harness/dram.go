@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -47,7 +45,7 @@ func runPlacementPoint(o Options, pl mem.Placement, cores int, streamBytes int64
 	e := o.newEngine(m)
 	cs := mem.NewControllersFor(m)
 	for c := 0; c < cores; c++ {
-		e.Spawn(c, fmt.Sprintf("stream-%d", c), 0, func(p *sim.Proc) {
+		e.Spawn(c, "stream", 0, func(p *sim.Proc) {
 			for i := 0; i < chunks; i++ {
 				cs.TransferPlaced(p, pl, streamBytes/chunks)
 			}

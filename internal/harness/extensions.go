@@ -255,7 +255,7 @@ func runSteering(o Options) *Series {
 		reqs := scale(150, o.Quick)
 		for c := 0; c < cores; c++ {
 			c := c
-			k.Engine.Spawn(c, fmt.Sprintf("srv-%d", c), 0, func(p *sim.Proc) {
+			k.Engine.Spawn(c, "srv", 0, func(p *sim.Proc) {
 				l := stack.Listen(p)
 				for i := 0; i < reqs; i++ {
 					conn := stack.Accept(p, l)

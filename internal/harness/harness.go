@@ -148,8 +148,8 @@ type Options struct {
 	// into a complete Series. Validate combinations with ValidateShards.
 	Shards, ShardIndex int //mosvet:allow cachekeylint sharding selects which points this process computes; the merged grid is byte-identical to the single-process run
 	// NoContSched disables continuation scheduling in every engine this
-	// run builds: SpawnCont bodies execute on parked goroutines through
-	// the directive interpreter instead of inline on the dispatcher.
+	// run builds: SpawnCont bodies execute on coroutine procs through
+	// the directive interpreter instead of inline in Engine.Run.
 	// Results are bit-for-bit identical either way (pinned by
 	// TestContSchedDeterminism); the knob exists for that comparison.
 	NoContSched bool //mosvet:allow cachekeylint both scheduling modes are bit-for-bit identical, pinned by TestContSchedDeterminism

@@ -48,7 +48,7 @@ func timeOp(name string, ops int64, fn func()) BenchResult {
 // RunPerfSuite measures the simulator's hot paths with wall-clock timers
 // and returns machine-readable results: engine dispatch (the non-yielding
 // Advance fast path), the proc-to-proc handoff, spawn/run cycles on fresh
-// vs reused engines (continuation-scheduled and goroutine-parked),
+// vs reused engines (continuation-scheduled and coroutine-parked),
 // quick-sweep wall-clock cold vs warm-cache, the open-loop latload quick
 // sweep, and the cold full-grid fig4 sweep whole and as one shard of two. The committed BENCH_sweep.json is
 // the baseline; CI reruns the suite and fails on >2x regression of any
@@ -69,8 +69,8 @@ func RunPerfSuite() []BenchResult {
 		out = append(out, timeOp("engine_advance_fast_path", n, e.Run))
 	}
 
-	// Handoff: two procs with interleaved times force a goroutine-to-
-	// goroutine handoff on every Advance.
+	// Handoff: two procs with interleaved times force a handoff on every
+	// Advance — two coroutine switches, out to Run and into the other proc.
 	{
 		const n = 500_000
 		e := sim.NewEngine(topo.New(2), 1)
@@ -87,9 +87,9 @@ func RunPerfSuite() []BenchResult {
 
 	// Spawn/run cycles: fresh engine per cycle vs one reused engine. The
 	// reused number is the arena's steady-state per-point overhead; with
-	// continuation procs the whole 48-proc cycle runs on the scheduler's
-	// goroutine with zero channel operations. spawn_run_reused_parked is
-	// the same cycle on the goroutine fallback path (parked pooled procs),
+	// continuation procs the whole 48-proc cycle runs inside Run with no
+	// coroutine switch. spawn_run_reused_parked is the same cycle on the
+	// coroutine path (parked pooled procs, two switches per resume),
 	// isolating what the continuation scheduler saves.
 	{
 		const cycles, procs = 200, 48

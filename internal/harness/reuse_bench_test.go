@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkSweepReuse measures a quick application sweep on the engine
 // arena (the default): each point resets a pooled engine and resumes its
-// parked proc goroutines. Compare against BenchmarkSweepFresh for the
+// parked proc coroutines. Compare against BenchmarkSweepFresh for the
 // wall-clock gain of engine reuse.
 func BenchmarkSweepReuse(b *testing.B) {
 	e := ByID("fig5")

@@ -281,6 +281,11 @@ func Run(e *sim.Engine, cores []int, cfg Config, srv Server) *Stats {
 
 	for ci, core := range cores {
 		q := &coreQueue{}
+		if limit > 0 {
+			// A bounded queue holds at most limit pending items, so this
+			// one allocation usually covers the whole run.
+			q.items = make([]queueItem, 0, limit)
+		}
 		h := &Hist{}
 		hists[ci] = h
 

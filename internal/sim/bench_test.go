@@ -8,7 +8,7 @@ import (
 
 // BenchmarkAdvanceFastPath measures the cost of an Advance that does not
 // change the dispatch order: a single proc repeatedly advancing. With the
-// non-yielding fast path this costs no channel operations at all.
+// non-yielding fast path this costs no coroutine switch at all.
 func BenchmarkAdvanceFastPath(b *testing.B) {
 	e := NewEngine(topo.New(1), 1)
 	e.Spawn(0, "runner", 0, func(p *Proc) {
@@ -22,7 +22,8 @@ func BenchmarkAdvanceFastPath(b *testing.B) {
 
 // BenchmarkYieldHandoff measures a forced scheduling handoff: two procs on
 // different cores with interleaved times, so every Advance must yield to
-// the other proc. This is the direct goroutine-to-goroutine handoff path.
+// the other proc. Each handoff is two coroutine switches: the yielder back
+// to Run, and Run into the other proc.
 func BenchmarkYieldHandoff(b *testing.B) {
 	e := NewEngine(topo.New(2), 1)
 	body := func(p *Proc) {
@@ -39,7 +40,7 @@ func BenchmarkYieldHandoff(b *testing.B) {
 // BenchmarkSpawnRunReused measures a whole SpawnCont+Run cycle of 48
 // trivial continuation procs on one engine reused via Reset — the sweep
 // arena's steady state for non-blocking bodies, where spawn→run→finish
-// costs zero channel operations and zero goroutine switches.
+// costs no coroutine switch at all.
 func BenchmarkSpawnRunReused(b *testing.B) {
 	e := NewPooledEngine(topo.New(48), 1)
 	defer e.Close()
@@ -54,9 +55,9 @@ func BenchmarkSpawnRunReused(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnRunReusedParked is the same cycle on the goroutine path
-// (parked-goroutine reuse, one channel send per resume) — what blocking
-// bodies still pay, and the baseline the continuation path beats.
+// BenchmarkSpawnRunReusedParked is the same cycle on the coroutine path
+// (parked-coroutine reuse, two coroutine switches per resume) — what
+// blocking bodies still pay, and the baseline the continuation path beats.
 func BenchmarkSpawnRunReusedParked(b *testing.B) {
 	e := NewPooledEngine(topo.New(48), 1)
 	defer e.Close()
@@ -71,7 +72,7 @@ func BenchmarkSpawnRunReusedParked(b *testing.B) {
 }
 
 // BenchmarkSpawnRunFresh is the baseline BenchmarkSpawnRunReused beats: a
-// fresh plain engine (48 fresh goroutines, exiting on completion) per
+// fresh plain engine (48 fresh coroutines, exiting on completion) per
 // cycle.
 func BenchmarkSpawnRunFresh(b *testing.B) {
 	m := topo.New(48)

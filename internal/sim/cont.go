@@ -3,21 +3,20 @@ package sim
 import "fmt"
 
 // This file implements continuation procs: simulated threads with no
-// goroutine behind them. A continuation body is a chain of segments
+// coroutine behind them. A continuation body is a chain of segments
 // (ContFunc); each segment does its real work (reads the model, mutates
 // shared state, draws randomness) and then *returns* a scheduling
 // directive — advance, idle, use a resource, block, jump to another
-// segment, or stop — instead of calling the yielding Proc methods. The
-// dispatcher applies the directive inline on whatever goroutine is
-// currently scheduling, so running a continuation proc costs zero channel
-// operations and zero goroutine switches.
+// segment, or stop — instead of calling the yielding Proc methods. Run
+// applies the directive inline, so running a continuation proc costs no
+// coroutine switch at all.
 //
 // Determinism contract: for every directive, the inline interpreter
 // (Engine.runCont) applies exactly the state transitions the equivalent
 // blocking call would — same core reservation arithmetic, same
 // keepRunning checks, same enqueue points, hence the same (time, seq)
-// evolution of the runnable heap. The goroutine fallback interpreter
-// (runContOnGoroutine, used when continuation scheduling is disabled via
+// evolution of the runnable heap. The coroutine fallback interpreter
+// (runContOnCoroutine, used when continuation scheduling is disabled via
 // SetContSched) replays the same directives through those blocking calls,
 // so the two modes are bit-for-bit identical by construction.
 
@@ -103,10 +102,10 @@ func (p *Proc) Goto(next ContFunc) Cont {
 func (p *Proc) Stop() Cont { return Cont{} }
 
 // SetContSched enables (the default) or disables continuation scheduling.
-// Disabled, SpawnCont bodies run on parked goroutines through the
-// directive interpreter — slower, but bit-for-bit identical, which is what
-// the determinism suite pins. Must not be called while the engine is
-// running; the setting survives Reset.
+// Disabled, SpawnCont bodies run on coroutine procs through the directive
+// interpreter — slower, but bit-for-bit identical, which is what the
+// determinism suite pins. Must not be called while the engine is running;
+// the setting survives Reset.
 func (e *Engine) SetContSched(on bool) {
 	if e.running {
 		panic("sim: SetContSched on a running engine")
@@ -117,83 +116,44 @@ func (e *Engine) SetContSched(on bool) {
 // SpawnCont creates a continuation proc pinned to the given core, starting
 // at the given virtual time, whose body begins with the given segment. It
 // schedules identically to Spawn (same ID assignment, same enqueue) but
-// needs no goroutine, so spawn→run→finish costs zero channel operations.
-// Like Spawn it may be called before Run or from inside a running proc —
+// needs no coroutine, so spawn→run→finish costs no switch at all. Like
+// Spawn it may be called before Run or from inside a running proc —
 // including from inside another continuation segment.
 func (e *Engine) SpawnCont(core int, name string, start int64, body ContFunc) *Proc {
-	if core < 0 || core >= e.Machine.NCores {
-		panic(fmt.Sprintf("sim: spawn on core %d of %d", core, e.Machine.NCores))
-	}
 	if body == nil {
 		panic("sim: SpawnCont with nil body")
 	}
 	if e.noCont {
-		return e.Spawn(core, name, start, func(p *Proc) { runContOnGoroutine(p, body) })
+		return e.Spawn(core, name, start, func(p *Proc) { runContOnCoroutine(p, body) })
 	}
-	var p *Proc
-	if n := len(e.freeConts); n > 0 {
-		p = e.freeConts[n-1]
-		e.freeConts = e.freeConts[:n-1]
-		p.ID = e.spawned
-		p.Name = name
-		p.core = core
-		p.time = start
-		p.user, p.sys = 0, 0
-		p.cont = body
-	} else {
-		p = &Proc{
-			ID:     e.spawned,
-			Name:   name,
-			core:   core,
-			eng:    e,
-			time:   start,
-			isCont: true,
-			cont:   body,
-		}
-	}
-	e.spawned++
-	if p.gen != e.gen {
-		p.gen = e.gen
-		e.procs = append(e.procs, p)
-	}
-	e.live++
+	p := e.takeSlot(&e.freeConts, core, name, start)
+	p.isCont = true
+	p.cont = body
 	e.enqueue(p)
 	return p
-}
-
-// runContCaught runs a dispatched continuation proc and converts any panic
-// it raises (a model bug: negative charge, misuse of a yielding call, an
-// assertion inside the segment) into a value for the dispatcher to forward
-// to Run, since the segment may be executing on an arbitrary proc's
-// goroutine. The goroutine that was mid-yield then parks as it would at a
-// deadlock, and Reset reclaims it.
-func (e *Engine) runContCaught(p *Proc) (pv interface{}) {
-	defer func() { pv = recover() }()
-	e.runCont(p)
-	return nil
 }
 
 // runCont executes a dispatched continuation proc inline: segments run
 // back to back (applying their directives to the clock, the core, and
 // resources) until a directive puts the proc behind another runnable proc
 // — then it re-enqueues exactly where the blocking call would have yielded
-// — or the proc blocks or retires. Called only from Engine.next with the
-// proc freshly popped and e.now set.
+// — or the proc blocks or retires. Called only from Run with the proc
+// freshly popped and e.now set.
 func (e *Engine) runCont(p *Proc) {
 	p.state = stateRunning
 	for {
 		if p.cont == nil {
 			// The final charging directive already applied; the proc was
-			// re-enqueued to keep heap evolution identical to a goroutine
+			// re-enqueued to keep heap evolution identical to a coroutine
 			// body yielding inside its last blocking call, and retires now.
-			e.retireCont(p)
+			e.retire(p)
 			return
 		}
 		c := p.cont(p)
 		checkYield := true
 		switch c.kind {
 		case contStop:
-			e.retireCont(p)
+			e.retire(p)
 			return
 		case contBlock:
 			p.cont = c.next
@@ -201,7 +161,7 @@ func (e *Engine) runCont(p *Proc) {
 			return
 		case contGoto:
 			if c.next == nil {
-				e.retireCont(p)
+				e.retire(p)
 				return
 			}
 			p.cont = c.next
@@ -227,7 +187,7 @@ func (e *Engine) runCont(p *Proc) {
 		p.cont = c.next
 		if !checkYield || e.keepRunning(p.time) {
 			if p.cont == nil {
-				e.retireCont(p)
+				e.retire(p)
 				return
 			}
 			continue
@@ -237,25 +197,11 @@ func (e *Engine) runCont(p *Proc) {
 	}
 }
 
-// retireCont is yieldTo(yieldDone) for continuation procs: account the
-// busy time, drop liveness, and recycle the slot on pooled engines.
-func (e *Engine) retireCont(p *Proc) {
-	p.state = stateDone
-	p.cont = nil
-	e.live--
-	e.userByCore[p.core] += p.user
-	e.sysByCore[p.core] += p.sys
-	p.user, p.sys = 0, 0
-	if e.pooled {
-		e.freeConts = append(e.freeConts, p)
-	}
-}
-
-// runContOnGoroutine interprets a continuation body on an ordinary proc
-// goroutine by replaying each directive through the equivalent blocking
+// runContOnCoroutine interprets a continuation body on a coroutine proc
+// by replaying each directive through the equivalent blocking
 // call. Used when continuation scheduling is disabled (SetContSched), so
 // the determinism suite can pin the two modes against each other.
-func runContOnGoroutine(p *Proc, fn ContFunc) {
+func runContOnCoroutine(p *Proc, fn ContFunc) {
 	for {
 		c := fn(p)
 		switch c.kind {

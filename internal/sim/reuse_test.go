@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -291,4 +292,63 @@ func TestResetWhileRunningPanics(t *testing.T) {
 		p.Engine().Reset(1)
 	})
 	e.Run()
+}
+
+// TestBodyPanicReachesRunCaller pins crash isolation on the coroutine
+// path: a panic in a proc body comes out of Run on the caller's goroutine
+// with its original value, and after Reset the same pooled engine — whose
+// panicked slot now needs a fresh coroutine — replays a scenario
+// bit-for-bit identically to a fresh engine.
+func TestBodyPanicReachesRunCaller(t *testing.T) {
+	fresh := traceRun(NewEngine(topo.New(4), 42))
+
+	e := NewPooledEngine(topo.New(4), 7)
+	e.Spawn(0, "bystander", 0, func(p *Proc) { p.Advance(5); p.Block() })
+	e.Spawn(1, "crasher", 0, func(p *Proc) {
+		p.Advance(10)
+		panic("model bug")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "model bug" {
+				t.Fatalf("Run panicked with %v, want the body's panic value", r)
+			}
+		}()
+		e.Run()
+	}()
+
+	e.ResetFor(topo.New(4), 42)
+	if got := e.NumParked(); got != 2 {
+		t.Fatalf("Reset reclaimed %d slots, want 2", got)
+	}
+	diffTraces(t, "after body panic", fresh, traceRun(e))
+	e.Reset(42)
+	diffTraces(t, "second rerun", fresh, traceRun(e))
+	e.Close()
+}
+
+// TestPooledEngineAcrossGoroutines runs one pooled engine from two
+// goroutines in turn, the way arena slots move between sweep workers: the
+// parked coroutines are resumed from a goroutine other than the one that
+// created them, and every run must still match a fresh engine.
+func TestPooledEngineAcrossGoroutines(t *testing.T) {
+	fresh := traceRun(NewEngine(topo.New(4), 42))
+
+	e := NewPooledEngine(topo.New(4), 42)
+	defer e.Close()
+	turns := [2]chan bool{make(chan bool), make(chan bool)}
+	traces := make(chan []int64)
+	for w := range turns {
+		defer close(turns[w])
+		go func() {
+			for range turns[w] {
+				e.Reset(42)
+				traces <- traceRun(e)
+			}
+		}()
+	}
+	for i := 0; i < 8; i++ {
+		turns[i%2] <- true
+		diffTraces(t, fmt.Sprintf("run %d (worker %d)", i, i%2), fresh, <-traces)
+	}
 }

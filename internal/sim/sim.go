@@ -1,35 +1,36 @@
 // Package sim is a deterministic discrete-event simulation engine for
 // multicore machine models.
 //
-// Simulated threads of execution ("procs") run as real goroutines, but only
-// one proc executes at a time: the engine always resumes the runnable proc
-// with the smallest (virtual time, sequence) key, so a run is a total order
-// and is bit-for-bit reproducible. Procs interact with virtual time through
-// Advance (busy CPU cycles, which occupy their core), Idle (waiting without
-// using the core), Block/Wake (for locks and queues), and Now.
+// Simulated threads of execution ("procs") run as coroutines, and only one
+// proc executes at a time: Run is the single dispatch loop, and it always
+// resumes the runnable proc with the smallest (virtual time, sequence) key,
+// so a run is a total order and is bit-for-bit reproducible. Procs interact
+// with virtual time through Advance (busy CPU cycles, which occupy their
+// core), Idle (waiting without using the core), Block/Wake (for locks and
+// queues), and Now.
 //
 // Engines are reusable: Reset returns an engine to its post-NewEngine
 // state without reallocating core arrays or proc slots. On a pooled
-// engine (NewPooledEngine), a proc goroutine that finishes its body parks
+// engine (NewPooledEngine), a proc coroutine that finishes its body parks
 // in a per-engine free list instead of exiting, so Spawn on a reused
-// engine resumes a parked goroutine with a new body (one channel send)
-// rather than starting a fresh one; Close releases the parked goroutines.
-// A reused engine produces bit-for-bit identical runs to a fresh engine
-// with the same seed. Plain NewEngine keeps the exit-on-done lifecycle,
-// so dropping such an engine leaks nothing even without Close.
+// engine hands a parked coroutine a new body rather than starting a fresh
+// one; Close releases the parked coroutines. A reused engine produces
+// bit-for-bit identical runs to a fresh engine with the same seed. Plain
+// NewEngine keeps the exit-on-done lifecycle, so dropping such an engine
+// leaks nothing even without Close.
 //
-// Procs come in two flavors. A goroutine proc (Spawn) runs an arbitrary
-// body function on its own goroutine and may park anywhere — inside locks,
-// queues, nested subsystem calls — at the cost of a channel rendezvous per
-// scheduling handoff. A continuation proc (SpawnCont) has no goroutine at
-// all: its body is a chain of resumable segments (ContFunc) driven
-// directly off the runnable heap by whichever goroutine is dispatching, so
-// Spawn→run→finish costs zero channel operations. Bodies that can block
-// mid-step on resources or locks stay on the goroutine path; everything
-// else can use continuations. The two flavors schedule identically — a
-// run mixing them is bit-for-bit reproducible, and an engine with
-// continuation scheduling disabled (SetContSched) runs the same
-// continuation bodies on parked goroutines with identical results.
+// Procs come in two flavors. A coroutine proc (Spawn) runs an arbitrary
+// body function on an iter.Pull coroutine and may park anywhere — inside
+// locks, queues, nested subsystem calls — at the cost of two coroutine
+// switches per scheduling handoff (Run into the proc, the proc back out to
+// Run). A continuation proc (SpawnCont) has no coroutine at all: its body
+// is a chain of resumable segments (ContFunc) that Run executes inline, so
+// Spawn→run→finish costs no switch at all. Bodies that can block mid-step
+// on resources or locks stay on the coroutine path; everything else can
+// use continuations. The two flavors schedule identically — a run mixing
+// them is bit-for-bit reproducible, and an engine with continuation
+// scheduling disabled (SetContSched) runs the same continuation bodies on
+// coroutines with identical results.
 //
 // Virtual time is measured in CPU cycles of the modeled 2.4 GHz machine
 // (see internal/topo).
@@ -37,6 +38,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"repro/internal/topo"
@@ -53,15 +55,6 @@ const (
 	stateDone
 )
 
-// resumeMsg is what the engine sends a parked proc goroutine: either a new
-// local time to run at, or a kill order (Reset/Close reclaiming the
-// goroutine).
-type resumeMsg struct {
-	t    int64
-	kill bool
-	exit bool // with kill: exit the goroutine instead of re-parking
-}
-
 // killed is the sentinel panic value that unwinds a proc body when its
 // engine is Reset while the proc is parked mid-body (e.g. blocked at the
 // time of a deadlock panic). Bodies must not recover it.
@@ -77,35 +70,41 @@ type Proc struct {
 	// Name is a human-readable label used in deadlock reports.
 	Name string
 
-	core   int
-	eng    *Engine
-	time   int64
-	state  procState
-	resume chan resumeMsg // engine -> proc: your new local time; run
-	seq    uint64         // tie-break key, refreshed on each enqueue
-	gen    uint64         // engine generation this slot was last listed in
+	core  int
+	eng   *Engine
+	time  int64
+	state procState
+	seq   uint64 // tie-break key, refreshed on each enqueue
+	gen   uint64 // engine generation this slot was last listed in
 
 	user, sys int64 // accumulated user/system busy cycles
 
 	body func(*Proc)
 
-	// Continuation procs (SpawnCont) have no goroutine and no resume
-	// channel: cont holds the next segment to run, and the dispatcher
-	// executes it inline. isCont is immutable per slot (goroutine and
-	// continuation slots are pooled separately).
+	// The proc's coroutine (iter.Pull over loop): Run resumes it with
+	// next, the body hands control back with yield, and Reset/Close end
+	// it with stop. next is nil on a slot whose coroutine was stopped;
+	// Spawn gives it a fresh one.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// Continuation procs (SpawnCont) have no coroutine: cont holds the
+	// next segment to run, and Run executes it inline. isCont is
+	// immutable per slot (coroutine and continuation slots are pooled
+	// separately).
 	cont   ContFunc
 	isCont bool
 }
 
 // Engine owns the virtual clock, the runnable queue, and per-core occupancy.
 //
-// Scheduling is cooperative and single-threaded in effect: exactly one proc
-// goroutine runs at a time, and when it yields it dispatches the next
-// runnable proc directly (one channel send) instead of bouncing through a
-// central engine loop (which would cost two). A proc whose post-advance
+// Scheduling is cooperative: Run pops the runnable proc with the smallest
+// (time, seq) key and runs it until it yields — inline for a continuation
+// proc, by resuming its coroutine otherwise. A proc whose post-advance
 // time is still earlier than every runnable proc skips the yield entirely
 // — the dispatch order is provably unchanged — so uncontended stretches of
-// Advance/Idle cost no channel operations at all.
+// Advance/Idle cost no coroutine switch at all.
 type Engine struct {
 	// Machine is the hardware configuration being simulated.
 	Machine *topo.Machine
@@ -115,7 +114,6 @@ type Engine struct {
 	procs    []*Proc // unique proc slots touched by the current run
 	runnable procHeap
 	coreFree []int64 // cycle at which each core next becomes free
-	stop     chan stopMsg
 	seq      uint64
 	running  bool
 	live     int    // procs not yet done
@@ -123,26 +121,25 @@ type Engine struct {
 	spawned  int    // spawns in the current run (assigns Proc.ID)
 	gen      uint64 // bumped by Reset; marks procs as listed this run
 
-	// pooled selects the proc-goroutine lifecycle: when true (the sweep
+	// pooled selects the proc-coroutine lifecycle: when true (the sweep
 	// arena's engines), finished procs park in freeProcs for reuse; when
-	// false (plain NewEngine), they exit as soon as their body is done,
-	// so an abandoned engine cannot leak parked goroutines. Immutable
-	// after construction.
+	// false (plain NewEngine), their coroutines exit as soon as the body
+	// is done, so an abandoned engine cannot leak parked coroutines.
+	// Immutable after construction.
 	pooled bool
-	// freeProcs holds proc slots whose goroutines are parked between
-	// bodies; Spawn pops one instead of starting a new goroutine. Pushes
+	// freeProcs holds proc slots whose coroutines are parked between
+	// bodies; Spawn pops one instead of starting a new coroutine. Pushes
 	// and pops are serialized by the engine's one-proc-at-a-time dispatch
 	// (or happen from Reset with no proc running), so a plain slice is
 	// deterministic.
 	freeProcs []*Proc
-	killAck   chan struct{}
 
-	// freeConts holds retired continuation-proc slots (no goroutine to
+	// freeConts holds retired continuation-proc slots (no coroutine to
 	// park; pooling just recycles the structs). Kept separate from
 	// freeProcs so the two proc flavors never swap slots.
 	freeConts []*Proc
 	// noCont disables continuation scheduling (SetContSched): SpawnCont
-	// bodies run on parked goroutines through the directive interpreter
+	// bodies run on coroutines through the directive interpreter
 	// instead, producing bit-identical traces — the determinism suite
 	// pins the two modes against each other.
 	noCont bool
@@ -151,45 +148,24 @@ type Engine struct {
 	sysByCore  []int64
 }
 
-// stopMsg is sent by the last active proc to hand control back to Run.
-type stopMsg struct {
-	deadlock bool
-	// pan carries a panic raised inside an inline continuation segment.
-	// The segment may have been dispatched from any proc's goroutine, so
-	// the dispatcher forwards the value here and Run re-raises it — which
-	// keeps model panics recoverable by Run's caller regardless of which
-	// goroutine happened to be scheduling.
-	pan interface{}
-}
-
-type yieldKind int
-
-const (
-	yieldReady yieldKind = iota // requeue me at my (updated) time
-	yieldBlock                  // park me until Wake
-	yieldDone                   // I have exited
-)
-
 // NewEngine returns an engine for the given machine with a deterministic
-// PRNG seed. Proc goroutines exit when their bodies finish; use
+// PRNG seed. Proc coroutines exit when their bodies finish; use
 // NewPooledEngine when the engine will be Reset and reused.
 func NewEngine(m *topo.Machine, seed uint64) *Engine {
 	return &Engine{
 		Machine:    m,
 		Rand:       xrand.New(seed),
 		coreFree:   make([]int64, m.NCores),
-		stop:       make(chan stopMsg, 1),
-		killAck:    make(chan struct{}),
 		userByCore: make([]int64, m.NCores),
 		sysByCore:  make([]int64, m.NCores),
 		gen:        1, // fresh proc slots carry gen 0, so they always list
 	}
 }
 
-// NewPooledEngine returns a reusable engine: finished proc goroutines
+// NewPooledEngine returns a reusable engine: finished proc coroutines
 // park in the engine's free list for the next Spawn instead of exiting,
 // which is what makes Reset-and-rerun cycles cheap. Call Close before
-// dropping a pooled engine, or its parked goroutines live for the rest of
+// dropping a pooled engine, or its parked coroutines live for the rest of
 // the process.
 func NewPooledEngine(m *topo.Machine, seed uint64) *Engine {
 	e := NewEngine(m, seed)
@@ -199,11 +175,12 @@ func NewPooledEngine(m *topo.Machine, seed uint64) *Engine {
 
 // Reset returns the engine to its post-NewEngine state for the same
 // machine and the given seed, without reallocating core arrays, heap
-// storage, or proc slots. On a pooled engine, goroutines the previous run
-// left parked (all of them after a normal Run; blocked ones after a
-// recovered deadlock panic) are reclaimed into the free list, so the next
-// Spawn/Run cycle reuses them. A reset engine produces bit-for-bit
-// identical runs to a fresh engine built with NewEngine(machine, seed).
+// storage, or proc slots. Every proc the previous run did not finish
+// (blocked ones after a recovered deadlock panic, runnable ones after a
+// panic in a body) has its coroutine stopped; on a pooled engine the slot
+// returns to the free list and gets a fresh coroutine at its next Spawn.
+// A reset engine produces bit-for-bit identical runs to a fresh engine
+// built with NewEngine(machine, seed).
 func (e *Engine) Reset(seed uint64) { e.ResetFor(e.Machine, seed) }
 
 // ResetFor is Reset onto a (possibly different) machine: the sweep arena
@@ -214,31 +191,20 @@ func (e *Engine) ResetFor(m *topo.Machine, seed uint64) {
 	if e.running {
 		panic("sim: Reset of a running engine")
 	}
-	// Reclaim every proc slot the previous run did not finish: a kill
-	// message unwinds a goroutine parked mid-body (blocked at deadlock
-	// time) back to its parking loop; one parked at the loop top (spawned
-	// but never dispatched) just acknowledges. On a pooled engine the
-	// goroutine ends up parked and reusable; otherwise it exits.
 	for _, p := range e.procs {
 		if p.state == stateDone {
 			continue // pooled: already in freeProcs; plain: already exited
 		}
-		if p.isCont {
-			// No goroutine to unwind: dropping the pending segment is the
-			// whole kill.
-			p.state = stateDone
-			p.cont = nil
-			if e.pooled {
-				e.freeConts = append(e.freeConts, p)
-			}
-			continue
-		}
-		p.resume <- resumeMsg{kill: true}
-		<-e.killAck
 		p.state = stateDone
-		if e.pooled {
-			e.freeProcs = append(e.freeProcs, p)
+		p.cont = nil
+		if !p.isCont {
+			// A body parked mid-run sees yield return false and unwinds
+			// through the killed sentinel; a coroutine that never started,
+			// or whose body panicked, just ends.
+			p.stop()
+			p.next = nil
 		}
+		e.free(p)
 	}
 	e.Machine = m
 	e.Rand.Reseed(seed)
@@ -252,28 +218,23 @@ func (e *Engine) ResetFor(m *topo.Machine, seed uint64) {
 	e.now = 0
 	e.spawned = 0
 	e.gen++
-	select { // a stopMsg can never be pending here, but stay safe
-	case <-e.stop:
-	default:
-	}
 }
 
-// Close resets the engine and releases every parked proc goroutine. The
-// engine remains usable (the next Spawn starts fresh goroutines); Close
+// Close resets the engine and releases every parked proc coroutine. The
+// engine remains usable (the next Spawn starts fresh coroutines); Close
 // exists so an engine can be dropped without leaking its parked
-// goroutines, and so tests can assert the free list drains.
+// coroutines, and so tests can assert the free list drains.
 func (e *Engine) Close() {
 	e.Reset(1)
 	for _, p := range e.freeProcs {
-		p.resume <- resumeMsg{kill: true, exit: true}
-		<-e.killAck
+		p.stop() // a no-op on a coroutine Reset already stopped
 	}
 	e.freeProcs = e.freeProcs[:0]
 	e.freeConts = e.freeConts[:0]
 }
 
-// NumParked returns how many proc goroutines are parked in the free list
-// awaiting reuse.
+// NumParked returns how many proc coroutine slots are parked in the free
+// list awaiting reuse.
 func (e *Engine) NumParked() int { return len(e.freeProcs) }
 
 // resizeZero returns s resized to n elements, all zero, reusing the
@@ -293,39 +254,33 @@ func resizeZero(s []int64, n int) []int64 {
 // virtual time, with the given body. It may be called before Run or from
 // inside a running proc (e.g. fork); in the latter case the child's start
 // time should be >= the parent's current time to preserve causality. When
-// the free list holds a parked goroutine, Spawn reuses its slot instead of
-// starting a new goroutine.
+// the free list holds a parked coroutine, Spawn reuses its slot instead of
+// starting a new coroutine.
 func (e *Engine) Spawn(core int, name string, start int64, body func(*Proc)) *Proc {
+	p := e.takeSlot(&e.freeProcs, core, name, start)
+	p.body = body
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.loop)
+	}
+	e.enqueue(p)
+	return p
+}
+
+// takeSlot pops a proc slot from the given free list (or allocates one),
+// assigns it the next ID, and lists it as live in the current run. The
+// caller installs the body and enqueues it.
+func (e *Engine) takeSlot(free *[]*Proc, core int, name string, start int64) *Proc {
 	if core < 0 || core >= e.Machine.NCores {
 		panic(fmt.Sprintf("sim: spawn on core %d of %d", core, e.Machine.NCores))
 	}
 	var p *Proc
-	if n := len(e.freeProcs); n > 0 {
-		p = e.freeProcs[n-1]
-		e.freeProcs = e.freeProcs[:n-1]
-		p.ID = e.spawned
-		p.Name = name
-		p.core = core
-		p.time = start
+	if n := len(*free); n > 0 {
+		p = (*free)[n-1]
+		*free = (*free)[:n-1]
+		p.ID, p.Name, p.core, p.time = e.spawned, name, core, start
 		p.user, p.sys = 0, 0
-		p.body = body
 	} else {
-		p = &Proc{
-			ID:   e.spawned,
-			Name: name,
-			core: core,
-			eng:  e,
-			time: start,
-			// Buffered: a continuation segment executing inside this
-			// goroutine's own dispatch chain may re-Spawn this very slot
-			// (done → freeProcs → popped by Spawn → enqueued → popped by
-			// the dispatcher) before the goroutine has unwound to its
-			// parking loop. The buffer lets that dispatch complete; the
-			// goroutine picks the message up the moment it parks.
-			resume: make(chan resumeMsg, 1),
-			body:   body,
-		}
-		go p.loop()
+		p = &Proc{ID: e.spawned, Name: name, core: core, eng: e, time: start}
 	}
 	e.spawned++
 	if p.gen != e.gen {
@@ -334,49 +289,31 @@ func (e *Engine) Spawn(core int, name string, start int64, body func(*Proc)) *Pr
 		e.procs = append(e.procs, p)
 	}
 	e.live++
-	e.enqueue(p)
 	return p
 }
 
-// loop is the body of a proc goroutine: park until dispatched, run the
-// currently assigned body to completion, then — on a pooled engine — park
-// again for the next assignment. On a plain engine the goroutine exits
-// after one body (or one kill), the pre-arena lifecycle; on a pooled one
-// it exits only on an explicit kill+exit order (Engine.Close).
-func (p *Proc) loop() {
-	pooled := p.eng.pooled
-	for {
-		m := <-p.resume
-		if m.kill {
-			p.eng.killAck <- struct{}{}
-			if m.exit || !pooled {
-				return
+// loop is the proc's coroutine: run the assigned body to completion, then
+// — on a pooled engine — park in the free list until Run resumes the slot
+// with its next body. On a plain engine the coroutine ends after one body;
+// on a pooled one it ends only when Reset or Close stops it. The killed
+// sentinel (a body parked mid-run when its coroutine was stopped) is
+// absorbed here; any other panic travels out through next to Run's caller.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); !ok {
+				panic(r)
 			}
-			continue
 		}
-		p.time = m.t
-		p.runBody()
-		if !pooled {
+	}()
+	p.yield = yield
+	for {
+		p.body(p)
+		p.eng.retire(p)
+		if !p.eng.pooled || !yield(struct{}{}) {
 			return
 		}
 	}
-}
-
-// runBody executes the proc's assigned body and retires it. A killed
-// sentinel (Engine.Reset unwinding a body parked mid-run) is absorbed here
-// so the goroutine survives to park again; any other panic propagates.
-func (p *Proc) runBody() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				p.eng.killAck <- struct{}{}
-				return
-			}
-			panic(r)
-		}
-	}()
-	p.body(p)
-	p.yieldTo(yieldDone)
 }
 
 func (e *Engine) enqueue(p *Proc) {
@@ -388,11 +325,12 @@ func (e *Engine) enqueue(p *Proc) {
 
 // Run executes the simulation until every proc has exited. It panics with a
 // description of the waiters if all remaining procs are blocked (deadlock),
-// since that is always a bug in the model.
+// since that is always a bug in the model. A panic raised by a proc body or
+// a continuation segment comes out of Run on the caller's goroutine.
 //
-// Run only bootstraps the first dispatch; thereafter each yielding proc
-// hands off directly to the next runnable proc, and the last one signals
-// Run through the stop channel.
+// Run is the only dispatch loop. It pops runnable procs in (time, seq)
+// order; continuation procs execute inline, and a coroutine proc runs
+// from its resume until it next yields, blocks, or finishes.
 func (e *Engine) Run() {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -400,56 +338,18 @@ func (e *Engine) Run() {
 	e.running = true
 	defer func() { e.running = false }()
 
-	if e.live == 0 {
-		return
-	}
-	if e.runnable.Len() == 0 {
-		panic("sim: deadlock: " + e.blockedReport())
-	}
-	e.next()
-	st := <-e.stop
-	if st.pan != nil {
-		panic(st.pan)
-	}
-	if st.deadlock {
-		panic("sim: deadlock: " + e.blockedReport())
-	}
-}
-
-// next is the dispatch loop shared by Run (bootstrapping) and yieldTo
-// (every later handoff). It pops runnable procs in (time, seq) order;
-// continuation procs execute inline on the calling goroutine (zero channel
-// operations), and the first goroutine-backed proc is resumed with one
-// channel send, after which control belongs to that goroutine. When no
-// proc remains runnable, next signals Run through the stop channel —
-// cleanly if everything exited, as a deadlock otherwise.
-//
-// The popped proc may be the caller's own slot: either the caller yielded
-// ready and won the pop back, or it yielded done and an inline continuation
-// segment re-Spawned its slot. Both cases are just the normal buffered
-// send — the calling goroutine receives it at its next park.
-func (e *Engine) next() {
-	for {
-		if e.live == 0 {
-			e.stop <- stopMsg{}
-			return
-		}
+	for e.live > 0 {
 		if e.runnable.Len() == 0 {
-			e.stop <- stopMsg{deadlock: true}
-			return
+			panic("sim: deadlock: " + e.blockedReport())
 		}
 		p := e.runnable.pop()
 		e.now = p.time
 		if p.isCont {
-			if pv := e.runContCaught(p); pv != nil {
-				e.stop <- stopMsg{pan: pv}
-				return
-			}
+			e.runCont(p)
 			continue
 		}
 		p.state = stateRunning
-		p.resume <- resumeMsg{t: p.time}
-		return
+		p.next()
 	}
 }
 
@@ -512,59 +412,56 @@ func sum(xs []int64) int64 {
 	return t
 }
 
-// ---- Proc methods (call only from the proc's own goroutine) ----
+// retire ends a proc's body: account its busy time to its core, drop
+// liveness, and — on a pooled engine — park the slot for reuse, so a Spawn
+// later in this very run can already take it.
+func (e *Engine) retire(p *Proc) {
+	p.state = stateDone
+	p.cont = nil
+	e.live--
+	e.userByCore[p.core] += p.user
+	e.sysByCore[p.core] += p.sys
+	p.user, p.sys = 0, 0
+	e.free(p)
+}
 
-// yieldTo ends the proc's current dispatch and runs the engine's dispatch
-// loop on the spot: continuation procs ahead of the next goroutine proc
-// execute right here, and the handoff to that goroutine proc is a single
-// channel send. (The zero-channel-ops case — the yielder staying first in
-// dispatch order — is handled before calling here, in Engine.keepRunning.)
-// A ready or blocked yielder then parks until its own resume arrives;
-// with the buffered resume channel that message may already be waiting
-// (the yielder won its own pop back inside next).
-func (p *Proc) yieldTo(kind yieldKind) {
+// free returns a finished slot to its flavor's free list on a pooled
+// engine.
+func (e *Engine) free(p *Proc) {
+	switch {
+	case !e.pooled:
+	case p.isCont:
+		e.freeConts = append(e.freeConts, p)
+	default:
+		e.freeProcs = append(e.freeProcs, p)
+	}
+}
+
+// ---- Proc methods (call only from the proc's own body) ----
+
+// park ends the proc's current dispatch: a blocked proc waits for Wake, a
+// ready one requeues at its (updated) time. Control returns to Run, which
+// resumes the coroutine when the proc is next popped. (The no-switch case
+// — the yielder staying first in dispatch order — is handled before
+// calling here, in Engine.keepRunning.) If Reset or Close stopped the
+// coroutine meanwhile, the body unwinds through the killed sentinel.
+func (p *Proc) park(block bool) {
 	if p.isCont {
 		// Continuation bodies must express scheduling through directives;
-		// a plain yield-capable call has no goroutine to park.
+		// a plain yield-capable call has no coroutine to park.
 		panic(fmt.Sprintf(
 			"sim: continuation proc %s called a yielding method (Advance/Idle/Use/Block); "+
 				"continuation segments must return directives (AdvanceThen, IdleThen, UseThen, BlockThen) instead",
 			p.Name))
 	}
-	e := p.eng
-	switch kind {
-	case yieldReady:
-		e.enqueue(p)
-	case yieldBlock:
+	if block {
 		p.state = stateBlocked
-	case yieldDone:
-		p.state = stateDone
-		e.live--
-		// Account the proc's busy time to its core.
-		e.userByCore[p.core] += p.user
-		e.sysByCore[p.core] += p.sys
-		p.user, p.sys = 0, 0
-		if e.pooled {
-			// Park the slot for reuse before dispatching the next proc,
-			// so a Spawn later in this very run can already resume it.
-			e.freeProcs = append(e.freeProcs, p)
-		}
+	} else {
+		p.eng.enqueue(p)
 	}
-	e.next()
-	if kind != yieldDone {
-		p.recv()
-	}
-}
-
-// recv parks the proc mid-body until the engine resumes it. A kill message
-// (Engine.Reset reclaiming the goroutine) unwinds the body via the killed
-// sentinel, absorbed in runBody.
-func (p *Proc) recv() {
-	m := <-p.resume
-	if m.kill {
+	if !p.yield(struct{}{}) {
 		panic(killed{})
 	}
-	p.time = m.t
 }
 
 // Now returns the proc's current virtual time in cycles.
@@ -599,7 +496,7 @@ func (p *Proc) advance(cycles int64, acct *int64) {
 	if p.eng.keepRunning(p.time) {
 		return
 	}
-	p.yieldTo(yieldReady)
+	p.park(false)
 }
 
 // chargeCore applies a busy-cycle charge against the proc's core and
@@ -635,7 +532,7 @@ func (p *Proc) Idle(cycles int64) {
 	if p.eng.keepRunning(p.time) {
 		return
 	}
-	p.yieldTo(yieldReady)
+	p.park(false)
 }
 
 // IdleUntil moves the proc's clock forward to at least t without occupying
@@ -647,13 +544,13 @@ func (p *Proc) IdleUntil(t int64) {
 	if p.eng.keepRunning(p.time) {
 		return
 	}
-	p.yieldTo(yieldReady)
+	p.park(false)
 }
 
 // Block parks the proc until another proc calls Wake on it. It returns the
 // proc's (updated) time at wake.
 func (p *Proc) Block() int64 {
-	p.yieldTo(yieldBlock)
+	p.park(true)
 	return p.time
 }
 
