@@ -60,9 +60,11 @@ func BenchmarkAccessSetRead(b *testing.B) {
 }
 
 // BenchmarkAllocLabel measures allocation plus labeling, the directory
-// growth path that pre-sizing is meant to keep cheap.
+// growth path. Lines come in fixed pages, so allocs/op should stay near
+// one per page plus one per labeled line's profiler record.
 func BenchmarkAllocLabel(b *testing.B) {
 	md := NewModel(topo.New(48))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l := md.Alloc(0)

@@ -29,14 +29,13 @@ type Line int32
 // zero-valued struct field can be detected as "not allocated".
 const NoLine Line = -1
 
-// state is the directory entry for one line.
+// state is the directory entry for one line. It holds no pointers, so the
+// garbage collector never scans the directory: the sharer words for cores
+// 64.. live in the model's per-page side arrays, and a profiler record is
+// named by index into Model.labeled.
 type state struct {
-	sharers uint64   // bitmask of cores 0..63 holding a valid copy
-	wide    []uint64 // sharer words for cores 64.., nil on <=64-core machines
-	chips   uint64   // bitmask of chips with at least one sharer
-	owner   int16    // core that last wrote, -1 if never written
-	home    int8     // chip whose DRAM homes this line
-	dirty   bool     // true if owner's copy is modified
+	sharers uint64 // bitmask of cores 0..63 holding a valid copy
+	chips   uint64 // bitmask of chips with at least one sharer
 
 	// busyUntil is when the line's current ownership transfer completes.
 	// The coherence protocol serializes modifications of one line (§4.1:
@@ -45,39 +44,52 @@ type state struct {
 	// coherence hardware serializes the operations on a given counter").
 	// Writers arriving earlier than busyUntil queue behind it.
 	busyUntil int64
+
+	owner int16 // core that last wrote, -1 if never written
+	home  int8  // chip whose DRAM homes this line
+	dirty bool  // true if owner's copy is modified
+	label int32 // 1-based index into Model.labeled, 0 if unlabeled
 }
 
-// initialLineCap pre-sizes the directory and its stats mirror so typical
-// models never regrow them access by access.
-const initialLineCap = 1024
+// pageSize is how many lines one directory page holds. Pages are allocated
+// whole as the directory grows and never move, so growth never copies
+// entries already allocated.
+//
+//mosvet:allow fprintcheck storage layout, not a cost: no charged cycle depends on it
+const pageSize = 1024
 
-// The sharer-set helpers below take the accessor's word index w and its
-// bit within that word (w is always 0 on machines with at most 64 cores,
-// so the first branch of each is the whole story for the paper's host).
+// page is one fixed-size block of directory entries.
+type page [pageSize]state
+
+// The sharer-set helpers below take the line's sharer words for cores 64..
+// (hi, empty on machines with at most 64 cores), the accessor's word index
+// w and its bit within that word (w is always 0 on machines with at most
+// 64 cores, so the first branch of each is the whole story for the paper's
+// host).
 
 // hasSharer reports whether the core at (w, bit) holds a valid copy.
-func (s *state) hasSharer(w int, bit uint64) bool {
+func (s *state) hasSharer(hi []uint64, w int, bit uint64) bool {
 	if w == 0 {
 		return s.sharers&bit != 0
 	}
-	return s.wide[w-1]&bit != 0
+	return hi[w-1]&bit != 0
 }
 
 // addSharer records a valid copy for the core at (w, bit).
-func (s *state) addSharer(w int, bit uint64) {
+func (s *state) addSharer(hi []uint64, w int, bit uint64) {
 	if w == 0 {
 		s.sharers |= bit
 		return
 	}
-	s.wide[w-1] |= bit
+	hi[w-1] |= bit
 }
 
 // anySharer reports whether any core holds a valid copy.
-func (s *state) anySharer() bool {
+func (s *state) anySharer(hi []uint64) bool {
 	if s.sharers != 0 {
 		return true
 	}
-	for _, word := range s.wide {
+	for _, word := range hi {
 		if word != 0 {
 			return true
 		}
@@ -86,7 +98,7 @@ func (s *state) anySharer() bool {
 }
 
 // onlySharer reports whether the core at (w, bit) is the sole sharer.
-func (s *state) onlySharer(w int, bit uint64) bool {
+func (s *state) onlySharer(hi []uint64, w int, bit uint64) bool {
 	if w == 0 {
 		if s.sharers != bit {
 			return false
@@ -94,7 +106,7 @@ func (s *state) onlySharer(w int, bit uint64) bool {
 	} else if s.sharers != 0 {
 		return false
 	}
-	for i, word := range s.wide {
+	for i, word := range hi {
 		want := uint64(0)
 		if i == w-1 {
 			want = bit
@@ -107,13 +119,13 @@ func (s *state) onlySharer(w int, bit uint64) bool {
 }
 
 // othersCount counts sharers other than the core at (w, bit).
-func (s *state) othersCount(w int, bit uint64) int {
+func (s *state) othersCount(hi []uint64, w int, bit uint64) int {
 	mask0 := s.sharers
 	if w == 0 {
 		mask0 &^= bit
 	}
 	n := bits.OnesCount64(mask0)
-	for i, word := range s.wide {
+	for i, word := range hi {
 		if i == w-1 {
 			word &^= bit
 		}
@@ -123,23 +135,30 @@ func (s *state) othersCount(w int, bit uint64) int {
 }
 
 // setExclusive makes the core at (w, bit) the only sharer.
-func (s *state) setExclusive(w int, bit uint64) {
+func (s *state) setExclusive(hi []uint64, w int, bit uint64) {
 	s.sharers = 0
-	for i := range s.wide {
-		s.wide[i] = 0
-	}
+	clear(hi)
 	if w == 0 {
 		s.sharers = bit
 	} else {
-		s.wide[w-1] = bit
+		hi[w-1] = bit
 	}
 }
 
 // Model is a directory-based coherence cost model for one machine.
 type Model struct {
-	mach  *topo.Machine
-	lines []state
-	stats []*prof.LineStats // per-line profile records, in lockstep with lines
+	mach *topo.Machine
+
+	// The directory: line l is entry l%pageSize of pages[l/pageSize], and
+	// its sharer words for cores 64.. are wide[l/pageSize][(l%pageSize)*words:]
+	// (wide stays empty when words is 0).
+	pages []*page
+	wide  [][]uint64
+	n     int // lines allocated
+
+	// labeled holds the profiler records of labeled lines; state.label
+	// indexes it.
+	labeled []*prof.LineStats
 
 	// chipOf caches the core->chip mapping so the hot paths avoid the
 	// placement-policy branch in topo.Machine.Chip.
@@ -165,8 +184,6 @@ func NewModel(m *topo.Machine) *Model {
 	}
 	return &Model{
 		mach:   m,
-		lines:  make([]state, 0, initialLineCap),
-		stats:  make([]*prof.LineStats, 0, initialLineCap),
 		chipOf: chipOf,
 		words:  (m.NCores+63)/64 - 1,
 		Prof:   prof.New(),
@@ -176,9 +193,10 @@ func NewModel(m *topo.Machine) *Model {
 // Label attaches a profiler record to a line so its coherence traffic
 // appears in contention reports.
 func (md *Model) Label(l Line, name string) {
-	md.st(l) // bounds check; stats is always in lockstep with lines
-	if md.stats[l] == nil {
-		md.stats[l] = md.Prof.Line(name)
+	s, _ := md.st(l)
+	if s.label == 0 {
+		md.labeled = append(md.labeled, md.Prof.Line(name))
+		s.label = int32(len(md.labeled))
 	}
 }
 
@@ -190,13 +208,16 @@ func (md *Model) Alloc(homeChip int) Line {
 	if homeChip < 0 || homeChip >= md.mach.Chips {
 		panic(fmt.Sprintf("mem: home chip %d out of range", homeChip))
 	}
-	s := state{owner: -1, home: int8(homeChip)}
-	if md.words > 0 {
-		s.wide = make([]uint64, md.words)
+	pg, i := md.n/pageSize, md.n%pageSize
+	if i == 0 {
+		md.pages = append(md.pages, new(page))
+		if md.words > 0 {
+			md.wide = append(md.wide, make([]uint64, pageSize*md.words))
+		}
 	}
-	md.lines = append(md.lines, s)
-	md.stats = append(md.stats, nil)
-	return Line(len(md.lines) - 1)
+	md.pages[pg][i] = state{owner: -1, home: int8(homeChip)}
+	md.n++
+	return Line(md.n - 1)
 }
 
 // AllocLocal allocates a line homed on the chip of the given core, the
@@ -214,11 +235,19 @@ func (md *Model) AllocN(homeChip, n int) []Line {
 	return ls
 }
 
-func (md *Model) st(l Line) *state {
-	if l < 0 || int(l) >= len(md.lines) {
+// st returns line l's directory entry and its sharer words for cores 64..
+// (empty on machines with at most 64 cores).
+func (md *Model) st(l Line) (*state, []uint64) {
+	if l < 0 || int(l) >= md.n {
 		panic(fmt.Sprintf("mem: access to unallocated line %d", l))
 	}
-	return &md.lines[l]
+	pg, i := uint(l)/pageSize, uint(l)%pageSize
+	s := &md.pages[pg][i]
+	if md.words == 0 {
+		return s, nil
+	}
+	w := int(i) * md.words
+	return s, md.wide[pg][w : w+md.words]
 }
 
 // Read returns the cycle cost for core c reading line l at virtual time
@@ -234,17 +263,17 @@ func (md *Model) Read(c int, l Line, now int64) int64 {
 // hoisted so batch charging resolves them once per set instead of once
 // per line.
 func (md *Model) read(c, w int, bit uint64, myChip int, l Line, now int64) int64 {
-	s := md.st(l)
+	s, hi := md.st(l)
 	md.reads++
 
 	var wait int64
-	if s.busyUntil > now && !s.hasSharer(w, bit) {
+	if s.busyUntil > now && !s.hasSharer(hi, w, bit) {
 		wait = s.busyUntil - now
 	}
 
 	var cost int64
 	switch {
-	case s.hasSharer(w, bit):
+	case s.hasSharer(hi, w, bit):
 		// Valid copy in this core's own cache.
 		cost = md.mach.LatL1
 	case s.dirty:
@@ -255,7 +284,7 @@ func (md *Model) read(c, w int, bit uint64, myChip int, l Line, now int64) int64
 			md.remoteTransfers++
 		}
 		s.dirty = false // downgraded to shared; owner keeps a copy
-	case s.anySharer():
+	case s.anySharer(hi):
 		// Clean copy in some cache; nearest provider wins.
 		cost = md.fetchFromSharers(myChip, s)
 	default:
@@ -265,7 +294,7 @@ func (md *Model) read(c, w int, bit uint64, myChip int, l Line, now int64) int64
 			md.remoteTransfers++
 		}
 	}
-	s.addSharer(w, bit)
+	s.addSharer(hi, w, bit)
 	s.chips |= 1 << uint(myChip)
 	return wait + cost
 }
@@ -307,7 +336,7 @@ func (md *Model) Write(c int, l Line, now int64) int64 {
 
 // write is Write with the per-access constants hoisted (see read).
 func (md *Model) write(c, w int, bit uint64, myChip int, l Line, now int64) int64 {
-	s := md.st(l)
+	s, hi := md.st(l)
 	md.writes++
 
 	var wait int64
@@ -317,7 +346,7 @@ func (md *Model) write(c, w int, bit uint64, myChip int, l Line, now int64) int6
 
 	var cost int64
 	switch {
-	case s.dirty && s.owner == int16(c) && s.onlySharer(w, bit):
+	case s.dirty && s.owner == int16(c) && s.onlySharer(hi, w, bit):
 		// Already exclusive and modified: cache hit.
 		cost = md.mach.LatL1
 	case s.dirty:
@@ -327,7 +356,7 @@ func (md *Model) write(c, w int, bit uint64, myChip int, l Line, now int64) int6
 		if ownerChip != myChip {
 			md.remoteTransfers++
 		}
-	case s.anySharer():
+	case s.anySharer(hi):
 		cost = md.fetchFromSharers(myChip, s)
 	default:
 		cost = md.mach.DRAMLatency(myChip, int(s.home))
@@ -338,7 +367,7 @@ func (md *Model) write(c, w int, bit uint64, myChip int, l Line, now int64) int6
 	// Invalidation traffic: proportional to the number of *other* caches
 	// holding copies (§4.1: "the protocol finds the cached copies and
 	// invalidates them").
-	others := s.othersCount(w, bit)
+	others := s.othersCount(hi, w, bit)
 	cost += int64(others) * invalidatePerSharer
 
 	// Contention is not work-conserving: an op that had to queue keeps
@@ -353,12 +382,13 @@ func (md *Model) write(c, w int, bit uint64, myChip int, l Line, now int64) int6
 	}
 
 	s.busyUntil = now + wait + occupancy
-	s.setExclusive(w, bit)
+	s.setExclusive(hi, w, bit)
 	s.chips = 1 << uint(myChip)
 	s.owner = int16(c)
 	s.dirty = true
 
-	if st := md.stats[l]; st != nil {
+	if s.label != 0 {
+		st := md.labeled[s.label-1]
 		st.Writes++
 		st.WaitCycles += wait
 	}
@@ -464,11 +494,9 @@ func (md *Model) AccessSet(c int, lines []Line, op Op, now int64) int64 {
 // fetch with the stock node-0 pools, §4.5/§5.3).
 func (md *Model) DMAWrite(lines []Line) {
 	for _, l := range lines {
-		s := md.st(l)
+		s, hi := md.st(l)
 		s.sharers = 0
-		for i := range s.wide {
-			s.wide[i] = 0
-		}
+		clear(hi)
 		s.chips = 0
 		s.owner = -1
 		s.dirty = false
@@ -488,4 +516,4 @@ func (md *Model) Writes() int64 { return md.writes }
 func (md *Model) RemoteTransfers() int64 { return md.remoteTransfers }
 
 // NumLines returns how many lines have been allocated.
-func (md *Model) NumLines() int { return len(md.lines) }
+func (md *Model) NumLines() int { return md.n }

@@ -151,13 +151,13 @@ func TestAccessInvariants(t *testing.T) {
 			c := int(o.Core) % 48
 			if o.Write {
 				md.Write(c, l, now)
-				s := md.st(l)
+				s, _ := md.st(l)
 				if s.sharers != 1<<uint(c) || !s.dirty || s.owner != int16(c) {
 					return false
 				}
 			} else {
 				md.Read(c, l, now)
-				s := md.st(l)
+				s, _ := md.st(l)
 				if s.sharers&(1<<uint(c)) == 0 {
 					return false
 				}

@@ -171,7 +171,12 @@ func (fs *FS) newDentrySetup(name string, parent *Dentry, isDir bool) *Dentry {
 // MustMkdirAll creates a directory path at setup time (no cost).
 func (fs *FS) MustMkdirAll(path string) *Dentry {
 	d := fs.root
-	for _, comp := range splitPath(path) {
+	for rest := path; rest != ""; {
+		var comp string
+		comp, rest, _ = strings.Cut(rest, "/")
+		if comp == "" {
+			continue
+		}
 		child, ok := d.children[comp]
 		if !ok {
 			child = fs.newDentrySetup(comp, d, true)
@@ -193,16 +198,6 @@ func (fs *FS) MustCreateFile(path string, size int64) *Dentry {
 	return d
 }
 
-func splitPath(path string) []string {
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
-		if c != "" {
-			comps = append(comps, c)
-		}
-	}
-	return comps
-}
-
 func splitDir(path string) (dir, name string) {
 	i := strings.LastIndex(path, "/")
 	if i < 0 {
@@ -217,13 +212,20 @@ func splitDir(path string) (dir, name string) {
 // lookups (lock-free or locked compare), and reference counting. If
 // holdFinal is true the caller receives a reference to the final dentry and
 // must release it with Put. Walk panics on a missing path: workloads
-// resolve only paths they created, so ENOENT is a model bug.
+// resolve only paths they created, so ENOENT is a model bug. Empty
+// components ("//", a trailing "/") are skipped, and the walk allocates
+// nothing.
 func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
 	p.Advance(syscallEntry)
 	fs.mounts.Get(p)
 	d := fs.root
 	fs.dgetCompare(p, d)
-	for _, comp := range splitPath(path) {
+	for rest := path; rest != ""; {
+		var comp string
+		comp, rest, _ = strings.Cut(rest, "/")
+		if comp == "" {
+			continue
+		}
 		child, ok := d.children[comp]
 		if !ok {
 			panic("vfs: walk of missing path " + path)

@@ -265,14 +265,63 @@ func TestRemountCheckScansAllCores(t *testing.T) {
 }
 
 func TestSplitHelpers(t *testing.T) {
-	if got := splitPath("/a/b/c"); len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("splitPath = %v", got)
+	e, fs := newFS(1, stockCfg())
+	want := fs.MustCreateFile("/a/b/c", 1)
+	got := map[string]*Dentry{}
+	e.Spawn(0, "p", 0, func(p *sim.Proc) {
+		for _, path := range []string{"/a/b/c", "a/b/c", "//a//b/c/", "/"} {
+			got[path] = fs.Walk(p, path, false)
+		}
+	})
+	e.Run()
+	for _, path := range []string{"/a/b/c", "a/b/c", "//a//b/c/"} {
+		if got[path] != want {
+			t.Errorf("Walk(%q) = %v, want the dentry of /a/b/c", path, got[path])
+		}
 	}
-	if got := splitPath("/"); len(got) != 0 {
-		t.Errorf("splitPath(/) = %v, want empty", got)
+	if got["/"] != fs.root {
+		t.Errorf("Walk(/) = %v, want the root", got["/"])
 	}
 	dir, name := splitDir("/a/b/c")
 	if dir != "/a/b" || name != "c" {
 		t.Errorf("splitDir = %q, %q", dir, name)
 	}
+}
+
+// TestWalkAllocatesNothing guards the path walk's host cost: resolving a
+// path steps through its components in place, so a walk that hits the
+// dcache allocates no objects on either kernel.
+func TestWalkAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for name, cfg := range map[string]Config{"stock": stockCfg(), "pk": pkCfg()} {
+		e, fs := newFS(1, cfg)
+		const path = "/var/spool/exim/input/msg"
+		fs.MustCreateFile(path, 1)
+		var allocs float64
+		e.Spawn(0, "p", 0, func(p *sim.Proc) {
+			allocs = testing.AllocsPerRun(100, func() { fs.Walk(p, path, false) })
+		})
+		e.Run()
+		if allocs != 0 {
+			t.Errorf("%s: Walk(%q) allocates %.1f objects, want 0", name, path, allocs)
+		}
+	}
+}
+
+// BenchmarkWalk measures one stock path walk of five components on a
+// single core: mount-table and dcache charges with no contention.
+func BenchmarkWalk(b *testing.B) {
+	e, fs := newFS(1, stockCfg())
+	const path = "/var/spool/exim/input/msg"
+	fs.MustCreateFile(path, 1)
+	b.ReportAllocs()
+	e.Spawn(0, "p", 0, func(p *sim.Proc) {
+		b.ResetTimer()
+		for range b.N {
+			fs.Walk(p, path, false)
+		}
+	})
+	e.Run()
 }
