@@ -424,26 +424,58 @@ func (o Options) cacheSectionID(exp string) string {
 	return exp
 }
 
+// sectionFingerprint returns the cost-model fingerprint of exp's cache
+// section under o, or "" with no cache attached. A sweep computes it once,
+// before fanning out, since no domain is retuned while a sweep runs. It is
+// deliberately not memoized across runs: a domain may be retuned between
+// two runs sharing one Cache, and the second run must see the new value.
+func (o Options) sectionFingerprint(exp string) string {
+	if o.Cache == nil {
+		return ""
+	}
+	return fingerprintFor(o.cacheSectionID(exp))
+}
+
+// pointAddr locates one sweep point in the cache: its section, the
+// fingerprint that section must carry, and the point's key.
+type pointAddr struct{ sec, fp, key string }
+
+// pointAddr addresses (exp, variant, cores) under o, where fp is exp's
+// section fingerprint (see sectionFingerprint).
+func (o Options) pointAddr(exp, fp, variant string, cores int) pointAddr {
+	return pointAddr{sec: o.cacheSectionID(exp), fp: fp, key: o.cacheKey(variant, cores)}
+}
+
+// lookupPoint serves the point at a from o.Cache. With no cache attached
+// it misses without counting.
+func (o Options) lookupPoint(a pointAddr) (Point, bool) {
+	if o.Cache == nil {
+		return Point{}, false
+	}
+	return o.Cache.lookup(a.sec, a.fp, a.key)
+}
+
+// storePoint stores a freshly computed point at a. A point whose watchdog
+// already abandoned it (see runGuarded) is never stored: its slot
+// generation is stale, its result was discarded, and a late store would
+// poison reruns with a value no one validated.
+func (o Options) storePoint(a pointAddr, p Point) {
+	if o.Cache == nil || (o.abandoned != nil && o.abandoned.Load()) {
+		return
+	}
+	o.Cache.store(a.sec, a.fp, a.key, p)
+}
+
 // cachedPoint returns the cached measurement for (exp, variant, cores)
 // under o, or computes it with f and stores it. With no cache attached it
-// just runs f. A point whose watchdog already abandoned it (see
-// runGuarded) is never stored: its slot generation is stale, its result
-// was discarded, and a late store would poison reruns with a value no one
-// validated.
+// just runs f. It is the unguarded form of safeCachedPoint, for fan-outs
+// without a per-point failure channel (dma, ablate).
 func (o Options) cachedPoint(exp, variant string, cores int, f func() Point) Point {
-	if o.Cache == nil {
-		return f()
-	}
-	sec := o.cacheSectionID(exp)
-	fp := fingerprintFor(sec)
-	key := o.cacheKey(variant, cores)
-	if p, ok := o.Cache.lookup(sec, fp, key); ok {
+	a := o.pointAddr(exp, o.sectionFingerprint(exp), variant, cores)
+	if p, ok := o.lookupPoint(a); ok {
 		return p
 	}
 	p := f()
-	if o.abandoned != nil && o.abandoned.Load() {
-		return p
-	}
-	o.Cache.store(sec, fp, key, p)
+	o.storePoint(a, p)
 	return p
 }

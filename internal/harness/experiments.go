@@ -383,6 +383,7 @@ func runFig3(o Options) *Series {
 	}
 	results := make([]Point, len(appsList)*4)
 	errs := make([]error, len(results))
+	fp := o.sectionFingerprint("fig3")
 	o.parallelMap(len(results), func(i int, wo Options) {
 		a := appsList[i/4]
 		label, cores := fig3Label(i)
@@ -390,7 +391,7 @@ func runFig3(o Options) *Series {
 		if i%4 >= 2 {
 			run = a.pk
 		}
-		results[i], errs[i] = wo.safeCachedPoint("fig3", label, cores, func(co Options) Point {
+		results[i], errs[i] = wo.safeCachedPoint("fig3", fp, label, cores, func(co Options) Point {
 			return point(run(cores, co), label, 1)
 		})
 	})
@@ -450,13 +451,14 @@ func runFig12(o Options) *Series {
 	// individually cacheable, and crash-isolated.
 	pts := make([]Point, len(rows)*2)
 	errs := make([]error, len(pts))
+	fp := o.sectionFingerprint("fig12")
 	o.parallelMap(len(pts), func(i int, wo Options) {
 		r := rows[i/2]
 		cores := 1
 		if i%2 == 1 {
 			cores = max
 		}
-		pts[i], errs[i] = wo.safeCachedPoint("fig12", r.app, cores, func(co Options) Point {
+		pts[i], errs[i] = wo.safeCachedPoint("fig12", fp, r.app, cores, func(co Options) Point {
 			return point(r.run(cores, co), r.app, 1)
 		})
 	})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -361,10 +362,11 @@ func (o Options) runGrid(s *Series, runs []variantRun) {
 	cores := o.cores()
 	pts := make([]Point, len(runs)*len(cores))
 	errs := make([]error, len(pts))
+	fp := o.sectionFingerprint(s.ID)
 	o.parallelMap(len(pts), func(i int, wo Options) {
 		vr := runs[i/len(cores)]
 		c := cores[i%len(cores)]
-		pts[i], errs[i] = wo.safeCachedPoint(s.ID, vr.name, c, func(co Options) Point { return vr.run(c, co) })
+		pts[i], errs[i] = wo.safeCachedPoint(s.ID, fp, vr.name, c, func(co Options) Point { return vr.run(c, co) })
 	})
 	for i := range pts {
 		if errs[i] != nil {
@@ -557,24 +559,31 @@ func formatUtil(util []float64) string {
 // CSV renders a series as CSV with a header row. The dram_util and
 // link_util columns hold the per-chip controller and per-link HT
 // utilizations joined by ';' (empty for workloads that stream no bulk
-// data).
+// data). Numbers are appended with strconv: 'g' with precision -1 is
+// exactly fmt's %g, and 'f' with precision 3 exactly %.3f.
 func CSV(s *Series) string {
-	var b strings.Builder
-	b.WriteString("experiment,variant,cores,per_core,user_us,sys_us,retries,dups,offered_per_core,p50_us,p99_us,p999_us,dram_util,link_util\n")
+	b := []byte("experiment,variant,cores,per_core,user_us,sys_us,retries,dups,offered_per_core,p50_us,p99_us,p999_us,dram_util,link_util\n")
 	for _, p := range s.Points {
-		fmt.Fprintf(&b, "%s,%s,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g,%s,%s\n",
-			s.ID, p.Variant, p.Cores, p.PerCore, p.UserMicros, p.SysMicros, p.Retries,
-			p.Dups, p.OfferedPerCore, p.P50Micros, p.P99Micros, p.P999Micros,
-			joinUtil(p.DRAMUtil), joinUtil(p.LinkUtil))
+		b = append(b, s.ID...)
+		b = append(b, ',')
+		b = append(b, p.Variant...)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.Cores), 10)
+		for _, v := range [...]float64{p.PerCore, p.UserMicros, p.SysMicros, p.Retries,
+			p.Dups, p.OfferedPerCore, p.P50Micros, p.P99Micros, p.P999Micros} {
+			b = append(b, ',')
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		for _, util := range [...][]float64{p.DRAMUtil, p.LinkUtil} {
+			b = append(b, ',')
+			for i, u := range util {
+				if i > 0 {
+					b = append(b, ';')
+				}
+				b = strconv.AppendFloat(b, u, 'f', 3, 64)
+			}
+		}
+		b = append(b, '\n')
 	}
-	return b.String()
-}
-
-// joinUtil renders a utilization vector as the ';'-joined CSV cell.
-func joinUtil(util []float64) string {
-	var parts []string
-	for _, u := range util {
-		parts = append(parts, fmt.Sprintf("%.3f", u))
-	}
-	return strings.Join(parts, ";")
+	return string(b)
 }

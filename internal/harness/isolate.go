@@ -91,18 +91,28 @@ func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Op
 	}
 }
 
-// safeCachedPoint is cachedPoint with crash isolation: the point body runs
-// under runGuarded, a panicking point is retried exactly once on a fresh
-// non-pooled engine (a recovered panic can leave a pooled engine's proc
-// state arbitrary), and a second panic or a watchdog timeout yields an
-// error instead of a Point. One crashing point therefore costs exactly
+// safeCachedPoint is cachedPoint with crash isolation, for the sweeps
+// (runGrid, fig3, fig12); fp is the section fingerprint each sweep
+// computes once (see sectionFingerprint). A cache hit returns on the
+// calling sweep worker: no goroutine, no watchdog. A miss runs the point
+// body under runGuarded, which stores the result unless the watchdog
+// abandoned the point. A panicking point is retried exactly once on a
+// fresh non-pooled engine (a recovered panic can leave a pooled engine's
+// proc state arbitrary), and a second panic or a watchdog timeout yields
+// an error instead of a Point. One crashing point therefore costs exactly
 // that point; the rest of the sweep completes.
-func (o Options) safeCachedPoint(exp, variant string, cores int, f func(o Options) Point) (Point, error) {
-	if !o.shardOwns(o.cacheSectionID(exp), o.cacheKey(variant, cores)) {
+func (o Options) safeCachedPoint(exp, fp, variant string, cores int, f func(o Options) Point) (Point, error) {
+	a := o.pointAddr(exp, fp, variant, cores)
+	if !o.shardOwns(a.sec, a.key) {
 		return Point{}, errShardSkipped
 	}
+	if p, ok := o.lookupPoint(a); ok {
+		return p, nil
+	}
 	body := func(co Options) Point {
-		return co.cachedPoint(exp, variant, cores, func() Point { return f(co) })
+		p := f(co)
+		co.storePoint(a, p)
+		return p
 	}
 	p, err := o.runGuarded(exp, variant, cores, 0, body)
 	if err == nil {

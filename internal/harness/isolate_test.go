@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,85 @@ func TestPointPanicIsRetriedOnFreshEngine(t *testing.T) {
 	defer mu.Unlock()
 	if attempts[1] != 1 {
 		t.Errorf("retry attempts = %d, want exactly 1", attempts[1])
+	}
+}
+
+// TestPanicRetryCountsOneCacheMiss pins the cache accounting of a retried
+// point: the lookup happens once, before the guarded body, so a point
+// whose simulation panics on its first attempt and succeeds on the
+// fresh-engine retry is one miss, not two, and the retry's result is
+// stored for the rerun.
+func TestPanicRetryCountsOneCacheMiss(t *testing.T) {
+	runs := []variantRun{{"V", func(c int, o Options) Point {
+		if c == 8 && !o.FreshEngines { // only the retry runs on a fresh engine
+			panic("injected transient panic")
+		}
+		return Point{Cores: c, Variant: "V", PerCore: float64(c)}
+	}}}
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatalf("OpenCache: %v", err)
+	}
+	o := Options{Cores: []int{1, 8}, Seed: 1, Cache: c}
+	s := &Series{ID: "iso-test"}
+	o.runGrid(s, runs)
+	if len(s.Failed) != 0 || len(s.Points) != 2 {
+		t.Fatalf("got %d points, %d failures; want 2 and 0", len(s.Points), len(s.Failed))
+	}
+	if got := c.Misses(); got != 2 {
+		t.Errorf("Misses() = %d after a 2-point sweep with one retried point, want 2", got)
+	}
+	if got := c.Stats().Experiments["iso-test"].Misses; got != 2 {
+		t.Errorf("iso-test section misses = %d, want 2", got)
+	}
+	primedMisses := c.Misses()
+	s2 := &Series{ID: "iso-test"}
+	o.runGrid(s2, runs)
+	if got := c.Misses() - primedMisses; got != 0 {
+		t.Errorf("warm rerun missed %d times, want all hits", got)
+	}
+	if got := c.Hits(); got != 2 {
+		t.Errorf("warm rerun hit %d times, want 2", got)
+	}
+	if !reflect.DeepEqual(s2.Points, s.Points) {
+		t.Errorf("warm rerun points %+v differ from the primed %+v", s2.Points, s.Points)
+	}
+}
+
+// TestWarmHitsBypassGuard pins that a cache hit is served on the sweep
+// worker without entering the guarded point body: with every attempt of
+// every point set to panic, a warm rerun still returns the primed series
+// in full, because no point body runs at all.
+func TestWarmHitsBypassGuard(t *testing.T) {
+	defer func() { testPointHook = nil }()
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatalf("OpenCache: %v", err)
+	}
+	e := ByID("fig4")
+	o := Options{Quick: true, Seed: 1, Cache: c}
+	primed := e.Run(o)
+	if len(primed.Failed) != 0 || len(primed.Points) == 0 {
+		t.Fatalf("priming run: %d points, %d failures", len(primed.Points), len(primed.Failed))
+	}
+	misses := c.Misses()
+	var guarded atomic.Int64
+	testPointHook = func(exp, variant string, cores, attempt int) {
+		guarded.Add(1)
+		panic("a warm hit must not enter the guarded body")
+	}
+	warm := e.Run(o)
+	if len(warm.Failed) != 0 {
+		t.Fatalf("warm rerun failed %d points: %+v", len(warm.Failed), warm.Failed)
+	}
+	if !reflect.DeepEqual(warm, primed) {
+		t.Errorf("warm rerun differs from the primed series:\nwarm:   %+v\nprimed: %+v", warm, primed)
+	}
+	if got := c.Misses() - misses; got != 0 {
+		t.Errorf("warm rerun missed %d times, want 0", got)
+	}
+	if got := guarded.Load(); got != 0 {
+		t.Errorf("guarded body ran %d times on a warm rerun, want 0", got)
 	}
 }
 

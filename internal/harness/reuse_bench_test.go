@@ -32,6 +32,7 @@ func BenchmarkCachedSweep(b *testing.B) {
 	e := ByID("fig5")
 	o := Options{Quick: true, Seed: 1, Cache: c}
 	e.Run(o) // prime
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Run(o)
