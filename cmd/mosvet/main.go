@@ -1,5 +1,5 @@
 // Command mosvet runs the repository's custom static analyzers
-// (internal/lint): detlint, fprintcheck, contcheck, cachekeylint. It
+// (internal/lint): detlint, fprintcheck, cachekeylint. It
 // speaks the `go vet -vettool` protocol, so CI and developers run it
 // through the toolchain, and it also runs standalone over package
 // patterns for quick local iteration.
@@ -10,7 +10,7 @@
 //	go vet -vettool=./bin/mosvet -detlint ./internal/sim/
 //	mosvet -list
 //	mosvet ./...
-//	mosvet -only detlint,contcheck ./internal/...
+//	mosvet -only detlint,fprintcheck ./internal/...
 //
 // Diagnostics go to stderr as file:line:col: analyzer: message. Exit
 // status is 0 when the tree is clean, 1 when any diagnostic fires (or a

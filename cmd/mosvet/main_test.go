@@ -44,13 +44,13 @@ func TestList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d:\n%s", code, out)
 	}
-	for _, name := range []string{"cachekeylint", "contcheck", "detlint", "fprintcheck"} {
+	for _, name := range []string{"cachekeylint", "detlint", "fprintcheck"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}
 	}
-	if n := len(strings.Split(strings.TrimSpace(out), "\n")); n != 4 {
-		t.Errorf("-list printed %d lines, want 4", n)
+	if n := len(strings.Split(strings.TrimSpace(out), "\n")); n != 3 {
+		t.Errorf("-list printed %d lines, want 3", n)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestFlagsHandshake(t *testing.T) {
 	for _, d := range defs {
 		byName[d.Name] = d.Bool
 	}
-	for _, name := range []string{"cachekeylint", "contcheck", "detlint", "fprintcheck"} {
+	for _, name := range []string{"cachekeylint", "detlint", "fprintcheck"} {
 		if isBool, ok := byName[name]; !ok || !isBool {
 			t.Errorf("-flags missing bool flag %s: %v", name, defs)
 		}

@@ -171,10 +171,10 @@ func parseEvent(part string) (Event, error) {
 			return ev, fmt.Errorf("fault: %q: want link:A-B@P%%", part)
 		}
 		var err error
-		if ev.A, err = strconv.Atoi(a); err != nil {
+		if ev.A, err = parseID(a); err != nil {
 			return ev, fmt.Errorf("fault: %q: bad chip %q", part, a)
 		}
-		if ev.B, err = strconv.Atoi(b); err != nil {
+		if ev.B, err = parseID(b); err != nil {
 			return ev, fmt.Errorf("fault: %q: bad chip %q", part, b)
 		}
 		if ev.Frac, err = parsePercent(val); err != nil {
@@ -187,7 +187,7 @@ func parseEvent(part string) (Event, error) {
 			return ev, fmt.Errorf("fault: %q: want dram:C@P%%", part)
 		}
 		var err error
-		if ev.A, err = strconv.Atoi(target); err != nil {
+		if ev.A, err = parseID(target); err != nil {
 			return ev, fmt.Errorf("fault: %q: bad chip %q", part, target)
 		}
 		if ev.Frac, err = parsePercent(val); err != nil {
@@ -203,7 +203,7 @@ func parseEvent(part string) (Event, error) {
 			return ev, fmt.Errorf("fault: %q: want core:N@off", part)
 		}
 		var err error
-		if ev.A, err = strconv.Atoi(target); err != nil {
+		if ev.A, err = parseID(target); err != nil {
 			return ev, fmt.Errorf("fault: %q: bad core %q", part, target)
 		}
 		ev.Kind = KindCore
@@ -221,6 +221,17 @@ func parseEvent(part string) (Event, error) {
 		return ev, fmt.Errorf("fault: %q: unknown kind %q (want link, dram, core, drop, or dup)", part, kind)
 	}
 	return ev, nil
+}
+
+// parseID parses a chip or core number. Negative numbers are rejected
+// here rather than at Compile: String renders "link:-1-0", which the
+// A-B split cannot parse back, so a spec holding one would not round-trip.
+func parseID(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("negative id %d", n)
+	}
+	return n, err
 }
 
 // parsePercent accepts "50%", "down" (0), or a bare fraction like "0.5".

@@ -42,7 +42,10 @@ func TestParseErrors(t *testing.T) {
 		"core:0@50%",    // cores are only on/off
 		"drop:1.5",
 		"bogus:1",
-		"link:0-1", // missing value
+		"link:0-1",    // missing value
+		"link:0--1@0", // negative chip: String would render "link:-1-0@0%", which does not parse
+		"dram:-1@50%", // negative chip
+		"core:-1@off", // negative core
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)
@@ -182,4 +185,34 @@ func TestEqualAndFingerprint(t *testing.T) {
 	if Fingerprint() == "" {
 		t.Error("Fingerprint() is empty")
 	}
+}
+
+// FuzzParse checks that every spec Parse accepts round-trips through its
+// canonical String, and that validating, compiling and scaling it never
+// panic (they may return errors: a parsed spec need not fit the machine).
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"", "none", "link:3-4@50%", "link:0-7@down", "drop:0.01,dram:0@75%",
+		"core:7@off", "dup:0.002", "dram:2@50%@t=1ms", "link:0--1@0",
+		"dram:0@50%@t=100us,drop:0.01@t=20us", "link:3-4@0.5@t=0.5s,core:47@off",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(in)
+		if err != nil {
+			return
+		}
+		canon := s.String()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) ok, but its String %q does not parse: %v", in, canon, err)
+		}
+		if !again.Equal(s) {
+			t.Fatalf("Parse(%q) renders %q, which reparses to %q", in, canon, again)
+		}
+		_ = s.Validate()
+		_, _ = s.Compile(48)
+		_ = s.Scale(0.5)
+	})
 }

@@ -113,17 +113,10 @@ func (a *engineArena) put(s *engineSlot) {
 // is active, or a fresh engine when it is not (Options.FreshEngines, or a
 // caller outside parallelMap).
 func (o Options) newEngine(m *topo.Machine) *sim.Engine {
-	var e *sim.Engine
 	if o.FreshEngines || o.slot == nil {
-		e = sim.NewEngine(m, o.seed())
-	} else {
-		e = o.slot.engine(o.slotGen, m, o.seed())
+		return sim.NewEngine(m, o.seed())
 	}
-	// Applied on every acquisition: arena slots are shared across runs
-	// with different Options, so the previous point may have left the
-	// other scheduling mode set.
-	e.SetContSched(!o.NoContSched)
-	return e
+	return o.slot.engine(o.slotGen, m, o.seed())
 }
 
 // newKernel boots a kernel for one sweep point on o.newEngine's engine,

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/fault"
@@ -66,6 +68,38 @@ func TestDegradeQuickGracefulAndDeterministic(t *testing.T) {
 	other := ByID("degrade").Run(Options{Quick: true, Seed: 7})
 	if len(other.Points) != len(s.Points) {
 		t.Errorf("seed 7 run has %d points, seed 1 has %d", len(other.Points), len(s.Points))
+	}
+}
+
+// TestDegradeTimedFaultGolden runs degrade with fault specs whose steps
+// carry @t= activation times, so the kernel's fault-injector proc applies
+// them mid-run, and requires the CSV to match the checked-in golden byte
+// for byte. The "midrun" spec lists its two steps out of time order and
+// both land while the workload runs; in "pastend" both steps fall after
+// the workload finishes, so the injector extends the run to its last step.
+func TestDegradeTimedFaultGolden(t *testing.T) {
+	for _, tc := range []struct{ name, spec string }{
+		{"midrun", "dram:0@50%@t=100us,drop:0.01@t=20us"},
+		{"pastend", "dram:0@50%@t=1ms,link:0-1@50%@t=2ms"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := fault.Parse(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := ByID("degrade").Run(Options{Quick: true, Seed: 1, Fault: f})
+			if len(s.Failed) != 0 {
+				t.Fatalf("failed points: %+v", s.Failed)
+			}
+			golden := filepath.Join("testdata", "degrade_timed_"+tc.name+".csv")
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := CSV(s); got != string(want) {
+				t.Errorf("degrade with %q differs from %s:\ngot:\n%s\nwant:\n%s", tc.spec, golden, got, want)
+			}
+		})
 	}
 }
 

@@ -88,29 +88,6 @@ func TestSweepDeterminismNonDefaultMachine(t *testing.T) {
 	}
 }
 
-// TestContSchedDeterminismNonDefaultMachine pins the continuation
-// scheduler's equivalence on a non-default machine for a representative
-// experiment subset (the full-registry sweep runs on the default host in
-// TestContSchedDeterminism).
-func TestContSchedDeterminismNonDefaultMachine(t *testing.T) {
-	m := ring16OrSkip(t)
-	for _, id := range []string{"fig4", "dram"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			e := ByID(id)
-			if e == nil {
-				t.Fatalf("experiment %q not registered", id)
-			}
-			cont := e.Run(Options{Quick: true, Seed: 7, Machine: m})
-			goro := e.Run(Options{Quick: true, Seed: 7, Machine: m, NoContSched: true})
-			if !reflect.DeepEqual(cont, goro) {
-				t.Errorf("%s on ring16: continuation-scheduled sweep differs from goroutine-scheduled sweep", id)
-			}
-		})
-	}
-}
-
 // TestGoldenShapesNonDefaultMachine pins the paper's qualitative shapes
 // on the 16-chip ring: the stock Exim curve still collapses somewhere in
 // the bigger machine's grid while the PK curve sustains, and PK beats

@@ -148,12 +148,6 @@ type Options struct {
 	// a follow-up run with Shards unset then merges every shard's points
 	// into a complete Series. Validate combinations with ValidateShards.
 	Shards, ShardIndex int //mosvet:allow cachekeylint sharding selects which points this process computes; the merged grid is byte-identical to the single-process run
-	// NoContSched disables continuation scheduling in every engine this
-	// run builds: SpawnCont bodies execute on coroutine procs through
-	// the directive interpreter instead of inline in Engine.Run.
-	// Results are bit-for-bit identical either way (pinned by
-	// TestContSchedDeterminism); the knob exists for that comparison.
-	NoContSched bool //mosvet:allow cachekeylint both scheduling modes are bit-for-bit identical, pinned by TestContSchedDeterminism
 	// Arrival, Link, and Shed configure the open-loop experiments
 	// (latload): the arrival process, the client-side link shaper, and
 	// the server's admission policy. Nil means each experiment's default

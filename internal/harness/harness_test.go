@@ -77,8 +77,11 @@ func TestTblHWMatchesPaperLatencies(t *testing.T) {
 	joined := strings.Join(s.Notes, "\n")
 	for _, want := range []string{
 		"L1 hit                       measured    3",
+		"L2 hit (model constant)      measured   14",
+		"shared L3 hit (same chip)    measured   28",
 		"local DRAM                   measured  122",
 		"farthest DRAM                measured  503",
+		"remote dirty line fetch      measured  217",
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("tbl-hw missing %q in:\n%s", want, joined)

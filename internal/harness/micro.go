@@ -83,13 +83,12 @@ func runHWLatencies(o Options) *Series {
 	lineShared := md.Alloc(0)
 	lineDirty := md.Alloc(0)
 
-	// The probes never block mid-step, so they run as continuation procs:
-	// each segment performs one coherence access and charges its latency.
-	e.SpawnCont(m.CoresPerChip-1, "warm-sharer", 0, func(p *sim.Proc) sim.Cont {
-		return p.AdvanceThen(md.Read(p.Core(), lineShared, p.Now()), nil)
+	// Each probe performs one coherence access and charges its latency.
+	e.Spawn(m.CoresPerChip-1, "warm-sharer", 0, func(p *sim.Proc) {
+		p.Advance(md.Read(p.Core(), lineShared, p.Now()))
 	})
-	e.SpawnCont(m.NCores-1, "dirtier", 0, func(p *sim.Proc) sim.Cont {
-		return p.AdvanceThen(md.Write(p.Core(), lineDirty, p.Now()), nil)
+	e.Spawn(m.NCores-1, "dirtier", 0, func(p *sim.Proc) {
+		p.Advance(md.Write(p.Core(), lineDirty, p.Now()))
 	})
 	probes := []func(p *sim.Proc) int64{
 		func(p *sim.Proc) int64 { dramLocal = md.Read(p.Core(), lineLocal, p.Now()); return dramLocal },
@@ -98,16 +97,11 @@ func runHWLatencies(o Options) *Series {
 		func(p *sim.Proc) int64 { l3 = md.Read(p.Core(), lineShared, p.Now()); return l3 },
 		func(p *sim.Proc) int64 { remoteDirty = md.Read(p.Core(), lineDirty, p.Now()); return remoteDirty },
 	}
-	var seg func(i int) sim.ContFunc
-	seg = func(i int) sim.ContFunc {
-		return func(p *sim.Proc) sim.Cont {
-			if i == len(probes) {
-				return p.Stop()
-			}
-			return p.AdvanceThen(probes[i](p), seg(i+1))
+	e.Spawn(0, "prober", 1_000_000, func(p *sim.Proc) {
+		for _, probe := range probes {
+			p.Advance(probe(p))
 		}
-	}
-	e.SpawnCont(0, "prober", 1_000_000, seg(0))
+	})
 	e.Run()
 
 	add := func(name string, measured int64, paper string) {

@@ -48,11 +48,11 @@ func timeOp(name string, ops int64, fn func()) BenchResult {
 // RunPerfSuite measures the simulator's hot paths with wall-clock timers
 // and returns machine-readable results: engine dispatch (the non-yielding
 // Advance fast path), the proc-to-proc handoff, spawn/run cycles on fresh
-// vs reused engines (continuation-scheduled and coroutine-parked),
-// quick-sweep wall-clock cold vs warm-cache, the open-loop latload quick
-// sweep, and the cold full-grid fig4 sweep whole and as one shard of two. The committed BENCH_sweep.json is
-// the baseline; CI reruns the suite and fails on >2x regression of any
-// metric (CompareBenchReports).
+// vs reused engines, quick-sweep wall-clock cold vs warm-cache, the
+// open-loop latload quick sweep, and the cold full-grid fig4 sweep whole
+// and as one shard of two. The committed BENCH_sweep.json is the
+// baseline; CI reruns the suite and fails on >2x regression of any metric
+// (CompareBenchReports).
 func RunPerfSuite() []BenchResult {
 	var out []BenchResult
 
@@ -85,33 +85,18 @@ func RunPerfSuite() []BenchResult {
 		out = append(out, timeOp("engine_handoff", 2*n, e.Run))
 	}
 
-	// Spawn/run cycles: fresh engine per cycle vs one reused engine. The
-	// reused number is the arena's steady-state per-point overhead; with
-	// continuation procs the whole 48-proc cycle runs inside Run with no
-	// coroutine switch. spawn_run_reused_parked is the same cycle on the
-	// coroutine path (parked pooled procs, two switches per resume),
-	// isolating what the continuation scheduler saves.
+	// Spawn/run cycles: fresh engine per cycle vs one reused pooled engine
+	// whose parked coroutines take each new body. The reused number is the
+	// arena's steady-state per-point overhead.
 	{
 		const cycles, procs = 200, 48
 		m := topo.New(procs)
 		body := func(p *sim.Proc) { p.Advance(10) }
-		contBody := func(p *sim.Proc) sim.Cont { return p.AdvanceThen(10, nil) }
 		out = append(out, timeOp("spawn_run_fresh_engine", cycles, func() {
 			for i := 0; i < cycles; i++ {
 				e := sim.NewEngine(m, 1)
 				for c := 0; c < procs; c++ {
 					e.Spawn(c, "p", 0, body)
-				}
-				e.Run()
-			}
-		}))
-		e := sim.NewPooledEngine(m, 1)
-		defer e.Close()
-		out = append(out, timeOp("spawn_run_reused_engine", cycles, func() {
-			for i := 0; i < cycles; i++ {
-				e.Reset(1)
-				for c := 0; c < procs; c++ {
-					e.SpawnCont(c, "p", 0, contBody)
 				}
 				e.Run()
 			}

@@ -126,24 +126,3 @@ func TestValidateShards(t *testing.T) {
 		}
 	}
 }
-
-// TestContSchedDeterminism is the continuation scheduler's acceptance
-// guarantee: for every registered experiment, a sweep with continuation
-// scheduling (the default) is bit-for-bit identical to the same sweep on
-// the goroutine fallback path (NoContSched). Run under -race in CI, this
-// also proves the inline dispatcher is race-clean against the pooled
-// goroutine machinery.
-func TestContSchedDeterminism(t *testing.T) {
-	for _, e := range Experiments() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			cont := e.Run(Options{Quick: true, Seed: 7})
-			goro := e.Run(Options{Quick: true, Seed: 7, NoContSched: true})
-			if !reflect.DeepEqual(cont, goro) {
-				t.Errorf("%s: continuation-scheduled sweep differs from goroutine-scheduled sweep:\ncont: %+v\ngoro: %+v",
-					e.ID, cont, goro)
-			}
-		})
-	}
-}

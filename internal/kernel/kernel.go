@@ -226,29 +226,23 @@ func (k *Kernel) applyBootFaults(plan *fault.Plan) {
 		// it. It spawns on the first online core but only ever idles, so
 		// it occupies no core time; it does extend the run to the last
 		// step's timestamp if the workload finishes first, which keeps
-		// "the fault fired" observable in the wall clock. It never blocks,
-		// so it runs as a continuation proc: each segment idles to the
-		// next step's timestamp, applies every step due at or before the
-		// current time, and chains to the segment for the rest.
+		// "the fault fired" observable in the wall clock.
 		steps := plan.Steps
-		var seg func(i int) sim.ContFunc
-		seg = func(i int) sim.ContFunc {
-			return func(p *sim.Proc) sim.Cont {
-				for i < len(steps) && steps[i].AtCycles <= p.Now() {
-					st := steps[i]
-					if st.Routes != nil {
-						k.DRAM.SetRoutes(st.Routes)
+		k.Engine.Spawn(k.FirstOnline(), "fault-injector", 0, func(p *sim.Proc) {
+			i := 0
+			for {
+				for ; i < len(steps) && steps[i].AtCycles <= p.Now(); i++ {
+					if steps[i].Routes != nil {
+						k.DRAM.SetRoutes(steps[i].Routes)
 					}
-					k.applyFaultEvents(st.Events)
-					i++
+					k.applyFaultEvents(steps[i].Events)
 				}
 				if i == len(steps) {
-					return p.Stop()
+					return
 				}
-				return p.IdleUntilThen(steps[i].AtCycles, seg(i))
+				p.IdleUntil(steps[i].AtCycles)
 			}
-		}
-		k.Engine.SpawnCont(k.FirstOnline(), "fault-injector", 0, seg(0))
+		})
 	}
 }
 

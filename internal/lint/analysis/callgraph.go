@@ -6,7 +6,7 @@ import (
 )
 
 // Helpers shared by the call-graph-walking analyzers (fprintcheck,
-// contcheck, cachekeylint): resolving static callees and mapping declared
+// cachekeylint): resolving static callees and mapping declared
 // functions to their bodies within one package.
 
 // DeclaredFuncs maps every function and method declared in the package to
@@ -51,19 +51,10 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// WalkCalls visits every call expression under root, in source order. If
-// skipFuncLits is set, function literals nested under root are not
-// descended into: a literal's body runs when the literal is called, not
-// where it is written, so reachability walks that follow static calls
-// must not conflate the two. The root itself may be a *ast.FuncLit; only
-// literals strictly inside it are skipped.
-func WalkCalls(root ast.Node, skipFuncLits bool, visit func(*ast.CallExpr)) {
+// WalkCalls visits every call expression under root, in source order,
+// including calls inside nested function literals.
+func WalkCalls(root ast.Node, visit func(*ast.CallExpr)) {
 	ast.Inspect(root, func(n ast.Node) bool {
-		if skipFuncLits && n != root {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-		}
 		if call, ok := n.(*ast.CallExpr); ok {
 			visit(call)
 		}

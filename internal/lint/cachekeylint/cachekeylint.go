@@ -80,7 +80,7 @@ func run(pass *analysis.Pass) error {
 		if !ok || decl.Body == nil {
 			continue
 		}
-		analysis.WalkCalls(decl.Body, false, func(call *ast.CallExpr) {
+		analysis.WalkCalls(decl.Body, func(call *ast.CallExpr) {
 			if callee := analysis.StaticCallee(pass.TypesInfo, call); callee != nil &&
 				analysis.SamePackage(callee, pass.Pkg) && !reach[callee] {
 				queue = append(queue, callee)

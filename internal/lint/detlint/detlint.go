@@ -1,11 +1,11 @@
 // Package detlint flags nondeterminism sources in simulator code. The
 // reproduction's headline guarantees — serial==parallel, fresh==reused,
-// cont==goroutine, shard-merge byte-identical — all assume experiment
-// results are pure functions of (options, seed, cost model). Wall-clock
-// reads, the global math/rand source, unordered map iteration feeding
-// output, and free-range goroutines each break that purity in ways the
-// determinism suite only catches when a run happens to diverge; detlint
-// rejects them at vet time.
+// shard-merge byte-identical — all assume experiment results are pure
+// functions of (options, seed, cost model). Wall-clock reads, the global
+// math/rand source, unordered map iteration feeding output, and
+// free-range goroutines each break that purity in ways the determinism
+// suite only catches when a run happens to diverge; detlint rejects them
+// at vet time.
 //
 // Scope: every repro/internal/... package except the lint tree itself.
 // Deliberate wall-clock boundaries (the perf suite's timers, the
@@ -59,7 +59,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.GoStmt:
 				if path != "repro/internal/sim" {
 					pass.Reportf(n.Pos(),
-						"goroutine spawned outside the sim engine: simulated concurrency must go through Engine.Spawn/SpawnCont so the scheduler owns all interleaving")
+						"goroutine spawned outside the sim engine: simulated concurrency must go through Engine.Spawn so the scheduler owns all interleaving")
 				}
 			}
 			return true

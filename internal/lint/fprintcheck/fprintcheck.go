@@ -42,11 +42,10 @@ var Analyzer = &analysis.Analyzer{
 
 // chargeMethods are the method names that charge simulated cost: engine
 // time (Proc), resource queues, and the memory system's batch and bulk
-// paths, plus their continuation-directive forms.
+// paths.
 var chargeMethods = map[string]bool{
-	"Advance": true, "AdvanceUser": true, "AdvanceThen": true, "AdvanceUserThen": true,
-	"Use": true, "UseThen": true,
-	"Idle": true, "IdleThen": true, "IdleUntil": true, "IdleUntilThen": true,
+	"Advance": true, "AdvanceUser": true, "Use": true,
+	"Idle": true, "IdleUntil": true,
 	"AccessSet": true, "Transfer": true, "TransferLocal": true,
 	"TransferStriped": true, "TransferPlaced": true,
 	"DMAWrite": true, "DMARead": true,
@@ -214,7 +213,7 @@ func indexVarDecl(pass *analysis.Pass, idx *pkgIndex, gd *ast.GenDecl) {
 func chargingFuncs(pass *analysis.Pass, idx *pkgIndex) map[*types.Func]bool {
 	direct := func(body ast.Node) bool {
 		found := false
-		analysis.WalkCalls(body, false, func(call *ast.CallExpr) {
+		analysis.WalkCalls(body, func(call *ast.CallExpr) {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 				if _, isMethod := pass.TypesInfo.Selections[sel]; isMethod && chargeMethods[sel.Sel.Name] {
 					found = true
@@ -235,7 +234,7 @@ func chargingFuncs(pass *analysis.Pass, idx *pkgIndex) map[*types.Func]bool {
 			if charging[fn] || decl.Body == nil {
 				continue
 			}
-			analysis.WalkCalls(decl.Body, false, func(call *ast.CallExpr) {
+			analysis.WalkCalls(decl.Body, func(call *ast.CallExpr) {
 				if callee := analysis.StaticCallee(pass.TypesInfo, call); callee != nil && charging[callee] {
 					charging[fn] = true
 					changed = true
@@ -293,7 +292,7 @@ func fingerprinted(pass *analysis.Pass, idx *pkgIndex) map[*types.Const]bool {
 	for len(queue) > 0 {
 		body := queue[0]
 		queue = queue[1:]
-		analysis.WalkCalls(body, false, func(call *ast.CallExpr) {
+		analysis.WalkCalls(body, func(call *ast.CallExpr) {
 			callee := analysis.StaticCallee(pass.TypesInfo, call)
 			if callee == nil || reach[callee] {
 				return

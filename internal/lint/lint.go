@@ -1,8 +1,7 @@
 // Package lint is the mosvet analyzer registry: the suite of custom
 // static checks that turn the simulator's runtime invariants —
 // bit-identical determinism, fingerprint-complete cost models,
-// continuation-scheduler discipline, cache-key completeness — into vet
-// diagnostics. cmd/mosvet runs the registry under `go vet -vettool` and
+// cache-key completeness — into vet diagnostics. cmd/mosvet runs the registry under `go vet -vettool` and
 // standalone; linttest runs individual analyzers over fixtures.
 package lint
 
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/cachekeylint"
-	"repro/internal/lint/contcheck"
 	"repro/internal/lint/detlint"
 	"repro/internal/lint/fprintcheck"
 )
@@ -22,7 +20,6 @@ import (
 func All() []*analysis.Analyzer {
 	out := []*analysis.Analyzer{
 		cachekeylint.Analyzer,
-		contcheck.Analyzer,
 		detlint.Analyzer,
 		fprintcheck.Analyzer,
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
-	want := []string{"cachekeylint", "contcheck", "detlint", "fprintcheck"}
+	want := []string{"cachekeylint", "detlint", "fprintcheck"}
 	if got := lint.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -21,12 +21,12 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestSelect(t *testing.T) {
-	got, err := lint.Select("detlint,contcheck")
+	got, err := lint.Select("detlint,cachekeylint")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name != "detlint" || got[1].Name != "contcheck" {
-		t.Fatalf("Select(detlint,contcheck) = %v", got)
+	if len(got) != 2 || got[0].Name != "detlint" || got[1].Name != "cachekeylint" {
+		t.Fatalf("Select(detlint,cachekeylint) = %v", got)
 	}
 }
 

@@ -37,27 +37,9 @@ func BenchmarkYieldHandoff(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkSpawnRunReused measures a whole SpawnCont+Run cycle of 48
-// trivial continuation procs on one engine reused via Reset — the sweep
-// arena's steady state for non-blocking bodies, where spawn→run→finish
-// costs no coroutine switch at all.
-func BenchmarkSpawnRunReused(b *testing.B) {
-	e := NewPooledEngine(topo.New(48), 1)
-	defer e.Close()
-	body := func(p *Proc) Cont { return p.AdvanceThen(10, nil) }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset(1)
-		for c := 0; c < 48; c++ {
-			e.SpawnCont(c, "p", 0, body)
-		}
-		e.Run()
-	}
-}
-
-// BenchmarkSpawnRunReusedParked is the same cycle on the coroutine path
-// (parked-coroutine reuse, two coroutine switches per resume) — what
-// blocking bodies still pay, and the baseline the continuation path beats.
+// BenchmarkSpawnRunReusedParked measures a whole Spawn+Run cycle of 48
+// trivial procs on one pooled engine reused via Reset — the sweep arena's
+// steady state, where each Spawn hands a parked coroutine a new body.
 func BenchmarkSpawnRunReusedParked(b *testing.B) {
 	e := NewPooledEngine(topo.New(48), 1)
 	defer e.Close()
@@ -71,9 +53,9 @@ func BenchmarkSpawnRunReusedParked(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnRunFresh is the baseline BenchmarkSpawnRunReused beats: a
-// fresh plain engine (48 fresh coroutines, exiting on completion) per
-// cycle.
+// BenchmarkSpawnRunFresh is the baseline BenchmarkSpawnRunReusedParked
+// beats: a fresh plain engine (48 fresh coroutines, exiting on completion)
+// per cycle.
 func BenchmarkSpawnRunFresh(b *testing.B) {
 	m := topo.New(48)
 	for i := 0; i < b.N; i++ {

@@ -30,25 +30,13 @@ func NewResource(name string) *Resource {
 // a NIC queue full condition spins in the driver — callers that want to
 // model busy-waiting should Advance separately).
 func (r *Resource) Use(p *Proc, svc int64) {
-	p.IdleUntil(r.reserve(p.Now(), svc))
-}
-
-// reserve queues a use starting no earlier than now and returns its
-// completion time. Shared by Use and the continuation interpreter so both
-// scheduling modes account the resource identically.
-func (r *Resource) reserve(now, svc int64) int64 {
 	if svc < 0 {
 		panic(fmt.Sprintf("sim: negative service time %d on %s", svc, r.Name))
 	}
-	start := now
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	end := start + svc
-	r.freeAt = end
+	r.freeAt = max(p.Now(), r.freeAt) + svc
 	r.uses++
 	r.busy += svc
-	return end
+	p.IdleUntil(r.freeAt)
 }
 
 // Uses returns how many times the resource has been used.

@@ -42,6 +42,18 @@ func traceRun(e *Engine) []int64 {
 	return order
 }
 
+func diffTraces(t *testing.T, label string, want, got []int64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: trace length %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: diverged at event %d: got %d, want %d", label, i, got[i], want[i])
+		}
+	}
+}
+
 // TestResetProducesIdenticalRuns is the engine-level reuse determinism
 // guarantee: an engine reset between runs replays a scenario bit-for-bit
 // identically to a fresh engine with the same seed — even when the reused

@@ -19,18 +19,11 @@
 // NewEngine keeps the exit-on-done lifecycle, so dropping such an engine
 // leaks nothing even without Close.
 //
-// Procs come in two flavors. A coroutine proc (Spawn) runs an arbitrary
-// body function on an iter.Pull coroutine and may park anywhere — inside
-// locks, queues, nested subsystem calls — at the cost of two coroutine
-// switches per scheduling handoff (Run into the proc, the proc back out to
-// Run). A continuation proc (SpawnCont) has no coroutine at all: its body
-// is a chain of resumable segments (ContFunc) that Run executes inline, so
-// Spawn→run→finish costs no switch at all. Bodies that can block mid-step
-// on resources or locks stay on the coroutine path; everything else can
-// use continuations. The two flavors schedule identically — a run mixing
-// them is bit-for-bit reproducible, and an engine with continuation
-// scheduling disabled (SetContSched) runs the same continuation bodies on
-// coroutines with identical results.
+// Every proc (Spawn) runs an ordinary body function on an iter.Pull
+// coroutine and may park anywhere — inside locks, queues, nested subsystem
+// calls. A scheduling handoff costs two coroutine switches (Run into the
+// proc, the proc back out to Run); a proc that stays first in dispatch
+// order after advancing its clock skips both.
 //
 // Virtual time is measured in CPU cycles of the modeled 2.4 GHz machine
 // (see internal/topo).
@@ -88,23 +81,15 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-
-	// Continuation procs (SpawnCont) have no coroutine: cont holds the
-	// next segment to run, and Run executes it inline. isCont is
-	// immutable per slot (coroutine and continuation slots are pooled
-	// separately).
-	cont   ContFunc
-	isCont bool
 }
 
 // Engine owns the virtual clock, the runnable queue, and per-core occupancy.
 //
 // Scheduling is cooperative: Run pops the runnable proc with the smallest
-// (time, seq) key and runs it until it yields — inline for a continuation
-// proc, by resuming its coroutine otherwise. A proc whose post-advance
-// time is still earlier than every runnable proc skips the yield entirely
-// — the dispatch order is provably unchanged — so uncontended stretches of
-// Advance/Idle cost no coroutine switch at all.
+// (time, seq) key and resumes its coroutine until it yields. A proc whose
+// post-advance time is still earlier than every runnable proc skips the
+// yield entirely — the dispatch order is provably unchanged — so
+// uncontended stretches of Advance/Idle cost no coroutine switch at all.
 type Engine struct {
 	// Machine is the hardware configuration being simulated.
 	Machine *topo.Machine
@@ -133,16 +118,6 @@ type Engine struct {
 	// (or happen from Reset with no proc running), so a plain slice is
 	// deterministic.
 	freeProcs []*Proc
-
-	// freeConts holds retired continuation-proc slots (no coroutine to
-	// park; pooling just recycles the structs). Kept separate from
-	// freeProcs so the two proc flavors never swap slots.
-	freeConts []*Proc
-	// noCont disables continuation scheduling (SetContSched): SpawnCont
-	// bodies run on coroutines through the directive interpreter
-	// instead, producing bit-identical traces — the determinism suite
-	// pins the two modes against each other.
-	noCont bool
 
 	userByCore []int64
 	sysByCore  []int64
@@ -196,14 +171,11 @@ func (e *Engine) ResetFor(m *topo.Machine, seed uint64) {
 			continue // pooled: already in freeProcs; plain: already exited
 		}
 		p.state = stateDone
-		p.cont = nil
-		if !p.isCont {
-			// A body parked mid-run sees yield return false and unwinds
-			// through the killed sentinel; a coroutine that never started,
-			// or whose body panicked, just ends.
-			p.stop()
-			p.next = nil
-		}
+		// A body parked mid-run sees yield return false and unwinds
+		// through the killed sentinel; a coroutine that never started, or
+		// whose body panicked, just ends.
+		p.stop()
+		p.next = nil
 		e.free(p)
 	}
 	e.Machine = m
@@ -230,7 +202,6 @@ func (e *Engine) Close() {
 		p.stop() // a no-op on a coroutine Reset already stopped
 	}
 	e.freeProcs = e.freeProcs[:0]
-	e.freeConts = e.freeConts[:0]
 }
 
 // NumParked returns how many proc coroutine slots are parked in the free
@@ -257,7 +228,7 @@ func resizeZero(s []int64, n int) []int64 {
 // the free list holds a parked coroutine, Spawn reuses its slot instead of
 // starting a new coroutine.
 func (e *Engine) Spawn(core int, name string, start int64, body func(*Proc)) *Proc {
-	p := e.takeSlot(&e.freeProcs, core, name, start)
+	p := e.takeSlot(core, name, start)
 	p.body = body
 	if p.next == nil {
 		p.next, p.stop = iter.Pull(p.loop)
@@ -266,17 +237,17 @@ func (e *Engine) Spawn(core int, name string, start int64, body func(*Proc)) *Pr
 	return p
 }
 
-// takeSlot pops a proc slot from the given free list (or allocates one),
-// assigns it the next ID, and lists it as live in the current run. The
-// caller installs the body and enqueues it.
-func (e *Engine) takeSlot(free *[]*Proc, core int, name string, start int64) *Proc {
+// takeSlot pops a proc slot from the free list (or allocates one), assigns
+// it the next ID, and lists it as live in the current run. The caller
+// installs the body and enqueues it.
+func (e *Engine) takeSlot(core int, name string, start int64) *Proc {
 	if core < 0 || core >= e.Machine.NCores {
 		panic(fmt.Sprintf("sim: spawn on core %d of %d", core, e.Machine.NCores))
 	}
 	var p *Proc
-	if n := len(*free); n > 0 {
-		p = (*free)[n-1]
-		*free = (*free)[:n-1]
+	if n := len(e.freeProcs); n > 0 {
+		p = e.freeProcs[n-1]
+		e.freeProcs = e.freeProcs[:n-1]
 		p.ID, p.Name, p.core, p.time = e.spawned, name, core, start
 		p.user, p.sys = 0, 0
 	} else {
@@ -325,12 +296,12 @@ func (e *Engine) enqueue(p *Proc) {
 
 // Run executes the simulation until every proc has exited. It panics with a
 // description of the waiters if all remaining procs are blocked (deadlock),
-// since that is always a bug in the model. A panic raised by a proc body or
-// a continuation segment comes out of Run on the caller's goroutine.
+// since that is always a bug in the model. A panic raised by a proc body
+// comes out of Run on the caller's goroutine.
 //
 // Run is the only dispatch loop. It pops runnable procs in (time, seq)
-// order; continuation procs execute inline, and a coroutine proc runs
-// from its resume until it next yields, blocks, or finishes.
+// order and runs each from its resume until it next yields, blocks, or
+// finishes.
 func (e *Engine) Run() {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -344,10 +315,6 @@ func (e *Engine) Run() {
 		}
 		p := e.runnable.pop()
 		e.now = p.time
-		if p.isCont {
-			e.runCont(p)
-			continue
-		}
 		p.state = stateRunning
 		p.next()
 	}
@@ -417,7 +384,6 @@ func sum(xs []int64) int64 {
 // later in this very run can already take it.
 func (e *Engine) retire(p *Proc) {
 	p.state = stateDone
-	p.cont = nil
 	e.live--
 	e.userByCore[p.core] += p.user
 	e.sysByCore[p.core] += p.sys
@@ -425,14 +391,9 @@ func (e *Engine) retire(p *Proc) {
 	e.free(p)
 }
 
-// free returns a finished slot to its flavor's free list on a pooled
-// engine.
+// free returns a finished slot to the free list on a pooled engine.
 func (e *Engine) free(p *Proc) {
-	switch {
-	case !e.pooled:
-	case p.isCont:
-		e.freeConts = append(e.freeConts, p)
-	default:
+	if e.pooled {
 		e.freeProcs = append(e.freeProcs, p)
 	}
 }
@@ -446,14 +407,6 @@ func (e *Engine) free(p *Proc) {
 // calling here, in Engine.keepRunning.) If Reset or Close stopped the
 // coroutine meanwhile, the body unwinds through the killed sentinel.
 func (p *Proc) park(block bool) {
-	if p.isCont {
-		// Continuation bodies must express scheduling through directives;
-		// a plain yield-capable call has no coroutine to park.
-		panic(fmt.Sprintf(
-			"sim: continuation proc %s called a yielding method (Advance/Idle/Use/Block); "+
-				"continuation segments must return directives (AdvanceThen, IdleThen, UseThen, BlockThen) instead",
-			p.Name))
-	}
 	if block {
 		p.state = stateBlocked
 	} else {
@@ -489,37 +442,24 @@ func (p *Proc) AdvanceUser(cycles int64) {
 	p.advance(cycles, &p.user)
 }
 
+// advance charges busy cycles against the proc's core. A zero-cycle charge
+// is a no-op that skips the yield check entirely, so the proc keeps running
+// even when another proc is runnable at the same time.
 func (p *Proc) advance(cycles int64, acct *int64) {
-	if !p.chargeCore(cycles, acct) {
-		return
-	}
-	if p.eng.keepRunning(p.time) {
-		return
-	}
-	p.park(false)
-}
-
-// chargeCore applies a busy-cycle charge against the proc's core and
-// reports whether the clock moved. Zero-cycle charges are no-ops that skip
-// the yield check entirely — the continuation interpreter mirrors this so
-// both scheduling modes evolve the heap identically.
-func (p *Proc) chargeCore(cycles int64, acct *int64) bool {
 	if cycles < 0 {
 		panic(fmt.Sprintf("sim: negative advance %d by %s", cycles, p.Name))
 	}
 	if cycles == 0 {
-		return false
+		return
 	}
-	free := p.eng.coreFree[p.core]
-	start := p.time
-	if free > start {
-		start = free
-	}
-	end := start + cycles
-	p.eng.coreFree[p.core] = end
-	p.time = end
+	start := max(p.time, p.eng.coreFree[p.core])
+	p.time = start + cycles
+	p.eng.coreFree[p.core] = p.time
 	*acct += cycles
-	return true
+	if p.eng.keepRunning(p.time) {
+		return
+	}
+	p.park(false)
 }
 
 // Idle moves the proc's clock forward without occupying its core (e.g. a

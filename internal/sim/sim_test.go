@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/topo"
@@ -39,6 +40,31 @@ func TestUserVsSysAccounting(t *testing.T) {
 	}
 	if got := e.SysCycles(0); got != 30 {
 		t.Errorf("sys cycles = %d, want 30", got)
+	}
+}
+
+// TestZeroAdvanceDoesNotYield pins the zero-cycle rule: an Advance or
+// AdvanceUser of 0 cycles is a no-op that does not yield, even when
+// another proc is runnable at the same time and would otherwise win the
+// tie on its earlier sequence number.
+func TestZeroAdvanceDoesNotYield(t *testing.T) {
+	e := newTestEngine(2)
+	var order []string
+	e.Spawn(0, "a", 0, func(p *Proc) {
+		order = append(order, "a1")
+		p.Advance(0)
+		p.AdvanceUser(0)
+		order = append(order, "a2")
+	})
+	e.Spawn(1, "b", 0, func(p *Proc) {
+		order = append(order, "b1")
+	})
+	e.Run()
+	if got, want := strings.Join(order, ","), "a1,a2,b1"; got != want {
+		t.Errorf("order = %s, want %s", got, want)
+	}
+	if e.TotalSysCycles()+e.TotalUserCycles() != 0 {
+		t.Errorf("zero-cycle advances charged %d sys + %d user cycles", e.TotalSysCycles(), e.TotalUserCycles())
 	}
 }
 
