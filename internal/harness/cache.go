@@ -128,18 +128,19 @@ func OpenCacheLogged(dir string, logf func(format string, args ...any)) (*Cache,
 	return c, nil
 }
 
-// readCacheFile reads and parses the cache file at path. The caller
-// compares the returned Schema against cacheSchema.
+// readCacheFile reads and parses the cache file at path (see
+// decodeCacheFile). The caller compares the returned Schema against
+// cacheSchema.
 func readCacheFile(path string) (*cacheFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var f cacheFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	f, err := decodeCacheFile(data)
+	if err != nil {
 		return nil, fmt.Errorf("unparsable cache file: %w", err)
 	}
-	return &f, nil
+	return f, nil
 }
 
 // warnf reports a one-line condition through the optional logger.

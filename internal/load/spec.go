@@ -87,7 +87,7 @@ func ParseArrival(s string) (*ArrivalSpec, error) {
 				if proc != "pareto" {
 					return nil, fmt.Errorf("load: arrival %q: alpha only applies to pareto", s)
 				}
-				f, err := strconv.ParseFloat(val, 64)
+				f, err := parseFloat(val)
 				if err != nil || f <= 1 || f > 10 {
 					return nil, fmt.Errorf("load: arrival %q: bad alpha %q (want a shape in (1,10]: the mean must exist)", s, val)
 				}
@@ -205,7 +205,7 @@ func (l *LinkSpec) String() string {
 		parts = append(parts, p)
 	}
 	if l.Loss > 0 {
-		parts = append(parts, "loss="+trimFloat(l.Loss*100)+"%")
+		parts = append(parts, "loss="+probString(l.Loss))
 	}
 	if l.BitsPerSec > 0 {
 		parts = append(parts, "bw="+bitsString(l.BitsPerSec))
@@ -302,6 +302,12 @@ func (s *ShedSpec) limitFor(serviceCycles int64) int {
 
 // ---- shared parsing/rendering helpers ----
 
+// maxDurationCycles caps every spec duration at one simulated day. Up to
+// it, a duration's canonical form parses back to the same cycle count;
+// far beyond it float rounding breaks that, and past 2^63 cycles the
+// count no longer fits an int64.
+const maxDurationCycles = 86400 * topo.ClockHz
+
 // parseCycles parses <float><unit> into clock cycles, where unit is
 // s, ms, or us. defUnit, when non-empty, lets a bare number inherit the
 // unit of a preceding value ("20ms±5" = ±5ms); the chosen unit is
@@ -321,13 +327,14 @@ func parseCycles(s, defUnit string) (int64, string, error) {
 		}
 	}
 	num := strings.TrimSuffix(s, unit)
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v < 0 {
-		return 0, "", fmt.Errorf("bad duration %q", s)
-	}
+	v, err := parseFloat(num)
 	mul := map[string]float64{"s": 1, "ms": 1e-3, "us": 1e-6}[unit]
 	// Round, don't truncate: 150us must come back as exactly 150us.
-	return int64(math.Round(v * mul * float64(topo.ClockHz))), unit, nil
+	c := math.Round(v * mul * float64(topo.ClockHz))
+	if err != nil || v < 0 || c > maxDurationCycles {
+		return 0, "", fmt.Errorf("bad duration %q", s)
+	}
+	return int64(c), unit, nil
 }
 
 // durString renders cycles as the canonical duration: integral
@@ -343,17 +350,27 @@ func durString(cycles int64) string {
 // parseProb accepts "0.1%" or a bare fraction in [0,1].
 func parseProb(s string) (float64, error) {
 	if t, ok := strings.CutSuffix(s, "%"); ok {
-		p, err := strconv.ParseFloat(t, 64)
+		p, err := parseFloat(t)
 		if err != nil || p < 0 || p > 100 {
 			return 0, fmt.Errorf("bad percentage %q", s)
 		}
 		return p / 100, nil
 	}
-	f, err := strconv.ParseFloat(s, 64)
+	f, err := parseFloat(s)
 	if err != nil || f < 0 || f > 1 {
 		return 0, fmt.Errorf("bad probability %q (want N%% or 0..1)", s)
 	}
 	return f, nil
+}
+
+// probString renders a probability as a percentage, or as a bare
+// fraction when the percentage would not parse back to exactly p.
+func probString(p float64) string {
+	pct := trimFloat(p * 100)
+	if q, err := parseProb(pct + "%"); err == nil && q == p {
+		return pct + "%"
+	}
+	return trimFloat(p)
 }
 
 // parseBits parses <float><bit|kbit|mbit|gbit> into bits per second.
@@ -371,24 +388,42 @@ func parseBits(s string) (float64, error) {
 	default:
 		return 0, fmt.Errorf("bad bandwidth %q", s)
 	}
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, unit), 64)
-	if err != nil || v <= 0 {
+	v, err := parseFloat(strings.TrimSuffix(s, unit))
+	if err != nil || v <= 0 || math.IsInf(v*mul, 0) {
 		return 0, fmt.Errorf("bad bandwidth %q", s)
 	}
 	return v * mul, nil
 }
 
-// bitsString renders bits/sec in the largest unit, matching parseBits.
+// bitsString renders bits/sec in the largest unit, matching parseBits,
+// or in bits when the scaled value would not parse back to exactly bps.
 func bitsString(bps float64) string {
+	var s string
 	switch {
 	case bps >= 1e9:
-		return trimFloat(bps/1e9) + "gbit"
+		s = trimFloat(bps/1e9) + "gbit"
 	case bps >= 1e6:
-		return trimFloat(bps/1e6) + "mbit"
+		s = trimFloat(bps/1e6) + "mbit"
 	case bps >= 1e3:
-		return trimFloat(bps/1e3) + "kbit"
+		s = trimFloat(bps/1e3) + "kbit"
+	default:
+		return trimFloat(bps) + "bit"
 	}
-	return trimFloat(bps) + "bit"
+	if v, err := parseBits(s); err != nil || v != bps {
+		return trimFloat(bps) + "bit"
+	}
+	return s
+}
+
+// parseFloat is strconv.ParseFloat restricted to finite values. NaN
+// passes every range comparison, and neither NaN nor an infinity renders
+// to a canonical form that parses back to the same spec.
+func parseFloat(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("non-finite number %q", s)
+	}
+	return f, err
 }
 
 func trimFloat(f float64) string {

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -79,8 +80,14 @@ func TestParseLinkCanonical(t *testing.T) {
 		{"loss=150%", ""},
 		{"loss=1.5", ""},
 		{"bw=10", ""},
-		{"mtu=9000", ""}, // unknown key
-		{"rtt", ""},      // not key=value
+		{"mtu=9000", ""},                 // unknown key
+		{"rtt", ""},                      // not key=value
+		{"rtt=86400s", "rtt=8.64e+07ms"}, // the one-day cap
+		{"rtt=86401s", ""},
+		// Where the percentage or the scaled unit would not parse back to
+		// the same value, the canonical form falls back to an exact one.
+		{"loss=0.21426387258237492", "loss=0.21426387258237492"},
+		{"bw=6.399648937177728e+299bit", "bw=6.399648937177728e+299bit"},
 	}
 	for _, c := range cases {
 		l, err := ParseLink(c.in)
@@ -136,6 +143,37 @@ func TestParseShedCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteSpecsRejected pins that NaN, infinities and durations
+// past the cap are rejected with the error naming the bad field. NaN
+// passes every range comparison, so unchecked "loss=NaN%" parses to a
+// spec rendering as "none", the ideal link's cache-key term.
+func TestNonFiniteSpecsRejected(t *testing.T) {
+	for _, c := range []struct {
+		in, want string
+		parse    func(string) error
+	}{
+		{"loss=NaN%", "bad loss", linkErr},
+		{"loss=NaN", "bad loss", linkErr},
+		{"bw=NaNmbit", "bad bw", linkErr},
+		{"bw=Infmbit", "bad bw", linkErr},
+		{"bw=1e308gbit", "bad bw", linkErr},
+		{"rtt=20ms±NaN", "bad jitter", linkErr},
+		{"rtt=1e300s", "bad rtt", linkErr},
+		{"rtt=NaNms", "bad rtt", linkErr},
+		{"pareto:alpha=NaN", "bad alpha", arrivalErr},
+		{"delay=NaNus", "bad delay", shedErr},
+		{"delay=1e300s", "bad delay", shedErr},
+	} {
+		if err := c.parse(c.in); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: error %v, want one containing %q", c.in, err, c.want)
+		}
+	}
+}
+
+func linkErr(s string) error    { _, err := ParseLink(s); return err }
+func arrivalErr(s string) error { _, err := ParseArrival(s); return err }
+func shedErr(s string) error    { _, err := ParseShed(s); return err }
 
 // TestCanonicalRoundTrip pins the cache-key contract: parsing a canonical
 // form yields the same canonical form, for every spec type.
@@ -226,4 +264,55 @@ func TestDefaultShedDelayUnderRetransmit(t *testing.T) {
 		t.Errorf("default shed delay %d leaves less than 2x headroom under the first retransmit timeout %d",
 			DefaultShedDelayCycles, fault.RetryBaseCycles)
 	}
+}
+
+// checkCanonical checks the cache-key contract for one fuzz input: a spec
+// parse accepts renders to a canonical form other than absent (the term
+// for no spec), and that form parses back to an equal spec.
+func checkCanonical[S interface {
+	comparable
+	String() string
+}](t *testing.T, in string, parse func(string) (S, error), absent string) {
+	t.Helper()
+	var none S
+	s, err := parse(in)
+	if err != nil || s == none {
+		return
+	}
+	canon := s.String()
+	if canon == absent {
+		t.Fatalf("%q parses to a spec that renders as %q, the term for no spec", in, absent)
+	}
+	again, err := parse(canon)
+	if err != nil {
+		t.Fatalf("%q parses, but its String %q does not: %v", in, canon, err)
+	}
+	if !reflect.DeepEqual(again, s) {
+		t.Fatalf("%q renders %q, which reparses to %#v, not %#v", in, canon, again, s)
+	}
+}
+
+// FuzzParseArrival, FuzzParseLink and FuzzParseShed check checkCanonical
+// on arbitrary input.
+func FuzzParseArrival(f *testing.F) {
+	for _, seed := range []string{"", "none", "poisson", "poisson:users=500", "pareto:alpha=1.1,users=42",
+		"pareto:alpha=NaN"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) { checkCanonical(t, in, ParseArrival, "none") })
+}
+
+func FuzzParseLink(f *testing.F) {
+	for _, seed := range []string{"", "none", "rtt=20ms±5ms,loss=0.1%,bw=10mbit", "rtt=150us", "loss=0.5",
+		"loss=NaN%", "loss=NaN", "bw=NaNmbit", "rtt=20ms±NaN", "rtt=1e300s"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) { checkCanonical(t, in, ParseLink, "none") })
+}
+
+func FuzzParseShed(f *testing.F) {
+	for _, seed := range []string{"", "fifo", "qlen=32", "delay=100us", "delay=1ms", "delay=NaNus", "delay=1e300s"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) { checkCanonical(t, in, ParseShed, "fifo") })
 }
