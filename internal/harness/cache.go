@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 )
 
@@ -59,10 +60,10 @@ type expCounters struct {
 
 // Cache is a content-addressed store of sweep points, one section per
 // experiment, each section keyed by (variant, cores, seed, quick,
-// placement) and stamped with the experiment's cost-model fingerprint. A
-// warm cache lets a repeated full-grid run skip simulation entirely;
-// retuning one cost domain invalidates only the experiments that declare
-// it. The cache is safe for the concurrent sweep workers; Save merges
+// placement, fault, arrival, link, shed) and stamped with the
+// experiment's cost-model fingerprint. A warm cache lets a repeated
+// full-grid run skip simulation entirely; retuning one cost domain
+// invalidates only the experiments that declare it. The cache is safe for the concurrent sweep workers; Save merges
 // with the current on-disk contents and writes atomically, so concurrent
 // processes sharing a directory do not drop each other's points.
 type Cache struct {
@@ -365,10 +366,13 @@ func (c *Cache) section(exp, fp string) *cacheSection {
 	return s
 }
 
-func (c *Cache) lookup(exp, fp, key string) (Point, bool) {
+// lookup serves the point stored under key in exp's section. The key
+// arrives as bytes and is converted only inside the map index, which Go
+// compiles without allocating, so a hit costs no garbage.
+func (c *Cache) lookup(exp, fp string, key []byte) (Point, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.section(exp, fp).Points[key]
+	p, ok := c.section(exp, fp).Points[string(key)]
 	st := c.expStats(exp)
 	if ok {
 		c.hits++
@@ -391,18 +395,26 @@ func (c *Cache) store(exp, fp, key string, p Point) {
 // Everything a point's value depends on must appear either here (variant,
 // cores, and the run options that change simulated behavior) or in the
 // section's cost-model fingerprint (the experiment's tuning constants).
-// The fault term is the spec's canonical string ("none" for a clean run),
-// so faulted points never alias clean ones and clean-run hits are
-// unaffected by fault sweeps sharing the cache. The arrival/link/shed
-// terms do the same for the open-loop specs ("none"/"none"/"fifo" when
-// unset), so open-loop points never alias closed-loop ones. The terms
-// record what the caller asked for, not what the experiment used:
-// passing -link to a closed-loop sweep re-keys (and re-simulates)
-// results a spec-less run already holds — the conservative direction, a
-// stale alias is impossible.
+// It is the key's reference form, and cachekeylint's root: the sweeps
+// build the options part once per fan-out (see sweepAddr) and append each
+// point's variant and cores to it, producing the same bytes.
 func (o Options) cacheKey(variant string, cores int) string {
-	return fmt.Sprintf("%s|%d|seed=%d|quick=%t|placement=%s|fault=%s|arrival=%s|link=%s|shed=%s",
-		variant, cores, o.seed(), o.Quick, o.Placement.String(), o.faultString(),
+	return string(sweepAddr{suffix: o.keySuffix()}.appendKey(nil, variant, cores))
+}
+
+// keySuffix renders the options part of every cache key under o:
+// "|seed=…|quick=…|placement=…|fault=…|arrival=…|link=…|shed=…". The fault
+// term is the spec's canonical string ("none" for a clean run), so faulted
+// points never alias clean ones and clean-run hits are unaffected by fault
+// sweeps sharing the cache. The arrival/link/shed terms do the same for
+// the open-loop specs ("none"/"none"/"fifo" when unset), so open-loop
+// points never alias closed-loop ones. The terms record what the caller
+// asked for, not what the experiment used: passing -link to a closed-loop
+// sweep re-keys (and re-simulates) results a spec-less run already holds
+// — the conservative direction, a stale alias is impossible.
+func (o Options) keySuffix() string {
+	return fmt.Sprintf("|seed=%d|quick=%t|placement=%s|fault=%s|arrival=%s|link=%s|shed=%s",
+		o.seed(), o.Quick, o.Placement.String(), o.faultString(),
 		o.Arrival.String(), o.Link.String(), o.Shed.String())
 }
 
@@ -425,58 +437,68 @@ func (o Options) cacheSectionID(exp string) string {
 	return exp
 }
 
-// sectionFingerprint returns the cost-model fingerprint of exp's cache
-// section under o, or "" with no cache attached. A sweep computes it once,
-// before fanning out, since no domain is retuned while a sweep runs. It is
-// deliberately not memoized across runs: a domain may be retuned between
-// two runs sharing one Cache, and the second run must see the new value.
-func (o Options) sectionFingerprint(exp string) string {
-	if o.Cache == nil {
-		return ""
+// sweepAddr is the part of a point's cache address that every point of one
+// fan-out shares: the experiment, its section, the cost-model fingerprint
+// the section must carry ("" with no cache attached), and the options part
+// of the key. A sweep builds it once, before fanning out, since no domain
+// is retuned while a sweep runs. It is deliberately not memoized across
+// runs: a domain may be retuned between two runs sharing one Cache, and
+// the second run must see the new fingerprint.
+type sweepAddr struct{ exp, sec, fp, suffix string }
+
+// sweepAddr addresses exp's points under o.
+func (o Options) sweepAddr(exp string) sweepAddr {
+	a := sweepAddr{exp: exp, sec: o.cacheSectionID(exp), suffix: o.keySuffix()}
+	if o.Cache != nil {
+		a.fp = fingerprintFor(a.sec)
 	}
-	return fingerprintFor(o.cacheSectionID(exp))
+	return a
 }
 
-// pointAddr locates one sweep point in the cache: its section, the
-// fingerprint that section must carry, and the point's key.
-type pointAddr struct{ sec, fp, key string }
-
-// pointAddr addresses (exp, variant, cores) under o, where fp is exp's
-// section fingerprint (see sectionFingerprint).
-func (o Options) pointAddr(exp, fp, variant string, cores int) pointAddr {
-	return pointAddr{sec: o.cacheSectionID(exp), fp: fp, key: o.cacheKey(variant, cores)}
+// appendKey appends the cache key of (variant, cores) to b: the variant,
+// the core count, then the shared options suffix.
+func (a sweepAddr) appendKey(b []byte, variant string, cores int) []byte {
+	b = append(b, variant...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(cores), 10)
+	return append(b, a.suffix...)
 }
 
-// lookupPoint serves the point at a from o.Cache. With no cache attached
-// it misses without counting.
-func (o Options) lookupPoint(a pointAddr) (Point, bool) {
+// keyBufLen sizes the stack buffer a point's key is built in; a key that
+// outgrows it (a long fault or load spec) just spills to the heap.
+const keyBufLen = 256
+
+// lookupPoint serves the point keyed key under a from o.Cache. With no
+// cache attached it misses without counting.
+func (o Options) lookupPoint(a sweepAddr, key []byte) (Point, bool) {
 	if o.Cache == nil {
 		return Point{}, false
 	}
-	return o.Cache.lookup(a.sec, a.fp, a.key)
+	return o.Cache.lookup(a.sec, a.fp, key)
 }
 
-// storePoint stores a freshly computed point at a. A point whose watchdog
-// already abandoned it (see runGuarded) is never stored: its slot
+// storePoint stores a freshly computed point under key. A point whose
+// watchdog already abandoned it (see runGuarded) is never stored: its slot
 // generation is stale, its result was discarded, and a late store would
 // poison reruns with a value no one validated.
-func (o Options) storePoint(a pointAddr, p Point) {
+func (o Options) storePoint(a sweepAddr, key string, p Point) {
 	if o.Cache == nil || (o.abandoned != nil && o.abandoned.Load()) {
 		return
 	}
-	o.Cache.store(a.sec, a.fp, a.key, p)
+	o.Cache.store(a.sec, a.fp, key, p)
 }
 
-// cachedPoint returns the cached measurement for (exp, variant, cores)
-// under o, or computes it with f and stores it. With no cache attached it
-// just runs f. It is the unguarded form of safeCachedPoint, for fan-outs
-// without a per-point failure channel (dma, ablate).
-func (o Options) cachedPoint(exp, variant string, cores int, f func() Point) Point {
-	a := o.pointAddr(exp, o.sectionFingerprint(exp), variant, cores)
-	if p, ok := o.lookupPoint(a); ok {
+// cachedPoint returns the cached measurement for (variant, cores) at a,
+// or computes it with f and stores it. With no cache attached it just runs
+// f. It is the unguarded form of safeCachedPoint, for fan-outs without a
+// per-point failure channel (dma, ablate).
+func (o Options) cachedPoint(a sweepAddr, variant string, cores int, f func() Point) Point {
+	var buf [keyBufLen]byte
+	key := a.appendKey(buf[:0], variant, cores)
+	if p, ok := o.lookupPoint(a, key); ok {
 		return p
 	}
 	p := f()
-	o.storePoint(a, p)
+	o.storePoint(a, string(key), p)
 	return p
 }

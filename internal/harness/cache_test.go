@@ -200,7 +200,7 @@ func TestCacheSaveMergesOnDisk(t *testing.T) {
 		{"fig4", "Stock|48|seed=1|quick=true|placement=local"},
 		{"fig5", "PK|8|seed=1|quick=true|placement=local"},
 	} {
-		if _, ok := c3.lookup(probe.exp, fingerprintFor(probe.exp), probe.key); !ok {
+		if _, ok := c3.lookup(probe.exp, fingerprintFor(probe.exp), []byte(probe.key)); !ok {
 			t.Errorf("point %s/%s lost across concurrent saves", probe.exp, probe.key)
 		}
 	}
@@ -234,7 +234,7 @@ func TestCacheSaveMergeDropsStaleSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := c3.lookup("fig4", fp, "Stock|1|seed=1|quick=true|placement=local")
+	p, ok := c3.lookup("fig4", fp, []byte("Stock|1|seed=1|quick=true|placement=local"))
 	if !ok || p.PerCore != 10 {
 		t.Errorf("current-fingerprint point lost in merge: ok=%v p=%+v", ok, p)
 	}
@@ -277,7 +277,7 @@ func TestCacheSaveMergePrefersCurrentFingerprintOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := reopened.lookup("fig4", fp, key)
+	p, ok := reopened.lookup("fig4", fp, []byte(key))
 	if !ok || p.PerCore != 10 {
 		t.Errorf("current-fingerprint point lost to a stale last writer: ok=%v p=%+v", ok, p)
 	}
@@ -361,7 +361,7 @@ func TestCacheConcurrentUse(t *testing.T) {
 				exp := exps[rng.Intn(len(exps))]
 				fp := fingerprintFor(exp)
 				key := fmt.Sprintf("v%d|%d|seed=1|quick=true|placement=local", w, i)
-				if _, ok := c.lookup(exp, fp, key); !ok {
+				if _, ok := c.lookup(exp, fp, []byte(key)); !ok {
 					c.store(exp, fp, key, Point{Cores: i, Variant: fmt.Sprintf("v%d", w), PerCore: float64(i)})
 				}
 				if i%50 == 0 {
@@ -395,9 +395,9 @@ func TestWriteStatsJSONCreatesParentDirs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Generate some activity so the snapshot has content.
-	c.lookup("exp", "fp", "k")
+	c.lookup("exp", "fp", []byte("k"))
 	c.store("exp", "fp", "k", Point{Cores: 1})
-	c.lookup("exp", "fp", "k")
+	c.lookup("exp", "fp", []byte("k"))
 
 	// The stats path's parent does not exist yet; WriteStatsJSON must
 	// create it rather than failing like a plain os.WriteFile would.

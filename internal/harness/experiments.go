@@ -383,7 +383,7 @@ func runFig3(o Options) *Series {
 	}
 	results := make([]Point, len(appsList)*4)
 	errs := make([]error, len(results))
-	fp := o.sectionFingerprint("fig3")
+	addr := o.sweepAddr("fig3")
 	o.parallelMap(len(results), func(i int, wo Options) {
 		a := appsList[i/4]
 		label, cores := fig3Label(i)
@@ -391,7 +391,7 @@ func runFig3(o Options) *Series {
 		if i%4 >= 2 {
 			run = a.pk
 		}
-		results[i], errs[i] = wo.safeCachedPoint("fig3", fp, label, cores, func(co Options) Point {
+		results[i], errs[i] = wo.safeCachedPoint(addr, label, cores, func(cores int, co Options) Point {
 			return point(run(cores, co), label, 1)
 		})
 	})
@@ -451,14 +451,14 @@ func runFig12(o Options) *Series {
 	// individually cacheable, and crash-isolated.
 	pts := make([]Point, len(rows)*2)
 	errs := make([]error, len(pts))
-	fp := o.sectionFingerprint("fig12")
+	a := o.sweepAddr("fig12")
 	o.parallelMap(len(pts), func(i int, wo Options) {
 		r := rows[i/2]
 		cores := 1
 		if i%2 == 1 {
 			cores = max
 		}
-		pts[i], errs[i] = wo.safeCachedPoint("fig12", fp, r.app, cores, func(co Options) Point {
+		pts[i], errs[i] = wo.safeCachedPoint(a, r.app, cores, func(cores int, co Options) Point {
 			return point(r.run(cores, co), r.app, 1)
 		})
 	})

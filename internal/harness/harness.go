@@ -6,6 +6,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -122,8 +123,9 @@ type Options struct {
 	// behavior.
 	Placement mem.Placement
 	// Cache, when non-nil, memoizes sweep points by (experiment, variant,
-	// cores, seed, quick, placement): hits skip simulation entirely, and
-	// misses are stored so a repeated grid run is served from the cache.
+	// cores, seed, quick, placement, fault, arrival, link, shed): hits
+	// skip simulation entirely, and misses are stored so a repeated grid
+	// run is served from the cache.
 	Cache *Cache //mosvet:allow cachekeylint the cache handle itself; whether points are memoized cannot change what they compute
 	// FreshEngines disables the engine arena: every sweep point builds a
 	// brand-new sim.Engine instead of resetting a pooled one. Results are
@@ -356,11 +358,10 @@ func (o Options) runGrid(s *Series, runs []variantRun) {
 	cores := o.cores()
 	pts := make([]Point, len(runs)*len(cores))
 	errs := make([]error, len(pts))
-	fp := o.sectionFingerprint(s.ID)
+	a := o.sweepAddr(s.ID)
 	o.parallelMap(len(pts), func(i int, wo Options) {
 		vr := runs[i/len(cores)]
-		c := cores[i%len(cores)]
-		pts[i], errs[i] = wo.safeCachedPoint(s.ID, fp, vr.name, c, func(co Options) Point { return vr.run(c, co) })
+		pts[i], errs[i] = wo.safeCachedPoint(a, vr.name, cores[i%len(cores)], vr.run)
 	})
 	for i := range pts {
 		if errs[i] != nil {
@@ -553,8 +554,8 @@ func formatUtil(util []float64) string {
 // CSV renders a series as CSV with a header row. The dram_util and
 // link_util columns hold the per-chip controller and per-link HT
 // utilizations joined by ';' (empty for workloads that stream no bulk
-// data). Numbers are appended with strconv: 'g' with precision -1 is
-// exactly fmt's %g, and 'f' with precision 3 exactly %.3f.
+// data). Numbers are appended with strconv's 'g' with precision -1,
+// exactly fmt's %g, and utilizations with appendUtil, exactly %.3f.
 func CSV(s *Series) string {
 	b := []byte("experiment,variant,cores,per_core,user_us,sys_us,retries,dups,offered_per_core,p50_us,p99_us,p999_us,dram_util,link_util\n")
 	for _, p := range s.Points {
@@ -574,10 +575,53 @@ func CSV(s *Series) string {
 				if i > 0 {
 					b = append(b, ';')
 				}
-				b = strconv.AppendFloat(b, u, 'f', 3, 64)
+				b = appendUtil(b, u)
 			}
 		}
 		b = append(b, '\n')
 	}
 	return string(b)
+}
+
+// appendUtil appends v as strconv.AppendFloat(b, v, 'f', 3, 64) does, byte
+// for byte, in integer arithmetic. A fixed-precision 'f' always takes
+// strconv's multi-precision slow path; here a finite v = ±m·2^-s is
+// rendered as round(m·1000 / 2^s), with an exact tie rounded half to even,
+// strconv's own rule (0.0625 → 0.062, 0.1875 → 0.188). The product fits in
+// 64 bits because m < 2^53. Zero and every |v| below 2^-11 round to
+// ±0.000 without any arithmetic. NaN, ±Inf and integers of 2^64 and up
+// fall back to strconv.
+func appendUtil(b []byte, v float64) []byte {
+	u := math.Float64bits(v)
+	exp := int(u>>52) & 0x7ff
+	m := u & (1<<52 - 1)
+	switch exp {
+	case 0x7ff:
+		return strconv.AppendFloat(b, v, 'f', 3, 64)
+	case 0:
+		exp = 1 // subnormal: no implicit leading bit
+	default:
+		m |= 1 << 52
+	}
+	var ip, frac uint64 // |v| rounded to thousandths: ip + frac/1000
+	switch s := 1075 - exp; {
+	case s <= 0:
+		if s < -11 { // m<<-s would overflow 64 bits
+			return strconv.AppendFloat(b, v, 'f', 3, 64)
+		}
+		ip = m << -s
+	case s < 64:
+		p := m * 1000
+		q, rem, half := p>>s, p&(1<<s-1), uint64(1)<<(s-1)
+		if rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+		ip, frac = q/1000, q%1000
+	}
+	// s >= 64: |v| < 2^53·2^-64 = 2^-11 < 0.0005, which rounds to zero.
+	if u>>63 != 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, ip, 10)
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }

@@ -92,29 +92,33 @@ func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Op
 }
 
 // safeCachedPoint is cachedPoint with crash isolation, for the sweeps
-// (runGrid, fig3, fig12); fp is the section fingerprint each sweep
-// computes once (see sectionFingerprint). A cache hit returns on the
-// calling sweep worker: no goroutine, no watchdog. A miss runs the point
-// body under runGuarded, which stores the result unless the watchdog
-// abandoned the point. A panicking point is retried exactly once on a
-// fresh non-pooled engine (a recovered panic can leave a pooled engine's
-// proc state arbitrary), and a second panic or a watchdog timeout yields
-// an error instead of a Point. One crashing point therefore costs exactly
+// (runGrid, fig3, fig12); a is the address each sweep builds once (see
+// sweepAddr), and f computes the point at cores. A cache hit returns on
+// the calling sweep worker without allocating: the key is built in a
+// stack buffer and looked up as bytes, and only a miss (or a shard check
+// with Shards > 1) turns it into a string. A miss runs the point body
+// under runGuarded, which stores the result unless the watchdog abandoned
+// the point. A panicking point is retried exactly once on a fresh
+// non-pooled engine (a recovered panic can leave a pooled engine's proc
+// state arbitrary), and a second panic or a watchdog timeout yields an
+// error instead of a Point. One crashing point therefore costs exactly
 // that point; the rest of the sweep completes.
-func (o Options) safeCachedPoint(exp, fp, variant string, cores int, f func(o Options) Point) (Point, error) {
-	a := o.pointAddr(exp, fp, variant, cores)
-	if !o.shardOwns(a.sec, a.key) {
+func (o Options) safeCachedPoint(a sweepAddr, variant string, cores int, f func(cores int, o Options) Point) (Point, error) {
+	var buf [keyBufLen]byte
+	key := a.appendKey(buf[:0], variant, cores)
+	if o.Shards > 1 && !o.shardOwns(a.sec, string(key)) {
 		return Point{}, errShardSkipped
 	}
-	if p, ok := o.lookupPoint(a); ok {
+	if p, ok := o.lookupPoint(a, key); ok {
 		return p, nil
 	}
+	skey := string(key)
 	body := func(co Options) Point {
-		p := f(co)
-		co.storePoint(a, p)
+		p := f(cores, co)
+		co.storePoint(a, skey, p)
 		return p
 	}
-	p, err := o.runGuarded(exp, variant, cores, 0, body)
+	p, err := o.runGuarded(a.exp, variant, cores, 0, body)
 	if err == nil {
 		return p, nil
 	}
@@ -125,7 +129,7 @@ func (o Options) safeCachedPoint(exp, fp, variant string, cores int, f func(o Op
 	ro := o
 	ro.FreshEngines = true
 	ro.slot = nil
-	p, err2 := ro.runGuarded(exp, variant, cores, 1, body)
+	p, err2 := ro.runGuarded(a.exp, variant, cores, 1, body)
 	if err2 == nil {
 		return p, nil
 	}

@@ -168,8 +168,9 @@ func runDMAAblation(o Options) *Series {
 	}
 	labels := []string{"node-0 pool", "local pools"}
 	pts := make([]Point, 2)
+	a := o.sweepAddr("dma")
 	o.parallelMap(2, func(i int, wo Options) {
-		pts[i] = wo.cachedPoint("dma", labels[i], max, func() Point {
+		pts[i] = wo.cachedPoint(a, labels[i], max, func() Point {
 			return point(run(i == 1, wo), labels[i], 1)
 		})
 	})
@@ -278,6 +279,7 @@ func runAblations(o Options) *Series {
 	// Each fix needs a baseline and a fix-enabled measurement; all 2N runs
 	// are independent simulations, so fan them out (each one cacheable).
 	pts := make([]Point, 2*len(kernel.Fixes))
+	a := o.sweepAddr("ablate")
 	o.parallelMap(len(pts), func(i int, wo Options) {
 		f := kernel.Fixes[i/2]
 		label := f.Name + "/stock"
@@ -286,7 +288,7 @@ func runAblations(o Options) *Series {
 			label = f.Name + "/fix"
 			f.Enable(&cfg)
 		}
-		pts[i] = wo.cachedPoint("ablate", label, max, func() Point {
+		pts[i] = wo.cachedPoint(a, label, max, func() Point {
 			return Point{Cores: max, Variant: label, PerCore: runFor(f.Name, cfg, wo)}
 		})
 	})

@@ -131,3 +131,30 @@ func TestLineSetMerge(t *testing.T) {
 		t.Errorf("merging empty set changed Len to %d", a.Len())
 	}
 }
+
+// FuzzParsePlacement pins the placement round trip the sweep cache key
+// relies on (a placement's String is a key term): whatever ParsePlacement
+// accepts, on the default machine or a larger one, String renders back to
+// a string that parses to the same value, and parsing never panics.
+func FuzzParsePlacement(f *testing.F) {
+	for _, s := range []string{"", "local", "striped", "remote", "home:0", "home:5", "home:7",
+		"home:8", "home:15", "home:-1", "home:+3", "home:03", "home:", "home:x", "Home:1", "nope"} {
+		f.Add(s)
+	}
+	ring, ok := topo.Lookup("ring16")
+	if !ok {
+		f.Fatal("no ring16 machine profile")
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, m := range []*topo.Machine{topo.Default(), ring} {
+			pl, err := ParsePlacementFor(m, s)
+			if err != nil {
+				continue
+			}
+			back, err := ParsePlacementFor(m, pl.String())
+			if err != nil || back != pl {
+				t.Fatalf("%s: %q parsed to %+v, rendered %q, reparsed to %+v, %v", m.Name, s, pl, pl.String(), back, err)
+			}
+		}
+	})
+}
