@@ -219,7 +219,7 @@ func main() {
 			reportCacheStats(cs, o.Cache.Len(), *cache)
 		}
 		if *stats != "" {
-			if err := o.Cache.WriteStats(*stats); err != nil {
+			if err := o.Cache.WriteStatsJSON(*stats); err != nil {
 				if runErr == nil {
 					runErr = err
 				} else {
@@ -254,9 +254,9 @@ func runOne(id string, o mosbench.Options, csv bool, failed *[]string) error {
 		*failed = append(*failed, fmt.Sprintf("%s: %s@%d: %s", id, f.Variant, f.Cores, msg))
 	}
 	if csv {
-		fmt.Print(s.CSV())
+		fmt.Print(mosbench.CSV(s))
 	} else {
-		fmt.Println(s.Table())
+		fmt.Println(mosbench.Table(s))
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sloppybench:", err)
 			os.Exit(1)
 		}
-		fmt.Println(s.Table())
+		fmt.Println(mosbench.Table(s))
 		return
 	}
 

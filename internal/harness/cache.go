@@ -487,18 +487,3 @@ func (o Options) storePoint(a sweepAddr, key string, p Point) {
 	}
 	o.Cache.store(a.sec, a.fp, key, p)
 }
-
-// cachedPoint returns the cached measurement for (variant, cores) at a,
-// or computes it with f and stores it. With no cache attached it just runs
-// f. It is the unguarded form of safeCachedPoint, for fan-outs without a
-// per-point failure channel (dma, ablate).
-func (o Options) cachedPoint(a sweepAddr, variant string, cores int, f func() Point) Point {
-	var buf [keyBufLen]byte
-	key := a.appendKey(buf[:0], variant, cores)
-	if p, ok := o.lookupPoint(a, key); ok {
-		return p
-	}
-	p := f()
-	o.storePoint(a, string(key), p)
-	return p
-}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -366,41 +365,20 @@ func runFig3(o Options) *Series {
 			func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
 	}
 	s.Notes = append(s.Notes, "Table rows are applications, in Figure 3's order:")
-	// Each application needs four independent measurements (stock/PK at
-	// 1 and 48 cores); run all of them concurrently (each cacheable on its
-	// own, each crash-isolated) and assemble by index.
-	fig3Label := func(i int) (label string, cores int) {
+	// Each application needs four independent measurements: stock and PK,
+	// each at 1 and at max cores.
+	results, errs := o.fanOut(s, len(appsList)*4, func(i int) (string, int, func(int, Options) Point) {
 		a := appsList[i/4]
-		cores = 1
+		label, run := a.name+"/Stock", a.stock
+		if i%4 >= 2 {
+			label, run = a.name+"/PK", a.pk
+		}
+		cores := 1
 		if i%2 == 1 {
 			cores = max
 		}
-		label = a.name + "/Stock"
-		if i%4 >= 2 {
-			label = a.name + "/PK"
-		}
-		return label, cores
-	}
-	results := make([]Point, len(appsList)*4)
-	errs := make([]error, len(results))
-	addr := o.sweepAddr("fig3")
-	o.parallelMap(len(results), func(i int, wo Options) {
-		a := appsList[i/4]
-		label, cores := fig3Label(i)
-		run := a.stock
-		if i%4 >= 2 {
-			run = a.pk
-		}
-		results[i], errs[i] = wo.safeCachedPoint(addr, label, cores, func(cores int, co Options) Point {
-			return point(run(cores, co), label, 1)
-		})
+		return label, cores, func(c int, o Options) Point { return point(run(c, o), label, 1) }
 	})
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, errShardSkipped) {
-			label, cores := fig3Label(i)
-			s.Failed = append(s.Failed, FailedPoint{Variant: label, Cores: cores, Err: err.Error()})
-		}
-	}
 	for i, a := range appsList {
 		if errs[i*4] != nil || errs[i*4+1] != nil || errs[i*4+2] != nil || errs[i*4+3] != nil {
 			s.Notes = append(s.Notes, fmt.Sprintf("  row %d: %-12s skipped: %s", i+1, a.name,
@@ -447,30 +425,15 @@ func runFig12(o Options) *Series {
 		{"Metis", "HW: DRAM throughput",
 			func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
 	}
-	// Two independent measurements per row (1 and 48 cores), fanned out,
-	// individually cacheable, and crash-isolated.
-	pts := make([]Point, len(rows)*2)
-	errs := make([]error, len(pts))
-	a := o.sweepAddr("fig12")
-	o.parallelMap(len(pts), func(i int, wo Options) {
+	// Two independent measurements per row: 1 and max cores.
+	pts, errs := o.fanOut(s, len(rows)*2, func(i int) (string, int, func(int, Options) Point) {
 		r := rows[i/2]
 		cores := 1
 		if i%2 == 1 {
 			cores = max
 		}
-		pts[i], errs[i] = wo.safeCachedPoint(a, r.app, cores, func(cores int, co Options) Point {
-			return point(r.run(cores, co), r.app, 1)
-		})
+		return r.app, cores, func(c int, o Options) Point { return point(r.run(c, o), r.app, 1) }
 	})
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, errShardSkipped) {
-			cores := 1
-			if i%2 == 1 {
-				cores = max
-			}
-			s.Failed = append(s.Failed, FailedPoint{Variant: rows[i/2].app, Cores: cores, Err: err.Error()})
-		}
-	}
 	for i, r := range rows {
 		if errs[i*2] != nil || errs[i*2+1] != nil {
 			s.Notes = append(s.Notes,

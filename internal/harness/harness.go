@@ -127,12 +127,6 @@ type Options struct {
 	// skip simulation entirely, and misses are stored so a repeated grid
 	// run is served from the cache.
 	Cache *Cache //mosvet:allow cachekeylint the cache handle itself; whether points are memoized cannot change what they compute
-	// FreshEngines disables the engine arena: every sweep point builds a
-	// brand-new sim.Engine instead of resetting a pooled one. Results are
-	// bit-for-bit identical either way (pinned by
-	// TestEngineReuseDeterminism); the knob exists for that comparison and
-	// as an escape hatch.
-	FreshEngines bool //mosvet:allow cachekeylint fresh and reused engines are bit-for-bit identical, pinned by TestEngineReuseDeterminism
 	// Fault, when non-nil and non-empty, is the deterministic fault plan
 	// injected into every kernel the experiment boots: degraded or dead HT
 	// links, throttled memory controllers, offlined cores, NIC packet
@@ -160,6 +154,13 @@ type Options struct {
 	Arrival *load.ArrivalSpec
 	Link    *load.LinkSpec
 	Shed    *load.ShedSpec
+
+	// fresh disables the engine arena: every sweep point builds a
+	// brand-new sim.Engine instead of resetting a pooled one. The panic
+	// retry in safeCachedPoint sets it (a recovered panic can leave a
+	// pooled engine's proc state arbitrary), and TestEngineReuseDeterminism
+	// compares fresh engines against pooled ones through it.
+	fresh bool //mosvet:allow cachekeylint fresh and reused engines are bit-for-bit identical, pinned by TestEngineReuseDeterminism
 
 	// abandoned is set by runGuarded's watchdog when it gives up on this
 	// point; the flag tells a later-unwedged point body that its result
@@ -285,7 +286,7 @@ func (o Options) seed() uint64 {
 // GOMAXPROCS workers; every index must be an independent simulation
 // writing only to its own slot of a caller-owned slice, which makes the
 // result independent of execution order. The Options each call receives
-// carry the worker's pooled engine slot (unless o.FreshEngines), so a
+// carry the worker's pooled engine slot (unless o.fresh), so a
 // whole grid reuses at most GOMAXPROCS engines.
 func (o Options) parallelMap(n int, fn func(i int, o Options)) {
 	workers := runtime.GOMAXPROCS(0)
@@ -293,7 +294,7 @@ func (o Options) parallelMap(n int, fn func(i int, o Options)) {
 		workers = n
 	}
 	attach := func(o Options) (Options, func()) {
-		if o.FreshEngines {
+		if o.fresh {
 			return o, func() {}
 		}
 		slot := arena.get()
@@ -348,35 +349,46 @@ type variantRun struct {
 	run  func(cores int, o Options) Point
 }
 
-// runGrid executes every variant at every core count in o's sweep,
-// concurrently unless o.Serial, and appends the points to s grouped by
-// variant with cores ascending — exactly the order the equivalent nested
-// serial loops would produce. Each point is served from o.Cache when
-// possible, and each runs crash-isolated: a point that panics twice or
-// wedges past the watchdog lands in s.Failed instead of killing the sweep.
+// runGrid executes every variant at every core count in o's sweep and
+// appends the points to s grouped by variant with cores ascending — exactly
+// the order the equivalent nested serial loops would produce.
 func (o Options) runGrid(s *Series, runs []variantRun) {
 	cores := o.cores()
-	pts := make([]Point, len(runs)*len(cores))
-	errs := make([]error, len(pts))
-	a := o.sweepAddr(s.ID)
-	o.parallelMap(len(pts), func(i int, wo Options) {
+	pts, errs := o.fanOut(s, len(runs)*len(cores), func(i int) (string, int, func(int, Options) Point) {
 		vr := runs[i/len(cores)]
-		pts[i], errs[i] = wo.safeCachedPoint(a, vr.name, cores[i%len(cores)], vr.run)
+		return vr.name, cores[i%len(cores)], vr.run
 	})
-	for i := range pts {
-		if errs[i] != nil {
-			if errors.Is(errs[i], errShardSkipped) {
-				continue // another shard's point: not a failure, not a result
-			}
-			s.Failed = append(s.Failed, FailedPoint{
-				Variant: runs[i/len(cores)].name,
-				Cores:   cores[i%len(cores)],
-				Err:     errs[i].Error(),
-			})
-			continue
+	for i, p := range pts {
+		if errs[i] == nil {
+			s.Points = append(s.Points, p)
 		}
-		s.Points = append(s.Points, pts[i])
 	}
+}
+
+// fanOut runs n sweep points of s's experiment, concurrently unless
+// o.Serial; at(i) names point i (variant and core count, the two parts of
+// its cache key) and returns the body that computes it. Every point goes
+// through safeCachedPoint: served from o.Cache when possible, skipped when
+// another shard owns it, and crash-isolated otherwise. Failures land in
+// s.Failed in index order. The returned slices are indexed like at: errs[i]
+// is nil exactly when pts[i] holds a measurement, so experiments that
+// derive rows from several points can tell which rows to skip (see
+// rowSkipReason).
+func (o Options) fanOut(s *Series, n int, at func(i int) (variant string, cores int, run func(cores int, o Options) Point)) ([]Point, []error) {
+	pts := make([]Point, n)
+	errs := make([]error, n)
+	a := o.sweepAddr(s.ID)
+	o.parallelMap(n, func(i int, wo Options) {
+		variant, cores, run := at(i)
+		pts[i], errs[i] = wo.safeCachedPoint(a, variant, cores, run)
+	})
+	for i, err := range errs {
+		if err != nil && !errors.Is(err, errShardSkipped) {
+			variant, cores, _ := at(i)
+			s.Failed = append(s.Failed, FailedPoint{Variant: variant, Cores: cores, Err: err.Error()})
+		}
+	}
+	return pts, errs
 }
 
 // Experiment is one regenerable paper artifact.
@@ -404,13 +416,13 @@ var registry []Experiment
 // register adds an experiment, wrapping its Run so the whole invocation
 // holds one arena engine slot: serial experiment bodies (and the serial
 // parallelMap path) reuse that engine point to point, while the parallel
-// sweep workers attach their own slots. FreshEngines bypasses the arena
+// sweep workers attach their own slots. Options.fresh bypasses the arena
 // everywhere.
 func register(e Experiment) {
 	checkDomains(e.ID, e.Domains)
 	inner := e.Run
 	e.Run = func(o Options) *Series {
-		if !o.FreshEngines && o.slot == nil {
+		if !o.fresh && o.slot == nil {
 			slot := arena.get()
 			defer arena.put(slot)
 			o.slot = slot

@@ -13,8 +13,8 @@ import (
 // wedged past the wall-clock watchdog.
 type FailedPoint struct {
 	// Variant and Cores identify the point the same way Series.Points do.
-	// For experiments that reuse the Cores column for another axis (fig3's
-	// row ordinal, degrade's severity percent), Cores carries that axis.
+	// For experiments that reuse the Cores column for another axis
+	// (degrade's severity percent), Cores carries that axis.
 	Variant string
 	Cores   int
 	// Err is the failure description (panic value and stack, or timeout).
@@ -91,9 +91,10 @@ func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Op
 	}
 }
 
-// safeCachedPoint is cachedPoint with crash isolation, for the sweeps
-// (runGrid, fig3, fig12); a is the address each sweep builds once (see
-// sweepAddr), and f computes the point at cores. A cache hit returns on
+// safeCachedPoint returns the measurement for (variant, cores), served
+// from o.Cache when possible and computed by f otherwise, with crash
+// isolation; fanOut calls it for every point of every cached sweep. a is
+// the address the sweep builds once (see sweepAddr). A cache hit returns on
 // the calling sweep worker without allocating: the key is built in a
 // stack buffer and looked up as bytes, and only a miss (or a shard check
 // with Shards > 1) turns it into a string. A miss runs the point body
@@ -127,7 +128,7 @@ func (o Options) safeCachedPoint(a sweepAddr, variant string, cores int, f func(
 		return Point{}, err
 	}
 	ro := o
-	ro.FreshEngines = true
+	ro.fresh = true
 	ro.slot = nil
 	p, err2 := ro.runGuarded(a.exp, variant, cores, 1, body)
 	if err2 == nil {

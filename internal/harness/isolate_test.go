@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/kernel"
 )
 
 // isoRuns is a trivial one-variant grid whose points are pure functions of
@@ -52,7 +54,7 @@ func TestPointPanicIsRetriedOnFreshEngine(t *testing.T) {
 // stored for the rerun.
 func TestPanicRetryCountsOneCacheMiss(t *testing.T) {
 	runs := []variantRun{{"V", func(c int, o Options) Point {
-		if c == 8 && !o.FreshEngines { // only the retry runs on a fresh engine
+		if c == 8 && !o.fresh { // only the retry runs on a fresh engine
 			panic("injected transient panic")
 		}
 		return Point{Cores: c, Variant: "V", PerCore: float64(c)}
@@ -224,4 +226,85 @@ func TestWedgedPointHitsWatchdogWithoutRetry(t *testing.T) {
 	}
 	// Let the leaked sleeper drain before the next test reuses the hook.
 	time.Sleep(1600 * time.Millisecond)
+}
+
+// TestDMAPanicFailsOnlyThatPoint: dma's points run through the same guard
+// as every grid point, so a point that panics on both attempts costs that
+// point alone: it is reported failed, the other point survives, and the
+// derived gain note says why it is missing.
+func TestDMAPanicFailsOnlyThatPoint(t *testing.T) {
+	defer func() { testPointHook = nil }()
+	var attempts atomic.Int64
+	testPointHook = func(exp, variant string, cores, attempt int) {
+		if exp == "dma" && variant == "local pools" {
+			attempts.Add(1)
+			panic("injected persistent panic")
+		}
+	}
+	s := ByID("dma").Run(Options{Quick: true, Seed: 1})
+	if len(s.Failed) != 1 || s.Failed[0].Variant != "local pools" {
+		t.Fatalf("failed points = %+v, want exactly local pools", s.Failed)
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Errorf("panicking point ran %d times, want 2 (one fresh-engine retry)", got)
+	}
+	if len(s.Points) != 1 || s.Points[0].Variant != "node-0 pool" {
+		t.Errorf("surviving points = %+v, want just node-0 pool", s.Points)
+	}
+	if len(s.Notes) != 1 || !strings.Contains(s.Notes[0], "skipped: a measurement failed") {
+		t.Errorf("notes %q, want just the skipped gain", s.Notes)
+	}
+}
+
+// TestAblateWedgedPointHitsWatchdog: an ablate point that wedges is
+// abandoned by the watchdog instead of hanging the run. A first run, with
+// the target point panicking, primes the cache with the 31 others, so on
+// the second run they are warm hits that never enter the guard, and the
+// short watchdog can only catch the wedge.
+func TestAblateWedgedPointHitsWatchdog(t *testing.T) {
+	defer func() { testPointHook = nil }()
+	target := kernel.Fixes[0].Name + "/fix"
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := ByID("ablate")
+	o := Options{Quick: true, Seed: 1, Cache: c}
+	testPointHook = func(exp, variant string, cores, attempt int) {
+		if exp == "ablate" && variant == target {
+			panic("injected persistent panic")
+		}
+	}
+	primed := e.Run(o)
+	if len(primed.Failed) != 1 || primed.Failed[0].Variant != target {
+		t.Fatalf("priming run failed points = %+v, want exactly %s", primed.Failed, target)
+	}
+	if got, want := c.Len(), 2*len(kernel.Fixes)-1; got != want {
+		t.Fatalf("priming run cached %d points, want %d", got, want)
+	}
+	if n := primed.Notes[0]; !strings.HasPrefix(n, kernel.Fixes[0].Name) || !strings.Contains(n, "skipped: a measurement failed") {
+		t.Errorf("priming run's first note %q does not skip %s", n, kernel.Fixes[0].Name)
+	}
+
+	release := make(chan struct{})
+	defer close(release)
+	var wedged atomic.Int64
+	testPointHook = func(exp, variant string, cores, attempt int) {
+		if exp == "ablate" && variant == target {
+			wedged.Add(1)
+			<-release
+			panic("released after the test") // an abandoned point never simulates
+		}
+	}
+	o.PointTimeout = 100 * time.Millisecond
+	s := e.Run(o)
+	if len(s.Failed) != 1 || s.Failed[0].Variant != target || !strings.Contains(s.Failed[0].Err, "timed out") {
+		t.Fatalf("failed points = %+v, want %s timed out", s.Failed, target)
+	}
+	if got := wedged.Load(); got != 1 {
+		t.Errorf("wedged point ran %d times, want 1 (timeouts are not retried)", got)
+	}
+	if !reflect.DeepEqual(s.Notes, primed.Notes) {
+		t.Errorf("notes after the wedge differ from the priming run's:\nwedge:  %q\nprimed: %q", s.Notes, primed.Notes)
+	}
 }

@@ -156,10 +156,10 @@ func runSloppyTrace(o Options) *Series {
 func runDMAAblation(o Options) *Series {
 	s := &Series{ID: "dma", Title: "DMA buffer allocation (§5.3)", Unit: "req/s/core"}
 	max := o.maxCores()
-	run := func(local bool, o Options) apps.Result {
+	run := func(local bool, cores int, o Options) apps.Result {
 		cfg := kernel.PK()
 		cfg.LocalDMABuf = local
-		k := o.newKernel(o.topo(max), cfg)
+		k := o.newKernel(o.topo(cores), cfg)
 		opts := apps.DefaultMemcachedOpts()
 		opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
 		// Keep the card in the loop, as the paper's measurement did; the
@@ -167,14 +167,19 @@ func runDMAAblation(o Options) *Series {
 		return apps.RunMemcached(k, opts)
 	}
 	labels := []string{"node-0 pool", "local pools"}
-	pts := make([]Point, 2)
-	a := o.sweepAddr("dma")
-	o.parallelMap(2, func(i int, wo Options) {
-		pts[i] = wo.cachedPoint(a, labels[i], max, func() Point {
-			return point(run(i == 1, wo), labels[i], 1)
-		})
+	pts, errs := o.fanOut(s, 2, func(i int) (string, int, func(int, Options) Point) {
+		return labels[i], max, func(c int, o Options) Point { return point(run(i == 1, c, o), labels[i], 1) }
 	})
-	s.Points = append(s.Points, pts...)
+	for i, p := range pts {
+		if errs[i] == nil {
+			s.Points = append(s.Points, p)
+		}
+	}
+	if errs[0] != nil || errs[1] != nil {
+		s.Notes = append(s.Notes, fmt.Sprintf(
+			"local-node allocation at %d cores skipped: %s", max, rowSkipReason(errs)))
+		return s
+	}
 	s.Notes = append(s.Notes, fmt.Sprintf(
 		"local-node allocation improves %d-core throughput by %.0f%% (paper: ~30%%)",
 		max, (pts[1].PerCore/pts[0].PerCore-1)*100))
@@ -276,23 +281,24 @@ func runAblations(o Options) *Series {
 		}
 	}
 
-	// Each fix needs a baseline and a fix-enabled measurement; all 2N runs
-	// are independent simulations, so fan them out (each one cacheable).
-	pts := make([]Point, 2*len(kernel.Fixes))
-	a := o.sweepAddr("ablate")
-	o.parallelMap(len(pts), func(i int, wo Options) {
+	// Each fix needs a baseline and a fix-enabled measurement.
+	pts, errs := o.fanOut(s, 2*len(kernel.Fixes), func(i int) (string, int, func(int, Options) Point) {
 		f := kernel.Fixes[i/2]
-		label := f.Name + "/stock"
-		cfg := kernel.Stock()
+		label, cfg := f.Name+"/stock", kernel.Stock()
 		if i%2 == 1 {
 			label = f.Name + "/fix"
 			f.Enable(&cfg)
 		}
-		pts[i] = wo.cachedPoint(a, label, max, func() Point {
-			return Point{Cores: max, Variant: label, PerCore: runFor(f.Name, cfg, wo)}
-		})
+		return label, max, func(c int, o Options) Point {
+			return Point{Cores: c, Variant: label, PerCore: runFor(f.Name, cfg, o)}
+		}
 	})
 	for i, f := range kernel.Fixes {
+		if errs[i*2] != nil || errs[i*2+1] != nil {
+			s.Notes = append(s.Notes, fmt.Sprintf("%-22s alone: skipped: %s",
+				f.Name, rowSkipReason(errs[i*2:i*2+2])))
+			continue
+		}
 		s.Notes = append(s.Notes, fmt.Sprintf("%-22s alone: %+6.1f%%  (apps: %s)",
 			f.Name, (pts[i*2+1].PerCore/pts[i*2].PerCore-1)*100, f.Apps[0]))
 	}

@@ -165,18 +165,36 @@ func RunPerfSuite() []BenchResult {
 	return out
 }
 
-// ReadBenchReport loads a -benchjson report, rejecting unknown schemas.
+// ReadBenchReport loads a -benchjson report (see decodeBenchReport).
 func ReadBenchReport(path string) (*BenchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("harness: bench report read: %w", err)
 	}
-	var r BenchReport
-	if err := json.Unmarshal(data, &r); err != nil {
+	r, err := decodeBenchReport(data)
+	if err != nil {
 		return nil, fmt.Errorf("harness: bench report %s: %w", path, err)
 	}
+	return r, nil
+}
+
+// decodeBenchReport parses a -benchjson report, rejecting unknown schemas
+// and repeated metric names: CompareBenchReports keys metrics by name, so
+// a name listed twice would gate one of its values against the other.
+func decodeBenchReport(data []byte) (*BenchReport, error) {
+	var r BenchReport
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
 	if r.Schema != benchReportSchema {
-		return nil, fmt.Errorf("harness: bench report %s: schema %q, want %q", path, r.Schema, benchReportSchema)
+		return nil, fmt.Errorf("schema %q, want %q", r.Schema, benchReportSchema)
+	}
+	seen := make(map[string]bool, len(r.Results))
+	for _, res := range r.Results {
+		if seen[res.Name] {
+			return nil, fmt.Errorf("metric %q listed more than once", res.Name)
+		}
+		seen[res.Name] = true
 	}
 	return &r, nil
 }

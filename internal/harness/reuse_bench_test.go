@@ -18,7 +18,7 @@ func BenchmarkSweepReuse(b *testing.B) {
 func BenchmarkSweepFresh(b *testing.B) {
 	e := ByID("fig5")
 	for i := 0; i < b.N; i++ {
-		e.Run(Options{Quick: true, Seed: 1, FreshEngines: true})
+		e.Run(Options{Quick: true, Seed: 1, fresh: true})
 	}
 }
 

@@ -18,7 +18,7 @@ func TestEngineReuseDeterminism(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			reused := e.Run(Options{Quick: true, Seed: 7})
-			fresh := e.Run(Options{Quick: true, Seed: 7, FreshEngines: true})
+			fresh := e.Run(Options{Quick: true, Seed: 7, fresh: true})
 			if !reflect.DeepEqual(reused, fresh) {
 				t.Errorf("%s: reused-engine sweep differs from fresh-engine sweep:\nreused: %+v\nfresh:  %+v",
 					e.ID, reused, fresh)

@@ -18,10 +18,9 @@ import (
 // Ownership is a pure function of the point's identity (experiment ID plus
 // full cache key), not of enumeration order, so any process — or CI shard
 // on a different machine — partitions the grid identically without
-// coordination. Fan-out experiments without a per-point failure channel
-// (dma, ablate) run in every shard; the merge-on-save cache makes the
-// duplicate stores harmless because every process computes identical
-// values.
+// coordination. Every cached point goes through fanOut, so every cached
+// experiment splits; experiments that cache nothing (the serial extension
+// loops, say) run whole in every shard.
 
 // errShardSkipped marks a sweep point owned by another shard: the point is
 // omitted from both Series.Points and Series.Failed.

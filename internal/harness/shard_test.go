@@ -55,6 +55,8 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 		{"fig5", 2},
 		{"fig10", 3}, // variant-rich grid, including the striped RR curve
 		{"degrade", 2},
+		{"dma", 2},
+		{"ablate", 2},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%s-%dshards", tc.exp, tc.shards), func(t *testing.T) {
@@ -63,12 +65,14 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 			single := e.Run(Options{Quick: true, Seed: 7})
 
 			dir := t.TempDir()
+			var stored []int // points each shard computed
 			for idx := 0; idx < tc.shards; idx++ {
 				c, err := OpenCache(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				e.Run(Options{Quick: true, Seed: 7, Cache: c, Shards: tc.shards, ShardIndex: idx})
+				stored = append(stored, int(c.Misses()))
 				if err := c.Save(); err != nil {
 					t.Fatal(err)
 				}
@@ -81,6 +85,13 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 			merged := e.Run(Options{Quick: true, Seed: 7, Cache: mc})
 			if mc.Misses() != 0 {
 				t.Errorf("merge pass missed %d lookups, want 0 (shards should have computed the whole grid)", mc.Misses())
+			}
+			// Each shard computes a proper, nonempty part of the grid.
+			for idx, n := range stored {
+				if n == 0 || n >= mc.Len() {
+					t.Errorf("shard %d of %d computed %d of %d points, want a proper nonempty subset",
+						idx, tc.shards, n, mc.Len())
+				}
 			}
 			if !reflect.DeepEqual(single, merged) {
 				t.Errorf("%s: merged %d-shard sweep differs from single-process sweep:\nsingle: %+v\nmerged: %+v",

@@ -6,7 +6,7 @@
 // A minimal use:
 //
 //	series, err := mosbench.Run("fig4", mosbench.Options{Quick: true})
-//	fmt.Print(series.Table())
+//	fmt.Print(mosbench.Table(series))
 //
 // Experiment IDs follow the paper: fig1..fig12 for its figures, plus
 // tbl-hw (the §5.1 latency table), dma (the §5.3 allocation ablation),
@@ -43,16 +43,12 @@ type Options struct {
 	// PostgreSQL): "local" (default), "striped", "remote", or "home:N".
 	Placement string
 	// Cache, when non-nil, memoizes sweep points by (experiment, variant,
-	// cores, seed, quick, placement) under per-experiment cost-model
-	// fingerprints, so a repeated grid run is served without simulating
-	// and a retune invalidates only the affected experiments. Open one
-	// with OpenCache and Save it when done.
+	// cores, seed, quick, placement, fault, arrival, link, shed) under
+	// per-experiment cost-model fingerprints, so a repeated grid run is
+	// served without simulating and a retune invalidates only the
+	// affected experiments. A non-default Machine gets its own sections.
+	// Open one with OpenCache and Save it when done.
 	Cache *Cache
-	// FreshEngines disables the engine arena: every sweep point builds a
-	// brand-new simulation engine instead of resetting a pooled one.
-	// Results are identical either way; this is an escape hatch and
-	// comparison knob.
-	FreshEngines bool
 	// Fault is a deterministic fault-injection spec applied to every
 	// kernel the experiment boots: comma-separated events like
 	// "link:3-4@50%,dram:0@75%,core:7@off,drop:0.01,dup:0.001", each with
@@ -175,17 +171,33 @@ func CheckShed(s string) error {
 	return err
 }
 
-// Cache is a handle to an on-disk sweep-point cache shared across runs
-// and machines. Points are stored in per-experiment sections keyed by
-// (variant, cores, seed, quick, placement); each section is stamped with
-// the combined cost-model fingerprint of the domains its experiment
-// depends on, so retuning one application's constants invalidates only
-// that application's figures while every other experiment keeps replaying
-// from cache. A schema hash remains the outer guard against Point-shape
-// refactors.
-type Cache struct {
-	inner *harness.Cache
-}
+// The result and cache types are the harness's own, re-exported.
+type (
+	// Point is one measurement: an application variant at one core count.
+	Point = harness.Point
+	// FailedPoint identifies one sweep point that produced no
+	// measurement: its simulation panicked twice (points are retried once
+	// on a fresh engine) or wedged past the per-point watchdog. The rest
+	// of the sweep is unaffected.
+	FailedPoint = harness.FailedPoint
+	// Series is the result of one experiment: its Points, the points that
+	// Failed, and free-form Notes.
+	Series = harness.Series
+	// Cache is a handle to an on-disk sweep-point cache shared across
+	// runs and machines. Points are stored in per-experiment sections,
+	// each stamped with the combined cost-model fingerprint of the
+	// domains its experiment depends on, so retuning one application's
+	// constants invalidates only that application's figures. A schema
+	// hash remains the outer guard against Point-shape refactors.
+	Cache = harness.Cache
+	// CacheStats is a snapshot of a cache's per-experiment activity.
+	CacheStats = harness.CacheStats
+	// ExperimentCacheStats is one experiment's cache activity.
+	ExperimentCacheStats = harness.ExperimentCacheStats
+	// BenchResult is one machine-readable performance measurement of the
+	// simulator itself (engine dispatch, handoff, sweep wall-clock).
+	BenchResult = harness.BenchResult
+)
 
 // OpenCache opens (creating if needed) the point cache stored in dir.
 // One-line warnings — an ignored unparsable or stale-schema cache file,
@@ -201,159 +213,20 @@ func OpenCache(dir string) (*Cache, error) {
 // conditions worth knowing about (ignored cache files, removed orphan
 // temp files) as one-line messages through logf. A nil logf is silent.
 func OpenCacheLogged(dir string, logf func(format string, args ...any)) (*Cache, error) {
-	c, err := harness.OpenCacheLogged(dir, logf)
-	if err != nil {
-		return nil, err
-	}
-	return &Cache{inner: c}, nil
+	return harness.OpenCacheLogged(dir, logf)
 }
 
-// Save writes the cache back to its directory, merging with the current
-// on-disk contents first so concurrent processes sharing the directory do
-// not drop each other's points; the final write is atomic.
-func (c *Cache) Save() error { return c.inner.Save() }
+// Table renders a series as an aligned text table.
+func Table(s *Series) string { return harness.Format(s) }
 
-// Hits returns how many lookups were served from the cache.
-func (c *Cache) Hits() int64 { return c.inner.Hits() }
-
-// Misses returns how many lookups fell through to simulation.
-func (c *Cache) Misses() int64 { return c.inner.Misses() }
-
-// Len returns the number of cached points.
-func (c *Cache) Len() int { return c.inner.Len() }
-
-// ExperimentCacheStats is one experiment's cache activity.
-type ExperimentCacheStats struct {
-	// Hits and Misses count this cache handle's lookups.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Invalidated counts stored points dropped because the experiment's
-	// cost-model fingerprint changed since they were computed (a retune
-	// of a cost domain the experiment depends on).
-	Invalidated int64 `json:"invalidated"`
-	// Points is the number of points currently cached.
-	Points int `json:"points"`
-}
-
-// CacheStats is a snapshot of a cache's per-experiment activity.
-type CacheStats struct {
-	Hits        int64                           `json:"hits"`
-	Misses      int64                           `json:"misses"`
-	Invalidated int64                           `json:"invalidated"`
-	Experiments map[string]ExperimentCacheStats `json:"experiments"`
-}
-
-// WriteStats writes the cache's activity snapshot as JSON to path,
-// creating missing parent directories; the write is atomic (unique temp
-// file + rename), the same discipline Save uses for points.json.
-func (c *Cache) WriteStats(path string) error { return c.inner.WriteStatsJSON(path) }
-
-// Stats returns per-experiment hit/miss/invalidation counts plus totals.
-func (c *Cache) Stats() CacheStats {
-	hs := c.inner.Stats()
-	out := CacheStats{
-		Hits:        hs.Hits,
-		Misses:      hs.Misses,
-		Invalidated: hs.Invalidated,
-		Experiments: make(map[string]ExperimentCacheStats, len(hs.Experiments)),
-	}
-	for exp, e := range hs.Experiments {
-		out.Experiments[exp] = ExperimentCacheStats{
-			Hits: e.Hits, Misses: e.Misses, Invalidated: e.Invalidated, Points: e.Points,
-		}
-	}
-	return out
-}
-
-// Point is one measurement.
-type Point struct {
-	Cores                 int
-	Variant               string
-	PerCore               float64
-	UserMicros, SysMicros float64
-	// DRAMUtil is each chip's memory-controller busy fraction during the
-	// run (nil for workloads that stream no bulk data).
-	DRAMUtil []float64
-	// LinkUtil is each HyperTransport link's busy fraction during the
-	// run (nil for workloads that stream no bulk data).
-	LinkUtil []float64
-	// Retries is client-visible network retransmissions per operation —
-	// zero except under injected packet loss (Options.Fault) or open-loop
-	// overload (timeout-driven resends).
-	Retries float64
-	// Dups is server-side duplicate suppressions per operation: client
-	// retransmissions a TCP-backed server recognized and discarded.
-	Dups float64
-	// OfferedPerCore is the open-loop offered load (req/s/core); zero for
-	// closed-loop experiments. PerCore is then goodput, not throughput.
-	OfferedPerCore float64
-	// P50Micros, P99Micros, and P999Micros are client-perceived sojourn
-	// quantiles in microseconds for open-loop experiments; zero otherwise.
-	P50Micros, P99Micros, P999Micros float64
-}
-
-// FailedPoint identifies one sweep point that produced no measurement:
-// its simulation panicked (twice — points are retried once on a fresh
-// engine) or wedged past the per-point watchdog. The rest of the sweep is
-// unaffected.
-type FailedPoint struct {
-	Variant string
-	Cores   int
-	Err     string
-}
-
-// Series is the result of one experiment.
-type Series struct {
-	ID    string
-	Title string
-	Unit  string
-	Point []Point
-	// Failed lists sweep points that crashed or wedged; see FailedPoint.
-	Failed []FailedPoint
-	Notes  []string
-
-	inner *harness.Series
-}
-
-// Table renders the series as an aligned text table.
-func (s *Series) Table() string { return harness.Format(s.inner) }
-
-// CSV renders the series as CSV.
-func (s *Series) CSV() string { return harness.CSV(s.inner) }
-
-// Get returns the point for (variant, cores).
-func (s *Series) Get(variant string, cores int) (Point, bool) {
-	for _, p := range s.Point {
-		if p.Variant == variant && p.Cores == cores {
-			return p, true
-		}
-	}
-	return Point{}, false
-}
-
-// BenchResult is one machine-readable performance measurement of the
-// simulator itself (engine dispatch, handoff, sweep wall-clock).
-type BenchResult struct {
-	Name    string
-	NsPerOp float64
-	Ops     int64
-}
+// CSV renders a series as CSV.
+func CSV(s *Series) string { return harness.CSV(s) }
 
 // WriteBenchJSON runs the simulator's performance microbenchmarks (engine
 // dispatch fast path, proc handoff, fresh vs reused spawn/run cycles, and
 // quick-sweep wall-clock cold vs warm-cache) and writes them as JSON to
 // path — the machine-readable artifact cmd/mosbench -benchjson emits.
-func WriteBenchJSON(path string) ([]BenchResult, error) {
-	rs, err := harness.WriteBenchJSON(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []BenchResult
-	for _, r := range rs {
-		out = append(out, BenchResult{Name: r.Name, NsPerOp: r.NsPerOp, Ops: r.Ops})
-	}
-	return out, nil
-}
+func WriteBenchJSON(path string) ([]BenchResult, error) { return harness.WriteBenchJSON(path) }
 
 // CompareBenchJSON compares the bench report at currentPath against the
 // committed baseline at baselinePath: every metric present in both whose
@@ -404,7 +277,7 @@ func Run(id string, o Options) (*Series, error) {
 	}
 	ho := harness.Options{
 		Cores: o.Cores, Quick: o.Quick, Seed: o.Seed, Serial: o.Serial,
-		Placement: pl, FreshEngines: o.FreshEngines, PointTimeout: o.PointTimeout,
+		Placement: pl, PointTimeout: o.PointTimeout, Cache: o.Cache,
 	}
 	if o.Machine != "" {
 		ho.Machine = m
@@ -438,22 +311,5 @@ func Run(id string, o Options) (*Series, error) {
 	if ho.Shed, err = load.ParseShed(o.Shed); err != nil {
 		return nil, err
 	}
-	if o.Cache != nil {
-		ho.Cache = o.Cache.inner
-	}
-	hs := e.Run(ho)
-	s := &Series{ID: hs.ID, Title: hs.Title, Unit: hs.Unit, Notes: hs.Notes, inner: hs}
-	for _, p := range hs.Points {
-		s.Point = append(s.Point, Point{
-			Cores: p.Cores, Variant: p.Variant, PerCore: p.PerCore,
-			UserMicros: p.UserMicros, SysMicros: p.SysMicros,
-			DRAMUtil: p.DRAMUtil, LinkUtil: p.LinkUtil, Retries: p.Retries,
-			Dups: p.Dups, OfferedPerCore: p.OfferedPerCore,
-			P50Micros: p.P50Micros, P99Micros: p.P99Micros, P999Micros: p.P999Micros,
-		})
-	}
-	for _, f := range hs.Failed {
-		s.Failed = append(s.Failed, FailedPoint{Variant: f.Variant, Cores: f.Cores, Err: f.Err})
-	}
-	return s, nil
+	return e.Run(ho), nil
 }

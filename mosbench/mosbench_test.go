@@ -51,9 +51,9 @@ func TestRunValidatesShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Point) == 0 || len(s.Point) >= len(full.Point) {
+	if len(s.Points) == 0 || len(s.Points) >= len(full.Points) {
 		t.Errorf("shard 1/2 computed %d of %d points; want a proper nonempty subset",
-			len(s.Point), len(full.Point))
+			len(s.Points), len(full.Points))
 	}
 }
 
@@ -66,13 +66,13 @@ func TestRunQuickFig5(t *testing.T) {
 		t.Errorf("series metadata: %+v", s)
 	}
 	if _, ok := s.Get("PK", 48); !ok {
-		t.Errorf("missing PK/48 point in %+v", s.Point)
+		t.Errorf("missing PK/48 point in %+v", s.Points)
 	}
-	if !strings.Contains(s.Table(), "cores") {
-		t.Error("Table() output missing header")
+	if !strings.Contains(Table(s), "cores") {
+		t.Error("Table output missing header")
 	}
-	if !strings.Contains(s.CSV(), "fig5,") {
-		t.Error("CSV() output missing rows")
+	if !strings.Contains(CSV(s), "fig5,") {
+		t.Error("CSV output missing rows")
 	}
 }
 
@@ -97,11 +97,11 @@ func TestCacheServesRepeatedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.Hits(), int64(len(first.Point)); got != want {
+	if got, want := c.Hits(), int64(len(first.Points)); got != want {
 		t.Errorf("warm run hits = %d, want %d (every point)", got, want)
 	}
-	if !reflect.DeepEqual(first.Point, second.Point) {
-		t.Errorf("cached points differ:\nfirst:  %+v\nsecond: %+v", first.Point, second.Point)
+	if !reflect.DeepEqual(first.Points, second.Points) {
+		t.Errorf("cached points differ:\nfirst:  %+v\nsecond: %+v", first.Points, second.Points)
 	}
 }
 
@@ -130,26 +130,12 @@ func TestCacheStatsPerExperiment(t *testing.T) {
 	}
 }
 
-func TestFreshEnginesMatchesArena(t *testing.T) {
-	a, err := Run("scount", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("scount", Options{Quick: true, FreshEngines: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Table() != b.Table() {
-		t.Error("arena and fresh-engine runs differ through the public API")
-	}
-}
-
 func TestCustomCoreSweep(t *testing.T) {
 	s, err := Run("fig9", Options{Cores: []int{1, 48}, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range s.Point {
+	for _, p := range s.Points {
 		if p.Cores != 1 && p.Cores != 48 {
 			t.Errorf("unexpected core count %d in custom sweep", p.Cores)
 		}
