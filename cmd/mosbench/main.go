@@ -339,9 +339,11 @@ func machineList() string {
 // parseCores accepts comma-separated core counts where each element is a
 // single value or a lo..hi range: "1,8,48", "1..48", "1,4..8,48". The
 // full-grid "1..48" form runs the paper's complete x-axis; maxCores is
-// the selected machine profile's core count.
+// the selected machine profile's core count. The result is ascending and
+// duplicate-free whatever the input order, so "48,1" and "8,8" sweep the
+// same points, in the same order, as "1,48" and "8".
 func parseCores(s string, maxCores int) ([]int, error) {
-	var out []int
+	want := make([]bool, maxCores+1)
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		lo, hi := part, part
@@ -360,6 +362,12 @@ func parseCores(s string, maxCores int) ([]int, error) {
 			return nil, fmt.Errorf("bad core range %q: %d > %d", part, a, b)
 		}
 		for n := a; n <= b; n++ {
+			want[n] = true
+		}
+	}
+	var out []int
+	for n, ok := range want {
+		if ok {
 			out = append(out, n)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -112,4 +113,52 @@ func TestGoodSpecsPassValidation(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0; stderr: %s", code, msg)
 	}
+}
+
+// TestParseCores: -cores yields ascending, duplicate-free counts whatever
+// the input order, so a repeated or reversed list sweeps (and caches)
+// each point once and emits CSV rows in the order the table shows.
+func TestParseCores(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []int
+	}{
+		{"1,8,48", []int{1, 8, 48}},
+		{"8,8", []int{8}},
+		{"1..8,4..12", []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
+		{"48,1", []int{1, 48}},
+		{" 4 , 2..3 ", []int{2, 3, 4}},
+	} {
+		got, err := parseCores(tc.in, 48)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parseCores(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "0", "49", "8..4", "1,,2", "x", "1..", "-1"} {
+		if got, err := parseCores(bad, 48); err == nil {
+			t.Errorf("parseCores(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
+// FuzzParseCores: -cores is input from outside the program. Parsing never
+// panics, and any accepted list is strictly ascending within [1,max].
+func FuzzParseCores(f *testing.F) {
+	for _, s := range []string{"1,8,48", "1..48", "8,8", "48,1", "1..8,4..12", "0", "8..4", " 2 "} {
+		f.Add(s, uint8(48))
+	}
+	f.Fuzz(func(t *testing.T, s string, max uint8) {
+		got, err := parseCores(s, int(max))
+		if err != nil {
+			return
+		}
+		if len(got) == 0 {
+			t.Fatalf("parseCores(%q, %d) accepted an empty list", s, max)
+		}
+		for i, n := range got {
+			if n < 1 || n > int(max) || i > 0 && n <= got[i-1] {
+				t.Fatalf("parseCores(%q, %d) = %v: not strictly ascending within [1,%d]", s, max, got, max)
+			}
+		}
+	})
 }

@@ -111,7 +111,7 @@ func (a *engineArena) put(s *engineSlot) {
 // newEngine returns the engine for one sweep point: the calling worker's
 // pooled engine (reset to the machine and the run's seed) when the arena
 // is active, or a fresh engine when it is not (Options.fresh, or a caller
-// outside parallelMap).
+// outside fanOut).
 func (o Options) newEngine(m *topo.Machine) *sim.Engine {
 	if o.fresh || o.slot == nil {
 		return sim.NewEngine(m, o.seed())

@@ -48,14 +48,14 @@ func runExim(cfg kernel.Config, cores int, o Options) apps.Result {
 	k := o.newKernel(o.topo(cores), cfg)
 	opts := apps.DefaultEximOpts()
 	opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
-	return RunTagged(apps.RunExim(k, opts))
+	return apps.RunExim(k, opts)
 }
 
 func runMemcached(cfg kernel.Config, cores int, o Options) apps.Result {
 	k := o.newKernel(o.topo(cores), cfg)
 	opts := apps.DefaultMemcachedOpts()
 	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
-	return RunTagged(apps.RunMemcached(k, opts))
+	return apps.RunMemcached(k, opts)
 }
 
 func runApache(cfg kernel.Config, cores int, single bool, o Options) apps.Result {
@@ -63,7 +63,7 @@ func runApache(cfg kernel.Config, cores int, single bool, o Options) apps.Result
 	opts := apps.DefaultApacheOpts()
 	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
 	opts.SingleInstance = single
-	return RunTagged(apps.RunApache(k, opts))
+	return apps.RunApache(k, opts)
 }
 
 func runPostgres(cfg kernel.Config, cores int, writeFrac float64, mod bool, o Options) apps.Result {
@@ -73,7 +73,7 @@ func runPostgres(cfg kernel.Config, cores int, writeFrac float64, mod bool, o Op
 	opts.WriteFraction = writeFrac
 	opts.ModPG = mod
 	opts.Placement = o.Placement
-	return RunTagged(apps.RunPostgres(k, opts))
+	return apps.RunPostgres(k, opts)
 }
 
 func runGmake(cfg kernel.Config, cores int, o Options) apps.Result {
@@ -81,7 +81,7 @@ func runGmake(cfg kernel.Config, cores int, o Options) apps.Result {
 	opts := apps.DefaultGmakeOpts()
 	opts.Objects = scale(opts.Objects, o.Quick)
 	opts.Placement = o.Placement
-	return RunTagged(apps.RunGmake(k, opts))
+	return apps.RunGmake(k, opts)
 }
 
 func runPedsort(mode apps.PedsortMode, cores int, o Options) apps.Result {
@@ -94,7 +94,7 @@ func runPedsort(mode apps.PedsortMode, cores int, o Options) apps.Result {
 	opts.Files = scale(opts.Files, o.Quick)
 	opts.Mode = mode
 	opts.Placement = o.Placement
-	return RunTagged(apps.RunPedsort(k, opts))
+	return apps.RunPedsort(k, opts)
 }
 
 func runMetis(super bool, cores int, o Options) apps.Result {
@@ -109,11 +109,8 @@ func runMetis(super bool, cores int, o Options) apps.Result {
 	}
 	opts.SuperPages = super
 	opts.Placement = o.Placement
-	return RunTagged(apps.RunMetis(k, opts))
+	return apps.RunMetis(k, opts)
 }
-
-// RunTagged is an identity hook kept for future per-run instrumentation.
-func RunTagged(r apps.Result) apps.Result { return r }
 
 // stockPK runs a two-variant (Stock vs PK) sweep, plus any registered
 // extra variants (a figure's own placement curve, say).

@@ -75,38 +75,39 @@ func runScalableLocks(o Options) *Series {
 	s := &Series{ID: "scalable-locks",
 		Title: "Mount table: ticket lock vs MCS vs refactoring (Exim, 48 cores)",
 		Unit:  "msg/s/core"}
-	variants := []struct {
+	mcs := kernel.Stock()
+	mcs.ScalableMountLock = true
+	refactored := kernel.Stock()
+	refactored.SloppyVfsmountRef = true
+	refactored.PerCoreMountCache = true
+	var runs []variantRun
+	for _, v := range []struct {
 		name string
 		cfg  kernel.Config
 	}{
 		{"Stock (ticket lock)", kernel.Stock()},
-		{"Stock + MCS lock", func() kernel.Config {
-			c := kernel.Stock()
-			c.ScalableMountLock = true
-			return c
-		}()},
-		{"Stock + mount refactoring", func() kernel.Config {
-			c := kernel.Stock()
-			c.SloppyVfsmountRef = true
-			c.PerCoreMountCache = true
-			return c
-		}()},
+		{"Stock + MCS lock", mcs},
+		{"Stock + mount refactoring", refactored},
+	} {
+		runs = append(runs, variantRun{v.name, func(cores int, o Options) Point {
+			return opPoint(runExim(v.cfg, cores, o), v.name, cores)
+		}})
 	}
-	max := o.maxCores()
-	for _, v := range variants {
-		k := o.newKernel(o.topo(max), v.cfg)
-		opts := apps.DefaultEximOpts()
-		opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
-		r := apps.RunExim(k, opts)
-		s.Points = append(s.Points, Point{
-			Cores:      max,
-			Variant:    v.name,
-			PerCore:    r.PerCore(),
-			UserMicros: r.UserMicrosPerOp(),
-			SysMicros:  r.SysMicrosPerOp(),
-		})
-	}
+	o.Cores = []int{o.maxCores()}
+	o.runGrid(s, runs)
 	return s
+}
+
+// opPoint is the point the closed-loop extension sweeps report: per-core
+// throughput and CPU time per operation only.
+func opPoint(r apps.Result, variant string, cores int) Point {
+	return Point{
+		Cores:      cores,
+		Variant:    variant,
+		PerCore:    r.PerCore(),
+		UserMicros: r.UserMicrosPerOp(),
+		SysMicros:  r.SysMicrosPerOp(),
+	}
 }
 
 // runProfile reproduces the paper's diagnosis step: run a stock kernel
@@ -183,20 +184,19 @@ func runSpoolDirs(o Options) *Series {
 	s := &Series{ID: "spool-dirs",
 		Title: fmt.Sprintf("Exim spool directories (PK, %d cores)", max),
 		Unit:  "msg/s/core"}
+	var runs []variantRun
 	for _, dirs := range []int{1, 2, 4, 8, 16, 62, 256} {
-		k := o.newKernel(o.topo(max), kernel.PK())
-		opts := apps.DefaultEximOpts()
-		opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
-		opts.SpoolDirs = dirs
-		r := apps.RunExim(k, opts)
-		s.Points = append(s.Points, Point{
-			Cores:      max,
-			Variant:    fmt.Sprintf("dirs=%d", dirs),
-			PerCore:    r.PerCore(),
-			UserMicros: r.UserMicrosPerOp(),
-			SysMicros:  r.SysMicrosPerOp(),
-		})
+		name := fmt.Sprintf("dirs=%d", dirs)
+		runs = append(runs, variantRun{name, func(cores int, o Options) Point {
+			k := o.newKernel(o.topo(cores), kernel.PK())
+			opts := apps.DefaultEximOpts()
+			opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
+			opts.SpoolDirs = dirs
+			return opPoint(apps.RunExim(k, opts), name, cores)
+		}})
 	}
+	o.Cores = []int{max}
+	o.runGrid(s, runs)
 	return s
 }
 
@@ -211,21 +211,20 @@ func runLockMgr(o Options) *Series {
 	s := &Series{ID: "lockmgr",
 		Title: fmt.Sprintf("PostgreSQL lock-manager mutexes (stock kernel, r/w, %d cores)", cores),
 		Unit:  "q/s/core"}
+	var runs []variantRun
 	for _, n := range []int{1, 4, 16, 64, 1024} {
-		k := o.newKernel(o.topo(cores), kernel.Stock())
-		opts := apps.DefaultPostgresOpts()
-		opts.QueriesPerCore = scale(opts.QueriesPerCore, o.Quick)
-		opts.WriteFraction = 0.05
-		opts.LockMutexes = n
-		r := apps.RunPostgres(k, opts)
-		s.Points = append(s.Points, Point{
-			Cores:      cores,
-			Variant:    fmt.Sprintf("mutexes=%d", n),
-			PerCore:    r.PerCore(),
-			UserMicros: r.UserMicrosPerOp(),
-			SysMicros:  r.SysMicrosPerOp(),
-		})
+		name := fmt.Sprintf("mutexes=%d", n)
+		runs = append(runs, variantRun{name, func(cores int, o Options) Point {
+			k := o.newKernel(o.topo(cores), kernel.Stock())
+			opts := apps.DefaultPostgresOpts()
+			opts.QueriesPerCore = scale(opts.QueriesPerCore, o.Quick)
+			opts.WriteFraction = 0.05
+			opts.LockMutexes = n
+			return opPoint(apps.RunPostgres(k, opts), name, cores)
+		}})
 	}
+	o.Cores = []int{cores}
+	o.runGrid(s, runs)
 	s.Notes = append(s.Notes,
 		"More mutexes spread false contention; the full modPG also adds the lock-free fast path.")
 	return s
@@ -243,40 +242,41 @@ func runSteering(o Options) *Series {
 	s := &Series{ID: "steering",
 		Title: fmt.Sprintf("Flow-director misdirection (sampled steering, %d cores)", cores),
 		Unit:  "req/s/core"}
+	var runs []variantRun
 	for _, prob := range []float64{0.001, 0.2, 0.4, 0.6, 0.8} {
-		m := o.topo(cores)
-		cfg := kernel.PK()
-		cfg.ParallelAccept = false // sampled steering, shared backlog
-		k := o.newKernel(m, cfg)
-		netCfg := cfg.Net()
-		netCfg.MisdirectProb = prob
-		stack := netsim.NewStack(k.MD, k.FS, nil, k.DRAM, netCfg)
-		k.FS.MustCreateFile("/www/f", 300)
-		reqs := scale(150, o.Quick)
-		for c := 0; c < cores; c++ {
-			c := c
-			k.Engine.Spawn(c, "srv", 0, func(p *sim.Proc) {
-				l := stack.Listen(p)
-				for i := 0; i < reqs; i++ {
-					conn := stack.Accept(p, l)
-					stack.Recv(p, conn, 120)
-					f := k.FS.Open(p, "/www/f")
-					k.FS.Read(p, f, 300)
-					k.FS.Close(p, f)
-					stack.Send(p, conn, 550)
-					stack.CloseConn(p, conn)
-					p.AdvanceUser(10_000)
-				}
-			})
-		}
-		k.Engine.Run()
-		tput := float64(cores*reqs) / secsFor(m, k.Engine.Now()) / float64(cores)
-		s.Points = append(s.Points, Point{
-			Cores:   cores,
-			Variant: fmt.Sprintf("misdirect=%.0f%%", prob*100),
-			PerCore: tput,
-		})
+		name := fmt.Sprintf("misdirect=%.0f%%", prob*100)
+		runs = append(runs, variantRun{name, func(cores int, o Options) Point {
+			m := o.topo(cores)
+			cfg := kernel.PK()
+			cfg.ParallelAccept = false // sampled steering, shared backlog
+			k := o.newKernel(m, cfg)
+			netCfg := cfg.Net()
+			netCfg.MisdirectProb = prob
+			stack := netsim.NewStack(k.MD, k.FS, nil, k.DRAM, netCfg)
+			k.FS.MustCreateFile("/www/f", 300)
+			reqs := scale(150, o.Quick)
+			for c := 0; c < cores; c++ {
+				k.Engine.Spawn(c, "srv", 0, func(p *sim.Proc) {
+					l := stack.Listen(p)
+					for i := 0; i < reqs; i++ {
+						conn := stack.Accept(p, l)
+						stack.Recv(p, conn, 120)
+						f := k.FS.Open(p, "/www/f")
+						k.FS.Read(p, f, 300)
+						k.FS.Close(p, f)
+						stack.Send(p, conn, 550)
+						stack.CloseConn(p, conn)
+						p.AdvanceUser(10_000)
+					}
+				})
+			}
+			k.Engine.Run()
+			tput := float64(cores*reqs) / secsFor(m, k.Engine.Now()) / float64(cores)
+			return Point{Cores: cores, Variant: name, PerCore: tput}
+		}})
 	}
+	o.Cores = []int{cores}
+	o.runGrid(s, runs)
 	s.Notes = append(s.Notes,
 		"Per-core backlog queues (PK) make steering exact and this sweep moot (§4.2).")
 	return s

@@ -111,7 +111,7 @@ type Options struct {
 	Seed uint64
 	// Quick shrinks op budgets and the sweep for fast smoke runs.
 	Quick bool
-	// Serial runs sweep points one at a time on the calling goroutine. By
+	// Serial runs a sweep's points one at a time on a single worker. By
 	// default the independent points of a sweep (each owns its own Engine,
 	// Model, and PRNG) execute concurrently across GOMAXPROCS workers;
 	// results are assembled by index, so both modes produce identical
@@ -166,12 +166,12 @@ type Options struct {
 	// point; the flag tells a later-unwedged point body that its result
 	// must not reach the shared cache. Nil outside runGuarded.
 	abandoned *atomic.Bool //mosvet:allow cachekeylint runtime bookkeeping set per attempt; never an input to the simulation
-	// slot is the calling sweep worker's pooled engine, set by
-	// parallelMap; nil outside a sweep (fresh engines are used then).
+	// slot is the calling sweep worker's pooled engine, set only by
+	// fanOut's workers; nil outside fanOut (fresh engines are used then).
 	slot *engineSlot //mosvet:allow cachekeylint engine pooling handle; reuse is bit-for-bit identical to fresh engines
-	// slotGen pins the slot generation this Options was issued under; a
-	// stale generation (the watchdog abandoned the slot) makes newEngine
-	// fall back to a throwaway engine. See engineSlot.
+	// slotGen pins the slot generation runGuarded saw when it started this
+	// point's body; a stale generation (the watchdog abandoned the slot)
+	// makes newEngine fall back to a throwaway engine. See engineSlot.
 	slotGen uint64 //mosvet:allow cachekeylint slot-generation guard for the watchdog; selects an engine, never changes results
 }
 
@@ -281,66 +281,6 @@ func (o Options) seed() uint64 {
 	return o.Seed
 }
 
-// parallelMap runs fn(i, o') for every i in [0, n) and returns when all
-// calls have finished. Unless o.Serial is set, the calls are spread across
-// GOMAXPROCS workers; every index must be an independent simulation
-// writing only to its own slot of a caller-owned slice, which makes the
-// result independent of execution order. The Options each call receives
-// carry the worker's pooled engine slot (unless o.fresh), so a
-// whole grid reuses at most GOMAXPROCS engines.
-func (o Options) parallelMap(n int, fn func(i int, o Options)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	attach := func(o Options) (Options, func()) {
-		if o.fresh {
-			return o, func() {}
-		}
-		slot := arena.get()
-		o.slot = slot
-		o.slotGen = slot.generation()
-		return o, func() { arena.put(slot) }
-	}
-	if o.Serial || workers <= 1 {
-		wo := o
-		if wo.slot == nil { // reuse the experiment-level slot if present
-			var release func()
-			wo, release = attach(o)
-			defer release()
-		}
-		for i := 0; i < n; i++ {
-			fn(i, wo)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) { //mosvet:allow detlint sweep workers parallelize independent points (each owns its engine and PRNG); results are assembled by index
-			defer wg.Done()
-			// Worker 0 inherits the caller's (experiment-level) slot
-			// instead of leaving it idle, keeping the whole grid at no
-			// more than GOMAXPROCS engines.
-			wo := o
-			if w != 0 || o.slot == nil {
-				var release func()
-				wo, release = attach(o)
-				defer release()
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, wo)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // variantRun is one labeled curve of a grid experiment. The label both
 // names the points and keys the sweep-point cache, so it must be stable
 // and unique within the experiment.
@@ -365,23 +305,50 @@ func (o Options) runGrid(s *Series, runs []variantRun) {
 	}
 }
 
-// fanOut runs n sweep points of s's experiment, concurrently unless
-// o.Serial; at(i) names point i (variant and core count, the two parts of
-// its cache key) and returns the body that computes it. Every point goes
-// through safeCachedPoint: served from o.Cache when possible, skipped when
-// another shard owns it, and crash-isolated otherwise. Failures land in
-// s.Failed in index order. The returned slices are indexed like at: errs[i]
-// is nil exactly when pts[i] holds a measurement, so experiments that
-// derive rows from several points can tell which rows to skip (see
-// rowSkipReason).
+// fanOut runs n sweep points of s's experiment across GOMAXPROCS workers
+// (one with o.Serial); at(i) names point i (variant and core count, the two
+// parts of its cache key) and returns the body that computes it. Every
+// point goes through safeCachedPoint: served from o.Cache when possible,
+// skipped when another shard owns it, and crash-isolated otherwise. Each
+// worker holds one pooled engine slot (unless o.fresh), so a whole grid
+// reuses at most GOMAXPROCS engines. Every point is an independent
+// simulation writing only its own index, so the result does not depend on
+// execution order. Failures land in s.Failed in index order. The returned
+// slices are indexed like at: errs[i] is nil exactly when pts[i] holds a
+// measurement, so experiments that derive rows from several points can
+// tell which rows to skip (see rowSkipReason).
 func (o Options) fanOut(s *Series, n int, at func(i int) (variant string, cores int, run func(cores int, o Options) Point)) ([]Point, []error) {
 	pts := make([]Point, n)
 	errs := make([]error, n)
 	a := o.sweepAddr(s.ID)
-	o.parallelMap(n, func(i int, wo Options) {
-		variant, cores, run := at(i)
-		pts[i], errs[i] = wo.safeCachedPoint(a, variant, cores, run)
-	})
+	workers := runtime.GOMAXPROCS(0)
+	if o.Serial {
+		workers = 1
+	}
+	var next atomic.Int64
+	worker := func() {
+		wo := o
+		if !o.fresh {
+			wo.slot = arena.get()
+			defer arena.put(wo.slot)
+		}
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			variant, cores, run := at(i)
+			pts[i], errs[i] = wo.safeCachedPoint(a, variant, cores, run)
+		}
+	}
+	// The calling goroutine is worker 0; point bodies run on runGuarded's
+	// own goroutine either way.
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() { //mosvet:allow detlint sweep workers parallelize independent points (each owns its engine and PRNG); results are assembled by index
+			defer wg.Done()
+			worker()
+		}()
+	}
+	worker()
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil && !errors.Is(err, errShardSkipped) {
 			variant, cores, _ := at(i)
@@ -413,23 +380,9 @@ type Experiment struct {
 
 var registry []Experiment
 
-// register adds an experiment, wrapping its Run so the whole invocation
-// holds one arena engine slot: serial experiment bodies (and the serial
-// parallelMap path) reuse that engine point to point, while the parallel
-// sweep workers attach their own slots. Options.fresh bypasses the arena
-// everywhere.
+// register adds an experiment after checking its cost domains.
 func register(e Experiment) {
 	checkDomains(e.ID, e.Domains)
-	inner := e.Run
-	e.Run = func(o Options) *Series {
-		if !o.fresh && o.slot == nil {
-			slot := arena.get()
-			defer arena.put(slot)
-			o.slot = slot
-			o.slotGen = slot.generation()
-		}
-		return inner(o)
-	}
 	registry = append(registry, e)
 }
 

@@ -256,6 +256,30 @@ func TestDMAPanicFailsOnlyThatPoint(t *testing.T) {
 	}
 }
 
+// TestSpoolDirsPanicFailsOnlyThatPoint: spool-dirs runs its directory
+// counts as fanOut points, so one count that panics on both attempts is
+// reported failed and the other six still measure.
+func TestSpoolDirsPanicFailsOnlyThatPoint(t *testing.T) {
+	defer func() { testPointHook = nil }()
+	testPointHook = func(exp, variant string, cores, attempt int) {
+		if exp == "spool-dirs" && variant == "dirs=62" {
+			panic("injected persistent panic")
+		}
+	}
+	s := ByID("spool-dirs").Run(Options{Quick: true, Seed: 1})
+	if len(s.Failed) != 1 || s.Failed[0].Variant != "dirs=62" {
+		t.Fatalf("failed points = %+v, want exactly dirs=62", s.Failed)
+	}
+	if len(s.Points) != 6 {
+		t.Errorf("%d surviving points, want 6: %+v", len(s.Points), s.Points)
+	}
+	for _, p := range s.Points {
+		if p.Variant == "dirs=62" {
+			t.Errorf("failed point dirs=62 also reported as measured: %+v", p)
+		}
+	}
+}
+
 // TestAblateWedgedPointHitsWatchdog: an ablate point that wedges is
 // abandoned by the watchdog instead of hanging the run. A first run, with
 // the target point panicking, primes the cache with the 31 others, so on

@@ -49,7 +49,7 @@ func runMemcachedOpenLoop(cfg kernel.Config, cores int, o Options, ol apps.OpenL
 	k := o.newKernel(o.topo(cores), cfg)
 	ol.RequestsPerCore = scale(load.DefaultRequestsPerCore, o.Quick)
 	ol.CalibRequestsPerCore = scale(load.DefaultCalibRequestsPerCore, o.Quick)
-	return RunTagged(apps.RunMemcachedOpenLoop(k, apps.DefaultMemcachedOpts(), ol))
+	return apps.RunMemcachedOpenLoop(k, apps.DefaultMemcachedOpts(), ol)
 }
 
 // runLatload sweeps offered load at a fixed core count on the PK kernel:

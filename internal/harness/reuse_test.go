@@ -30,28 +30,32 @@ func TestEngineReuseDeterminism(t *testing.T) {
 // TestCacheWarmSweepIsAllHits pins the cache acceptance criterion: the
 // first run of a grid misses every point; a second identical run is
 // served entirely from the cache (zero simulation), and the resulting
-// Series is identical.
+// Series is identical. The fixed-core extension sweeps are covered too:
+// their points go through the same fanOut as fig4's.
 func TestCacheWarmSweepIsAllHits(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Options{Quick: true, Seed: 3, Cache: c}
+	for _, id := range []string{"fig4", "scalable-locks", "spool-dirs", "lockmgr", "steering"} {
+		t.Run(id, func(t *testing.T) {
+			c, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := Options{Quick: true, Seed: 3, Cache: c}
 
-	cold := ByID("fig4").Run(o)
-	points := int64(len(cold.Points))
-	if c.Hits() != 0 || c.Misses() != points {
-		t.Fatalf("cold run: %d hits, %d misses; want 0 hits, %d misses", c.Hits(), c.Misses(), points)
-	}
+			cold := ByID(id).Run(o)
+			points := int64(len(cold.Points))
+			if points == 0 || c.Hits() != 0 || c.Misses() != points {
+				t.Fatalf("cold run: %d hits, %d misses; want 0 hits, %d (> 0) misses", c.Hits(), c.Misses(), points)
+			}
 
-	warm := ByID("fig4").Run(o)
-	if c.Hits() != points || c.Misses() != points {
-		t.Errorf("warm run: %d hits, %d misses; want %d hits (all points), misses unchanged at %d",
-			c.Hits(), c.Misses(), points, points)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Errorf("cached series differs from computed series:\ncold: %+v\nwarm: %+v", cold, warm)
+			warm := ByID(id).Run(o)
+			if c.Hits() != points || c.Misses() != points {
+				t.Errorf("warm run: %d hits, %d misses; want %d hits (all points), misses unchanged at %d",
+					c.Hits(), c.Misses(), points, points)
+			}
+			if !reflect.DeepEqual(cold, warm) {
+				t.Errorf("cached series differs from computed series:\ncold: %+v\nwarm: %+v", cold, warm)
+			}
+		})
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // full cache key), not of enumeration order, so any process — or CI shard
 // on a different machine — partitions the grid identically without
 // coordination. Every cached point goes through fanOut, so every cached
-// experiment splits; experiments that cache nothing (the serial extension
-// loops, say) run whole in every shard.
+// experiment splits; the few that simulate outside it (fig2, tbl-hw,
+// profile, sloppy-threshold) cache nothing and run whole in every shard.
 
 // errShardSkipped marks a sweep point owned by another shard: the point is
 // omitted from both Series.Points and Series.Failed.

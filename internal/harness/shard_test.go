@@ -57,6 +57,10 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 		{"degrade", 2},
 		{"dma", 2},
 		{"ablate", 2},
+		{"spool-dirs", 2},
+		{"lockmgr", 2},
+		{"scalable-locks", 2},
+		{"steering", 3}, // at 2 shards every point hashes to shard 1
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%s-%dshards", tc.exp, tc.shards), func(t *testing.T) {
