@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/fault"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -22,10 +24,20 @@ import (
 // while any late engine() call from the abandoned goroutine (whose Options
 // pinned the old generation) gets a throwaway engine instead of racing the
 // new owner.
+//
+// While a fanOut worker holds the slot, it also keeps the worker's free
+// list of directory pages (spare), made when the worker boots its first
+// kernel: each point's memory model draws on it, and once the point
+// returns a result the worker gives those models' pages back (endPoint).
+// The list lives for one sweep: the arena drops it when the slot comes
+// back, so a sweep's pages never outlive it.
 type engineSlot struct {
 	mu  sync.Mutex
 	gen uint64
 	eng *sim.Engine
+
+	spare  *mem.PageList
+	booted []*mem.Model // models the current point built on spare
 }
 
 // generation returns the slot's current generation; Options pin it so a
@@ -43,8 +55,12 @@ func (s *engineSlot) generation() uint64 {
 // owner is using.
 func (s *engineSlot) engine(gen uint64, m *topo.Machine, seed uint64) *sim.Engine {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.engineLocked(gen, m, seed)
+}
+
+func (s *engineSlot) engineLocked(gen uint64, m *topo.Machine, seed uint64) *sim.Engine {
 	if gen != s.gen {
-		s.mu.Unlock()
 		return sim.NewEngine(m, seed)
 	}
 	if s.eng == nil {
@@ -52,19 +68,53 @@ func (s *engineSlot) engine(gen uint64, m *topo.Machine, seed uint64) *sim.Engin
 	} else {
 		s.eng.ResetFor(m, seed)
 	}
-	e := s.eng
-	s.mu.Unlock()
-	return e
+	return s.eng
+}
+
+// kernel boots a kernel on the slot's engine (see engine) whose memory
+// model draws on the worker's page list. A stale caller gets a fresh
+// engine and a model that allocates every page.
+func (s *engineSlot) kernel(gen uint64, m *topo.Machine, seed uint64, cfg kernel.Config, plan *fault.Plan) *kernel.Kernel {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.engineLocked(gen, m, seed)
+	if gen != s.gen {
+		return kernel.NewOnEngine(e, cfg, plan, nil)
+	}
+	if s.spare == nil {
+		s.spare = new(mem.PageList)
+	}
+	k := kernel.NewOnEngine(e, cfg, plan, s.spare)
+	s.booted = append(s.booted, k.MD)
+	return k
+}
+
+// endPoint closes the worker's current point. With recycle set (the point
+// returned a result) the pages of every model it built go back to the
+// worker's list; otherwise they are left to the garbage collector, since a
+// point that panicked may have left its models in any state.
+func (s *engineSlot) endPoint(recycle bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if recycle {
+		for _, md := range s.booted {
+			md.Release()
+		}
+	}
+	clear(s.booted)
+	s.booted = s.booted[:0]
 }
 
 // abandon disowns the slot's engine without closing it — the wedged
 // point's goroutine may still be running inside it, so Close could hang.
 // The engine (and that goroutine) leak, deliberately: this only runs when
-// a point has already blown its wall-clock deadline.
+// a point has already blown its wall-clock deadline. The wedged point may
+// still be drawing on the worker's page list, so the list goes with it.
 func (s *engineSlot) abandon() {
 	s.mu.Lock()
 	s.gen++
 	s.eng = nil
+	s.spare = nil
 	s.mu.Unlock()
 }
 
@@ -91,7 +141,12 @@ func (a *engineArena) get() *engineSlot {
 	return &engineSlot{}
 }
 
+// put takes a slot back from a worker whose sweep is done and drops the
+// worker's page list.
 func (a *engineArena) put(s *engineSlot) {
+	s.mu.Lock()
+	s.spare = nil
+	s.mu.Unlock()
 	a.mu.Lock()
 	if len(a.free) < runtime.GOMAXPROCS(0) {
 		a.free = append(a.free, s)
@@ -119,18 +174,21 @@ func (o Options) newEngine(m *topo.Machine) *sim.Engine {
 	return o.slot.engine(o.slotGen, m, o.seed())
 }
 
-// newKernel boots a kernel for one sweep point on o.newEngine's engine,
-// applying o.Fault when set. A spec that does not compile for this point's
-// core count panics; under the guarded sweep that surfaces as one failed
-// point rather than killing the run.
+// newKernel boots a kernel for one sweep point on the engine o.newEngine
+// would return, applying o.Fault when set. In a fanOut worker the
+// kernel's memory model also draws on the worker's page list. A spec that
+// does not compile for this point's core count panics; under the guarded
+// sweep that surfaces as one failed point rather than killing the run.
 func (o Options) newKernel(m *topo.Machine, cfg kernel.Config) *kernel.Kernel {
-	e := o.newEngine(m)
-	if o.Fault == nil || o.Fault.IsZero() {
-		return kernel.NewOnEngine(e, cfg)
+	var plan *fault.Plan
+	if o.Fault != nil && !o.Fault.IsZero() {
+		var err error
+		if plan, err = o.Fault.CompileFor(m, m.NCores); err != nil {
+			panic(fmt.Sprintf("harness: fault spec %q: %v", o.Fault, err))
+		}
 	}
-	plan, err := o.Fault.CompileFor(m, m.NCores)
-	if err != nil {
-		panic(fmt.Sprintf("harness: fault spec %q: %v", o.Fault, err))
+	if o.fresh || o.slot == nil {
+		return kernel.NewOnEngine(sim.NewEngine(m, o.seed()), cfg, plan, nil)
 	}
-	return kernel.NewOnEngineFaults(e, cfg, plan)
+	return o.slot.kernel(o.slotGen, m, o.seed(), cfg, plan)
 }

@@ -166,8 +166,9 @@ type Options struct {
 	// point; the flag tells a later-unwedged point body that its result
 	// must not reach the shared cache. Nil outside runGuarded.
 	abandoned *atomic.Bool //mosvet:allow cachekeylint runtime bookkeeping set per attempt; never an input to the simulation
-	// slot is the calling sweep worker's pooled engine, set only by
-	// fanOut's workers; nil outside fanOut (fresh engines are used then).
+	// slot is the calling sweep worker's pooled engine and directory-page
+	// list, set only by fanOut's workers; nil outside fanOut (fresh
+	// engines and freshly allocated pages are used then).
 	slot *engineSlot //mosvet:allow cachekeylint engine pooling handle; reuse is bit-for-bit identical to fresh engines
 	// slotGen pins the slot generation runGuarded saw when it started this
 	// point's body; a stale generation (the watchdog abandoned the slot)
@@ -311,12 +312,13 @@ func (o Options) runGrid(s *Series, runs []variantRun) {
 // point goes through safeCachedPoint: served from o.Cache when possible,
 // skipped when another shard owns it, and crash-isolated otherwise. Each
 // worker holds one pooled engine slot (unless o.fresh), so a whole grid
-// reuses at most GOMAXPROCS engines. Every point is an independent
-// simulation writing only its own index, so the result does not depend on
-// execution order. Failures land in s.Failed in index order. The returned
-// slices are indexed like at: errs[i] is nil exactly when pts[i] holds a
-// measurement, so experiments that derive rows from several points can
-// tell which rows to skip (see rowSkipReason).
+// reuses at most GOMAXPROCS engines, and each point that returns a result
+// hands its directory pages to the worker's next point. Every point is an
+// independent simulation writing only its own index, so the result does
+// not depend on execution order. Failures land in s.Failed in index
+// order. The returned slices are indexed like at: errs[i] is nil exactly
+// when pts[i] holds a measurement, so experiments that derive rows from
+// several points can tell which rows to skip (see rowSkipReason).
 func (o Options) fanOut(s *Series, n int, at func(i int) (variant string, cores int, run func(cores int, o Options) Point)) ([]Point, []error) {
 	pts := make([]Point, n)
 	errs := make([]error, n)
@@ -335,6 +337,9 @@ func (o Options) fanOut(s *Series, n int, at func(i int) (variant string, cores 
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			variant, cores, run := at(i)
 			pts[i], errs[i] = wo.safeCachedPoint(a, variant, cores, run)
+			if wo.slot != nil {
+				wo.slot.endPoint(errs[i] == nil)
+			}
 		}
 	}
 	// The calling goroutine is worker 0; point bodies run on runGuarded's

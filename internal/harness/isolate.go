@@ -127,6 +127,9 @@ func (o Options) safeCachedPoint(a sweepAddr, variant string, cores int, f func(
 	if errors.As(err, &timeout) {
 		return Point{}, err
 	}
+	if o.slot != nil {
+		o.slot.endPoint(false) // the panicked attempt's models never recycle
+	}
 	ro := o
 	ro.fresh = true
 	ro.slot = nil

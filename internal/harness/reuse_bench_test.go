@@ -8,6 +8,7 @@ import "testing"
 // wall-clock gain of engine reuse.
 func BenchmarkSweepReuse(b *testing.B) {
 	e := ByID("fig5")
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Run(Options{Quick: true, Seed: 1})
 	}
@@ -17,6 +18,7 @@ func BenchmarkSweepReuse(b *testing.B) {
 // a brand-new engine and spawns fresh goroutines.
 func BenchmarkSweepFresh(b *testing.B) {
 	e := ByID("fig5")
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Run(Options{Quick: true, Seed: 1, fresh: true})
 	}

@@ -154,29 +154,31 @@ const pageStructSample = 256
 
 // New boots a kernel on the given machine with a deterministic seed.
 func New(m *topo.Machine, cfg Config, seed uint64) *Kernel {
-	return NewOnEngine(sim.NewEngine(m, seed), cfg)
+	return NewOnEngine(sim.NewEngine(m, seed), cfg, nil, nil)
 }
 
 // NewOnEngine boots a kernel on an existing engine — typically one a sweep
 // arena has just Reset for reuse, so the engine's parked proc coroutines
 // carry over while every kernel subsystem (memory model, VFS, DRAM
-// controllers, page structs) is rebuilt fresh for this run. The caller is
+// controllers, page structs) is rebuilt for this run. The caller is
 // responsible for the engine being in its post-NewEngine/Reset state.
-func NewOnEngine(e *sim.Engine, cfg Config) *Kernel {
-	return NewOnEngineFaults(e, cfg, nil)
-}
-
-// NewOnEngineFaults boots a kernel under a compiled fault plan: boot-time
+//
+// plan is a compiled fault plan, nil for a healthy machine. Boot-time
 // events (link/controller throttles, dead-link rerouting, offlined cores,
 // NIC drop/dup probabilities) are applied before the workload starts, and
 // timed events are injected by a zero-footprint injector proc at their
-// simulated timestamps. A nil plan is a healthy machine. It panics on a
-// plan that offlines every enabled core — compile-time validation catches
-// this for the full machine, but a narrower sweep point can still hit it,
-// and the harness's crash isolation turns the panic into a failed point.
-func NewOnEngineFaults(e *sim.Engine, cfg Config, plan *fault.Plan) *Kernel {
+// simulated timestamps. It panics on a plan that offlines every enabled
+// core — compile-time validation catches this for the full machine, but
+// a narrower sweep point can still hit it, and the harness's crash
+// isolation turns the panic into a failed point.
+//
+// A non-nil spare is the free list the memory model takes its directory
+// pages from (see mem.NewModelOn); a sweep worker passes the pages its
+// earlier points released. It changes where pages come from, never what
+// the kernel charges.
+func NewOnEngine(e *sim.Engine, cfg Config, plan *fault.Plan, spare *mem.PageList) *Kernel {
 	m := e.Machine
-	md := mem.NewModel(m)
+	md := mem.NewModelOn(m, spare)
 	alloc := mm.NewAllocator(md)
 	k := &Kernel{
 		Cfg:       cfg,

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/topo"
+	"repro/internal/xrand"
 )
 
 func newModelBig192(t *testing.T) *Model {
@@ -142,4 +143,83 @@ func TestAllocAllocatesPerPage(t *testing.T) {
 	if limit := uint64(n * unsafe.Sizeof(state{}) * 11 / 10); bytes > limit {
 		t.Errorf("%d Allocs allocated %d bytes, want at most %d (the entries plus 10%%)", n, bytes, limit)
 	}
+}
+
+// TestRecycledPagesChargeLikeFresh is the page list's guarantee: a model
+// whose directory pages and sharer words an earlier model dirtied and
+// released charges the same cost sequence as a fresh model, on machines
+// with and without sharer words beyond the first, and when the earlier
+// model's sharer words have another length.
+func TestRecycledPagesChargeLikeFresh(t *testing.T) {
+	big, ok := topo.Lookup("big192")
+	if !ok {
+		t.Fatal("machine profile big192 not registered")
+	}
+	for _, tc := range []struct {
+		name        string
+		dirty, used *topo.Machine
+	}{
+		{"48 cores", topo.New(48), topo.New(48)},
+		{"192 cores", big, big},
+		{"192 then 96 cores", big, big.WithCores(96)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := chargeSequence(NewModel(tc.used), 1)
+
+			spare := new(PageList)
+			dirty := NewModelOn(tc.dirty, spare)
+			chargeSequence(dirty, 2)
+			dirtyPages, dirtyWide := dirty.pages, dirty.wide
+			dirty.Release()
+			if len(spare.pages) != len(dirtyPages) || dirty.NumLines() != 0 {
+				t.Fatalf("Release left %d pages on the list and %d lines in the model; want %d and 0",
+					len(spare.pages), dirty.NumLines(), len(dirtyPages))
+			}
+
+			md := NewModelOn(tc.used, spare)
+			got := chargeSequence(md, 1)
+			if md.pages[0] != dirtyPages[len(dirtyPages)-1] {
+				t.Error("the second model did not take its first page from the list")
+			}
+			if tc.dirty == tc.used && len(dirtyWide) > 0 && &md.wide[0][0] != &dirtyWide[len(dirtyWide)-1][0] {
+				t.Error("the second model did not take its first sharer words from the list")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("recycled pages changed the charged costs:\ngot  %v\nwant %v", got, want)
+			}
+		})
+	}
+}
+
+// chargeSequence allocates lines over several directory pages, drives a
+// seeded mix of reads, writes, atomics, batch charges and DMA writes from
+// cores across the whole machine, and returns every charged cost.
+func chargeSequence(md *Model, seed uint64) []int64 {
+	m := md.Machine()
+	r := xrand.New(seed)
+	lines := make([]Line, 0, 2*pageSize+pageSize/2)
+	for range cap(lines) {
+		lines = append(lines, md.Alloc(r.Intn(m.Chips)))
+	}
+	var costs []int64
+	now := int64(0)
+	for range 4000 {
+		c := r.Intn(m.NCores)
+		l := lines[r.Intn(len(lines))]
+		now += int64(r.Intn(200))
+		switch r.Intn(5) {
+		case 0:
+			costs = append(costs, md.Read(c, l, now))
+		case 1:
+			costs = append(costs, md.Write(c, l, now))
+		case 2:
+			costs = append(costs, md.Atomic(c, l, now))
+		case 3:
+			set := []Line{l, lines[r.Intn(len(lines))], lines[r.Intn(len(lines))]}
+			costs = append(costs, md.AccessSet(c, set, OpRead, now))
+		default:
+			md.DMAWrite([]Line{l})
+		}
+	}
+	return costs
 }

@@ -145,7 +145,24 @@ func (s *state) setExclusive(hi []uint64, w int, bit uint64) {
 	}
 }
 
+// PageList is a free list of directory pages. A model built on it with
+// NewModelOn takes pages from the list before it allocates new ones, and
+// Release gives them back once the model is done. A sweep worker keeps one
+// list for the points it runs in one sweep and drops it when the sweep
+// ends. A list is not safe for concurrent use: the models drawing on it
+// must not run at the same time.
+type PageList struct {
+	pages []*page
+	// wide holds sharer-word arrays for cores 64.., all of one length:
+	// Release keeps only the arrays of the model it is given last.
+	wide [][]uint64
+}
+
 // Model is a directory-based coherence cost model for one machine.
+//
+// A model built on a PageList (a sweep point run by a harness worker)
+// reuses directory pages an earlier point of the same sweep gave back;
+// charged costs do not depend on where the pages came from.
 type Model struct {
 	mach *topo.Machine
 
@@ -155,6 +172,10 @@ type Model struct {
 	pages []*page
 	wide  [][]uint64
 	n     int // lines allocated
+
+	// spare is the free list new pages come from first, nil for a model
+	// that allocates every page.
+	spare *PageList
 
 	// labeled holds the profiler records of labeled lines; state.label
 	// indexes it.
@@ -177,7 +198,12 @@ type Model struct {
 }
 
 // NewModel returns an empty model for the given machine.
-func NewModel(m *topo.Machine) *Model {
+func NewModel(m *topo.Machine) *Model { return NewModelOn(m, nil) }
+
+// NewModelOn returns an empty model for the given machine that takes its
+// directory pages from spare before allocating new ones. A nil spare is
+// NewModel.
+func NewModelOn(m *topo.Machine, spare *PageList) *Model {
 	chipOf := make([]int8, m.NCores)
 	for c := range chipOf {
 		chipOf[c] = int8(m.Chip(c))
@@ -186,8 +212,59 @@ func NewModel(m *topo.Machine) *Model {
 		mach:   m,
 		chipOf: chipOf,
 		words:  (m.NCores+63)/64 - 1,
+		spare:  spare,
 		Prof:   prof.New(),
 	}
+}
+
+// Release moves the model's directory pages onto the list it was built on
+// and empties the directory, so any later access to one of its lines
+// panics. A model built without a list is left as it is. Sharer-word
+// arrays of another length than this model's are dropped from the list.
+func (md *Model) Release() {
+	sp := md.spare
+	if sp == nil {
+		return
+	}
+	sp.pages = append(sp.pages, md.pages...)
+	if len(md.wide) > 0 {
+		if len(sp.wide) > 0 && len(sp.wide[0]) != len(md.wide[0]) {
+			clear(sp.wide)
+			sp.wide = sp.wide[:0]
+		}
+		sp.wide = append(sp.wide, md.wide...)
+	}
+	md.pages, md.wide, md.n, md.spare = nil, nil, 0, nil
+}
+
+// newPage returns a directory page, from the spare list when it has one.
+// Its entries may hold an earlier model's state; Alloc overwrites each
+// entry before the line is used.
+func (md *Model) newPage() *page {
+	if sp := md.spare; sp != nil {
+		if n := len(sp.pages); n > 0 {
+			pg := sp.pages[n-1]
+			sp.pages[n-1] = nil
+			sp.pages = sp.pages[:n-1]
+			return pg
+		}
+	}
+	return new(page)
+}
+
+// newWide returns a zeroed sharer-word array for one page, reusing one of
+// the spare list's when its length matches.
+func (md *Model) newWide() []uint64 {
+	if sp := md.spare; sp != nil {
+		if n := len(sp.wide); n > 0 && len(sp.wide[n-1]) == pageSize*md.words {
+			w := sp.wide[n-1]
+			sp.wide[n-1] = nil
+			sp.wide = sp.wide[:n-1]
+			clear(w)
+			return w
+		}
+	}
+	return make([]uint64, pageSize*md.words)
 }
 
 // Label attaches a profiler record to a line so its coherence traffic
@@ -210,9 +287,9 @@ func (md *Model) Alloc(homeChip int) Line {
 	}
 	pg, i := md.n/pageSize, md.n%pageSize
 	if i == 0 {
-		md.pages = append(md.pages, new(page))
+		md.pages = append(md.pages, md.newPage())
 		if md.words > 0 {
-			md.wide = append(md.wide, make([]uint64, pageSize*md.words))
+			md.wide = append(md.wide, md.newWide())
 		}
 	}
 	md.pages[pg][i] = state{owner: -1, home: int8(homeChip)}

@@ -36,9 +36,17 @@ type LineStats struct {
 	WaitCycles int64
 }
 
+// lockSlab is how many lock records one slab holds. A simulated kernel
+// constructs thousands of locks (per-core, per-dentry, per-inode), so
+// records come a slab at a time instead of one allocation each.
+const lockSlab = 128
+
 // Registry owns all stats for one simulated machine.
 type Registry struct {
-	locks []*LockStats
+	// locks holds the lock records in registration order, lockSlab to a
+	// slab. Slabs are allocated at full capacity and never grow, so the
+	// pointers Lock hands out stay valid.
+	locks [][]LockStats
 	lines []*LineStats
 }
 
@@ -47,9 +55,14 @@ func New() *Registry { return &Registry{} }
 
 // Lock registers and returns a stats record for a named lock.
 func (r *Registry) Lock(name string) *LockStats {
-	s := &LockStats{Name: name}
-	r.locks = append(r.locks, s)
-	return s
+	n := len(r.locks)
+	if n == 0 || len(r.locks[n-1]) == lockSlab {
+		r.locks = append(r.locks, make([]LockStats, 0, lockSlab))
+		n++
+	}
+	slab := append(r.locks[n-1], LockStats{Name: name})
+	r.locks[n-1] = slab
+	return &slab[len(slab)-1]
 }
 
 // Line registers and returns a stats record for a named cache line.
@@ -63,16 +76,19 @@ func (r *Registry) Line(name string) *LineStats {
 // aggregated by name (per-core lock instances share a logical name).
 func (r *Registry) TopLocks(n int) []LockStats {
 	agg := map[string]*LockStats{}
-	for _, s := range r.locks {
-		name := logicalName(s.Name)
-		a, ok := agg[name]
-		if !ok {
-			a = &LockStats{Name: name}
-			agg[name] = a
+	for _, slab := range r.locks {
+		for i := range slab {
+			s := &slab[i]
+			name := logicalName(s.Name)
+			a, ok := agg[name]
+			if !ok {
+				a = &LockStats{Name: name}
+				agg[name] = a
+			}
+			a.Acquisitions += s.Acquisitions
+			a.Contended += s.Contended
+			a.WaitCycles += s.WaitCycles
 		}
-		a.Acquisitions += s.Acquisitions
-		a.Contended += s.Contended
-		a.WaitCycles += s.WaitCycles
 	}
 	out := make([]LockStats, 0, len(agg))
 	for _, a := range agg {

@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,5 +92,25 @@ func TestEmptyReport(t *testing.T) {
 	out := New().Report(5)
 	if !strings.Contains(out, "(none)") {
 		t.Errorf("empty report should say (none):\n%s", out)
+	}
+}
+
+// TestLockRecordsSpanSlabs: records handed out from several slabs stay
+// where they were handed out, so counters written through early pointers
+// after later registrations all reach the report.
+func TestLockRecordsSpanSlabs(t *testing.T) {
+	r := New()
+	const n = 3*lockSlab + 1
+	recs := make([]*LockStats, n)
+	for i := range recs {
+		recs[i] = r.Lock("dentry:" + strconv.Itoa(i))
+	}
+	for i, s := range recs {
+		s.Acquisitions = 1
+		s.WaitCycles = int64(i)
+	}
+	top := r.TopLocks(1)
+	if want := int64(n * (n - 1) / 2); len(top) != 1 || top[0].Acquisitions != n || top[0].WaitCycles != want {
+		t.Errorf("TopLocks = %+v, want one row with %d acquisitions and %d wait cycles", top, n, want)
 	}
 }

@@ -37,6 +37,27 @@ func BenchmarkYieldHandoff(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkHandoffMany measures dispatch with a crowded runnable heap: 64
+// procs on 48 cores, each idling a random 1..4000 cycles per step, keep
+// about 60 procs runnable, so nearly every Idle hands off to another proc.
+// That is latload's dispatch shape, so a heap or handoff change can be
+// sized here before a full benchmark run. One op is one Idle.
+func BenchmarkHandoffMany(b *testing.B) {
+	const procs = 64
+	e := NewEngine(topo.New(48), 1)
+	steps := max(b.N/procs, 1)
+	for i := range procs {
+		e.Spawn(i%48, "idler", 0, func(p *Proc) {
+			for range steps {
+				p.Idle(1 + e.Rand.Int63n(4000))
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkSpawnRunReusedParked measures a whole Spawn+Run cycle of 48
 // trivial procs on one pooled engine reused via Reset — the sweep arena's
 // steady state, where each Spawn hands a parked coroutine a new body.

@@ -86,8 +86,7 @@ func (l *MCSLock) Release(p *sim.Proc) {
 	// State transitions happen before cycle charging (see SpinLock), so a
 	// proc that observes the lock state mid-charge cannot strand itself.
 	if len(l.waiters) > 0 {
-		next := l.waiters[0]
-		l.waiters = l.waiters[1:]
+		next := dequeue(&l.waiters)
 		next.Wake(p.Now())
 		// Write the successor's qnode (remote line, but just one).
 		p.Advance(l.md.Write(p.Core(), l.qnodeLines[next.Core()], p.Now()))

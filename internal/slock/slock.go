@@ -156,14 +156,28 @@ func (l *SpinLock) Release(p *sim.Proc) {
 	traffic := int64(len(l.waiters)) * spinTrafficPerWaiter
 	cost += traffic
 	if len(l.waiters) > 0 {
-		next := l.waiters[0]
-		l.waiters = l.waiters[1:]
+		next := dequeue(&l.waiters)
 		// The new holder cannot proceed until the polling storm drains.
 		next.Wake(p.Now() + traffic)
 	} else {
 		l.held = false
 	}
 	l.adv(p, cost)
+}
+
+// dequeue removes and returns the oldest entry of a FIFO wait queue. It
+// shifts the rest down in place rather than reslicing past the front, so
+// the queue keeps its capacity and a steadily contended lock stops
+// allocating once its queue has grown to the peak waiter count (at most
+// one entry per core).
+func dequeue[T any](q *[]T) T {
+	s := *q
+	head := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	*q = s[:n]
+	return head
 }
 
 // Acquisitions returns the total acquire count.
@@ -268,8 +282,7 @@ func (m *Mutex) Release(p *sim.Proc) {
 		panic("slock: release of unheld mutex " + m.Name)
 	}
 	if len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		next := dequeue(&m.waiters)
 		next.Wake(p.Now())
 	} else {
 		m.held = false
@@ -386,16 +399,14 @@ func (rw *RWMutex) drain(p *sim.Proc) {
 	}
 	if rw.waitQueue[0].write {
 		if rw.readers == 0 {
-			w := rw.waitQueue[0]
-			rw.waitQueue = rw.waitQueue[1:]
+			w := dequeue(&rw.waitQueue)
 			rw.writer = true
 			w.p.Wake(p.Now())
 		}
 		return
 	}
 	for len(rw.waitQueue) > 0 && !rw.waitQueue[0].write {
-		w := rw.waitQueue[0]
-		rw.waitQueue = rw.waitQueue[1:]
+		w := dequeue(&rw.waitQueue)
 		rw.readers++
 		w.p.Wake(p.Now())
 	}

@@ -305,3 +305,56 @@ func TestSpinLockWaitCountsAsSystemTime(t *testing.T) {
 		t.Errorf("waiter sys time = %d; busy-wait must be accounted as system time", got)
 	}
 }
+
+// TestContendedCycleAllocatesNothing guards the wait queues' host cost:
+// a dequeue keeps the queue's capacity, so once every lock has queued its
+// peak number of waiters, contended acquire/release cycles allocate
+// nothing.
+func TestContendedCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const cores = 8
+	for name, mk := range map[string]func(*mem.Model) Locker{
+		"spin":  func(md *mem.Model) Locker { return NewSpinLock(md, "l", 0) },
+		"mutex": func(md *mem.Model) Locker { return NewMutex(md, "l", 0) },
+		"mcs":   func(md *mem.Model) Locker { return NewMCSLock(md, "l", 0) },
+	} {
+		e, md := setup(cores)
+		l := mk(md)
+		cycle := func(p *sim.Proc) {
+			l.Acquire(p)
+			p.Advance(100)
+			l.Release(p)
+		}
+		done := false
+		var allocs float64
+		e.Spawn(0, "measure", 0, func(p *sim.Proc) {
+			for range 200 {
+				cycle(p)
+			}
+			// Each run spans 64 cycles, so a queue that reallocates
+			// every few dequeues shows up in the per-run average.
+			allocs = testing.AllocsPerRun(20, func() {
+				for range 64 {
+					cycle(p)
+				}
+			})
+			done = true
+		})
+		for c := 1; c < cores; c++ {
+			e.Spawn(c, "contend", 0, func(p *sim.Proc) {
+				for !done {
+					cycle(p)
+				}
+			})
+		}
+		e.Run()
+		if l.Contended() == 0 {
+			t.Fatalf("%s: no acquire waited; the test needs contention", name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a contended acquire/release cycle allocates %.1f objects per 64 cycles, want 0", name, allocs)
+		}
+	}
+}
