@@ -62,8 +62,8 @@ type Result struct {
 	// and link loss.
 	NetRetries int64
 	// NetDups counts spurious duplicate deliveries the stack processed
-	// and discarded: injected NIC dups plus, in open-loop runs, client
-	// retransmissions of requests that were already queued.
+	// and discarded: injected NIC dups. (Open-loop memcached re-serves
+	// client retransmissions in full, so they add none.)
 	NetDups int64
 
 	// Open-loop fields, populated only by the RunXOpenLoop runners. Ops

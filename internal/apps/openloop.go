@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/load"
 	"repro/internal/netsim"
@@ -10,10 +8,10 @@ import (
 	"repro/internal/topo"
 )
 
-// OpenLoopOpts configures an open-loop run of one of the server apps:
-// arrivals at a configured fraction of the app's saturation rate,
-// independent of how fast the server answers — the regime where overload
-// and tail latency are visible, unlike the paper's closed-loop clients.
+// OpenLoopOpts configures an open-loop run of memcached: arrivals at a
+// configured fraction of the server's saturation rate, independent of how
+// fast the server answers — the regime where overload and tail latency
+// are visible, unlike the paper's closed-loop clients.
 type OpenLoopOpts struct {
 	// Arrival selects the arrival process (nil = poisson over the
 	// default simulated user population).
@@ -55,23 +53,38 @@ func (o OpenLoopOpts) loadPercent() int {
 	return 100
 }
 
-// runOpenLoop is the two-phase driver shared by the per-app open-loop
-// runners. Phase 1 runs the app closed-loop (spawnCalib installs the
-// same worker bodies the paper's figures use) to locate this
-// configuration's saturation rate on this machine — so "offered load =
-// 150%" means 150% of what *these* cores at *this* core count can
-// actually serve, not a magic constant. Phase 2 re-runs the engine with
-// load.Run generating open-loop arrivals at that calibrated rate scaled
-// by LoadPercent; all measured-phase accounting is deltas from the end
-// of calibration.
-func runOpenLoop(k *kernel.Kernel, name string, ol OpenLoopOpts,
-	reqBytes, respBytes int64, stack *netsim.Stack,
-	spawnCalib func(perCore int), srv load.Server) Result {
-
+// RunMemcachedOpenLoop drives the object-cache workload open-loop in two
+// phases. Phase 1 runs it closed-loop (the same worker bodies the paper's
+// figures use) to locate this configuration's saturation rate on this
+// machine — so "offered load = 150%" means 150% of what *these* cores at
+// *this* core count can actually serve, not a magic constant. Phase 2
+// re-runs the engine with load.Run generating open-loop arrivals at that
+// calibrated rate scaled by LoadPercent; all measured-phase accounting is
+// deltas from the end of calibration.
+func RunMemcachedOpenLoop(k *kernel.Kernel, opts MemcachedOpts, ol OpenLoopOpts) Result {
 	e := k.Engine
+	var nic *netsim.NIC
+	if opts.UseNIC {
+		nic = netsim.NewNICFor(k.Machine, netsim.MemcachedNIC(), k.Machine.NCores)
+	}
+	stack := k.NewStack(nic)
 	workers := onlineCores(k)
+	serve := func(p *sim.Proc, sock *netsim.UDPSocket) {
+		stack.RecvUDP(p, sock, opts.RequestBytes)
+		p.AdvanceUser(memcachedUserWork)
+		stack.SendUDP(p, sock, opts.ResponseBytes)
+	}
 
-	spawnCalib(ol.calib())
+	calib := ol.calib()
+	for _, c := range workers {
+		e.Spawn(c, "memcached-calib", 0, func(p *sim.Proc) {
+			sock := stack.NewUDPSocket(p)
+			for i := 0; i < calib; i++ {
+				serve(p, sock)
+			}
+			stack.CloseUDP(p, sock)
+		})
+	}
 	e.Run()
 	calEnd := e.Now()
 	user0, sys0 := e.TotalUserCycles(), e.TotalSysCycles()
@@ -80,7 +93,7 @@ func runOpenLoop(k *kernel.Kernel, name string, ol OpenLoopOpts,
 	// Per-request wall time at saturation: every core ran its budget
 	// concurrently, so the elapsed virtual time over one core's budget is
 	// the knee's inter-completion gap.
-	perReq := calEnd / int64(ol.calib())
+	perReq := calEnd / int64(calib)
 	gap := perReq * 100 / int64(ol.loadPercent())
 	if gap < 1 {
 		gap = 1
@@ -93,15 +106,33 @@ func runOpenLoop(k *kernel.Kernel, name string, ol OpenLoopOpts,
 		MeanGapCycles: gap,
 		ServiceCycles: perReq,
 		Requests:      ol.requests(),
-		RequestBytes:  reqBytes,
-		ResponseBytes: respBytes,
+		RequestBytes:  opts.RequestBytes,
+		ResponseBytes: opts.ResponseBytes,
 		Start:         calEnd,
-	}, srv)
+	}, load.Server{
+		NewWorker: func(p *sim.Proc) load.Handler {
+			sock := stack.NewUDPSocket(p)
+			request := func(p *sim.Proc) { serve(p, sock) }
+			return load.Handler{
+				Request: request,
+				// UDP has no duplicate suppression: a retransmitted GET
+				// is indistinguishable from a fresh one and is served in
+				// full, the client keeping only the first answer. This
+				// is what lets a retry storm eat the server's capacity.
+				Discard: request,
+			}
+		},
+		// UDP sheds free at the card: a datagram arriving to a full
+		// receive ring dies in the MAC FIFO without crossing the DMA
+		// engine, so dropping costs no cycles — which is what lets the
+		// bounded-ring policy hold goodput at peak when the NIC itself is
+		// the bottleneck. Hence no Shed callback.
+	})
 	e.Run()
 	st.Finish()
 
 	return Result{
-		App:            name,
+		App:            "memcached",
 		Cores:          k.Machine.NCores,
 		Ops:            st.Completed,
 		OfferedOps:     st.Offered,
@@ -117,235 +148,4 @@ func runOpenLoop(k *kernel.Kernel, name string, ol OpenLoopOpts,
 		DRAMUtil:       k.DRAMUtilization(),
 		LinkUtil:       k.LinkUtilization(),
 	}
-}
-
-// RunMemcachedOpenLoop drives the object-cache workload open-loop.
-func RunMemcachedOpenLoop(k *kernel.Kernel, opts MemcachedOpts, ol OpenLoopOpts) Result {
-	e := k.Engine
-	var nic *netsim.NIC
-	if opts.UseNIC {
-		nic = netsim.NewNICFor(k.Machine, netsim.MemcachedNIC(), k.Machine.NCores)
-	}
-	stack := k.NewStack(nic)
-
-	spawnCalib := func(n int) {
-		for _, c := range onlineCores(k) {
-			e.Spawn(c, "memcached-calib", 0, func(p *sim.Proc) {
-				sock := stack.NewUDPSocket(p)
-				for i := 0; i < n; i++ {
-					stack.RecvUDP(p, sock, opts.RequestBytes)
-					p.AdvanceUser(memcachedUserWork)
-					stack.SendUDP(p, sock, opts.ResponseBytes)
-				}
-				stack.CloseUDP(p, sock)
-			})
-		}
-	}
-	srv := load.Server{
-		NewWorker: func(p *sim.Proc) load.Handler {
-			sock := stack.NewUDPSocket(p)
-			serve := func(p *sim.Proc) {
-				stack.RecvUDP(p, sock, opts.RequestBytes)
-				p.AdvanceUser(memcachedUserWork)
-				stack.SendUDP(p, sock, opts.ResponseBytes)
-			}
-			return load.Handler{
-				Request: serve,
-				// UDP has no duplicate suppression: a retransmitted GET
-				// is indistinguishable from a fresh one and is served in
-				// full, the client keeping only the first answer. This
-				// is what lets a retry storm eat the server's capacity.
-				Discard: serve,
-			}
-		},
-		// UDP sheds at the card: a datagram arriving to a full receive
-		// ring dies in the MAC FIFO without crossing the DMA engine, so
-		// dropping is free — which is what lets the bounded-ring policy
-		// hold goodput at peak when the NIC itself is the bottleneck.
-		Shed: func(p *sim.Proc) { stack.ShedDrop(p) },
-	}
-	return runOpenLoop(k, "memcached", ol, opts.RequestBytes, opts.ResponseBytes,
-		stack, spawnCalib, srv)
-}
-
-// RunApacheOpenLoop drives the web-server workload open-loop.
-func RunApacheOpenLoop(k *kernel.Kernel, opts ApacheOpts, ol OpenLoopOpts) Result {
-	e := k.Engine
-	fs := k.FS
-	var nic *netsim.NIC
-	if opts.UseNIC {
-		nic = netsim.NewNICFor(k.Machine, netsim.ApacheNIC(), k.Machine.NCores)
-	}
-	stack := k.NewStack(nic)
-	fs.MustCreateFile("/var/www/htdocs/index.html", opts.FileBytes)
-
-	// Listener setup mirrors RunApache's bootstrap: the calibration
-	// phase's master proc creates the listeners, and the open-loop
-	// workers keep serving on them.
-	listeners := make([]*netsim.Listener, k.Machine.NCores)
-	spawnCalib := func(n int) {
-		e.Spawn(k.FirstOnline(), "apache-master", 0, func(p *sim.Proc) {
-			if opts.SingleInstance {
-				shared := stack.Listen(p)
-				for c := range listeners {
-					listeners[c] = shared
-				}
-			} else {
-				for c := range listeners {
-					listeners[c] = stack.Listen(p)
-				}
-			}
-			for _, c := range onlineCores(k) {
-				p.Engine().Spawn(c, "apache-calib", p.Now(), func(wp *sim.Proc) {
-					for i := 0; i < n; i++ {
-						apacheRequest(k, wp, stack, nic, listeners[c], opts)
-					}
-				})
-			}
-		})
-	}
-	srv := load.Server{
-		NewWorker: func(p *sim.Proc) load.Handler {
-			core := p.Core()
-			return load.Handler{
-				Request: func(p *sim.Proc) {
-					apacheRequest(k, p, stack, nic, listeners[core], opts)
-				},
-				Discard: func(p *sim.Proc) { stack.DiscardDup(p) },
-			}
-		},
-		Shed: func(p *sim.Proc) { stack.ShedReject(p) },
-	}
-	return runOpenLoop(k, "Apache", ol, apacheReqBytes, apacheHdrBytes+opts.FileBytes,
-		stack, spawnCalib, srv)
-}
-
-// RunEximOpenLoop drives the mail-server workload open-loop: each
-// arrival is one message delivered over a per-core long-lived SMTP
-// connection (open-loop clients hold their connections instead of the
-// closed-loop 10-messages-then-reconnect cycle).
-func RunEximOpenLoop(k *kernel.Kernel, opts EximOpts, ol OpenLoopOpts) Result {
-	e := k.Engine
-	fs := k.FS
-	stack := k.NewStack(nil) // clients are on the same machine: loopback
-
-	for d := 0; d < opts.SpoolDirs; d++ {
-		fs.MustMkdirAll(fmt.Sprintf("/var/spool/input/%02d", d))
-	}
-	for u := 0; u < opts.Users; u++ {
-		fs.MustCreateFile(fmt.Sprintf("/var/mail/user%02d", u), 0)
-	}
-	fs.MustCreateFile("/var/log/exim/mainlog", 0)
-	for _, path := range eximConfigPaths {
-		fs.MustCreateFile(path, 4096)
-	}
-
-	spawnCalib := func(n int) {
-		for _, c := range onlineCores(k) {
-			e.Spawn(c, "exim-calib", 0, func(p *sim.Proc) {
-				mailAS := k.NewAddressSpace(p.Chip())
-				master := k.Procs.NewInitProcess(mailAS)
-				sent := 0
-				for sent < n {
-					conn := stack.DialLoopback(p)
-					connProc := k.Procs.Fork(p, master, mailAS)
-					k.Procs.ChildStart(p, connProc)
-					batch := opts.MessagesPerConn
-					if rem := n - sent; batch > rem {
-						batch = rem
-					}
-					for m := 0; m < batch; m++ {
-						user := e.Rand.Intn(opts.Users)
-						spool := e.Rand.Intn(opts.SpoolDirs)
-						eximMessage(k, p, stack, conn, connProc, user, spool, opts)
-						sent++
-					}
-					k.Procs.Exit(p, connProc)
-					stack.CloseLoopback(p, conn)
-				}
-			})
-		}
-	}
-	srv := load.Server{
-		NewWorker: func(p *sim.Proc) load.Handler {
-			mailAS := k.NewAddressSpace(p.Chip())
-			master := k.Procs.NewInitProcess(mailAS)
-			conn := stack.DialLoopback(p)
-			connProc := k.Procs.Fork(p, master, mailAS)
-			k.Procs.ChildStart(p, connProc)
-			return load.Handler{
-				Request: func(p *sim.Proc) {
-					user := e.Rand.Intn(opts.Users)
-					spool := e.Rand.Intn(opts.SpoolDirs)
-					eximMessage(k, p, stack, conn, connProc, user, spool, opts)
-				},
-				Discard: func(p *sim.Proc) { stack.DiscardDup(p) },
-			}
-		},
-		Shed: func(p *sim.Proc) { stack.ShedReject(p) },
-	}
-	return runOpenLoop(k, "Exim", ol, eximSMTPBytes, 80, stack, spawnCalib, srv)
-}
-
-// RunPostgresOpenLoop drives the database workload open-loop: each
-// arrival is one query on the core's long-lived steered connection
-// (open-loop clients cannot batch — batching is a closed-loop luxury,
-// which is exactly why the overload region looks different here).
-func RunPostgresOpenLoop(k *kernel.Kernel, opts PostgresOpts, ol OpenLoopOpts) Result {
-	e := k.Engine
-	fs := k.FS
-	stack := k.NewStack(nil)
-
-	fs.MustCreateFile("/pgdata/base/table", 600<<20)
-	fs.MustCreateFile("/pgdata/base/index", 128<<20)
-	fs.MustCreateFile("/pgdata/pg_xlog/wal", 0)
-	st := newPGState(k, opts)
-
-	spawnCalib := func(n int) {
-		for _, c := range onlineCores(k) {
-			e.Spawn(c, "postgres-calib", 0, func(p *sim.Proc) {
-				conn := stack.NewSteeredConn(p)
-				table := fs.Open(p, "/pgdata/base/table")
-				index := fs.Open(p, "/pgdata/base/index")
-				wal := fs.Open(p, "/pgdata/pg_xlog/wal")
-				done := 0
-				for done < n {
-					batch := opts.BatchSize
-					if rem := n - done; batch > rem {
-						batch = rem
-					}
-					stack.Recv(p, conn, int64(64*batch))
-					for q := 0; q < batch; q++ {
-						write := e.Rand.Float64() < opts.WriteFraction
-						pgQuery(k, p, st, table, index, wal, write, opts)
-					}
-					stack.Send(p, conn, int64(128*batch))
-					done += batch
-				}
-				fs.Close(p, table)
-				fs.Close(p, index)
-				fs.Close(p, wal)
-				stack.CloseConn(p, conn)
-			})
-		}
-	}
-	srv := load.Server{
-		NewWorker: func(p *sim.Proc) load.Handler {
-			conn := stack.NewSteeredConn(p)
-			table := fs.Open(p, "/pgdata/base/table")
-			index := fs.Open(p, "/pgdata/base/index")
-			wal := fs.Open(p, "/pgdata/pg_xlog/wal")
-			return load.Handler{
-				Request: func(p *sim.Proc) {
-					stack.Recv(p, conn, 64)
-					write := e.Rand.Float64() < opts.WriteFraction
-					pgQuery(k, p, st, table, index, wal, write, opts)
-					stack.Send(p, conn, 128)
-				},
-				Discard: func(p *sim.Proc) { stack.DiscardDup(p) },
-			}
-		},
-		Shed: func(p *sim.Proc) { stack.ShedReject(p) },
-	}
-	return runOpenLoop(k, "PostgreSQL", ol, 64, 128, stack, spawnCalib, srv)
 }

@@ -3,86 +3,83 @@ package apps
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/load"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
-// openLoopAt runs one app's open-loop driver at a small budget.
-func openLoopAt(t *testing.T, app string, cores int, ol OpenLoopOpts) Result {
-	t.Helper()
+// openLoopAt runs memcached's open-loop driver at a small budget.
+func openLoopAt(cores int, ol OpenLoopOpts) Result {
 	ol.RequestsPerCore = 120
 	ol.CalibRequestsPerCore = 30
 	k := kernel.New(topo.New(cores), kernel.PK(), 1)
-	switch app {
-	case "memcached":
-		return RunMemcachedOpenLoop(k, DefaultMemcachedOpts(), ol)
-	case "apache":
-		return RunApacheOpenLoop(k, DefaultApacheOpts(), ol)
-	case "exim":
-		return RunEximOpenLoop(k, DefaultEximOpts(), ol)
-	case "postgres":
-		return RunPostgresOpenLoop(k, DefaultPostgresOpts(), ol)
-	}
-	t.Fatalf("unknown app %q", app)
-	return Result{}
+	return RunMemcachedOpenLoop(k, DefaultMemcachedOpts(), ol)
 }
 
-// TestOpenLoopAllApps: every server workload runs under the open-loop
-// driver and produces a coherent Result: full accounting, a populated
+// TestOpenLoopAllApps: every open-loop server workload (memcached is the
+// only one) produces a coherent Result: full accounting, a populated
 // sojourn histogram, and an offered rate at the requested multiple.
 func TestOpenLoopAllApps(t *testing.T) {
-	for _, app := range []string{"memcached", "apache", "exim", "postgres"} {
-		app := app
-		t.Run(app, func(t *testing.T) {
-			r := openLoopAt(t, app, 4, OpenLoopOpts{LoadPercent: 75})
-			if r.OfferedOps != 4*120 {
-				t.Fatalf("offered %d, want %d", r.OfferedOps, 4*120)
-			}
-			if r.Ops+r.ShedOps+r.LateOps != r.OfferedOps {
-				t.Errorf("%d completed + %d shed + %d late != %d offered",
-					r.Ops, r.ShedOps, r.LateOps, r.OfferedOps)
-			}
-			if r.Ops == 0 {
-				t.Fatal("no completions at 75% load")
-			}
-			if int64(r.Sojourns.Count()) != r.Ops {
-				t.Errorf("sojourn histogram has %d samples, want %d", r.Sojourns.Count(), r.Ops)
-			}
-			if r.OfferedPerCore <= 0 {
-				t.Error("no offered rate recorded")
-			}
-			if r.SojournMicros(0.5) <= 0 || r.SojournMicros(0.99) < r.SojournMicros(0.5) {
-				t.Errorf("bad quantiles: p50 %.1fus p99 %.1fus", r.SojournMicros(0.5), r.SojournMicros(0.99))
-			}
-		})
-	}
+	t.Run("memcached", func(t *testing.T) {
+		r := openLoopAt(4, OpenLoopOpts{LoadPercent: 75})
+		if r.OfferedOps != 4*120 {
+			t.Fatalf("offered %d, want %d", r.OfferedOps, 4*120)
+		}
+		if r.Ops+r.ShedOps+r.LateOps != r.OfferedOps {
+			t.Errorf("%d completed + %d shed + %d late != %d offered",
+				r.Ops, r.ShedOps, r.LateOps, r.OfferedOps)
+		}
+		if r.Ops == 0 {
+			t.Fatal("no completions at 75% load")
+		}
+		if int64(r.Sojourns.Count()) != r.Ops {
+			t.Errorf("sojourn histogram has %d samples, want %d", r.Sojourns.Count(), r.Ops)
+		}
+		if r.OfferedPerCore <= 0 {
+			t.Error("no offered rate recorded")
+		}
+		if r.SojournMicros(0.5) <= 0 || r.SojournMicros(0.99) < r.SojournMicros(0.5) {
+			t.Errorf("bad quantiles: p50 %.1fus p99 %.1fus", r.SojournMicros(0.5), r.SojournMicros(0.99))
+		}
+	})
 }
 
-// TestOpenLoopOverloadDiffersByApp pins the two Discard models: the UDP
-// server (memcached) re-serves client retransmissions in full and counts
-// no duplicates, while TCP-backed servers dedup them cheaply and the
-// duplicate counter surfaces through Result.NetDups.
+// TestOpenLoopOverloadDiffersByApp pins memcached's Discard model: a UDP
+// server cannot tell a client retransmission from a fresh request, so it
+// re-serves each one in full and counts no duplicates.
 func TestOpenLoopOverloadDiffersByApp(t *testing.T) {
-	over := OpenLoopOpts{LoadPercent: 300}
-
-	mc := openLoopAt(t, "memcached", 4, over)
+	mc := openLoopAt(4, OpenLoopOpts{LoadPercent: 300})
 	if mc.NetRetries == 0 {
 		t.Error("memcached at 3x load shows no client retransmissions")
 	}
 	if mc.NetDups != 0 {
 		t.Errorf("memcached counts %d dedups; UDP cannot dedup", mc.NetDups)
 	}
+}
 
-	ap := openLoopAt(t, "apache", 4, over)
-	if ap.NetRetries == 0 {
-		t.Error("apache at 3x load shows no client retransmissions")
+// TestOpenLoopCountsInjectedDups: memcached re-serves client
+// retransmissions instead of counting them, but duplicates a faulty NIC
+// delivers during the measured phase still reach NetDups and DupsPerOp.
+func TestOpenLoopCountsInjectedDups(t *testing.T) {
+	spec, err := fault.Parse("dup:0.2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ap.NetDups == 0 {
-		t.Error("apache at 3x load deduplicated nothing; TCP should discard by sequence number")
+	m := topo.New(4)
+	plan, err := spec.CompileFor(m, m.NCores)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ap.DupsPerOp() <= 0 {
-		t.Error("DupsPerOp not derived from NetDups")
+	k := kernel.NewOnEngine(sim.NewEngine(m, 1), kernel.PK(), plan, nil)
+	r := RunMemcachedOpenLoop(k, DefaultMemcachedOpts(),
+		OpenLoopOpts{LoadPercent: 75, RequestsPerCore: 120, CalibRequestsPerCore: 30})
+	if r.NetDups == 0 {
+		t.Fatal("a NIC duplicating 20% of packets delivered no duplicates")
+	}
+	if got, want := r.DupsPerOp(), float64(r.NetDups)/float64(r.Ops); got != want {
+		t.Errorf("DupsPerOp = %v, want %v", got, want)
 	}
 }
 
@@ -91,11 +88,11 @@ func TestOpenLoopOverloadDiffersByApp(t *testing.T) {
 // runs away, and goodput under shedding is no worse.
 func TestOpenLoopSheddingCapsLatency(t *testing.T) {
 	over := OpenLoopOpts{LoadPercent: 200}
-	fifo := openLoopAt(t, "memcached", 4, over)
+	fifo := openLoopAt(4, over)
 
 	shed := over
 	shed.Shed = &load.ShedSpec{DelayCycles: load.DefaultShedDelayCycles}
-	sh := openLoopAt(t, "memcached", 4, shed)
+	sh := openLoopAt(4, shed)
 
 	if sh.ShedOps == 0 {
 		t.Fatal("bounded policy shed nothing at 2x load")
@@ -127,8 +124,8 @@ func TestOpenLoopDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	ol := OpenLoopOpts{Arrival: arr, Link: link, Shed: &load.ShedSpec{QueueLimit: 16}, LoadPercent: 150}
-	a := openLoopAt(t, "memcached", 4, ol)
-	b := openLoopAt(t, "memcached", 4, ol)
+	a := openLoopAt(4, ol)
+	b := openLoopAt(4, ol)
 	if a.Ops != b.Ops || a.ShedOps != b.ShedOps || a.LateOps != b.LateOps ||
 		a.NetRetries != b.NetRetries || *a.Sojourns != *b.Sojourns {
 		t.Error("identical open-loop runs diverged")

@@ -17,13 +17,12 @@ import (
 // core count) instead of building a new one, so the engine's parked proc
 // coroutines, core arrays, and heap storage carry across the whole grid.
 //
-// The generation counter exists for the watchdog in isolate.go: a point
-// that wedges past its deadline is abandoned on its goroutine, which may
-// still be blocked inside the slot's engine. abandon() disowns that engine
-// and bumps the generation, so the worker's next point builds a fresh one
-// while any late engine() call from the abandoned goroutine (whose Options
-// pinned the old generation) gets a throwaway engine instead of racing the
-// new owner.
+// A slot has one owner at a time, so it needs no lock. Normally that is
+// the fanOut worker that took it from the arena. When a point wedges past
+// the watchdog, the worker leaves the slot with the wedged body (which may
+// still be blocked inside its engine, or unwedge and boot another kernel
+// on it) and takes a new slot from the arena; the old slot never goes
+// back.
 //
 // While a fanOut worker holds the slot, it also keeps the worker's free
 // list of directory pages (spare), made when the worker boots its first
@@ -32,37 +31,14 @@ import (
 // The list lives for one sweep: the arena drops it when the slot comes
 // back, so a sweep's pages never outlive it.
 type engineSlot struct {
-	mu  sync.Mutex
-	gen uint64
 	eng *sim.Engine
 
 	spare  *mem.PageList
 	booted []*mem.Model // models the current point built on spare
 }
 
-// generation returns the slot's current generation; Options pin it so a
-// later abandon() cuts stale holders off.
-func (s *engineSlot) generation() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
-}
-
 // engine returns the slot's engine, reset for the given machine and seed.
-// A caller whose pinned generation is stale (its point was abandoned by
-// the watchdog) gets a throwaway non-pooled engine: its result will be
-// discarded anyway, and it must not touch the engine the slot's current
-// owner is using.
-func (s *engineSlot) engine(gen uint64, m *topo.Machine, seed uint64) *sim.Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.engineLocked(gen, m, seed)
-}
-
-func (s *engineSlot) engineLocked(gen uint64, m *topo.Machine, seed uint64) *sim.Engine {
-	if gen != s.gen {
-		return sim.NewEngine(m, seed)
-	}
+func (s *engineSlot) engine(m *topo.Machine, seed uint64) *sim.Engine {
 	if s.eng == nil {
 		s.eng = sim.NewPooledEngine(m, seed)
 	} else {
@@ -72,19 +48,12 @@ func (s *engineSlot) engineLocked(gen uint64, m *topo.Machine, seed uint64) *sim
 }
 
 // kernel boots a kernel on the slot's engine (see engine) whose memory
-// model draws on the worker's page list. A stale caller gets a fresh
-// engine and a model that allocates every page.
-func (s *engineSlot) kernel(gen uint64, m *topo.Machine, seed uint64, cfg kernel.Config, plan *fault.Plan) *kernel.Kernel {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.engineLocked(gen, m, seed)
-	if gen != s.gen {
-		return kernel.NewOnEngine(e, cfg, plan, nil)
-	}
+// model draws on the worker's page list.
+func (s *engineSlot) kernel(m *topo.Machine, seed uint64, cfg kernel.Config, plan *fault.Plan) *kernel.Kernel {
 	if s.spare == nil {
 		s.spare = new(mem.PageList)
 	}
-	k := kernel.NewOnEngine(e, cfg, plan, s.spare)
+	k := kernel.NewOnEngine(s.engine(m, seed), cfg, plan, s.spare)
 	s.booted = append(s.booted, k.MD)
 	return k
 }
@@ -94,8 +63,6 @@ func (s *engineSlot) kernel(gen uint64, m *topo.Machine, seed uint64, cfg kernel
 // worker's list; otherwise they are left to the garbage collector, since a
 // point that panicked may have left its models in any state.
 func (s *engineSlot) endPoint(recycle bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if recycle {
 		for _, md := range s.booted {
 			md.Release()
@@ -103,19 +70,6 @@ func (s *engineSlot) endPoint(recycle bool) {
 	}
 	clear(s.booted)
 	s.booted = s.booted[:0]
-}
-
-// abandon disowns the slot's engine without closing it — the wedged
-// point's goroutine may still be running inside it, so Close could hang.
-// The engine (and that goroutine) leak, deliberately: this only runs when
-// a point has already blown its wall-clock deadline. The wedged point may
-// still be drawing on the worker's page list, so the list goes with it.
-func (s *engineSlot) abandon() {
-	s.mu.Lock()
-	s.gen++
-	s.eng = nil
-	s.spare = nil
-	s.mu.Unlock()
 }
 
 // engineArena is the process-wide sync.Pool-style arena the sweep workers
@@ -144,9 +98,7 @@ func (a *engineArena) get() *engineSlot {
 // put takes a slot back from a worker whose sweep is done and drops the
 // worker's page list.
 func (a *engineArena) put(s *engineSlot) {
-	s.mu.Lock()
 	s.spare = nil
-	s.mu.Unlock()
 	a.mu.Lock()
 	if len(a.free) < runtime.GOMAXPROCS(0) {
 		a.free = append(a.free, s)
@@ -154,12 +106,9 @@ func (a *engineArena) put(s *engineSlot) {
 		return
 	}
 	a.mu.Unlock()
-	s.mu.Lock()
-	eng := s.eng
-	s.eng = nil
-	s.mu.Unlock()
-	if eng != nil {
-		eng.Close()
+	if s.eng != nil {
+		s.eng.Close()
+		s.eng = nil
 	}
 }
 
@@ -171,7 +120,7 @@ func (o Options) newEngine(m *topo.Machine) *sim.Engine {
 	if o.fresh || o.slot == nil {
 		return sim.NewEngine(m, o.seed())
 	}
-	return o.slot.engine(o.slotGen, m, o.seed())
+	return o.slot.engine(m, o.seed())
 }
 
 // newKernel boots a kernel for one sweep point on the engine o.newEngine
@@ -190,5 +139,5 @@ func (o Options) newKernel(m *topo.Machine, cfg kernel.Config) *kernel.Kernel {
 	if o.fresh || o.slot == nil {
 		return kernel.NewOnEngine(sim.NewEngine(m, o.seed()), cfg, plan, nil)
 	}
-	return o.slot.kernel(o.slotGen, m, o.seed(), cfg, plan)
+	return o.slot.kernel(m, o.seed(), cfg, plan)
 }

@@ -478,9 +478,9 @@ func (o Options) lookupPoint(a sweepAddr, key []byte) (Point, bool) {
 }
 
 // storePoint stores a freshly computed point under key. A point whose
-// watchdog already abandoned it (see runGuarded) is never stored: its slot
-// generation is stale, its result was discarded, and a late store would
-// poison reruns with a value no one validated.
+// watchdog already abandoned it (see runGuarded) is never stored: its
+// result was discarded, and a late store would poison reruns with a value
+// no one validated.
 func (o Options) storePoint(a sweepAddr, key string, p Point) {
 	if o.Cache == nil || (o.abandoned != nil && o.abandoned.Load()) {
 		return

@@ -170,10 +170,6 @@ type Options struct {
 	// list, set only by fanOut's workers; nil outside fanOut (fresh
 	// engines and freshly allocated pages are used then).
 	slot *engineSlot //mosvet:allow cachekeylint engine pooling handle; reuse is bit-for-bit identical to fresh engines
-	// slotGen pins the slot generation runGuarded saw when it started this
-	// point's body; a stale generation (the watchdog abandoned the slot)
-	// makes newEngine fall back to a throwaway engine. See engineSlot.
-	slotGen uint64 //mosvet:allow cachekeylint slot-generation guard for the watchdog; selects an engine, never changes results
 }
 
 // DefaultCores is the standard sweep on the default machine, a subset of
@@ -313,12 +309,14 @@ func (o Options) runGrid(s *Series, runs []variantRun) {
 // skipped when another shard owns it, and crash-isolated otherwise. Each
 // worker holds one pooled engine slot (unless o.fresh), so a whole grid
 // reuses at most GOMAXPROCS engines, and each point that returns a result
-// hands its directory pages to the worker's next point. Every point is an
-// independent simulation writing only its own index, so the result does
-// not depend on execution order. Failures land in s.Failed in index
-// order. The returned slices are indexed like at: errs[i] is nil exactly
-// when pts[i] holds a measurement, so experiments that derive rows from
-// several points can tell which rows to skip (see rowSkipReason).
+// hands its directory pages to the worker's next point. A point that
+// wedges past the watchdog keeps its slot, and the worker takes another.
+// Every point is an independent simulation writing only its own index, so
+// the result does not depend on execution order. Failures land in
+// s.Failed in index order. The returned slices are indexed like at:
+// errs[i] is nil exactly when pts[i] holds a measurement, so experiments
+// that derive rows from several points can tell which rows to skip (see
+// rowSkipReason).
 func (o Options) fanOut(s *Series, n int, at func(i int) (variant string, cores int, run func(cores int, o Options) Point)) ([]Point, []error) {
 	pts := make([]Point, n)
 	errs := make([]error, n)
@@ -332,12 +330,19 @@ func (o Options) fanOut(s *Series, n int, at func(i int) (variant string, cores 
 		wo := o
 		if !o.fresh {
 			wo.slot = arena.get()
-			defer arena.put(wo.slot)
+			defer func() { arena.put(wo.slot) }()
 		}
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			variant, cores, run := at(i)
 			pts[i], errs[i] = wo.safeCachedPoint(a, variant, cores, run)
-			if wo.slot != nil {
+			if wo.slot == nil {
+				continue
+			}
+			if _, wedged := errs[i].(pointTimeoutError); wedged {
+				// The wedged body keeps the slot; its engine leaks on
+				// purpose, since Close could hang on it.
+				wo.slot = arena.get()
+			} else {
 				wo.slot.endPoint(errs[i] == nil)
 			}
 		}

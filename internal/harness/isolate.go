@@ -49,18 +49,14 @@ var testPointHook func(exp, variant string, cores, attempt int)
 
 // runGuarded executes f on a child goroutine with a recover guard and a
 // wall-clock watchdog. A panic becomes an error; a watchdog expiry
-// abandons the child (it may be wedged forever inside the engine), disowns
-// the worker's pooled engine slot, and returns pointTimeoutError. The
-// abandoned flag handed to the child makes a later unwedge harmless: the
-// child sees it and keeps its result out of the shared cache (a wedged
-// simulation that eventually finishes computed under an engine the worker
-// already moved off of, and its point was already reported failed).
+// abandons the child (it may be wedged forever inside the engine) and
+// returns pointTimeoutError, on which fanOut's worker leaves its engine
+// slot to the child. The abandoned flag handed to the child makes a later
+// unwedge harmless: the child sees it and keeps its result out of the
+// shared cache (its point was already reported failed).
 func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Options) Point) (Point, error) {
 	co := o
 	co.abandoned = new(atomic.Bool)
-	if co.slot != nil {
-		co.slotGen = co.slot.generation()
-	}
 	type outcome struct {
 		p   Point
 		err error
@@ -84,9 +80,6 @@ func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Op
 		return out.p, out.err
 	case <-timer.C:
 		co.abandoned.Store(true)
-		if co.slot != nil {
-			co.slot.abandon()
-		}
 		return Point{}, pointTimeoutError{o.pointTimeout()}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/kernel"
 )
 
@@ -196,6 +197,62 @@ func TestAbandonedPointStaysOutOfCache(t *testing.T) {
 	}
 	if len(s2.Points) != 2 || len(s2.Failed) != 0 {
 		t.Errorf("rerun produced %d points, %d failures; want 2 and 0", len(s2.Points), len(s2.Failed))
+	}
+}
+
+// TestAbandonedPointKeepsItsSlot: a point that wedges past the watchdog
+// keeps the engine slot it booted on, and its sweep worker goes on with a
+// new one. The next point unwedges it, so the abandoned body boots and
+// runs a second kernel on its slot while the sweep is still running; under
+// -race that proves the two never share an engine or a page list. The
+// abandoned slot never returns to the arena.
+func TestAbandonedPointKeepsItsSlot(t *testing.T) {
+	mc := apps.DefaultMemcachedOpts()
+	mc.RequestsPerCore = 5
+	wedged := make(chan *engineSlot, 1)
+	release := make(chan struct{})
+	finished := make(chan struct{})
+	runs := []variantRun{{"V", func(c int, o Options) Point {
+		apps.RunMemcached(o.newKernel(o.topo(c), kernel.PK()), mc)
+		switch c {
+		case 2:
+			wedged <- o.slot
+			<-release
+			apps.RunMemcached(o.newKernel(o.topo(c), kernel.PK()), mc)
+			close(finished)
+		case 4:
+			close(release)
+		}
+		return Point{Cores: c, Variant: "V", PerCore: float64(c)}
+	}}}
+	// The timeout leaves room for the other points' kernels under -race.
+	o := Options{Cores: []int{1, 2, 4, 8}, Seed: 1, Serial: true, PointTimeout: time.Second}
+	s := &Series{ID: "iso-test"}
+	o.runGrid(s, runs)
+	if len(s.Failed) != 1 || s.Failed[0].Cores != 2 || !strings.Contains(s.Failed[0].Err, "timed out") {
+		t.Fatalf("failed points = %+v, want just cores=2 timed out", s.Failed)
+	}
+	if len(s.Points) != 3 {
+		t.Fatalf("surviving points = %+v, want cores 1, 4 and 8", s.Points)
+	}
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the released body did not finish its second kernel")
+	}
+	slot := <-wedged
+	if slot == nil {
+		t.Fatal("the wedged point ran without an engine slot")
+	}
+	if got := len(slot.booted); got != 2 {
+		t.Errorf("abandoned slot booted %d models, want 2 (both of its body's kernels)", got)
+	}
+	arena.mu.Lock()
+	defer arena.mu.Unlock()
+	for _, free := range arena.free {
+		if free == slot {
+			t.Error("the abandoned slot went back to the arena")
+		}
 	}
 }
 

@@ -72,11 +72,8 @@ func assertArenaHoldsNoPages(t *testing.T) {
 		t.Fatal("no engine slot came back to the arena")
 	}
 	for i, s := range arena.free {
-		s.mu.Lock()
-		spare, booted := s.spare, len(s.booted)
-		s.mu.Unlock()
-		if spare != nil || booted != 0 {
-			t.Errorf("arena slot %d still holds a page list (%v) and %d booted models", i, spare != nil, booted)
+		if s.spare != nil || len(s.booted) != 0 {
+			t.Errorf("arena slot %d still holds a page list (%v) and %d booted models", i, s.spare != nil, len(s.booted))
 		}
 	}
 }

@@ -62,11 +62,11 @@ type Handler struct {
 	Request func(p *sim.Proc)
 	// Discard pays the server-side cost of one client retransmission of
 	// a request that was already queued. The app chooses the model: a
-	// TCP-backed server dedups by sequence number and pays a cheap
-	// header-level discard (netsim.Stack.DiscardDup), while a stateless
-	// UDP server like memcached cannot tell a duplicate from a fresh
-	// request and re-serves it in full — the feedback loop that turns
-	// sustained overload into congestion collapse.
+	// TCP-backed server could dedup by sequence number and pay only a
+	// header-level discard, while a stateless UDP server like memcached
+	// cannot tell a duplicate from a fresh request and re-serves it in
+	// full — the feedback loop that turns sustained overload into
+	// congestion collapse.
 	Discard func(p *sim.Proc)
 }
 
@@ -78,6 +78,7 @@ type Server struct {
 	// Shed pays the early-rejection cost for a request refused at the
 	// accept queue. Runs on the generator proc, which is pinned to the
 	// same server core, so shedding honestly consumes server cycles.
+	// Nil means refusing a request costs nothing.
 	Shed func(p *sim.Proc)
 }
 

@@ -64,7 +64,6 @@ type Stack struct {
 	misdirected int64
 	retries     int64 // packets resent after a drop (= attempts lost)
 	duplicated  int64 // spurious duplicate deliveries processed
-	shed        int64 // requests refused at the bounded accept queue
 }
 
 // netDev models the net_device/device structure pair. Every packet reads
@@ -205,48 +204,6 @@ func (s *Stack) chargeDuplicate(p *sim.Proc) {
 		p.Advance(driverWork + protoWork/4)
 		s.duplicated++
 	}
-}
-
-// Sheds returns how many requests were refused at the bounded accept
-// queue by ShedReject or dropped at the card by ShedDrop.
-func (s *Stack) Sheds() int64 { return s.shed }
-
-// ShedReject charges the cost of refusing one request at a bounded
-// accept queue: the packet still crossed the card and the driver still
-// looked at it, but no protocol processing, payload copy, or socket
-// queueing happens — early shedding is cheap precisely because it stops
-// at the driver. Unconditional (no fault state, no PRNG draw): shedding
-// is an admission-control policy, not an injected failure.
-func (s *Stack) ShedReject(p *sim.Proc) {
-	if s.nic != nil {
-		s.nic.Transfer(p, 1)
-	}
-	p.Advance(driverWork)
-	s.shed++
-}
-
-// ShedDrop records one packet dropped at the card because the receive
-// ring is full: the MAC FIFO discards it before the DMA engine ever
-// moves it, so neither NIC engine capacity nor host cycles are spent.
-// This is the UDP overload response the paper observes for memcached —
-// and the reason card-level dropping protects goodput when the NIC is
-// the bottleneck, where a host-side reject (ShedReject) could not: the
-// rejected packet would still have consumed a slot of the scarce DMA
-// bandwidth on its way in.
-func (s *Stack) ShedDrop(p *sim.Proc) {
-	s.shed++
-}
-
-// DiscardDup charges the server-side tax of one client retransmission of
-// a request already queued: same path as a fault-injected spurious
-// duplicate (card + driver + header-level protocol work, then dropped),
-// but deterministic — the client's timeout, not a PRNG draw, decided it.
-func (s *Stack) DiscardDup(p *sim.Proc) {
-	if s.nic != nil {
-		s.nic.Transfer(p, 1)
-	}
-	p.Advance(driverWork + protoWork/4)
-	s.duplicated++
 }
 
 // SkbPool exposes the packet-buffer pool (statistics).

@@ -275,6 +275,11 @@ func Run(id string, o Options) (*Series, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, n := range o.Cores {
+		if n < 1 || n > m.MaxCores() {
+			return nil, fmt.Errorf("mosbench: core count %d out of range [1,%d]", n, m.MaxCores())
+		}
+	}
 	ho := harness.Options{
 		Cores: o.Cores, Quick: o.Quick, Seed: o.Seed, Serial: o.Serial,
 		Placement: pl, PointTimeout: o.PointTimeout, Cache: o.Cache,

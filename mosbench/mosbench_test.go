@@ -57,6 +57,35 @@ func TestRunValidatesShards(t *testing.T) {
 	}
 }
 
+// TestRunValidatesCores: a core count outside the selected machine's
+// [1, MaxCores] is rejected up front with cmd/mosbench's -cores message,
+// instead of failing every point of the sweep.
+func TestRunValidatesCores(t *testing.T) {
+	for _, tc := range []struct {
+		machine string
+		cores   []int
+		want    string
+	}{
+		{"", []int{0}, "core count 0 out of range [1,48]"},
+		{"", []int{1, -1}, "core count -1 out of range [1,48]"},
+		{"", []int{8, 49}, "core count 49 out of range [1,48]"},
+		{"ring16", []int{97}, "core count 97 out of range [1,96]"},
+	} {
+		_, err := Run("fig5", Options{Quick: true, Machine: tc.machine, Cores: tc.cores})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run(machine %q, cores %v) error = %v, want %q", tc.machine, tc.cores, err, tc.want)
+		}
+	}
+	// The bound is the selected machine's: 49 cores fit ring16.
+	s, err := Run("fig5", Options{Quick: true, Machine: "ring16", Cores: []int{49}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Failed) != 0 || len(s.Points) == 0 {
+		t.Errorf("ring16 at 49 cores: %d points, failures %+v", len(s.Points), s.Failed)
+	}
+}
+
 func TestRunQuickFig5(t *testing.T) {
 	s, err := Run("fig5", Options{Quick: true})
 	if err != nil {
