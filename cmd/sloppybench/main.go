@@ -1,25 +1,21 @@
 // Command sloppybench measures the real (non-simulated) sloppy counter
 // against a single shared atomic on the machine it runs on — the paper's
-// §4.3 comparison as a takeaway artifact. With -sim it instead sweeps the
-// same comparison on the simulated 48-core machine (the "scount"
-// experiment), with the sweep's core counts running concurrently.
+// §4.3 comparison as a takeaway artifact. The same comparison on the
+// simulated 48-core machine is `mosbench -experiment scount`.
 //
 // Usage:
 //
 //	sloppybench [-goroutines N] [-iters N] [-shards N] [-threshold N]
-//	sloppybench -sim [-quick] [-serial] [-seed N]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/mosbench"
 	"repro/sloppy"
 )
 
@@ -29,22 +25,8 @@ func main() {
 		iters      = flag.Int("iters", 500_000, "acquire/release pairs per worker")
 		shards     = flag.Int("shards", 16, "sloppy counter shards")
 		threshold  = flag.Int64("threshold", sloppy.DefaultThreshold, "per-shard spare cap")
-		sim        = flag.Bool("sim", false, "run the simulated core-count sweep instead of the real-machine churn")
-		quick      = flag.Bool("quick", false, "with -sim: shrink budgets and the sweep")
-		serial     = flag.Bool("serial", false, "with -sim: run sweep points serially")
-		seed       = flag.Uint64("seed", 1, "with -sim: deterministic PRNG seed")
 	)
 	flag.Parse()
-
-	if *sim {
-		s, err := mosbench.Run("scount", mosbench.Options{Quick: *quick, Serial: *serial, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sloppybench:", err)
-			os.Exit(1)
-		}
-		fmt.Println(mosbench.Table(s))
-		return
-	}
 
 	churn := func(acquire, release func()) time.Duration {
 		var wg sync.WaitGroup

@@ -109,24 +109,17 @@ func RunMemcachedOpenLoop(k *kernel.Kernel, opts MemcachedOpts, ol OpenLoopOpts)
 		RequestBytes:  opts.RequestBytes,
 		ResponseBytes: opts.ResponseBytes,
 		Start:         calEnd,
-	}, load.Server{
-		NewWorker: func(p *sim.Proc) load.Handler {
-			sock := stack.NewUDPSocket(p)
-			request := func(p *sim.Proc) { serve(p, sock) }
-			return load.Handler{
-				Request: request,
-				// UDP has no duplicate suppression: a retransmitted GET
-				// is indistinguishable from a fresh one and is served in
-				// full, the client keeping only the first answer. This
-				// is what lets a retry storm eat the server's capacity.
-				Discard: request,
-			}
-		},
-		// UDP sheds free at the card: a datagram arriving to a full
-		// receive ring dies in the MAC FIFO without crossing the DMA
-		// engine, so dropping costs no cycles — which is what lets the
+	}, func(p *sim.Proc) func(*sim.Proc) {
+		// UDP has no duplicate suppression, so load.Run serves a
+		// retransmitted GET in full, the client keeping only the first
+		// answer: this is what lets a retry storm eat the server's
+		// capacity. UDP also sheds free at the card: a datagram arriving
+		// to a full receive ring dies in the MAC FIFO without crossing the
+		// DMA engine, so dropping costs no cycles, which is what lets the
 		// bounded-ring policy hold goodput at peak when the NIC itself is
-		// the bottleneck. Hence no Shed callback.
+		// the bottleneck.
+		sock := stack.NewUDPSocket(p)
+		return func(p *sim.Proc) { serve(p, sock) }
 	})
 	e.Run()
 	st.Finish()

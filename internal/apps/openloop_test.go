@@ -46,7 +46,7 @@ func TestOpenLoopAllApps(t *testing.T) {
 	})
 }
 
-// TestOpenLoopOverloadDiffersByApp pins memcached's Discard model: a UDP
+// TestOpenLoopOverloadDiffersByApp pins memcached's retransmission model: a UDP
 // server cannot tell a client retransmission from a fresh request, so it
 // re-serves each one in full and counts no duplicates.
 func TestOpenLoopOverloadDiffersByApp(t *testing.T) {

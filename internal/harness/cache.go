@@ -208,28 +208,35 @@ func (c *Cache) Save() error {
 	if err != nil {
 		return fmt.Errorf("harness: cache encode: %w", err)
 	}
-	// A unique temp name per writer keeps concurrent saves from clobbering
-	// each other's in-flight files; OpenCache sweeps up any orphans.
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), cacheFileName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("harness: cache temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	// OpenCache sweeps up any temp file an interrupted save leaves.
+	if err := writeFileAtomic(c.path, data); err != nil {
 		return fmt.Errorf("harness: cache write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache close: %w", err)
-	}
-	os.Chmod(tmp.Name(), 0o644)
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache rename: %w", err)
 	}
 	c.dirty = false
 	return nil
+}
+
+// writeFileAtomic writes data to path through a temp file in the same
+// directory and a rename, so a reader never sees a truncated file. The
+// temp name is unique per writer, so concurrent writers never clobber
+// each other's in-flight files; on error it is removed.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		os.Chmod(tmp.Name(), 0o644)
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Hits returns how many lookups were served from the cache.
@@ -279,36 +286,20 @@ type CacheStats struct {
 }
 
 // WriteStatsJSON writes the cache's activity snapshot as indented JSON to
-// path, creating missing parent directories and using the same unique
-// temp-file + atomic-rename discipline as Save, so an interrupted write
-// never leaves a truncated stats file behind.
+// path, creating missing parent directories. Like Save it writes through
+// writeFileAtomic, so an interrupted write never leaves a truncated stats
+// file behind.
 func (c *Cache) WriteStatsJSON(path string) error {
 	data, err := json.MarshalIndent(c.Stats(), "", " ")
 	if err != nil {
 		return fmt.Errorf("harness: cache stats encode: %w", err)
 	}
 	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("harness: cache stats dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("harness: cache stats temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if err := writeFileAtomic(path, data); err != nil {
 		return fmt.Errorf("harness: cache stats write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache stats close: %w", err)
-	}
-	os.Chmod(tmp.Name(), 0o644)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache stats rename: %w", err)
 	}
 	return nil
 }

@@ -66,8 +66,8 @@ type Series struct {
 	// Points holds all measurements.
 	Points []Point
 	// Failed lists the sweep points that produced no measurement (panic
-	// after retry, or watchdog timeout); see safeCachedPoint. A run with
-	// failed points still reports every other point.
+	// or watchdog timeout); see safeCachedPoint. A run with failed points
+	// still reports every other point.
 	Failed []FailedPoint
 	// Notes are free-form lines (tables, attributions, caveats).
 	Notes []string
@@ -155,20 +155,21 @@ type Options struct {
 	Link    *load.LinkSpec
 	Shed    *load.ShedSpec
 
-	// fresh disables the engine arena: every sweep point builds a
-	// brand-new sim.Engine instead of resetting a pooled one. The panic
-	// retry in safeCachedPoint sets it (a recovered panic can leave a
-	// pooled engine's proc state arbitrary), and TestEngineReuseDeterminism
-	// compares fresh engines against pooled ones through it.
+	// fresh gives fanOut's workers no engine slot: every sweep point
+	// builds a brand-new sim.Engine and directory pages instead of
+	// reusing the worker's. TestEngineReuseDeterminism and
+	// TestRecycledPagesWideMachine compare fresh engines against pooled
+	// ones through it.
 	fresh bool //mosvet:allow cachekeylint fresh and reused engines are bit-for-bit identical, pinned by TestEngineReuseDeterminism
 
 	// abandoned is set by runGuarded's watchdog when it gives up on this
 	// point; the flag tells a later-unwedged point body that its result
 	// must not reach the shared cache. Nil outside runGuarded.
-	abandoned *atomic.Bool //mosvet:allow cachekeylint runtime bookkeeping set per attempt; never an input to the simulation
+	abandoned *atomic.Bool //mosvet:allow cachekeylint runtime bookkeeping set per point; never an input to the simulation
 	// slot is the calling sweep worker's pooled engine and directory-page
-	// list, set only by fanOut's workers; nil outside fanOut (fresh
-	// engines and freshly allocated pages are used then).
+	// list, set by safeCachedPoint for a missed point; nil outside fanOut
+	// and with fresh (fresh engines and freshly allocated pages are used
+	// then).
 	slot *engineSlot //mosvet:allow cachekeylint engine pooling handle; reuse is bit-for-bit identical to fresh engines
 }
 
@@ -307,16 +308,16 @@ func (o Options) runGrid(s *Series, runs []variantRun) {
 // parts of its cache key) and returns the body that computes it. Every
 // point goes through safeCachedPoint: served from o.Cache when possible,
 // skipped when another shard owns it, and crash-isolated otherwise. Each
-// worker holds one pooled engine slot (unless o.fresh), so a whole grid
-// reuses at most GOMAXPROCS engines, and each point that returns a result
-// hands its directory pages to the worker's next point. A point that
-// wedges past the watchdog keeps its slot, and the worker takes another.
-// Every point is an independent simulation writing only its own index, so
-// the result does not depend on execution order. Failures land in
-// s.Failed in index order. The returned slices are indexed like at:
-// errs[i] is nil exactly when pts[i] holds a measurement, so experiments
-// that derive rows from several points can tell which rows to skip (see
-// rowSkipReason).
+// worker owns one engine slot for the sweep (unless o.fresh), made at its
+// first cache miss and closed when the sweep ends, and each point that
+// returns a result hands its directory pages to the worker's next point.
+// A point that wedges past the watchdog keeps its slot, and the worker
+// makes another. Every point is an independent simulation writing only its
+// own index, so the result does not depend on execution order. Failures
+// land in s.Failed in index order. The returned slices are indexed like
+// at: errs[i] is nil exactly when pts[i] holds a measurement, so
+// experiments that derive rows from several points can tell which rows to
+// skip (see rowSkipReason).
 func (o Options) fanOut(s *Series, n int, at func(i int) (variant string, cores int, run func(cores int, o Options) Point)) ([]Point, []error) {
 	pts := make([]Point, n)
 	errs := make([]error, n)
@@ -327,24 +328,11 @@ func (o Options) fanOut(s *Series, n int, at func(i int) (variant string, cores 
 	}
 	var next atomic.Int64
 	worker := func() {
-		wo := o
-		if !o.fresh {
-			wo.slot = arena.get()
-			defer func() { arena.put(wo.slot) }()
-		}
+		var slot *engineSlot
+		defer func() { slot.close() }()
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			variant, cores, run := at(i)
-			pts[i], errs[i] = wo.safeCachedPoint(a, variant, cores, run)
-			if wo.slot == nil {
-				continue
-			}
-			if _, wedged := errs[i].(pointTimeoutError); wedged {
-				// The wedged body keeps the slot; its engine leaks on
-				// purpose, since Close could hang on it.
-				wo.slot = arena.get()
-			} else {
-				wo.slot.endPoint(errs[i] == nil)
-			}
+			pts[i], errs[i] = o.safeCachedPoint(a, &slot, variant, cores, run)
 		}
 	}
 	// The calling goroutine is worker 0; point bodies run on runGuarded's

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/kernel"
 )
 
 // TestEveryExperimentRunsQuick executes the complete registry with quick
@@ -79,5 +82,29 @@ func TestAblationsDirectionality(t *testing.T) {
 	}
 	if len(s.Notes) != 16 {
 		t.Errorf("ablation produced %d lines, want 16", len(s.Notes))
+	}
+}
+
+// TestAblationNotesNameTheirApp: each ablate note names the app that
+// measured its fix, which must be one of the apps the fix affects. The
+// VFS fixes affect Apache first but are measured on Exim.
+func TestAblationNotesNameTheirApp(t *testing.T) {
+	s := ByID("ablate").Run(quickOpts())
+	if len(s.Notes) != len(kernel.Fixes) {
+		t.Fatalf("ablation produced %d notes, want %d", len(s.Notes), len(kernel.Fixes))
+	}
+	for i, f := range kernel.Fixes {
+		app := ablationApp(f.Name)
+		if !slices.Contains(f.Apps, app) {
+			t.Errorf("fix %s is measured on %s, not one of its apps %v", f.Name, app, f.Apps)
+		}
+		if n := s.Notes[i]; !strings.HasPrefix(n, f.Name) || !strings.HasSuffix(n, "(apps: "+app+")") {
+			t.Errorf("note %q does not name %s's measuring app %s", n, f.Name, app)
+		}
+	}
+	for _, vfs := range []string{"dentry-ref", "vfsmount-ref", "dentry-lock", "mount-lock", "open-list"} {
+		if app := ablationApp(vfs); app != "Exim" {
+			t.Errorf("fix %s is measured on %s, want Exim", vfs, app)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
@@ -9,8 +8,7 @@ import (
 )
 
 // FailedPoint records one sweep point that produced no measurement: its
-// body panicked twice (once on the pooled engine, once on a fresh one) or
-// wedged past the wall-clock watchdog.
+// body panicked or wedged past the wall-clock watchdog.
 type FailedPoint struct {
 	// Variant and Cores identify the point the same way Series.Points do.
 	// For experiments that reuse the Cores column for another axis
@@ -21,9 +19,8 @@ type FailedPoint struct {
 	Err string
 }
 
-// pointTimeoutError marks a watchdog expiry; unlike a panic it is not
-// retried — a wedge is overwhelmingly deterministic (a simulation deadlock
-// or livelock), so a retry would just burn a second timeout.
+// pointTimeoutError marks a watchdog expiry: the point body may still be
+// running, so the sweep worker leaves its engine slot to it.
 type pointTimeoutError struct{ d time.Duration }
 
 func (e pointTimeoutError) Error() string {
@@ -43,18 +40,16 @@ func (o Options) pointTimeout() time.Duration {
 }
 
 // testPointHook, when non-nil, runs at the start of every guarded point
-// body. Tests install it to inject panics and wedges into chosen points;
-// attempt is 0 for the first try and 1 for the fresh-engine retry.
-var testPointHook func(exp, variant string, cores, attempt int)
+// body. Tests install it to inject panics and wedges into chosen points.
+var testPointHook func(exp, variant string, cores int)
 
 // runGuarded executes f on a child goroutine with a recover guard and a
 // wall-clock watchdog. A panic becomes an error; a watchdog expiry
 // abandons the child (it may be wedged forever inside the engine) and
-// returns pointTimeoutError, on which fanOut's worker leaves its engine
-// slot to the child. The abandoned flag handed to the child makes a later
-// unwedge harmless: the child sees it and keeps its result out of the
-// shared cache (its point was already reported failed).
-func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Options) Point) (Point, error) {
+// returns pointTimeoutError. The abandoned flag handed to the child makes
+// a later unwedge harmless: the child sees it and keeps its result out of
+// the shared cache (its point was already reported failed).
+func (o Options) runGuarded(exp, variant string, cores int, f func(o Options) Point) (Point, error) {
 	co := o
 	co.abandoned = new(atomic.Bool)
 	type outcome struct {
@@ -69,7 +64,7 @@ func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Op
 			}
 		}()
 		if testPointHook != nil {
-			testPointHook(exp, variant, cores, attempt)
+			testPointHook(exp, variant, cores)
 		}
 		ch <- outcome{p: f(co)}
 	}()
@@ -90,14 +85,17 @@ func (o Options) runGuarded(exp, variant string, cores, attempt int, f func(o Op
 // the address the sweep builds once (see sweepAddr). A cache hit returns on
 // the calling sweep worker without allocating: the key is built in a
 // stack buffer and looked up as bytes, and only a miss (or a shard check
-// with Shards > 1) turns it into a string. A miss runs the point body
-// under runGuarded, which stores the result unless the watchdog abandoned
-// the point. A panicking point is retried exactly once on a fresh
-// non-pooled engine (a recovered panic can leave a pooled engine's proc
-// state arbitrary), and a second panic or a watchdog timeout yields an
-// error instead of a Point. One crashing point therefore costs exactly
-// that point; the rest of the sweep completes.
-func (o Options) safeCachedPoint(a sweepAddr, variant string, cores int, f func(cores int, o Options) Point) (Point, error) {
+// with Shards > 1) turns it into a string.
+//
+// A miss runs the point body once under runGuarded, which stores the
+// result unless the watchdog abandoned the point. A panic or a watchdog
+// timeout yields an error instead of a Point, so one crashing point costs
+// exactly that point and the rest of the sweep completes. The body runs
+// on the worker's engine slot *slot (unless o.fresh), made here at the
+// worker's first miss. After a result or a panic the slot serves the
+// worker's next point, and Reset stops whatever coroutines a panic left;
+// after a timeout the wedged body keeps the slot and *slot is cleared.
+func (o Options) safeCachedPoint(a sweepAddr, slot **engineSlot, variant string, cores int, f func(cores int, o Options) Point) (Point, error) {
 	var buf [keyBufLen]byte
 	key := a.appendKey(buf[:0], variant, cores)
 	if o.Shards > 1 && !o.shardOwns(a.sec, string(key)) {
@@ -107,28 +105,25 @@ func (o Options) safeCachedPoint(a sweepAddr, variant string, cores int, f func(
 		return p, nil
 	}
 	skey := string(key)
-	body := func(co Options) Point {
+	if !o.fresh {
+		if *slot == nil {
+			*slot = new(engineSlot)
+		}
+		o.slot = *slot
+	}
+	p, err := o.runGuarded(a.exp, variant, cores, func(co Options) Point {
 		p := f(cores, co)
 		co.storePoint(a, skey, p)
 		return p
-	}
-	p, err := o.runGuarded(a.exp, variant, cores, 0, body)
-	if err == nil {
-		return p, nil
-	}
-	var timeout pointTimeoutError
-	if errors.As(err, &timeout) {
-		return Point{}, err
-	}
+	})
 	if o.slot != nil {
-		o.slot.endPoint(false) // the panicked attempt's models never recycle
+		if _, wedged := err.(pointTimeoutError); wedged {
+			// The wedged body keeps the slot. Its engine is never
+			// closed, since Close could hang on it.
+			*slot = nil
+		} else {
+			o.slot.endPoint(err == nil)
+		}
 	}
-	ro := o
-	ro.fresh = true
-	ro.slot = nil
-	p, err2 := ro.runGuarded(a.exp, variant, cores, 1, body)
-	if err2 == nil {
-		return p, nil
-	}
-	return Point{}, fmt.Errorf("failed twice (retried on a fresh engine): %v; retry: %v", err, err2)
+	return p, err
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/kernel"
+	"repro/internal/sim"
 )
 
 // isoRuns is a trivial one-variant grid whose points are pure functions of
@@ -20,42 +21,79 @@ func isoRuns() []variantRun {
 	}}}
 }
 
-func TestPointPanicIsRetriedOnFreshEngine(t *testing.T) {
+// TestPointPanicRunsOnce: a point whose body panics runs exactly once and
+// lands in Failed. The worker's next point runs on the same engine slot,
+// whose Reset stops whatever the panic left behind, and must equal the
+// same point on a fresh engine.
+func TestPointPanicRunsOnce(t *testing.T) {
 	defer func() { testPointHook = nil }()
+	mc := apps.DefaultMemcachedOpts()
+	mc.RequestsPerCore = 5
 	var mu sync.Mutex
-	attempts := map[int]int{}
-	testPointHook = func(exp, variant string, cores, attempt int) {
+	runs := map[int]int{}
+	slots := map[int]*engineSlot{}
+	testPointHook = func(exp, variant string, cores int) {
 		mu.Lock()
-		attempts[attempt]++
+		runs[cores]++
 		mu.Unlock()
-		if cores == 8 && attempt == 0 {
-			panic("injected transient panic")
+	}
+	memcached := []variantRun{{"V", func(c int, o Options) Point {
+		k := o.newKernel(o.topo(c), kernel.PK())
+		mu.Lock()
+		slots[c] = o.slot
+		mu.Unlock()
+		if c == 8 {
+			// Panic mid-run, leaving every other proc parked.
+			for core := 0; core < c; core++ {
+				k.Engine.Spawn(core, "spin", 0, func(p *sim.Proc) {
+					for {
+						p.Advance(100)
+					}
+				})
+			}
+			k.Engine.Spawn(0, "bomb", 1000, func(*sim.Proc) { panic("injected persistent panic") })
+			k.Engine.Run()
+		}
+		r := apps.RunMemcached(k, mc)
+		return Point{Cores: c, Variant: "V", PerCore: r.PerCore()}
+	}}}
+	o := Options{Cores: []int{1, 8, 48}, Seed: 1, Serial: true}
+	s := &Series{ID: "iso-test"}
+	o.runGrid(s, memcached)
+	if len(s.Failed) != 1 || s.Failed[0].Cores != 8 {
+		t.Fatalf("failed points = %+v, want exactly the 8-core one", s.Failed)
+	}
+	if len(s.Points) != 2 || s.Points[0].Cores != 1 || s.Points[1].Cores != 48 {
+		t.Fatalf("surviving points = %+v, want cores 1 and 48", s.Points)
+	}
+	for _, cores := range o.Cores {
+		if runs[cores] != 1 {
+			t.Errorf("point at %d cores ran %d times, want 1", cores, runs[cores])
 		}
 	}
-	o := Options{Cores: []int{1, 8}, Seed: 1}
-	s := &Series{ID: "iso-test"}
-	o.runGrid(s, isoRuns())
-	if len(s.Failed) != 0 {
-		t.Fatalf("transient panic left failed points: %+v", s.Failed)
+	if slots[8] == nil || slots[48] != slots[8] {
+		t.Errorf("the point after the panic ran on slot %p, want the panicked point's %p", slots[48], slots[8])
 	}
-	if len(s.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(s.Points))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if attempts[1] != 1 {
-		t.Errorf("retry attempts = %d, want exactly 1", attempts[1])
+	fo := o
+	fo.Cores, fo.fresh = []int{48}, true
+	fresh := &Series{ID: "iso-test"}
+	fo.runGrid(fresh, memcached)
+	if len(fresh.Points) != 1 || !reflect.DeepEqual(fresh.Points[0], s.Points[1]) {
+		t.Errorf("48-core point after the panic = %+v, fresh-engine run = %+v", s.Points[1], fresh.Points)
 	}
 }
 
-// TestPanicRetryCountsOneCacheMiss pins the cache accounting of a retried
-// point: the lookup happens once, before the guarded body, so a point
-// whose simulation panics on its first attempt and succeeds on the
-// fresh-engine retry is one miss, not two, and the retry's result is
-// stored for the rerun.
+// TestPanicRetryCountsOneCacheMiss pins the cache accounting of a point
+// that panics and is retried by rerunning its sweep. The lookup happens
+// once, before the guarded body, so the panicking run is one miss and
+// stores nothing; the rerun, whose body succeeds, is one more miss for
+// that point and stores it; a third run is all hits and returns the
+// second run's points.
 func TestPanicRetryCountsOneCacheMiss(t *testing.T) {
+	var panicking atomic.Bool
+	panicking.Store(true)
 	runs := []variantRun{{"V", func(c int, o Options) Point {
-		if c == 8 && !o.fresh { // only the retry runs on a fresh engine
+		if c == 8 && panicking.Load() {
 			panic("injected transient panic")
 		}
 		return Point{Cores: c, Variant: "V", PerCore: float64(c)}
@@ -67,14 +105,29 @@ func TestPanicRetryCountsOneCacheMiss(t *testing.T) {
 	o := Options{Cores: []int{1, 8}, Seed: 1, Cache: c}
 	s := &Series{ID: "iso-test"}
 	o.runGrid(s, runs)
-	if len(s.Failed) != 0 || len(s.Points) != 2 {
-		t.Fatalf("got %d points, %d failures; want 2 and 0", len(s.Points), len(s.Failed))
+	if len(s.Failed) != 1 || len(s.Points) != 1 {
+		t.Fatalf("got %d points, %d failures; want 1 and 1", len(s.Points), len(s.Failed))
 	}
 	if got := c.Misses(); got != 2 {
-		t.Errorf("Misses() = %d after a 2-point sweep with one retried point, want 2", got)
+		t.Errorf("Misses() = %d after a 2-point sweep with one panicking point, want 2", got)
 	}
 	if got := c.Stats().Experiments["iso-test"].Misses; got != 2 {
 		t.Errorf("iso-test section misses = %d, want 2", got)
+	}
+	if got := c.Len(); got != 1 {
+		t.Errorf("cache holds %d points, want 1 (the panicked point stores nothing)", got)
+	}
+	panicking.Store(false)
+	retried := &Series{ID: "iso-test"}
+	o.runGrid(retried, runs)
+	if len(retried.Failed) != 0 || len(retried.Points) != 2 {
+		t.Fatalf("retry got %d points, %d failures; want 2 and 0", len(retried.Points), len(retried.Failed))
+	}
+	if got := c.Misses(); got != 3 {
+		t.Errorf("Misses() = %d after the retry, want 3 (only the failed point misses again)", got)
+	}
+	if got := c.Hits(); got != 1 {
+		t.Errorf("Hits() = %d after the retry, want 1", got)
 	}
 	primedMisses := c.Misses()
 	s2 := &Series{ID: "iso-test"}
@@ -82,17 +135,17 @@ func TestPanicRetryCountsOneCacheMiss(t *testing.T) {
 	if got := c.Misses() - primedMisses; got != 0 {
 		t.Errorf("warm rerun missed %d times, want all hits", got)
 	}
-	if got := c.Hits(); got != 2 {
-		t.Errorf("warm rerun hit %d times, want 2", got)
+	if got := c.Hits(); got != 3 {
+		t.Errorf("Hits() = %d after the warm rerun, want 3", got)
 	}
-	if !reflect.DeepEqual(s2.Points, s.Points) {
-		t.Errorf("warm rerun points %+v differ from the primed %+v", s2.Points, s.Points)
+	if !reflect.DeepEqual(s2.Points, retried.Points) {
+		t.Errorf("warm rerun points %+v differ from the primed %+v", s2.Points, retried.Points)
 	}
 }
 
 // TestWarmHitsBypassGuard pins that a cache hit is served on the sweep
-// worker without entering the guarded point body: with every attempt of
-// every point set to panic, a warm rerun still returns the primed series
+// worker without entering the guarded point body: with every point set
+// to panic, a warm rerun still returns the primed series
 // in full, because no point body runs at all.
 func TestWarmHitsBypassGuard(t *testing.T) {
 	defer func() { testPointHook = nil }()
@@ -108,7 +161,7 @@ func TestWarmHitsBypassGuard(t *testing.T) {
 	}
 	misses := c.Misses()
 	var guarded atomic.Int64
-	testPointHook = func(exp, variant string, cores, attempt int) {
+	testPointHook = func(exp, variant string, cores int) {
 		guarded.Add(1)
 		panic("a warm hit must not enter the guarded body")
 	}
@@ -127,10 +180,15 @@ func TestWarmHitsBypassGuard(t *testing.T) {
 	}
 }
 
+// TestPersistentPanicFailsExactlyOnePoint: a point that panics every time
+// it runs fails on its own. It becomes one Failed entry carrying the panic
+// value, runs once, and the sweep's other points survive in grid order.
 func TestPersistentPanicFailsExactlyOnePoint(t *testing.T) {
 	defer func() { testPointHook = nil }()
-	testPointHook = func(exp, variant string, cores, attempt int) {
+	var runs atomic.Int64
+	testPointHook = func(exp, variant string, cores int) {
 		if cores == 8 {
+			runs.Add(1)
 			panic("injected persistent panic")
 		}
 	}
@@ -144,8 +202,11 @@ func TestPersistentPanicFailsExactlyOnePoint(t *testing.T) {
 	if f.Variant != "V" || f.Cores != 8 {
 		t.Errorf("failed point identifies %s@%d, want V@8", f.Variant, f.Cores)
 	}
-	if !strings.Contains(f.Err, "injected persistent panic") || !strings.Contains(f.Err, "retry") {
-		t.Errorf("failure %q should carry the panic value and note the retry", f.Err)
+	if !strings.Contains(f.Err, "injected persistent panic") {
+		t.Errorf("failure %q should carry the panic value", f.Err)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("the panicking point ran %d times, want 1", got)
 	}
 	// Every other point survived, in grid order.
 	if len(s.Points) != 2 || s.Points[0].Cores != 1 || s.Points[1].Cores != 48 {
@@ -204,19 +265,21 @@ func TestAbandonedPointStaysOutOfCache(t *testing.T) {
 // keeps the engine slot it booted on, and its sweep worker goes on with a
 // new one. The next point unwedges it, so the abandoned body boots and
 // runs a second kernel on its slot while the sweep is still running; under
-// -race that proves the two never share an engine or a page list. The
-// abandoned slot never returns to the arena.
+// -race that proves the two never share an engine or a page list.
 func TestAbandonedPointKeepsItsSlot(t *testing.T) {
 	mc := apps.DefaultMemcachedOpts()
 	mc.RequestsPerCore = 5
-	wedged := make(chan *engineSlot, 1)
+	var mu sync.Mutex
+	slots := map[int]*engineSlot{}
 	release := make(chan struct{})
 	finished := make(chan struct{})
 	runs := []variantRun{{"V", func(c int, o Options) Point {
 		apps.RunMemcached(o.newKernel(o.topo(c), kernel.PK()), mc)
+		mu.Lock()
+		slots[c] = o.slot
+		mu.Unlock()
 		switch c {
 		case 2:
-			wedged <- o.slot
 			<-release
 			apps.RunMemcached(o.newKernel(o.topo(c), kernel.PK()), mc)
 			close(finished)
@@ -240,26 +303,82 @@ func TestAbandonedPointKeepsItsSlot(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the released body did not finish its second kernel")
 	}
-	slot := <-wedged
-	if slot == nil {
+	mu.Lock()
+	defer mu.Unlock()
+	wedged := slots[2]
+	if wedged == nil {
 		t.Fatal("the wedged point ran without an engine slot")
 	}
-	if got := len(slot.booted); got != 2 {
+	if slots[1] != wedged {
+		t.Error("the worker's first two points ran on different slots")
+	}
+	if slots[4] == wedged || slots[8] != slots[4] {
+		t.Error("the worker did not move on to one new slot after the wedge")
+	}
+	if got := len(wedged.booted); got != 2 {
 		t.Errorf("abandoned slot booted %d models, want 2 (both of its body's kernels)", got)
 	}
-	arena.mu.Lock()
-	defer arena.mu.Unlock()
-	for _, free := range arena.free {
-		if free == slot {
-			t.Error("the abandoned slot went back to the arena")
+}
+
+// TestSweepClosesItsEngines: when a sweep ends, each worker closes its
+// slot's engine, so no parked proc coroutine outlives the sweep. The
+// wedged point's slot is the exception: its body may still be running on
+// it, and it is never closed.
+func TestSweepClosesItsEngines(t *testing.T) {
+	mc := apps.DefaultMemcachedOpts()
+	mc.RequestsPerCore = 5
+	var mu sync.Mutex
+	var seen []*engineSlot
+	var wedged *engineSlot
+	release := make(chan struct{})
+	finished := make(chan struct{})
+	runs := []variantRun{{"V", func(c int, o Options) Point {
+		apps.RunMemcached(o.newKernel(o.topo(c), kernel.PK()), mc)
+		mu.Lock()
+		if c == 16 {
+			wedged = o.slot
+		} else {
+			seen = append(seen, o.slot)
 		}
+		mu.Unlock()
+		if c == 16 {
+			defer close(finished)
+			<-release
+		}
+		return Point{Cores: c, Variant: "V", PerCore: float64(c)}
+	}}}
+	o := Options{Cores: []int{1, 2, 4, 8, 16, 24, 32, 48}, Seed: 1, PointTimeout: time.Second}
+	s := &Series{ID: "iso-test"}
+	o.runGrid(s, runs)
+	close(release)
+	<-finished
+	if len(s.Failed) != 1 || s.Failed[0].Cores != 16 {
+		t.Fatalf("failed points = %+v, want just cores=16 timed out", s.Failed)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	checked := 0
+	for i, slot := range seen {
+		if slot == nil || slot.eng == nil {
+			t.Fatalf("point %d ran without a pooled engine", i)
+		}
+		if slot == wedged {
+			continue // a point its worker ran before the wedge
+		}
+		checked++
+		if n := slot.eng.NumParked(); n != 0 {
+			t.Errorf("point %d's engine still parks %d coroutines after the sweep", i, n)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("every point ran on the wedged point's slot")
 	}
 }
 
 func TestWedgedPointHitsWatchdogWithoutRetry(t *testing.T) {
 	defer func() { testPointHook = nil }()
 	var wedgeAttempts atomic.Int64
-	testPointHook = func(exp, variant string, cores, attempt int) {
+	testPointHook = func(exp, variant string, cores int) {
 		if cores == 8 {
 			wedgeAttempts.Add(1)
 			time.Sleep(1500 * time.Millisecond) // past the watchdog
@@ -286,15 +405,15 @@ func TestWedgedPointHitsWatchdogWithoutRetry(t *testing.T) {
 }
 
 // TestDMAPanicFailsOnlyThatPoint: dma's points run through the same guard
-// as every grid point, so a point that panics on both attempts costs that
+// as every grid point, so a point that panics runs once and costs that
 // point alone: it is reported failed, the other point survives, and the
 // derived gain note says why it is missing.
 func TestDMAPanicFailsOnlyThatPoint(t *testing.T) {
 	defer func() { testPointHook = nil }()
-	var attempts atomic.Int64
-	testPointHook = func(exp, variant string, cores, attempt int) {
+	var ran atomic.Int64
+	testPointHook = func(exp, variant string, cores int) {
 		if exp == "dma" && variant == "local pools" {
-			attempts.Add(1)
+			ran.Add(1)
 			panic("injected persistent panic")
 		}
 	}
@@ -302,8 +421,8 @@ func TestDMAPanicFailsOnlyThatPoint(t *testing.T) {
 	if len(s.Failed) != 1 || s.Failed[0].Variant != "local pools" {
 		t.Fatalf("failed points = %+v, want exactly local pools", s.Failed)
 	}
-	if got := attempts.Load(); got != 2 {
-		t.Errorf("panicking point ran %d times, want 2 (one fresh-engine retry)", got)
+	if got := ran.Load(); got != 1 {
+		t.Errorf("panicking point ran %d times, want 1", got)
 	}
 	if len(s.Points) != 1 || s.Points[0].Variant != "node-0 pool" {
 		t.Errorf("surviving points = %+v, want just node-0 pool", s.Points)
@@ -314,11 +433,10 @@ func TestDMAPanicFailsOnlyThatPoint(t *testing.T) {
 }
 
 // TestSpoolDirsPanicFailsOnlyThatPoint: spool-dirs runs its directory
-// counts as fanOut points, so one count that panics on both attempts is
-// reported failed and the other six still measure.
+// counts as fanOut points, so one count that panics is reported failed and the other six still measure.
 func TestSpoolDirsPanicFailsOnlyThatPoint(t *testing.T) {
 	defer func() { testPointHook = nil }()
-	testPointHook = func(exp, variant string, cores, attempt int) {
+	testPointHook = func(exp, variant string, cores int) {
 		if exp == "spool-dirs" && variant == "dirs=62" {
 			panic("injected persistent panic")
 		}
@@ -351,7 +469,7 @@ func TestAblateWedgedPointHitsWatchdog(t *testing.T) {
 	}
 	e := ByID("ablate")
 	o := Options{Quick: true, Seed: 1, Cache: c}
-	testPointHook = func(exp, variant string, cores, attempt int) {
+	testPointHook = func(exp, variant string, cores int) {
 		if exp == "ablate" && variant == target {
 			panic("injected persistent panic")
 		}
@@ -370,7 +488,7 @@ func TestAblateWedgedPointHitsWatchdog(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	var wedged atomic.Int64
-	testPointHook = func(exp, variant string, cores, attempt int) {
+	testPointHook = func(exp, variant string, cores int) {
 		if exp == "ablate" && variant == target {
 			wedged.Add(1)
 			<-release

@@ -252,21 +252,21 @@ func runAblations(o Options) *Series {
 	max := o.maxCores()
 	s := &Series{ID: "ablate", Title: fmt.Sprintf("Per-fix ablations at %d cores (Figure 1)", max)}
 
-	// runFor picks the app used to measure a fix.
-	runFor := func(name string, cfg kernel.Config, o Options) float64 {
-		switch name {
-		case "parallel-accept":
+	// runFor measures one kernel configuration on the app that measures
+	// a fix (ablationApp).
+	runFor := func(app string, cfg kernel.Config, o Options) float64 {
+		switch app {
+		case "Apache":
 			return runApache(cfg, max, cfg.ParallelAccept, o).PerCore()
-		case "dst-ref", "proto-mem", "dma-buffers", "netdev-false-sharing",
-			"inode-lists", "dcache-lists":
+		case "memcached":
 			return runMemcached(cfg, max, o).PerCore()
-		case "lseek-mutex":
+		case "PostgreSQL":
 			k := o.newKernel(o.topo(max), cfg)
 			opts := apps.DefaultPostgresOpts()
 			opts.QueriesPerCore = scale(opts.QueriesPerCore, o.Quick)
 			opts.ModPG = true
 			return apps.RunPostgres(k, opts).PerCore()
-		case "superpage-locking", "superpage-zeroing":
+		case "Metis":
 			k := o.newKernel(o.topoRR(max), cfg)
 			opts := apps.DefaultMetisOpts()
 			if o.Quick {
@@ -274,9 +274,7 @@ func runAblations(o Options) *Series {
 			}
 			opts.SuperPages = true
 			return apps.RunMetis(k, opts).PerCore() * 3600
-		case "page-false-sharing":
-			return runExim(cfg, max, o).PerCore()
-		default: // VFS fixes: Exim is the heaviest path-walk user
+		default: // Exim
 			return runExim(cfg, max, o).PerCore()
 		}
 	}
@@ -290,7 +288,7 @@ func runAblations(o Options) *Series {
 			f.Enable(&cfg)
 		}
 		return label, max, func(c int, o Options) Point {
-			return Point{Cores: c, Variant: label, PerCore: runFor(f.Name, cfg, o)}
+			return Point{Cores: c, Variant: label, PerCore: runFor(ablationApp(f.Name), cfg, o)}
 		}
 	})
 	for i, f := range kernel.Fixes {
@@ -300,7 +298,25 @@ func runAblations(o Options) *Series {
 			continue
 		}
 		s.Notes = append(s.Notes, fmt.Sprintf("%-22s alone: %+6.1f%%  (apps: %s)",
-			f.Name, (pts[i*2+1].PerCore/pts[i*2].PerCore-1)*100, f.Apps[0]))
+			f.Name, (pts[i*2+1].PerCore/pts[i*2].PerCore-1)*100, ablationApp(f.Name)))
 	}
 	return s
+}
+
+// ablationApp names the app ablate measures a fix on: one of the fix's
+// Apps that exercises it hardest.
+func ablationApp(fix string) string {
+	switch fix {
+	case "parallel-accept":
+		return "Apache"
+	case "dst-ref", "proto-mem", "dma-buffers", "netdev-false-sharing",
+		"inode-lists", "dcache-lists":
+		return "memcached"
+	case "lseek-mutex":
+		return "PostgreSQL"
+	case "superpage-locking", "superpage-zeroing":
+		return "Metis"
+	default: // VFS fixes and page-false-sharing: Exim is the heaviest path-walk user
+		return "Exim"
+	}
 }

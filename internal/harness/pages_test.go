@@ -2,9 +2,10 @@ package harness
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"weak"
 
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -14,13 +15,10 @@ import (
 // TestPagesRecycleOnlyAfterFinishedPoints pins when a sweep worker takes
 // directory pages back: after a point returns a result, from every model
 // that point booted, and never while the point is still running. A point
-// whose pooled attempt panicked keeps its models' pages (so does its
-// retry, which runs outside the worker's slot).
+// that panicked keeps its models' pages.
 func TestPagesRecycleOnlyAfterFinishedPoints(t *testing.T) {
-	var mu sync.Mutex
 	type booted struct {
 		cores int
-		fresh bool
 		md    *mem.Model
 	}
 	var models []booted
@@ -31,49 +29,52 @@ func TestPagesRecycleOnlyAfterFinishedPoints(t *testing.T) {
 		if first.MD.NumLines() != lines {
 			panic("booting a second kernel released the first kernel's pages")
 		}
-		mu.Lock()
-		models = append(models, booted{c, o.fresh, first.MD}, booted{c, o.fresh, second.MD})
-		mu.Unlock()
-		if c == 4 && !o.fresh {
+		models = append(models, booted{c, first.MD}, booted{c, second.MD})
+		if c == 4 {
 			panic("injected panic after boot")
 		}
 		return Point{Cores: c, Variant: "V", PerCore: float64(c)}
 	}}}
 	s := &Series{ID: "pages-test"}
 	Options{Cores: []int{1, 4, 8}, Seed: 1, Serial: true}.runGrid(s, runs)
-	if len(s.Failed) != 0 || len(s.Points) != 3 {
-		t.Fatalf("got %d points and failures %+v; want 3 points, none failed", len(s.Points), s.Failed)
+	if len(s.Points) != 2 || len(s.Failed) != 1 || s.Failed[0].Cores != 4 {
+		t.Fatalf("got %d points and failures %+v; want 2 points and the 4-core point failed", len(s.Points), s.Failed)
 	}
-	if len(models) != 8 {
-		t.Fatalf("points booted %d models, want 8 (two per attempt, one retry)", len(models))
+	if len(models) != 6 {
+		t.Fatalf("points booted %d models, want 6 (two per point)", len(models))
 	}
 	for _, b := range models {
 		released := b.md.NumLines() == 0
 		if want := b.cores != 4; released != want {
-			t.Errorf("model of the %d-core point (fresh=%v): released = %v, want %v",
-				b.cores, b.fresh, released, want)
+			t.Errorf("model of the %d-core point: released = %v, want %v", b.cores, released, want)
 		}
 	}
-	assertArenaHoldsNoPages(t)
 }
 
-// TestSweepDropsItsPages: the page list lives only as long as the sweep.
-// Once Run returns, every slot back in the arena has dropped it.
+// TestSweepDropsItsPages: a worker's engine slot, and with it the page
+// list, lives only as long as the sweep. Once the sweep returns, nothing
+// holds either, so the garbage collector frees them.
 func TestSweepDropsItsPages(t *testing.T) {
-	ByID("fig4").Run(Options{Quick: true, Seed: 7})
-	assertArenaHoldsNoPages(t)
-}
-
-func assertArenaHoldsNoPages(t *testing.T) {
-	t.Helper()
-	arena.mu.Lock()
-	defer arena.mu.Unlock()
-	if len(arena.free) == 0 {
-		t.Fatal("no engine slot came back to the arena")
+	var mu sync.Mutex
+	var slots []weak.Pointer[engineSlot]
+	var lists []weak.Pointer[mem.PageList]
+	runs := []variantRun{{"V", func(c int, o Options) Point {
+		o.newKernel(o.topo(c), kernel.Stock())
+		mu.Lock()
+		slots = append(slots, weak.Make(o.slot))
+		lists = append(lists, weak.Make(o.slot.spare))
+		mu.Unlock()
+		return Point{Cores: c, Variant: "V", PerCore: float64(c)}
+	}}}
+	s := &Series{ID: "pages-test"}
+	Options{Cores: []int{1, 4, 8, 16}, Seed: 7}.runGrid(s, runs)
+	if len(s.Points) != 4 || len(s.Failed) != 0 {
+		t.Fatalf("got %d points and failures %+v; want 4 points, none failed", len(s.Points), s.Failed)
 	}
-	for i, s := range arena.free {
-		if s.spare != nil || len(s.booted) != 0 {
-			t.Errorf("arena slot %d still holds a page list (%v) and %d booted models", i, s.spare != nil, len(s.booted))
+	runtime.GC()
+	for i := range slots {
+		if slots[i].Value() != nil || lists[i].Value() != nil {
+			t.Errorf("point %d's engine slot or page list outlived its sweep", i)
 		}
 	}
 }
@@ -83,20 +84,12 @@ func assertArenaHoldsNoPages(t *testing.T) {
 // serial worker runs fig4 at 96, 48, 128, 192 and 64 cores, so its page
 // list moves between 1, 0, 1, 2 and 0 extra words per line, and the
 // 128-core point reuses the 96-core point's sharer words. The sweep must
-// match the same sweep on fresh engines, which never reuse a page, with
-// no point retried: a retry runs on a fresh engine and would hide a
-// recycled page that made the pooled attempt panic.
+// match the same sweep on fresh engines, which never reuse a page; a
+// recycled page that made a point panic would show as a Failed entry.
 func TestRecycledPagesWideMachine(t *testing.T) {
 	m, ok := topo.Lookup("big192")
 	if !ok {
 		t.Fatal("machine profile big192 not registered")
-	}
-	defer func() { testPointHook = nil }()
-	var retries atomic.Int32
-	testPointHook = func(exp, variant string, cores, attempt int) {
-		if attempt > 0 {
-			retries.Add(1)
-		}
 	}
 	o := Options{Machine: m, Cores: []int{96, 48, 128, 192, 64}, Quick: true, Seed: 7, Serial: true}
 	reused := ByID("fig4").Run(o)
@@ -104,9 +97,6 @@ func TestRecycledPagesWideMachine(t *testing.T) {
 	fresh := ByID("fig4").Run(o)
 	if len(reused.Points) != 10 || len(reused.Failed) != 0 {
 		t.Fatalf("reused sweep: %d points, failures %+v; want 10 points, none failed", len(reused.Points), reused.Failed)
-	}
-	if n := retries.Load(); n != 0 {
-		t.Errorf("%d points panicked on the pooled engine and were retried", n)
 	}
 	if !reflect.DeepEqual(reused, fresh) {
 		t.Errorf("recycled-page sweep differs from fresh sweep:\nreused: %+v\nfresh:  %+v", reused, fresh)

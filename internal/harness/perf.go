@@ -86,8 +86,8 @@ func RunPerfSuite() []BenchResult {
 	}
 
 	// Spawn/run cycles: fresh engine per cycle vs one reused pooled engine
-	// whose parked coroutines take each new body. The reused number is the
-	// arena's steady-state per-point overhead.
+	// whose parked coroutines take each new body. The reused number is a
+	// sweep worker's steady-state per-point overhead on its engine slot.
 	{
 		const cycles, procs = 200, 48
 		m := topo.New(procs)
@@ -114,7 +114,7 @@ func RunPerfSuite() []BenchResult {
 		}))
 	}
 
-	// Quick sweep wall-clock: one fig5 quick grid on the arena, then the
+	// Quick sweep wall-clock: one fig5 quick grid on pooled engines, then the
 	// same grid served from a warm cache (zero simulation).
 	{
 		fig5 := ByID("fig5")

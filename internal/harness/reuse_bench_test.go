@@ -2,9 +2,9 @@ package harness
 
 import "testing"
 
-// BenchmarkSweepReuse measures a quick application sweep on the engine
-// arena (the default): each point resets a pooled engine and resumes its
-// parked proc coroutines. Compare against BenchmarkSweepFresh for the
+// BenchmarkSweepReuse measures a quick application sweep on the workers'
+// pooled engines (the default): each point resets its worker's engine and
+// resumes its parked proc coroutines. Compare against BenchmarkSweepFresh for the
 // wall-clock gain of engine reuse.
 func BenchmarkSweepReuse(b *testing.B) {
 	e := ByID("fig5")
@@ -14,7 +14,7 @@ func BenchmarkSweepReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepFresh is the pre-arena baseline: every sweep point builds
+// BenchmarkSweepFresh is the no-reuse baseline: every sweep point builds
 // a brand-new engine and spawns fresh goroutines.
 func BenchmarkSweepFresh(b *testing.B) {
 	e := ByID("fig5")

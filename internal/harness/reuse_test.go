@@ -4,30 +4,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"testing"
 )
 
-// TestEngineReuseDeterminism is the arena's acceptance guarantee: for
-// every registered experiment, a sweep on reused (arena) engines is
+// TestEngineReuseDeterminism is engine reuse's acceptance guarantee: for
+// every registered experiment, a sweep on the workers' reused engines is
 // bit-for-bit identical — Series deep-equal — to the same sweep on fresh
-// engines, with no point retried: a retry runs on a fresh engine and
-// would hide a pooled attempt that panicked. Run under -race in CI, this
-// also proves the parked-goroutine handoff is race-clean.
+// engines. A pooled point that panicked would show as a Failed entry the
+// fresh sweep lacks. Run under -race in CI, this also proves the
+// parked-goroutine handoff is race-clean.
 func TestEngineReuseDeterminism(t *testing.T) {
-	var retries atomic.Int32
-	testPointHook = func(exp, variant string, cores, attempt int) {
-		if attempt > 0 {
-			retries.Add(1)
-		}
-	}
-	// Cleanup runs once the parallel subtests have finished.
-	t.Cleanup(func() {
-		testPointHook = nil
-		if n := retries.Load(); n != 0 {
-			t.Errorf("%d points panicked on the pooled engine and were retried", n)
-		}
-	})
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/kernel"
@@ -15,21 +13,21 @@ import (
 // engineSlot owns one reusable simulation engine for a sweep worker. Each
 // point the worker runs resets the engine (ResetFor handles the changing
 // core count) instead of building a new one, so the engine's parked proc
-// coroutines, core arrays, and heap storage carry across the whole grid.
+// coroutines, core arrays, and heap storage carry across the worker's
+// points. The worker makes the slot at its first cache miss and closes it
+// when the sweep ends.
 //
 // A slot has one owner at a time, so it needs no lock. Normally that is
-// the fanOut worker that took it from the arena. When a point wedges past
-// the watchdog, the worker leaves the slot with the wedged body (which may
-// still be blocked inside its engine, or unwedge and boot another kernel
-// on it) and takes a new slot from the arena; the old slot never goes
-// back.
+// the fanOut worker that made it. When a point wedges past the watchdog,
+// the worker leaves the slot with the wedged body (which may still be
+// blocked inside its engine, or unwedge and boot another kernel on it)
+// and makes a new slot for its next miss; the old slot is never closed.
 //
-// While a fanOut worker holds the slot, it also keeps the worker's free
-// list of directory pages (spare), made when the worker boots its first
-// kernel: each point's memory model draws on it, and once the point
-// returns a result the worker gives those models' pages back (endPoint).
-// The list lives for one sweep: the arena drops it when the slot comes
-// back, so a sweep's pages never outlive it.
+// The slot also keeps the worker's free list of directory pages (spare),
+// made when the worker boots its first kernel: each point's memory model
+// draws on it, and once the point returns a result the worker gives those
+// models' pages back (endPoint). The list dies with the slot, so a
+// sweep's pages never outlive it.
 type engineSlot struct {
 	eng *sim.Engine
 
@@ -72,52 +70,20 @@ func (s *engineSlot) endPoint(recycle bool) {
 	s.booted = s.booted[:0]
 }
 
-// engineArena is the process-wide sync.Pool-style arena the sweep workers
-// draw engine slots from: a 48-point x N-variant grid reuses at most
-// GOMAXPROCS engines in total. Unlike a real sync.Pool the arena never
-// lets the GC drop a slot silently — an engine holds parked coroutines, so
-// slots beyond the cap are Closed explicitly when returned.
-type engineArena struct {
-	mu   sync.Mutex
-	free []*engineSlot
-}
-
-var arena engineArena
-
-func (a *engineArena) get() *engineSlot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if n := len(a.free); n > 0 {
-		s := a.free[n-1]
-		a.free = a.free[:n-1]
-		return s
-	}
-	return &engineSlot{}
-}
-
-// put takes a slot back from a worker whose sweep is done and drops the
-// worker's page list.
-func (a *engineArena) put(s *engineSlot) {
-	s.spare = nil
-	a.mu.Lock()
-	if len(a.free) < runtime.GOMAXPROCS(0) {
-		a.free = append(a.free, s)
-		a.mu.Unlock()
-		return
-	}
-	a.mu.Unlock()
-	if s.eng != nil {
+// close stops the engine's parked coroutines once the worker's sweep is
+// done. A nil slot (a worker that never missed) is a no-op.
+func (s *engineSlot) close() {
+	if s != nil && s.eng != nil {
 		s.eng.Close()
-		s.eng = nil
 	}
 }
 
 // newEngine returns the engine for one sweep point: the calling worker's
-// pooled engine (reset to the machine and the run's seed) when the arena
-// is active, or a fresh engine when it is not (Options.fresh, or a caller
-// outside fanOut).
+// pooled engine, reset to the machine and the run's seed, or a fresh
+// engine when the point has no slot (Options.fresh, or a caller outside
+// fanOut).
 func (o Options) newEngine(m *topo.Machine) *sim.Engine {
-	if o.fresh || o.slot == nil {
+	if o.slot == nil {
 		return sim.NewEngine(m, o.seed())
 	}
 	return o.slot.engine(m, o.seed())
@@ -136,7 +102,7 @@ func (o Options) newKernel(m *topo.Machine, cfg kernel.Config) *kernel.Kernel {
 			panic(fmt.Sprintf("harness: fault spec %q: %v", o.Fault, err))
 		}
 	}
-	if o.fresh || o.slot == nil {
+	if o.slot == nil {
 		return kernel.NewOnEngine(sim.NewEngine(m, o.seed()), cfg, plan, nil)
 	}
 	return o.slot.kernel(m, o.seed(), cfg, plan)

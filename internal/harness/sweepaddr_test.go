@@ -120,8 +120,9 @@ func TestWarmHitAllocatesNothing(t *testing.T) {
 			return Point{}
 		}
 		hits := c.Hits()
+		var slot *engineSlot
 		allocs := testing.AllocsPerRun(100, func() {
-			if p, err := o.safeCachedPoint(a, "PK + striped", 48, run); err != nil || p.Cores != 48 {
+			if p, err := o.safeCachedPoint(a, &slot, "PK + striped", 48, run); err != nil || p.Cores != 48 {
 				t.Fatalf("%s: warm hit returned %+v, %v", name, p, err)
 			}
 		})

@@ -158,7 +158,7 @@ func New(m *topo.Machine, cfg Config, seed uint64) *Kernel {
 }
 
 // NewOnEngine boots a kernel on an existing engine — typically one a sweep
-// arena has just Reset for reuse, so the engine's parked proc coroutines
+// worker has just Reset for reuse, so the engine's parked proc coroutines
 // carry over while every kernel subsystem (memory model, VFS, DRAM
 // controllers, page structs) is rebuilt for this run. The caller is
 // responsible for the engine being in its post-NewEngine/Reset state.

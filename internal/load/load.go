@@ -55,33 +55,6 @@ var retransCum = func() [fault.RetryMaxAttempts - 1]int64 {
 	return cum
 }()
 
-// Handler is one server core's request processing, supplied by the app.
-// Both callbacks run on the worker proc and charge that core.
-type Handler struct {
-	// Request serves one request end to end.
-	Request func(p *sim.Proc)
-	// Discard pays the server-side cost of one client retransmission of
-	// a request that was already queued. The app chooses the model: a
-	// TCP-backed server could dedup by sequence number and pay only a
-	// header-level discard, while a stateless UDP server like memcached
-	// cannot tell a duplicate from a fresh request and re-serves it in
-	// full — the feedback loop that turns sustained overload into
-	// congestion collapse.
-	Discard func(p *sim.Proc)
-}
-
-// Server adapts an app to the open-loop driver.
-type Server struct {
-	// NewWorker sets up one core's server state (sockets, files,
-	// connections) on the worker proc and returns its Handler.
-	NewWorker func(p *sim.Proc) Handler
-	// Shed pays the early-rejection cost for a request refused at the
-	// accept queue. Runs on the generator proc, which is pinned to the
-	// same server core, so shedding honestly consumes server cycles.
-	// Nil means refusing a request costs nothing.
-	Shed func(p *sim.Proc)
-}
-
 // Config parameterizes one open-loop run.
 type Config struct {
 	Arrival *ArrivalSpec // nil = poisson with default users
@@ -106,7 +79,7 @@ type Config struct {
 // Stats is the outcome of an open-loop run. Offered = Completed + Shed +
 // Late: every generated request is accounted exactly once. Retries
 // counts client retransmissions (timeout-driven duplicates the server
-// paid to discard, plus loss-driven resends on the link).
+// served again, plus loss-driven resends on the link).
 type Stats struct {
 	Offered   int64
 	Completed int64 // goodput: answered within the client's patience
@@ -265,16 +238,23 @@ func respDelay(e *sim.Engine, l *LinkSpec, bytes int64) int64 {
 	return d
 }
 
-// Run installs open-loop arrival procs driving srv on each listed core;
-// the caller then runs the engine and calls Stats.Finish once the offered
-// budget is exhausted and every queued request is resolved. Each core
-// gets two procs: a
-// generator that idles until each arrival, applies link shaping and the
-// admission policy, and appends to the core's accept queue; and a worker
-// that drains the queue through the app's Handler. Generator and worker
-// share the core, so shed/discard costs compete with real service for
-// server cycles — overload is not free.
-func Run(e *sim.Engine, cores []int, cfg Config, srv Server) *Stats {
+// Run installs open-loop arrival procs on each listed core; the caller
+// then runs the engine and calls Stats.Finish once the offered budget is
+// exhausted and every queued request is resolved. Each core gets two
+// procs: a generator that idles until each arrival, applies link shaping
+// and the admission policy, and appends to the core's accept queue; and a
+// worker that drains the queue. The worker calls newWorker once to set up
+// its core's server state (sockets, files, connections) and gets back
+// serve, which serves one request end to end on the worker proc. A
+// request refused at a full queue costs nothing (a datagram dropped at
+// the card).
+//
+// A client retransmission of a request that was already queued is served
+// in full as well: a stateless UDP server like memcached cannot tell a
+// duplicate from a fresh request. Retransmissions share the core with
+// real service, so overload is not free — the feedback loop that turns
+// sustained overload into congestion collapse.
+func Run(e *sim.Engine, cores []int, cfg Config, newWorker func(*sim.Proc) func(*sim.Proc)) *Stats {
 	st := &Stats{Sojourns: &Hist{}}
 	hists := make([]*Hist, len(cores))
 	limit := cfg.Shed.limitFor(cfg.ServiceCycles)
@@ -294,7 +274,7 @@ func Run(e *sim.Engine, cores []int, cfg Config, srv Server) *Stats {
 		// generator (same time, lower sequence number), finds the queue
 		// empty, and parks — so the first arrival always finds it ready.
 		q.worker = e.Spawn(core, "ol-worker", cfg.Start, func(p *sim.Proc) {
-			hand := srv.NewWorker(p)
+			serve := newWorker(p)
 			for {
 				if q.pending() == 0 {
 					if q.genDone {
@@ -308,18 +288,16 @@ func Run(e *sim.Engine, cores []int, cfg Config, srv Server) *Stats {
 				p.IdleUntil(it.deliverAt)
 				// The client's patience clock runs on server turnaround:
 				// time queued past each backoff deadline produced one
-				// retransmission the server must parse and discard.
+				// retransmission the server serves in full.
 				waited := p.Now() - it.deliverAt
 				for i := 0; i < len(retransCum)-1; i++ {
 					if waited <= retransCum[i] {
 						break
 					}
-					if hand.Discard != nil {
-						hand.Discard(p)
-					}
+					serve(p)
 					st.Retries++
 				}
-				hand.Request(p)
+				serve(p)
 				if waited > giveUp {
 					st.Late++ // served into the void: client already gone
 					continue
@@ -336,9 +314,6 @@ func Run(e *sim.Engine, cores []int, cfg Config, srv Server) *Stats {
 				st.Offered++
 				d := requestDelay(e, cfg.Link, cfg.RequestBytes, st)
 				if limit > 0 && q.pending() >= limit {
-					if srv.Shed != nil {
-						srv.Shed(p)
-					}
 					st.Shed++
 					continue
 				}

@@ -8,31 +8,25 @@ import (
 )
 
 // runLoad drives one core with a fixed-service-time server and returns
-// the stats plus how many full serves and discards the server counted.
-func runLoad(t *testing.T, seed uint64, cfg Config, service int64) (*Stats, int, int) {
+// the stats plus how many times the server served a request, counting
+// each retransmission it served again.
+func runLoad(t *testing.T, seed uint64, cfg Config, service int64) (*Stats, int) {
 	t.Helper()
 	e := sim.NewEngine(topo.New(1), seed)
-	serves, discards := 0, 0
-	srv := Server{
-		NewWorker: func(p *sim.Proc) Handler {
-			return Handler{
-				Request: func(p *sim.Proc) { serves++; p.Advance(service) },
-				Discard: func(p *sim.Proc) { discards++; p.Advance(service / 8) },
-			}
-		},
-		Shed: func(p *sim.Proc) { p.Advance(service / 16) },
-	}
-	st := Run(e, []int{0}, cfg, srv)
+	serves := 0
+	st := Run(e, []int{0}, cfg, func(*sim.Proc) func(*sim.Proc) {
+		return func(p *sim.Proc) { serves++; p.Advance(service) }
+	})
 	e.Run()
 	st.Finish()
-	return st, serves, discards
+	return st, serves
 }
 
 // TestRunAccountsEveryRequest: offered = completed + shed + late, under
 // load both gentle and brutal.
 func TestRunAccountsEveryRequest(t *testing.T) {
 	for _, gap := range []int64{500, 5000, 50000} {
-		st, _, _ := runLoad(t, 1, Config{MeanGapCycles: gap, Requests: 400}, 5000)
+		st, _ := runLoad(t, 1, Config{MeanGapCycles: gap, Requests: 400}, 5000)
 		if st.Offered != 400 {
 			t.Fatalf("gap %d: offered %d, want 400", gap, st.Offered)
 		}
@@ -55,19 +49,19 @@ func TestShedBoundsQueue(t *testing.T) {
 	over := Config{MeanGapCycles: service / 2, Requests: 300} // 2x capacity
 
 	fifoCfg := over
-	fifo, _, _ := runLoad(t, 1, fifoCfg, service)
+	fifo, _ := runLoad(t, 1, fifoCfg, service)
 	if fifo.Shed != 0 {
 		t.Errorf("unbounded FIFO shed %d requests", fifo.Shed)
 	}
 
 	shedCfg := over
 	shedCfg.Shed = &ShedSpec{QueueLimit: 4}
-	shed, _, _ := runLoad(t, 1, shedCfg, service)
+	shed, _ := runLoad(t, 1, shedCfg, service)
 	if shed.Shed == 0 {
 		t.Error("bounded queue shed nothing at 2x offered load")
 	}
 	// Worst sojourn is bounded by the queue: limit+1 services plus slack
-	// for the shed/discard interference sharing the core.
+	// for the retransmissions served on the same core.
 	if worst := shed.Sojourns.Quantile(1); worst > 8*service {
 		t.Errorf("bounded-queue worst sojourn %d exceeds 8 services", worst)
 	}
@@ -87,7 +81,7 @@ func TestDelayBoundResolvesAgainstService(t *testing.T) {
 		Shed:          &ShedSpec{DelayCycles: 4 * service},
 		ServiceCycles: service,
 	}
-	st, _, _ := runLoad(t, 1, cfg, service)
+	st, _ := runLoad(t, 1, cfg, service)
 	if st.Shed == 0 {
 		t.Fatal("delay-bounded queue shed nothing at 2x offered load")
 	}
@@ -97,25 +91,22 @@ func TestDelayBoundResolvesAgainstService(t *testing.T) {
 }
 
 // TestOverloadTriggersRetransmissions: when FIFO waits cross the client
-// backoff deadlines the server pays Discard per crossing, and waits past
-// the give-up deadline surface as Late, not Completed.
+// backoff deadlines the server serves one retransmission per crossing,
+// and waits past the give-up deadline surface as Late, not Completed.
 func TestOverloadTriggersRetransmissions(t *testing.T) {
 	// Waits grow by service/2 per arrival; with enough requests the last
 	// ones wait past every deadline including give-up.
 	service := retransCum[0] / 10
-	st, serves, discards := runLoad(t, 1, Config{MeanGapCycles: service / 2, Requests: 600}, service)
-	if st.Retries == 0 || discards == 0 {
-		t.Errorf("sustained overload produced no retransmissions (retries=%d discards=%d)",
-			st.Retries, discards)
+	st, serves := runLoad(t, 1, Config{MeanGapCycles: service / 2, Requests: 600}, service)
+	if st.Retries == 0 {
+		t.Error("sustained overload produced no retransmissions")
 	}
 	if st.Late == 0 {
 		t.Error("waits past the give-up deadline produced no late completions")
 	}
-	if serves != 600 {
-		t.Errorf("server full-served %d, want every offered request (600)", serves)
-	}
-	if st.Retries < int64(discards) {
-		t.Errorf("stats count %d retries but server saw %d discards", st.Retries, discards)
+	// No link: every retry is a queued retransmission, served in full.
+	if want := 600 + int(st.Retries); serves != want {
+		t.Errorf("server served %d times, want every offered request plus each retransmission (%d)", serves, want)
 	}
 }
 
@@ -129,7 +120,7 @@ func TestLinkShapingDelaysAndRetries(t *testing.T) {
 		MeanGapCycles: 10 * service, // light load: sojourn == rtt + service
 		Requests:      50,
 	}
-	st, _, _ := runLoad(t, 1, cfg, service)
+	st, _ := runLoad(t, 1, cfg, service)
 	if st.Completed != 50 {
 		t.Fatalf("completed %d, want 50", st.Completed)
 	}
@@ -139,7 +130,7 @@ func TestLinkShapingDelaysAndRetries(t *testing.T) {
 
 	lossy := cfg
 	lossy.Link = &LinkSpec{RTTCycles: rtt, Loss: 0.3}
-	st2, _, _ := runLoad(t, 1, lossy, service)
+	st2, _ := runLoad(t, 1, lossy, service)
 	if st2.Retries == 0 {
 		t.Error("30% loss produced no retransmissions")
 	}
@@ -154,8 +145,8 @@ func TestRunDeterminism(t *testing.T) {
 		MeanGapCycles: 4000,
 		Requests:      400,
 	}
-	a, _, _ := runLoad(t, 7, cfg, 5000)
-	b, _, _ := runLoad(t, 7, cfg, 5000)
+	a, _ := runLoad(t, 7, cfg, 5000)
+	b, _ := runLoad(t, 7, cfg, 5000)
 	if *a.Sojourns != *b.Sojourns || a.Completed != b.Completed ||
 		a.Retries != b.Retries || a.Shed != b.Shed || a.Late != b.Late {
 		t.Error("identical runs diverged")
@@ -163,7 +154,7 @@ func TestRunDeterminism(t *testing.T) {
 
 	pois := cfg
 	pois.Arrival = &ArrivalSpec{Process: "poisson", Users: 1000}
-	c, _, _ := runLoad(t, 7, pois, 5000)
+	c, _ := runLoad(t, 7, pois, 5000)
 	if *c.Sojourns == *a.Sojourns {
 		t.Error("poisson and pareto arrivals produced identical sojourn histograms")
 	}

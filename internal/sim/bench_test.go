@@ -59,7 +59,7 @@ func BenchmarkHandoffMany(b *testing.B) {
 }
 
 // BenchmarkSpawnRunReusedParked measures a whole Spawn+Run cycle of 48
-// trivial procs on one pooled engine reused via Reset — the sweep arena's
+// trivial procs on one pooled engine reused via Reset — a sweep worker's
 // steady state, where each Spawn hands a parked coroutine a new body.
 func BenchmarkSpawnRunReusedParked(b *testing.B) {
 	e := NewPooledEngine(topo.New(48), 1)

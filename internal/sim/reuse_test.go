@@ -247,8 +247,8 @@ func TestResetNeverRunEngine(t *testing.T) {
 
 // TestPlainEngineProcsExitOnDone pins the non-pooled lifecycle: a plain
 // NewEngine's proc goroutines exit when their bodies finish, so dropping
-// the engine without Close leaks nothing — the pre-arena behavior every
-// kernel.New caller outside the sweep arena still relies on.
+// the engine without Close leaks nothing — the behavior every kernel.New
+// caller outside a sweep worker's engine slot relies on.
 func TestPlainEngineProcsExitOnDone(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -340,8 +340,8 @@ func TestBodyPanicReachesRunCaller(t *testing.T) {
 }
 
 // TestPooledEngineAcrossGoroutines runs one pooled engine from two
-// goroutines in turn, the way arena slots move between sweep workers: the
-// parked coroutines are resumed from a goroutine other than the one that
+// goroutines in turn, the way a sweep worker's engine runs each point on
+// the point's own guarded goroutine: the parked coroutines are resumed from a goroutine other than the one that
 // created them, and every run must still match a fresh engine.
 func TestPooledEngineAcrossGoroutines(t *testing.T) {
 	fresh := traceRun(NewEngine(topo.New(4), 42))

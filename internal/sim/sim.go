@@ -107,7 +107,7 @@ type Engine struct {
 	gen      uint64 // bumped by Reset; marks procs as listed this run
 
 	// pooled selects the proc-coroutine lifecycle: when true (the sweep
-	// arena's engines), finished procs park in freeProcs for reuse; when
+	// workers' engines), finished procs park in freeProcs for reuse; when
 	// false (plain NewEngine), their coroutines exit as soon as the body
 	// is done, so an abandoned engine cannot leak parked coroutines.
 	// Immutable after construction.
@@ -158,7 +158,7 @@ func NewPooledEngine(m *topo.Machine, seed uint64) *Engine {
 // built with NewEngine(machine, seed).
 func (e *Engine) Reset(seed uint64) { e.ResetFor(e.Machine, seed) }
 
-// ResetFor is Reset onto a (possibly different) machine: the sweep arena
+// ResetFor is Reset onto a (possibly different) machine: a sweep worker
 // reuses one engine across core counts, so the per-core arrays are
 // reallocated only when the new machine needs more cores than the engine
 // has ever seen.

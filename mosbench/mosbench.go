@@ -176,9 +176,8 @@ type (
 	// Point is one measurement: an application variant at one core count.
 	Point = harness.Point
 	// FailedPoint identifies one sweep point that produced no
-	// measurement: its simulation panicked twice (points are retried once
-	// on a fresh engine) or wedged past the per-point watchdog. The rest
-	// of the sweep is unaffected.
+	// measurement: its simulation panicked or wedged past the per-point
+	// watchdog. The rest of the sweep is unaffected.
 	FailedPoint = harness.FailedPoint
 	// Series is the result of one experiment: its Points, the points that
 	// Failed, and free-form Notes.
