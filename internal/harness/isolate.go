@@ -41,7 +41,9 @@ func (o Options) pointTimeout() time.Duration {
 
 // testPointHook, when non-nil, runs at the start of every guarded point
 // body. Tests install it to inject panics and wedges into chosen points.
-var testPointHook func(exp, variant string, cores int)
+// testPointEndHook, when non-nil, runs last on a guarded body's
+// goroutine, after an abandoned body has closed its slot's engine.
+var testPointHook, testPointEndHook func(exp, variant string, cores int)
 
 // runGuarded executes f on a child goroutine with a recover guard and a
 // wall-clock watchdog. A panic becomes an error; a watchdog expiry
@@ -49,24 +51,42 @@ var testPointHook func(exp, variant string, cores int)
 // returns pointTimeoutError. The abandoned flag handed to the child makes
 // a later unwedge harmless: the child sees it and keeps its result out of
 // the shared cache (its point was already reported failed).
+//
+// The child and the watchdog each swap settled when they are done, and
+// only the first to swap it acts: a child that finishes first has its
+// outcome returned even if the timer has fired meanwhile, and a child
+// that finishes after the watchdog gave up closes its slot's engine,
+// which nothing else will do once the sweep worker has left it.
 func (o Options) runGuarded(exp, variant string, cores int, f func(o Options) Point) (Point, error) {
 	co := o
 	co.abandoned = new(atomic.Bool)
+	var settled atomic.Bool
 	type outcome struct {
 		p   Point
 		err error
 	}
 	ch := make(chan outcome, 1)
+	// Read the hook here, not in the child: an abandoned child may
+	// outlive the test that installed it.
+	end := testPointEndHook
 	go func() { //mosvet:allow detlint the watchdog's point body must run off the caller's goroutine so a wedged simulation can be abandoned
+		var out outcome
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("panic: %v\n%s", r, debug.Stack())}
+				out.err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+			}
+			if settled.Swap(true) {
+				co.slot.close()
+			}
+			ch <- out
+			if end != nil {
+				end(exp, variant, cores)
 			}
 		}()
 		if testPointHook != nil {
 			testPointHook(exp, variant, cores)
 		}
-		ch <- outcome{p: f(co)}
+		out.p = f(co)
 	}()
 	timer := time.NewTimer(o.pointTimeout()) //mosvet:allow detlint the watchdog races real time against a wedged simulation by design; timeouts only abandon points, never shape results
 	defer timer.Stop()
@@ -74,6 +94,10 @@ func (o Options) runGuarded(exp, variant string, cores int, f func(o Options) Po
 	case out := <-ch:
 		return out.p, out.err
 	case <-timer.C:
+		if settled.Swap(true) {
+			out := <-ch // the child finished first; its send is on the way
+			return out.p, out.err
+		}
 		co.abandoned.Store(true)
 		return Point{}, pointTimeoutError{o.pointTimeout()}
 	}
@@ -94,7 +118,8 @@ func (o Options) runGuarded(exp, variant string, cores int, f func(o Options) Po
 // on the worker's engine slot *slot (unless o.fresh), made here at the
 // worker's first miss. After a result or a panic the slot serves the
 // worker's next point, and Reset stops whatever coroutines a panic left;
-// after a timeout the wedged body keeps the slot and *slot is cleared.
+// after a timeout the wedged body keeps the slot, closes its engine if it
+// ever returns (runGuarded), and *slot is cleared.
 func (o Options) safeCachedPoint(a sweepAddr, slot **engineSlot, variant string, cores int, f func(cores int, o Options) Point) (Point, error) {
 	var buf [keyBufLen]byte
 	key := a.appendKey(buf[:0], variant, cores)
@@ -118,8 +143,8 @@ func (o Options) safeCachedPoint(a sweepAddr, slot **engineSlot, variant string,
 	})
 	if o.slot != nil {
 		if _, wedged := err.(pointTimeoutError); wedged {
-			// The wedged body keeps the slot. Its engine is never
-			// closed, since Close could hang on it.
+			// The wedged body keeps the slot and closes its engine
+			// if it returns; closing it here could hang.
 			*slot = nil
 		} else {
 			o.slot.endPoint(err == nil)

@@ -265,14 +265,21 @@ func TestAbandonedPointStaysOutOfCache(t *testing.T) {
 // keeps the engine slot it booted on, and its sweep worker goes on with a
 // new one. The next point unwedges it, so the abandoned body boots and
 // runs a second kernel on its slot while the sweep is still running; under
-// -race that proves the two never share an engine or a page list.
+// -race that proves the two never share an engine or a page list. Once
+// the abandoned body returns, it closes its slot's engine.
 func TestAbandonedPointKeepsItsSlot(t *testing.T) {
+	defer func() { testPointEndHook = nil }()
 	mc := apps.DefaultMemcachedOpts()
 	mc.RequestsPerCore = 5
 	var mu sync.Mutex
 	slots := map[int]*engineSlot{}
 	release := make(chan struct{})
 	finished := make(chan struct{})
+	testPointEndHook = func(_, _ string, c int) {
+		if c == 2 {
+			close(finished)
+		}
+	}
 	runs := []variantRun{{"V", func(c int, o Options) Point {
 		apps.RunMemcached(o.newKernel(o.topo(c), kernel.PK()), mc)
 		mu.Lock()
@@ -282,7 +289,6 @@ func TestAbandonedPointKeepsItsSlot(t *testing.T) {
 		case 2:
 			<-release
 			apps.RunMemcached(o.newKernel(o.topo(c), kernel.PK()), mc)
-			close(finished)
 		case 4:
 			close(release)
 		}
@@ -318,12 +324,15 @@ func TestAbandonedPointKeepsItsSlot(t *testing.T) {
 	if got := len(wedged.booted); got != 2 {
 		t.Errorf("abandoned slot booted %d models, want 2 (both of its body's kernels)", got)
 	}
+	if n := wedged.eng.NumParked(); n != 0 {
+		t.Errorf("abandoned slot's engine parks %d coroutines after its body returned, want 0", n)
+	}
 }
 
 // TestSweepClosesItsEngines: when a sweep ends, each worker closes its
 // slot's engine, so no parked proc coroutine outlives the sweep. The
 // wedged point's slot is the exception: its body may still be running on
-// it, and it is never closed.
+// it, so the body closes it (TestAbandonedPointKeepsItsSlot).
 func TestSweepClosesItsEngines(t *testing.T) {
 	mc := apps.DefaultMemcachedOpts()
 	mc.RequestsPerCore = 5

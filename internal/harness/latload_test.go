@@ -3,8 +3,30 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/kernel"
 	"repro/internal/load"
 )
+
+// TestLatloadPointSwitchBound runs one quick latload point (PK shed at
+// 200% offered load) on a pooled engine slot: its handoffs must cost at
+// most two coroutine switches each, and its A→B→A returns (a proc
+// resuming the proc that resumed it, one switch) must bring the average
+// under 1.75.
+func TestLatloadPointSwitchBound(t *testing.T) {
+	slot := new(engineSlot)
+	defer slot.close()
+	o := Options{Quick: true, Seed: 1, slot: slot}
+	runMemcachedOpenLoop(kernel.PK(), latloadQuickCores, o, apps.OpenLoopOpts{Shed: defaultShed(), LoadPercent: 200})
+	h, s := slot.eng.Handoffs(), slot.eng.Switches()
+	t.Logf("%d handoffs, %.3f switches/handoff", h, float64(s)/float64(h))
+	if h == 0 || s > 2*h {
+		t.Fatalf("%d switches for %d handoffs, want at most two each", s, h)
+	}
+	if 4*s >= 7*h {
+		t.Errorf("%d switches for %d handoffs, want under 1.75 each", s, h)
+	}
+}
 
 // TestLatloadGoldenShapes pins the overload physics the experiment
 // exists to show, on the quick grid:

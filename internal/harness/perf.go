@@ -70,7 +70,8 @@ func RunPerfSuite() []BenchResult {
 	}
 
 	// Handoff: two procs with interleaved times force a handoff on every
-	// Advance — two coroutine switches, out to Run and into the other proc.
+	// Advance. Each proc resumes the one that resumed it, so a handoff is
+	// one coroutine switch, straight from one proc to the other.
 	{
 		const n = 500_000
 		e := sim.NewEngine(topo.New(2), 1)

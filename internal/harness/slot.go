@@ -21,7 +21,8 @@ import (
 // the fanOut worker that made it. When a point wedges past the watchdog,
 // the worker leaves the slot with the wedged body (which may still be
 // blocked inside its engine, or unwedge and boot another kernel on it)
-// and makes a new slot for its next miss; the old slot is never closed.
+// and makes a new slot for its next miss; the body closes the old slot's
+// engine if it ever returns (see runGuarded).
 //
 // The slot also keeps the worker's free list of directory pages (spare),
 // made when the worker boots its first kernel: each point's memory model

@@ -20,10 +20,15 @@ func BenchmarkAdvanceFastPath(b *testing.B) {
 	e.Run()
 }
 
+// reportSwitches reports the run's coroutine switches per handoff.
+func reportSwitches(b *testing.B, e *Engine) {
+	b.ReportMetric(float64(e.Switches())/float64(e.Handoffs()), "switches/handoff")
+}
+
 // BenchmarkYieldHandoff measures a forced scheduling handoff: two procs on
 // different cores with interleaved times, so every Advance must yield to
-// the other proc. Each handoff is two coroutine switches: the yielder back
-// to Run, and Run into the other proc.
+// the other proc. Each proc resumes the one that resumed it, so each
+// handoff is one coroutine switch: the best case for dispatch.
 func BenchmarkYieldHandoff(b *testing.B) {
 	e := NewEngine(topo.New(2), 1)
 	body := func(p *Proc) {
@@ -35,27 +40,26 @@ func BenchmarkYieldHandoff(b *testing.B) {
 	e.Spawn(1, "b", 5, body) // offset times => strict interleaving
 	b.ResetTimer()
 	e.Run()
+	reportSwitches(b, e)
 }
 
 // BenchmarkHandoffMany measures dispatch with a crowded runnable heap: 64
 // procs on 48 cores, each idling a random 1..4000 cycles per step, keep
 // about 60 procs runnable, so nearly every Idle hands off to another proc.
-// That is latload's dispatch shape, so a heap or handoff change can be
-// sized here before a full benchmark run. One op is one Idle.
+// That is latload's crowding, but not its dispatch pattern: the
+// successors here are random, so a proc almost never resumes the proc
+// that resumed it (latload's A→B→A handoffs), and most handoffs cost two
+// coroutine switches. It is the worst case for dispatch, where a heap
+// change shows but a cheaper switch pattern does not; BenchmarkYieldHandoff
+// is the best case. One op is one Idle.
 func BenchmarkHandoffMany(b *testing.B) {
 	const procs = 64
 	e := NewEngine(topo.New(48), 1)
-	steps := max(b.N/procs, 1)
-	for i := range procs {
-		e.Spawn(i%48, "idler", 0, func(p *Proc) {
-			for range steps {
-				p.Idle(1 + e.Rand.Int63n(4000))
-			}
-		})
-	}
+	spawnIdlers(e, procs, max(b.N/procs, 1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+	reportSwitches(b, e)
 }
 
 // BenchmarkSpawnRunReusedParked measures a whole Spawn+Run cycle of 48

@@ -248,7 +248,10 @@ func TestResetNeverRunEngine(t *testing.T) {
 // TestPlainEngineProcsExitOnDone pins the non-pooled lifecycle: a plain
 // NewEngine's proc goroutines exit when their bodies finish, so dropping
 // the engine without Close leaks nothing — the behavior every kernel.New
-// caller outside a sweep worker's engine slot relies on.
+// caller outside a sweep worker's engine slot relies on. Most of these
+// procs finish while nested under others (a finished proc resumes its
+// successor before its coroutine can end), in a fixed order for the
+// eight and a random one for the idlers.
 func TestPlainEngineProcsExitOnDone(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -260,6 +263,9 @@ func TestPlainEngineProcsExitOnDone(t *testing.T) {
 		if got := e.NumParked(); got != 0 {
 			t.Fatalf("plain engine parked %d procs, want 0", got)
 		}
+		e = NewEngine(topo.New(48), uint64(i))
+		spawnIdlers(e, 64, 1+i)
+		e.Run()
 	}
 	waitGoroutinesAtMost(t, before)
 }
@@ -310,12 +316,20 @@ func TestResetWhileRunningPanics(t *testing.T) {
 // path: a panic in a proc body comes out of Run on the caller's goroutine
 // with its original value, and after Reset the same pooled engine — whose
 // panicked slot now needs a fresh coroutine — replays a scenario
-// bit-for-bit identically to a fresh engine.
+// bit-for-bit identically to a fresh engine. The crasher panics while
+// nested under the bystander, which resumed it when it blocked: the panic
+// must not unwind the bystander's body, whose deferred function runs only
+// when Reset stops it.
 func TestBodyPanicReachesRunCaller(t *testing.T) {
 	fresh := traceRun(NewEngine(topo.New(4), 42))
 
 	e := NewPooledEngine(topo.New(4), 7)
-	e.Spawn(0, "bystander", 0, func(p *Proc) { p.Advance(5); p.Block() })
+	var unwound bool
+	e.Spawn(0, "bystander", 0, func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Advance(5)
+		p.Block()
+	})
 	e.Spawn(1, "crasher", 0, func(p *Proc) {
 		p.Advance(10)
 		panic("model bug")
@@ -328,8 +342,14 @@ func TestBodyPanicReachesRunCaller(t *testing.T) {
 		}()
 		e.Run()
 	}()
+	if unwound {
+		t.Fatal("the crasher's panic unwound the bystander's body")
+	}
 
 	e.ResetFor(topo.New(4), 42)
+	if !unwound {
+		t.Fatal("Reset did not unwind the bystander's body")
+	}
 	if got := e.NumParked(); got != 2 {
 		t.Fatalf("Reset reclaimed %d slots, want 2", got)
 	}

@@ -2,12 +2,11 @@
 // multicore machine models.
 //
 // Simulated threads of execution ("procs") run as coroutines, and only one
-// proc executes at a time: Run is the single dispatch loop, and it always
-// resumes the runnable proc with the smallest (virtual time, sequence) key,
-// so a run is a total order and is bit-for-bit reproducible. Procs interact
-// with virtual time through Advance (busy CPU cycles, which occupy their
-// core), Idle (waiting without using the core), Block/Wake (for locks and
-// queues), and Now.
+// proc executes at a time: the next to run is always the runnable proc with
+// the smallest (virtual time, sequence) key, so a run is a total order and
+// is bit-for-bit reproducible. Procs interact with virtual time through
+// Advance (busy CPU cycles, which occupy their core), Idle (waiting without
+// using the core), Block/Wake (for locks and queues), and Now.
 //
 // Engines are reusable: Reset returns an engine to its post-NewEngine
 // state without reallocating core arrays or proc slots. On a pooled
@@ -21,9 +20,13 @@
 //
 // Every proc (Spawn) runs an ordinary body function on an iter.Pull
 // coroutine and may park anywhere — inside locks, queues, nested subsystem
-// calls. A scheduling handoff costs two coroutine switches (Run into the
-// proc, the proc back out to Run); a proc that stays first in dispatch
-// order after advancing its clock skips both.
+// calls. There is no central dispatch loop: a proc that parks or finishes
+// pops its successor and resumes that proc's coroutine itself, nested
+// under its own. A successor that is already suspended further down that
+// chain of resumers is reached by yielding back to it, so the common
+// A→B→A handoff costs one coroutine switch, and no pattern costs more
+// than two per handoff. A proc that stays first in dispatch order after
+// advancing its clock skips the handoff entirely.
 //
 // Virtual time is measured in CPU cycles of the modeled 2.4 GHz machine
 // (see internal/topo).
@@ -74,21 +77,26 @@ type Proc struct {
 
 	body func(*Proc)
 
-	// The proc's coroutine (iter.Pull over loop): Run resumes it with
-	// next, the body hands control back with yield, and Reset/Close end
-	// it with stop. next is nil on a slot whose coroutine was stopped;
-	// Spawn gives it a fresh one.
+	// The proc's coroutine (iter.Pull over loop): the proc that hands it
+	// control resumes it with next, it hands control back up with yield,
+	// and Reset/Close end it with stop. next is nil on a slot whose
+	// coroutine was stopped; Spawn gives it a fresh one.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
+	// onChain is set while the proc is suspended inside its own call to
+	// another proc's next: its coroutine is running, not parked in
+	// yield, so it is reached by yielding back up to it.
+	onChain bool
 }
 
 // Engine owns the virtual clock, the runnable queue, and per-core occupancy.
 //
-// Scheduling is cooperative: Run pops the runnable proc with the smallest
-// (time, seq) key and resumes its coroutine until it yields. A proc whose
+// Scheduling is cooperative: a proc that parks or finishes pops the
+// runnable proc with the smallest (time, seq) key and hands it control
+// itself (handoff); Run only starts the first proc. A proc whose
 // post-advance time is still earlier than every runnable proc skips the
-// yield entirely — the dispatch order is provably unchanged — so
+// handoff entirely — the dispatch order is provably unchanged — so
 // uncontended stretches of Advance/Idle cost no coroutine switch at all.
 type Engine struct {
 	// Machine is the hardware configuration being simulated.
@@ -105,6 +113,15 @@ type Engine struct {
 	now      int64  // time of the most recently dispatched proc
 	spawned  int    // spawns in the current run (assigns Proc.ID)
 	gen      uint64 // bumped by Reset; marks procs as listed this run
+
+	// target is the proc chosen to run next; nil hands control back to
+	// Run. panicked holds a body's panic value until Run re-raises it.
+	target   *Proc
+	panicked any
+
+	// handoffs counts heap pops and switches coroutine switches since
+	// the last Reset; they only feed Handoffs and Switches.
+	handoffs, switches uint64
 
 	// pooled selects the proc-coroutine lifecycle: when true (the sweep
 	// workers' engines), finished procs park in freeProcs for reuse; when
@@ -190,6 +207,9 @@ func (e *Engine) ResetFor(m *topo.Machine, seed uint64) {
 	e.now = 0
 	e.spawned = 0
 	e.gen++
+	e.target = nil
+	e.panicked = nil
+	e.handoffs, e.switches = 0, 0
 }
 
 // Close resets the engine and releases every parked proc coroutine. The
@@ -207,6 +227,16 @@ func (e *Engine) Close() {
 // NumParked returns how many proc coroutine slots are parked in the free
 // list awaiting reuse.
 func (e *Engine) NumParked() int { return len(e.freeProcs) }
+
+// Handoffs returns how many times the engine has popped a proc to run next
+// (one per scheduling handoff) since it was made or last Reset. It only
+// counts: reading it changes nothing.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
+
+// Switches returns how many coroutine switches the engine's procs and Run
+// have made since it was made or last Reset. It only counts: reading it
+// changes nothing.
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // resizeZero returns s resized to n elements, all zero, reusing the
 // backing array when it is large enough.
@@ -263,17 +293,21 @@ func (e *Engine) takeSlot(core int, name string, start int64) *Proc {
 	return p
 }
 
-// loop is the proc's coroutine: run the assigned body to completion, then
-// — on a pooled engine — park in the free list until Run resumes the slot
-// with its next body. On a plain engine the coroutine ends after one body;
-// on a pooled one it ends only when Reset or Close stops it. The killed
+// loop is the proc's coroutine: run the assigned body to completion, pop
+// the next proc and hand it control, then — on a pooled engine — park in
+// the free list until the slot is popped with its next body. On a plain
+// engine the coroutine ends once it has nothing left to hand down; on a
+// pooled one it ends only when Reset or Close stops it. The killed
 // sentinel (a body parked mid-run when its coroutine was stopped) is
-// absorbed here; any other panic travels out through next to Run's caller.
+// absorbed here. Any other panic is recorded for Run to re-raise, and the
+// coroutine ends: the panic must not travel out through next, which may
+// have been called by another proc's body.
 func (p *Proc) loop(yield func(struct{}) bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killed); !ok {
-				panic(r)
+				p.eng.panicked = r
+				p.eng.target = nil
 			}
 		}
 	}()
@@ -281,7 +315,8 @@ func (p *Proc) loop(yield func(struct{}) bool) {
 	for {
 		p.body(p)
 		p.eng.retire(p)
-		if !p.eng.pooled || !yield(struct{}{}) {
+		p.eng.dispatch()
+		if !p.handoff() {
 			return
 		}
 	}
@@ -297,11 +332,11 @@ func (e *Engine) enqueue(p *Proc) {
 // Run executes the simulation until every proc has exited. It panics with a
 // description of the waiters if all remaining procs are blocked (deadlock),
 // since that is always a bug in the model. A panic raised by a proc body
-// comes out of Run on the caller's goroutine.
+// comes out of Run on the caller's goroutine with its original value.
 //
-// Run is the only dispatch loop. It pops runnable procs in (time, seq)
-// order and runs each from its resume until it next yields, blocks, or
-// finishes.
+// Run pops the first proc and resumes it; from then on each proc that
+// parks or finishes pops and resumes its successor (see handoff), and
+// control returns here only when nothing is left to run.
 func (e *Engine) Run() {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -309,14 +344,68 @@ func (e *Engine) Run() {
 	e.running = true
 	defer func() { e.running = false }()
 
-	for e.live > 0 {
-		if e.runnable.Len() == 0 {
-			panic("sim: deadlock: " + e.blockedReport())
-		}
-		p := e.runnable.pop()
-		e.now = p.time
-		p.state = stateRunning
+	e.dispatch()
+	if p := e.target; p != nil {
+		e.switches++
 		p.next()
+	}
+	if r := e.panicked; r != nil {
+		e.panicked = nil
+		panic(r)
+	}
+	if e.live > 0 {
+		panic("sim: deadlock: " + e.blockedReport())
+	}
+}
+
+// dispatch pops the runnable proc with the smallest (time, seq) key into
+// e.target, or sets the target to nil (back to Run) when nothing is
+// runnable: every proc is done, or the live ones are all blocked.
+func (e *Engine) dispatch() {
+	if len(e.runnable) == 0 {
+		e.target = nil
+		return
+	}
+	e.start(e.runnable.pop())
+}
+
+// start makes p, just popped, the proc to run next.
+func (e *Engine) start(p *Proc) {
+	e.handoffs++
+	e.now = p.time
+	p.state = stateRunning
+	e.target = p
+}
+
+// handoff passes control from p, which has parked or finished and set
+// e.target, to the target, and returns true once p is the target again.
+// Each pass costs one coroutine switch: p resumes a target parked in its
+// yield with next, nested under p, and otherwise — the target is one of
+// p's resumers further down the chain, or Run — p yields back up to its
+// own resumer, which looks again. A finished proc on a plain engine
+// returns false instead of yielding up, so its coroutine ends. handoff
+// also returns false when Reset or Close stopped p's coroutine.
+func (p *Proc) handoff() bool {
+	e := p.eng
+	for {
+		t := e.target
+		switch {
+		case t == p:
+			return true
+		case t != nil && !t.onChain:
+			p.onChain = true
+			e.switches++
+			t.next()
+			p.onChain = false
+		case p.state == stateDone && !e.pooled:
+			e.switches++
+			return false
+		default:
+			e.switches++
+			if !p.yield(struct{}{}) {
+				return false
+			}
+		}
 	}
 }
 
@@ -401,18 +490,28 @@ func (e *Engine) free(p *Proc) {
 // ---- Proc methods (call only from the proc's own body) ----
 
 // park ends the proc's current dispatch: a blocked proc waits for Wake, a
-// ready one requeues at its (updated) time. Control returns to Run, which
-// resumes the coroutine when the proc is next popped. (The no-switch case
-// — the yielder staying first in dispatch order — is handled before
-// calling here, in Engine.keepRunning.) If Reset or Close stopped the
-// coroutine meanwhile, the body unwinds through the killed sentinel.
+// ready one requeues at its (updated) time. The proc pops its successor
+// and hands it control; park returns when the proc is popped again. (The
+// no-switch case — the yielder staying first in dispatch order — is
+// handled before calling here, in Engine.keepRunning.) If Reset or Close
+// stopped the coroutine meanwhile, the body unwinds through the killed
+// sentinel.
+//
+// A ready proc reaches park only after keepRunning found the heap's head
+// at or before its time, so its new key is larger than the head's:
+// replacing the head with it pops exactly what a push and a pop would.
 func (p *Proc) park(block bool) {
+	e := p.eng
 	if block {
 		p.state = stateBlocked
+		e.dispatch()
 	} else {
-		p.eng.enqueue(p)
+		e.seq++
+		p.seq = e.seq
+		p.state = stateRunnable
+		e.start(e.runnable.replaceTop(p))
 	}
-	if !p.yield(struct{}{}) {
+	if !p.handoff() {
 		panic(killed{})
 	}
 }
@@ -574,8 +673,23 @@ func (h *procHeap) pop() *Proc {
 	top := s[0]
 	s[0] = s[n]
 	s[n] = nil
-	s = s[:n]
-	*h = s
+	*h = s[:n]
+	h.down()
+	return top
+}
+
+// replaceTop pops the head and pushes p in one sift-down. p's key must be
+// larger than the head's, so the head is what a push-then-pop returns.
+func (h procHeap) replaceTop(p *Proc) *Proc {
+	top := h[0]
+	h[0] = p
+	h.down()
+	return top
+}
+
+// down restores the heap order after the root was replaced.
+func (h procHeap) down() {
+	n := len(h)
 	i := 0
 	for {
 		l := 2*i + 1
@@ -583,14 +697,13 @@ func (h *procHeap) pop() *Proc {
 			break
 		}
 		min := l
-		if r := l + 1; r < n && s.less(r, l) {
+		if r := l + 1; r < n && h.less(r, l) {
 			min = r
 		}
-		if !s.less(min, i) {
+		if !h.less(min, i) {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
+		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	return top
 }
