@@ -132,12 +132,12 @@ func main() {
 			fatalUsage(fmt.Sprintf("unknown experiment %q; registered experiments:\n%s", *exp, experimentList()))
 		}
 	}
-	if err := mosbench.CheckPlacement(*place); err != nil {
-		fatalUsage(fmt.Sprintf("%v; valid placements: local, striped, remote, home:N (N a chip index)", err))
-	}
 	prof, ok := machineProfile(*machine)
 	if !ok {
 		fatalUsage(fmt.Sprintf("unknown machine %q; registered profiles:\n%s", *machine, machineList()))
+	}
+	if err := mosbench.CheckPlacementFor(*place, *machine); err != nil {
+		fatalUsage(fmt.Sprintf("%v; valid placements: local, striped, remote, home:N (N a chip index)", err))
 	}
 	if err := mosbench.CheckFaultFor(*faults, *machine); err != nil {
 		fatalUsage(fmt.Sprintf("bad -fault spec: %v", err))

@@ -83,6 +83,11 @@ func TestBadSpecsAreUsageErrors(t *testing.T) {
 			args: []string{"-experiment", "latload", "-shed", "qlen=0"},
 			want: []string{"-shed", "positive"},
 		},
+		{
+			name: "placement home beyond machine",
+			args: []string{"-experiment", "fig1", "-machine", "ring16", "-placement", "home:16"},
+			want: []string{"0..15", "home:N"},
+		},
 	}
 	for _, c := range cases {
 		c := c
@@ -112,6 +117,12 @@ func TestGoodSpecsPassValidation(t *testing.T) {
 		"-shed", "qlen=8")
 	if code != 0 {
 		t.Fatalf("exit code %d, want 0; stderr: %s", code, msg)
+	}
+	// -placement home:N is checked against the -machine profile's chips,
+	// not the default host's eight.
+	code, msg = runCLI(t, "-experiment", "fig1", "-machine", "ring16", "-placement", "home:12")
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0 (ring16 has 16 chips); stderr: %s", code, msg)
 	}
 }
 

@@ -229,7 +229,7 @@ func TestFig9GmakeShape(t *testing.T) {
 func pedsortAt(mode PedsortMode, cores int) Result {
 	m := topo.New(cores)
 	if mode == PedsortProcsRR {
-		m = topo.NewRR(cores)
+		m = topo.Default().WithCoresRR(cores)
 	}
 	k := kernel.New(m, kernel.Stock(), 1)
 	opts := DefaultPedsortOpts()
@@ -275,7 +275,7 @@ func metisAt(super bool, cores int) Result {
 	if super {
 		cfg = kernel.PK()
 	}
-	k := kernel.New(topo.NewRR(cores), cfg, 1)
+	k := kernel.New(topo.Default().WithCoresRR(cores), cfg, 1)
 	opts := DefaultMetisOpts()
 	opts.SuperPages = super
 	return RunMetis(k, opts)

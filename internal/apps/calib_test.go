@@ -125,7 +125,7 @@ func TestCalibrationProbe(t *testing.T) {
 		for _, n := range coresList {
 			m := topo.New(n)
 			if mode == PedsortProcsRR {
-				m = topo.NewRR(n)
+				m = topo.Default().WithCoresRR(n)
 			}
 			k := kernel.New(m, kernel.Stock(), 1)
 			r := RunPedsort(k, opts)
@@ -144,7 +144,7 @@ func TestCalibrationProbe(t *testing.T) {
 			opts.SuperPages = true
 		}
 		for _, n := range coresList {
-			k := kernel.New(topo.NewRR(n), cfg, 1)
+			k := kernel.New(topo.Default().WithCoresRR(n), cfg, 1)
 			r := RunMetis(k, opts)
 			fmt.Printf("  super=%-5v %2d cores: %8.2f /hr/core  sys_s=%6.2f\n",
 				super, n, r.PerCore()*3600, topo.CyclesToSec(r.SysCycles))

@@ -3,7 +3,6 @@ package apps
 import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/mm"
 	"repro/internal/sim"
 )
 
@@ -110,15 +109,4 @@ func RunMetis(k *kernel.Kernel, opts MetisOpts) Result {
 		DRAMUtil:   k.DRAMUtilization(),
 		LinkUtil:   k.LinkUtilization(),
 	}
-}
-
-// metisFaultsFor reports how many faults a configuration will take (tests).
-func metisFaultsFor(opts MetisOpts, cores int) int64 {
-	perCoreInput := opts.InputBytes / int64(cores)
-	tableBytes := int64(float64(perCoreInput) * opts.TableBytesPerInputByte)
-	pageSize := int64(mm.PageBytes)
-	if opts.SuperPages {
-		pageSize = mm.SuperPageBytes
-	}
-	return (tableBytes + pageSize - 1) / pageSize * int64(cores)
 }

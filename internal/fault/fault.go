@@ -463,12 +463,6 @@ type Step struct {
 	Routes *topo.RouteTable
 }
 
-// Compile validates the spec against the default machine with nCores
-// enabled cores and returns the executable plan.
-func (s *Spec) Compile(nCores int) (*Plan, error) {
-	return s.CompileFor(topo.Default(), nCores)
-}
-
 // CompileFor validates the spec against machine m with nCores enabled
 // cores and returns the executable plan. Errors: a link event naming
 // chips not joined by one of m's links, an out-of-range chip or core, a
@@ -577,23 +571,15 @@ func (p *Plan) CoreOffline(c int) bool {
 	return p != nil && c >= 0 && c < len(p.Offline) && p.Offline[c]
 }
 
-// Validate compiles the spec against the full default machine, discarding
-// the plan: the cheap early check callers run before sweeping.
-func (s *Spec) Validate() error {
-	return s.ValidateFor(topo.Default())
-}
-
 // ValidateFor compiles the spec against all of machine m, discarding the
-// plan.
+// plan: the cheap early check callers run before sweeping.
 func (s *Spec) ValidateFor(m *topo.Machine) error {
 	_, err := s.CompileFor(m, m.MaxCores())
 	return err
 }
 
-// LinkIndex returns the default ring's index of the link joining chips a
-// and b, or an error if they are not ring-adjacent.
-func LinkIndex(a, b int) (int, error) { return linkIndexFor(topo.Default(), a, b) }
-
+// linkIndexFor returns the index of m's link joining chips a and b, or an
+// error if they are not adjacent.
 func linkIndexFor(m *topo.Machine, a, b int) (int, error) {
 	if a < 0 || a >= m.Chips || b < 0 || b >= m.Chips {
 		return 0, fmt.Errorf("fault: link chips %d-%d out of range [0,%d)", a, b, m.Chips)
@@ -627,11 +613,6 @@ var fingerprint = fprint.New("fault").
 
 // Fingerprint returns the canonical fingerprint of the fault cost domain.
 func Fingerprint() string { return fingerprint }
-
-// Equal reports whether two specs describe the same faults.
-func (s *Spec) Equal(o *Spec) bool {
-	return s.String() == o.String()
-}
 
 // IsZero reports whether the spec injects nothing.
 func (s *Spec) IsZero() bool { return s == nil || len(s.Events) == 0 }

@@ -54,13 +54,13 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestValidateRangeErrors(t *testing.T) {
-	// Grammar-valid but machine-invalid specs fail at Validate/Compile.
+	// Grammar-valid but machine-invalid specs fail at ValidateFor/CompileFor.
 	for _, in := range []string{
 		"link:0-2@50%", // not ring-adjacent
 		"dram:9@50%",   // chip out of range
 		"core:99@off",  // core out of range
 	} {
-		if err := mustParse(t, in).Validate(); err == nil {
+		if err := mustParse(t, in).ValidateFor(topo.Default()); err == nil {
 			t.Errorf("Validate(%q) succeeded, want error", in)
 		}
 	}
@@ -85,7 +85,7 @@ func TestScale(t *testing.T) {
 
 func TestCompile(t *testing.T) {
 	s := mustParse(t, "link:0-1@down,core:5@off,dram:2@50%,drop:0.01,dram:3@25%@t=2ms")
-	plan, err := s.Compile(topo.MaxCores)
+	plan, err := s.CompileFor(topo.Default(), topo.MaxCores)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -108,13 +108,13 @@ func TestCompile(t *testing.T) {
 }
 
 func TestCompileErrors(t *testing.T) {
-	if _, err := mustParse(t, "core:0@off").Compile(1); err == nil {
+	if _, err := mustParse(t, "core:0@off").CompileFor(topo.Default(), 1); err == nil {
 		t.Error("offlining every enabled core must not compile")
 	}
-	if _, err := mustParse(t, "core:1@off").Compile(1); err != nil {
+	if _, err := mustParse(t, "core:1@off").CompileFor(topo.Default(), 1); err != nil {
 		t.Errorf("offlining a core outside the run should compile: %v", err)
 	}
-	if _, err := mustParse(t, "core:5@off@t=1ms").Compile(48); err == nil {
+	if _, err := mustParse(t, "core:5@off@t=1ms").CompileFor(topo.Default(), 48); err == nil {
 		t.Error("timed core offlining must be rejected (boot-time only)")
 	}
 }
@@ -122,10 +122,10 @@ func TestCompileErrors(t *testing.T) {
 func TestValidatePartition(t *testing.T) {
 	// Two dead links split the ring: chips between them are unreachable.
 	s := mustParse(t, "link:0-1@down,link:4-5@down")
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "partition") {
-		t.Errorf("Validate() = %v, want ring-partition error", err)
+	if err := s.ValidateFor(topo.Default()); err == nil || !strings.Contains(err.Error(), "partition") {
+		t.Errorf("ValidateFor() = %v, want ring-partition error", err)
 	}
-	if err := mustParse(t, "link:0-1@down").Validate(); err != nil {
+	if err := mustParse(t, "link:0-1@down").ValidateFor(topo.Default()); err != nil {
 		t.Errorf("single dead link should validate: %v", err)
 	}
 }
@@ -179,7 +179,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 func TestEqualAndFingerprint(t *testing.T) {
 	a := mustParse(t, "drop:0.01,link:3-4@50%")
 	b := mustParse(t, "link:4-3@50%,drop:0.01")
-	if !a.Equal(b) {
+	if a.String() != b.String() {
 		t.Errorf("%q and %q should be equal after canonicalization", a, b)
 	}
 	if Fingerprint() == "" {
@@ -208,11 +208,11 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Parse(%q) ok, but its String %q does not parse: %v", in, canon, err)
 		}
-		if !again.Equal(s) {
+		if again.String() != canon {
 			t.Fatalf("Parse(%q) renders %q, which reparses to %q", in, canon, again)
 		}
-		_ = s.Validate()
-		_, _ = s.Compile(48)
+		_ = s.ValidateFor(topo.Default())
+		_, _ = s.CompileFor(topo.Default(), 48)
 		_ = s.Scale(0.5)
 	})
 }

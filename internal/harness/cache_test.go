@@ -10,6 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/topo"
 )
 
 // cachingExperiments returns the IDs of every registered experiment that
@@ -35,6 +38,32 @@ func cachingExperiments(t *testing.T, seed uint64) []string {
 		t.Fatalf("only %d experiments consult the cache; wiring broken? (%v)", len(out), out)
 	}
 	return out
+}
+
+// TestSectionFingerprintGolden pins the sweep-point cache's keys by
+// value: the default machine's mem domain, the combined fingerprints of
+// default and "@machine" sections, and the cache schema. A refactor of
+// how machines, domains or sections are fingerprinted must keep these
+// bytes, or every warm cache silently re-simulates; a deliberate retune
+// updates the table.
+func TestSectionFingerprintGolden(t *testing.T) {
+	if got, want := mem.FingerprintFor(topo.Default()), "292d23844d62b174"; got != want {
+		t.Errorf("mem.FingerprintFor(default) = %s, want %s", got, want)
+	}
+	for _, c := range []struct{ section, want string }{
+		{"fig4", "b9bed4c8a87e7249"},
+		{"fig4@ring16", "5af9ddf7531b4662"},
+		{"latload", "080c9d4f5dd3b2a2"},
+		{"degrade@big192", "640abcb47e66b2d1"},
+		{"fig11@mesh4x4", "545d9fa7bb125d6a"},
+	} {
+		if got := fingerprintFor(c.section); got != c.want {
+			t.Errorf("fingerprintFor(%q) = %s, want %s", c.section, got, c.want)
+		}
+	}
+	if got, want := cacheSchema, "39b9930df6863dea"; got != want {
+		t.Errorf("cacheSchema = %s, want %s", got, want)
+	}
 }
 
 // TestFingerprintInvalidationIsPerExperiment pins the incremental

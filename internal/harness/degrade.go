@@ -96,7 +96,7 @@ func runDegrade(o Options) *Series {
 			if !ok {
 				continue
 			}
-			floor := gracefulFloor(m, base.Scale(float64(sev)/100), cores, healthy.PerCore)
+			floor := gracefulFloor(base.Scale(float64(sev)/100), cores, healthy.PerCore)
 			s.Notes = append(s.Notes, fmt.Sprintf(
 				"  %-6s @%3d%%: retention %.2f (graceful floor %.2f), %.3f retries/op",
 				v, sev, p.PerCore/healthy.PerCore, floor, p.Retries))
@@ -117,11 +117,11 @@ const degradePacketsPerOp = 6
 // backoffs of wall clock (doubling on the rare consecutive losses). A
 // system below the floor collapsed — deadlocked, livelocked, or cascading
 // — rather than degraded.
-func gracefulFloor(m *topo.Machine, scaled *fault.Spec, cores int, healthyPerCore float64) float64 {
+func gracefulFloor(scaled *fault.Spec, cores int, healthyPerCore float64) float64 {
 	capLoss := scaled.LossBound(cores)
 	drop, dup := scaled.NetProbs()
 	// Healthy per-op wall cycles on one core, from the measured baseline.
-	opCycles := m.CyclesPerSec() / healthyPerCore
+	opCycles := topo.CyclesPerSec() / healthyPerCore
 	latency := 1 + degradePacketsPerOp*(drop*2*float64(fault.RetryBaseCycles)+dup*float64(fault.RetryBaseCycles)/4)/opCycles
 	return (1 - capLoss) / latency
 }

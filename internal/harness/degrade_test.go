@@ -36,7 +36,7 @@ func TestDegradeQuickGracefulAndDeterministic(t *testing.T) {
 			// capacity+retry-latency floor, and throughput only falls as
 			// severity rises.
 			scaled := base.Scale(float64(sev) / 100)
-			floor := gracefulFloor(o.machine(), scaled, degradeQuickCores, healthy.PerCore)
+			floor := gracefulFloor(scaled, degradeQuickCores, healthy.PerCore)
 			if ret := p.PerCore / healthy.PerCore; ret < floor {
 				t.Errorf("%s@%d%%: retention %.3f below graceful floor %.3f", v, sev, ret, floor)
 			}

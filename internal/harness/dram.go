@@ -3,6 +3,7 @@ package harness
 import (
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func init() {
@@ -55,7 +56,7 @@ func runPlacementPoint(o Options, pl mem.Placement, cores int, streamBytes int64
 	gb := float64(streamBytes) / (1 << 30)
 	return Point{
 		Cores:    cores,
-		PerCore:  gb / secsFor(m, e.Now()),
+		PerCore:  gb / topo.CyclesToSec(e.Now()),
 		DRAMUtil: cs.Utilization(e.Now()),
 		LinkUtil: cs.LinkUtilization(e.Now()),
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/scount"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // This file registers the extension experiments: the paper's analysis
@@ -165,7 +166,7 @@ func runSloppyThreshold(o Options) *Series {
 			})
 		}
 		e.Run()
-		opsPerSec := float64(max*churn) / secsFor(m, e.Now()) / float64(max)
+		opsPerSec := float64(max*churn) / topo.CyclesToSec(e.Now()) / float64(max)
 		s.Points = append(s.Points, Point{
 			Cores:   max,
 			Variant: fmt.Sprintf("threshold=%d", threshold),
@@ -271,7 +272,7 @@ func runSteering(o Options) *Series {
 				})
 			}
 			k.Engine.Run()
-			tput := float64(cores*reqs) / secsFor(m, k.Engine.Now()) / float64(cores)
+			tput := float64(cores*reqs) / topo.CyclesToSec(k.Engine.Now()) / float64(cores)
 			return Point{Cores: cores, Variant: name, PerCore: tput}
 		}})
 	}

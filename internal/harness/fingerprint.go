@@ -25,8 +25,8 @@ import (
 // editing constants.
 var costDomains = func() map[string]string {
 	d := map[string]string{
-		"topo":   topo.Fingerprint(),
-		"mem":    mem.Fingerprint(),
+		"topo":   topo.Default().Fingerprint(),
+		"mem":    mem.FingerprintFor(topo.Default()),
 		"kernel": kernel.Fingerprint(),
 		"fault":  fault.Fingerprint(),
 		"load":   load.Fingerprint(),

@@ -262,16 +262,6 @@ func (o Options) topoRR(n int) *topo.Machine { return o.machine().WithCoresRR(n)
 // maxCores is the run's full-machine core count (48 on the default).
 func (o Options) maxCores() int { return o.machine().MaxCores() }
 
-// secsFor converts engine cycles to seconds at m's clock.
-func secsFor(m *topo.Machine, cycles int64) float64 {
-	return float64(cycles) / m.CyclesPerSec()
-}
-
-// microsFor converts engine cycles to microseconds at m's clock.
-func microsFor(m *topo.Machine, cycles int64) float64 {
-	return float64(cycles) * 1e6 / m.CyclesPerSec()
-}
-
 func (o Options) seed() uint64 {
 	if o.Seed == 0 {
 		return 1

@@ -8,6 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/scount"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func init() {
@@ -223,13 +224,13 @@ func runScountSweep(o Options) *Series {
 			})
 		}
 		e.Run()
-		ms := microsFor(m, e.Now()) / 1e3
+		ms := topo.CyclesToMicros(e.Now()) / 1e3
 		return Point{
 			Cores:      cores,
 			Variant:    variant,
 			PerCore:    float64(pairs) / ms,
-			UserMicros: microsFor(m, e.TotalUserCycles()) / float64(pairs*cores),
-			SysMicros:  microsFor(m, e.TotalSysCycles()) / float64(pairs*cores),
+			UserMicros: topo.CyclesToMicros(e.TotalUserCycles()) / float64(pairs*cores),
+			SysMicros:  topo.CyclesToMicros(e.TotalSysCycles()) / float64(pairs*cores),
 		}
 	}
 	o.runGrid(s, []variantRun{

@@ -28,5 +28,6 @@ var fingerprint = func() string {
 }()
 
 // Fingerprint returns the canonical fingerprint of the kernel-side cost
-// model. See topo.Fingerprint for how the sweep-point cache uses it.
+// model. See topo.Machine.Fingerprint for how the sweep-point cache uses
+// it.
 func Fingerprint() string { return fingerprint }

@@ -135,7 +135,7 @@ type Kernel struct {
 	// each with that chip's share of the machine's aggregate rate, joined
 	// by the finite-rate HyperTransport link ring. Apps route bulk
 	// transfers by home chip (DRAM.Transfer / TransferLocal), by policy
-	// (DRAM.TransferPlaced), or grab a single chip's handle with DRAMFor;
+	// (DRAM.TransferPlaced), or grab a single chip's handle with DRAM.Chip;
 	// cross-chip transfers queue on every link of their route.
 	DRAM *mem.Controllers
 	// Faults is the compiled fault plan this kernel booted under (nil for
@@ -278,20 +278,6 @@ func (k *Kernel) Online(c int) bool {
 	return k.online == nil || k.online[c]
 }
 
-// OnlineCores returns how many of the machine's enabled cores are online.
-func (k *Kernel) OnlineCores() int {
-	if k.online == nil {
-		return k.Machine.NCores
-	}
-	n := 0
-	for _, up := range k.online {
-		if up {
-			n++
-		}
-	}
-	return n
-}
-
 // FirstOnline returns the lowest-numbered online core.
 func (k *Kernel) FirstOnline() int {
 	for c := 0; c < k.Machine.NCores; c++ {
@@ -301,9 +287,6 @@ func (k *Kernel) FirstOnline() int {
 	}
 	panic("kernel: no online cores") // applyBootFaults guarantees one
 }
-
-// DRAMFor returns the memory controller serving the given chip's DRAM.
-func (k *Kernel) DRAMFor(chip int) *mem.Controller { return k.DRAM.Chip(chip) }
 
 // DRAMUtilization returns each chip's controller busy fraction over the
 // run so far (reported by the harness next to throughput).

@@ -115,15 +115,7 @@ func List(dir string, patterns ...string) ([]Listed, error) {
 	return pkgs, nil
 }
 
-// ModuleRoot finds the enclosing module directory of dir.
-func ModuleRoot(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	return moduleRoot(abs)
-}
-
+// moduleRoot finds the enclosing module directory of dir.
 func moduleRoot(dir string) (string, error) {
 	for d := dir; ; {
 		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {

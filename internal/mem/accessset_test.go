@@ -72,7 +72,7 @@ func TestDMAWriteForcesHomeFetch(t *testing.T) {
 		t.Fatalf("pre-DMA re-read cost %d, want L1 hit %d", got, topo.LatL1)
 	}
 	md.DMAWrite([]Line{l})
-	want := topo.DRAMLatency(7, 0)
+	want := topo.Default().DRAMLatency(7, 0)
 	if got := md.Read(42, l, 20); got != want {
 		t.Errorf("post-DMA read cost %d, want home-DRAM fetch %d", got, want)
 	}

@@ -104,7 +104,8 @@ func newLink(id int, bytesPerSec, cyclesPerSec float64) *Link {
 	}
 }
 
-// ID returns the link's index in the topo ring (see topo.LinkEnds).
+// ID returns the link's index in the machine's link graph (see
+// Machine.LinkEnds).
 func (ln *Link) ID() int { return ln.id }
 
 // Controllers is the machine's NUMA memory system: one queued controller
@@ -124,24 +125,14 @@ type Controllers struct {
 	routes *topo.RouteTable
 }
 
-// NewControllers returns the paper machine's memory system: eight
-// controllers, each with a 1/8 share of the measured 51.5 GB/s aggregate,
-// joined by eight HT links at topo.HTLinkBytesPerSec each.
-func NewControllers() *Controllers {
-	return NewControllersFor(topo.Default())
-}
-
 // NewControllersFor returns the given machine's memory system: one
 // controller per chip splitting the machine's aggregate DRAM rate, joined
-// by the machine's link graph at its per-link rates.
+// by the machine's link graph at its per-link rates. On the paper's host
+// that is eight controllers, each with a 1/8 share of the measured
+// 51.5 GB/s aggregate, joined by eight HT links at
+// topo.HTLinkBytesPerSec each.
 func NewControllersFor(m *topo.Machine) *Controllers {
 	return NewControllersRateFor(m, m.DRAMMaxBytesPerSec)
-}
-
-// NewControllersRate is NewControllersRateFor on the default machine
-// (tests use small rates).
-func NewControllersRate(aggregateBytesPerSec float64) *Controllers {
-	return NewControllersRateFor(topo.Default(), aggregateBytesPerSec)
 }
 
 // NewControllersRateFor builds per-chip controllers splitting the given
@@ -155,7 +146,7 @@ func NewControllersRateFor(m *topo.Machine, aggregateBytesPerSec float64) *Contr
 		links:  make([]*Link, m.NumLinks()),
 		routes: m.DefaultRoutes(),
 	}
-	cps := m.CyclesPerSec()
+	cps := topo.CyclesPerSec()
 	for i := range cs.chips {
 		cs.chips[i] = newController(i, aggregateBytesPerSec/float64(m.Chips), cps)
 	}

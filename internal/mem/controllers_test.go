@@ -7,10 +7,16 @@ import (
 	"repro/internal/topo"
 )
 
+// chipBytesPerSec is one chip's share of the default machine's aggregate
+// DRAM rate: each of the eight Opterons has its own on-die memory
+// controller, and the 51.5 GB/s maximum is only reachable when all eight
+// stream at once.
+const chipBytesPerSec = topo.DRAMMaxBytesPerSec / topo.Chips
+
 func TestControllerRate(t *testing.T) {
 	// Aggregate 8*24 bytes/sec => 24 bytes/sec per chip; a 24-byte local
 	// transfer takes one second.
-	cs := NewControllersRate(24 * topo.Chips)
+	cs := NewControllersRateFor(topo.Default(), 24*topo.Chips)
 	e := sim.NewEngine(topo.New(1), 1)
 	var end int64
 	e.Spawn(0, "p", 0, func(p *sim.Proc) {
@@ -27,9 +33,9 @@ func TestControllerSaturationQueues(t *testing.T) {
 	// Two cores on chip 0 each move half the chip's per-second capacity at
 	// once: demand above the rate must produce queueing delay (the second
 	// transfer finishes about twice as late as the first).
-	cs := NewControllers()
+	cs := NewControllersFor(topo.Default())
 	e := sim.NewEngine(topo.New(2), 1)
-	n := int64(topo.DRAMChipBytesPerSec / 2)
+	n := int64(chipBytesPerSec / 2)
 	ends := make([]int64, 2)
 	for c := 0; c < 2; c++ {
 		c := c
@@ -55,9 +61,9 @@ func TestPerChipSaturationLeavesOtherChipsAlone(t *testing.T) {
 	// Six cores hammer chip 0's controller while one core on chip 1 does a
 	// single local transfer. The chip-1 transfer must take exactly its
 	// unqueued service time: saturation is local to a controller.
-	cs := NewControllers()
+	cs := NewControllersFor(topo.Default())
 	e := sim.NewEngine(topo.New(12), 1)
-	big := int64(topo.DRAMChipBytesPerSec) // one second of chip-0 demand each
+	big := int64(chipBytesPerSec) // one second of chip-0 demand each
 	small := int64(1 << 20)
 	var chip1End int64
 	for c := 0; c < 6; c++ {
@@ -85,33 +91,35 @@ func TestPerChipSaturationLeavesOtherChipsAlone(t *testing.T) {
 }
 
 func TestCrossChipTransferPaysLinksAndHopLatency(t *testing.T) {
-	cs := NewControllers()
+	m := topo.Default()
+	cs := NewControllersFor(m)
 	e := sim.NewEngine(topo.New(1), 1)
 	n := int64(1 << 20)
+	farChip := m.MaxHops() // on the ring, chip MaxHops is farthest from chip 0
 	var local, far int64
 	e.Spawn(0, "p", 0, func(p *sim.Proc) {
 		start := p.Now()
 		cs.Transfer(p, 0, n)
 		local = p.Now() - start
 		start = p.Now()
-		cs.Transfer(p, topo.MaxHops, n) // farthest chip
+		cs.Transfer(p, farChip, n)
 		far = p.Now() - start
 	})
 	e.Run()
 	// The far transfer serially occupies each of the four links on its
 	// route, then the remote controller, then pays the hop latency.
-	want := local + topo.HTLatency(topo.MaxHops)
-	for _, l := range topo.Route(0, topo.MaxHops) {
+	want := local + m.HTLatency(m.HopDistance(0, farChip))
+	for _, l := range m.Route(0, farChip) {
 		want += cs.Link(l).CyclesFor(n)
 	}
 	if far != want {
 		t.Errorf("far transfer took %d cycles, want %d (local %d + links + %d hops latency)",
-			far, want, local, topo.MaxHops)
+			far, want, local, m.MaxHops())
 	}
 }
 
 func TestTransferStripedTouchesEveryController(t *testing.T) {
-	cs := NewControllers()
+	cs := NewControllersFor(topo.Default())
 	e := sim.NewEngine(topo.New(1), 1)
 	n := int64(topo.Chips*1024 + 7)
 	e.Spawn(0, "p", 0, func(p *sim.Proc) {
@@ -135,7 +143,7 @@ func TestTransferStripedTouchesEveryController(t *testing.T) {
 // transfer homed on the requester's own chip never touches the
 // interconnect.
 func TestZeroHopTransferChargesNoLink(t *testing.T) {
-	cs := NewControllers()
+	cs := NewControllersFor(topo.Default())
 	e := sim.NewEngine(topo.New(48), 1)
 	for c := 0; c < 48; c++ {
 		e.Spawn(c, "local", 0, func(p *sim.Proc) {
@@ -147,7 +155,7 @@ func TestZeroHopTransferChargesNoLink(t *testing.T) {
 	if got := cs.LinkBytesRequested(); got != 0 {
 		t.Errorf("local transfers charged %d link bytes, want 0", got)
 	}
-	for l := 0; l < topo.NumLinks; l++ {
+	for l := 0; l < topo.Default().NumLinks(); l++ {
 		if b := cs.Link(l).BytesRequested(); b != 0 {
 			t.Errorf("link %d carried %d bytes from local transfers", l, b)
 		}
@@ -160,18 +168,18 @@ func TestZeroHopTransferChargesNoLink(t *testing.T) {
 func TestLinkBytesEqualBytesTimesHops(t *testing.T) {
 	for from := 0; from < topo.Chips; from++ {
 		for home := 0; home < topo.Chips; home++ {
-			cs := NewControllers()
-			e := sim.NewEngine(topo.NewRR(topo.Chips), 1) // core i on chip i
+			cs := NewControllersFor(topo.Default())
+			e := sim.NewEngine(topo.Default().WithCoresRR(topo.Chips), 1) // core i on chip i
 			n := int64(1<<20 + 17)
 			e.Spawn(from, "p", 0, func(p *sim.Proc) {
 				cs.Transfer(p, home, n)
 			})
 			e.Run()
-			hops := topo.HopDistance(from, home)
+			hops := topo.Default().HopDistance(from, home)
 			if got, want := cs.LinkBytesRequested(), n*int64(hops); got != want {
 				t.Errorf("%d->%d: link bytes %d, want %d (n x %d hops)", from, home, got, want, hops)
 			}
-			for _, l := range topo.Route(from, home) {
+			for _, l := range topo.Default().Route(from, home) {
 				if b := cs.Link(l).BytesRequested(); b != n {
 					t.Errorf("%d->%d: on-route link %d carried %d bytes, want %d", from, home, l, b, n)
 				}
@@ -187,7 +195,7 @@ func TestLinkBytesEqualBytesTimesHops(t *testing.T) {
 func TestTransferStripedMatchesSequentialTransfers(t *testing.T) {
 	n := int64(topo.Chips*4096 + 13)
 	run := func(f func(cs *Controllers, p *sim.Proc)) (*Controllers, int64) {
-		cs := NewControllers()
+		cs := NewControllersFor(topo.Default())
 		e := sim.NewEngine(topo.New(48), 1)
 		var end int64
 		e.Spawn(20, "p", 0, func(p *sim.Proc) { // core 20 = chip 3
@@ -222,7 +230,7 @@ func TestTransferStripedMatchesSequentialTransfers(t *testing.T) {
 			t.Errorf("chip %d: striped charged %d bytes, sequential %d", chip, a, b)
 		}
 	}
-	for l := 0; l < topo.NumLinks; l++ {
+	for l := 0; l < topo.Default().NumLinks(); l++ {
 		if a, b := csA.Link(l).BytesRequested(), csB.Link(l).BytesRequested(); a != b {
 			t.Errorf("link %d: striped charged %d bytes, sequential %d", l, a, b)
 		}
@@ -232,7 +240,7 @@ func TestTransferStripedMatchesSequentialTransfers(t *testing.T) {
 // TestDMAWriteChargesRouteFromHub verifies device DMA enters at the I/O
 // hub chip and charges the links from there to the buffer's home.
 func TestDMAWriteChargesRouteFromHub(t *testing.T) {
-	cs := NewControllers()
+	cs := NewControllersFor(topo.Default())
 	e := sim.NewEngine(topo.New(48), 1)
 	home := 3
 	n := int64(1 << 16)
@@ -240,7 +248,7 @@ func TestDMAWriteChargesRouteFromHub(t *testing.T) {
 		cs.DMAWrite(p, home, n)
 	})
 	e.Run()
-	route := topo.Route(topo.IOHubChip, home)
+	route := topo.Default().Route(topo.IOHubChip, home)
 	if got, want := cs.LinkBytesRequested(), n*int64(len(route)); got != want {
 		t.Errorf("DMA charged %d link bytes, want %d (route %v from hub)", got, want, route)
 	}
@@ -253,7 +261,7 @@ func TestDMAWriteChargesRouteFromHub(t *testing.T) {
 		t.Errorf("home controller received %d bytes, want %d", b, n)
 	}
 	// Zero-hop DMA (buffer homed on the hub chip) charges no link.
-	cs2 := NewControllers()
+	cs2 := NewControllersFor(topo.Default())
 	e2 := sim.NewEngine(topo.New(1), 1)
 	e2.Spawn(0, "driver", 0, func(p *sim.Proc) { cs2.DMAWrite(p, topo.IOHubChip, n) })
 	e2.Run()
@@ -267,7 +275,7 @@ func TestDMAWriteChargesRouteFromHub(t *testing.T) {
 // the links from the home chip to the I/O hub — the mirror image of
 // DMAWrite.
 func TestDMAReadChargesRouteToHub(t *testing.T) {
-	cs := NewControllers()
+	cs := NewControllersFor(topo.Default())
 	e := sim.NewEngine(topo.New(48), 1)
 	home := 5
 	n := int64(1 << 16)
@@ -275,7 +283,7 @@ func TestDMAReadChargesRouteToHub(t *testing.T) {
 		cs.DMARead(p, home, n)
 	})
 	e.Run()
-	route := topo.Route(home, topo.IOHubChip)
+	route := topo.Default().Route(home, topo.IOHubChip)
 	if got, want := cs.LinkBytesRequested(), n*int64(len(route)); got != want {
 		t.Errorf("DMA read charged %d link bytes, want %d (route %v to hub)", got, want, route)
 	}
@@ -288,7 +296,7 @@ func TestDMAReadChargesRouteToHub(t *testing.T) {
 		t.Errorf("home controller served %d bytes, want %d", b, n)
 	}
 	// A hub-homed send buffer (stock node-0 pools) charges no link.
-	cs2 := NewControllers()
+	cs2 := NewControllersFor(topo.Default())
 	e2 := sim.NewEngine(topo.New(1), 1)
 	e2.Spawn(0, "driver", 0, func(p *sim.Proc) { cs2.DMARead(p, topo.IOHubChip, n) })
 	e2.Run()
@@ -312,18 +320,18 @@ func TestPlacementParseAndString(t *testing.T) {
 		{"home:5", PlacementHome(5)},
 	}
 	for _, c := range cases {
-		got, err := ParsePlacement(c.in)
+		got, err := ParsePlacementFor(topo.Default(), c.in)
 		if err != nil || got != c.want {
-			t.Errorf("ParsePlacement(%q) = %v, %v; want %v", c.in, got, err, c.want)
+			t.Errorf("ParsePlacementFor(default, %q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
 	for _, bad := range []string{"nope", "home:", "home:8", "home:-1", "home:x"} {
-		if _, err := ParsePlacement(bad); err == nil {
-			t.Errorf("ParsePlacement(%q) did not error", bad)
+		if _, err := ParsePlacementFor(topo.Default(), bad); err == nil {
+			t.Errorf("ParsePlacementFor(default, %q) did not error", bad)
 		}
 	}
 	for _, pl := range []Placement{{}, {Kind: PlaceStriped}, PlacementHome(6)} {
-		back, err := ParsePlacement(pl.String())
+		back, err := ParsePlacementFor(topo.Default(), pl.String())
 		if err != nil || back != pl {
 			t.Errorf("round trip %v -> %q -> %v, %v", pl, pl.String(), back, err)
 		}
@@ -334,7 +342,7 @@ func TestPlacementParseAndString(t *testing.T) {
 // Transfer variant would.
 func TestTransferPlacedDispatch(t *testing.T) {
 	run := func(pl Placement) *Controllers {
-		cs := NewControllers()
+		cs := NewControllersFor(topo.Default())
 		e := sim.NewEngine(topo.New(48), 1)
 		e.Spawn(10, "p", 0, func(p *sim.Proc) { // chip 1
 			cs.TransferPlaced(p, pl, 1<<20)
@@ -355,13 +363,13 @@ func TestTransferPlacedDispatch(t *testing.T) {
 	if cs.Chip(6).BytesRequested() != 1<<20 {
 		t.Error("home placement should charge the explicit home chip")
 	}
-	if got, want := cs.LinkBytesRequested(), int64(1<<20)*int64(topo.HopDistance(1, 6)); got != want {
+	if got, want := cs.LinkBytesRequested(), int64(1<<20)*int64(topo.Default().HopDistance(1, 6)); got != want {
 		t.Errorf("home placement charged %d link bytes, want %d", got, want)
 	}
 }
 
 func TestTransferZeroBytesIsFree(t *testing.T) {
-	cs := NewControllers()
+	cs := NewControllersFor(topo.Default())
 	e := sim.NewEngine(topo.New(1), 1)
 	var end int64
 	e.Spawn(0, "p", 0, func(p *sim.Proc) {

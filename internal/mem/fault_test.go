@@ -10,7 +10,7 @@ import (
 func TestScaleControllerThrottlesRate(t *testing.T) {
 	// Halving chip 0's controller doubles a local transfer's time; other
 	// chips keep their full rate.
-	cs := NewControllersRate(24 * topo.Chips)
+	cs := NewControllersRateFor(topo.Default(), 24*topo.Chips)
 	e := sim.NewEngine(topo.New(48), 1)
 	cs.ScaleController(0, 0.5)
 	ends := make([]int64, 2)
@@ -44,7 +44,7 @@ func TestScaleControllerThrottlesRate(t *testing.T) {
 }
 
 func TestScaleRejectsNonPositive(t *testing.T) {
-	cs := NewControllers()
+	cs := NewControllersFor(topo.Default())
 	defer func() {
 		if recover() == nil {
 			t.Error("ScaleLink(0, 0) did not panic")
@@ -56,12 +56,12 @@ func TestScaleRejectsNonPositive(t *testing.T) {
 func TestSetRoutesDetoursTransfers(t *testing.T) {
 	// With link 0 dead, a chip-1-homed transfer from chip 0 must traverse
 	// the seven surviving links instead of the one direct link.
-	rt, err := topo.NewRouteTable([]int{0})
+	rt, err := topo.Default().NewRouteTable([]int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(routed *topo.RouteTable) (linkBytes int64, end int64) {
-		cs := NewControllers()
+		cs := NewControllersFor(topo.Default())
 		cs.SetRoutes(routed)
 		e := sim.NewEngine(topo.New(1), 1)
 		e.Spawn(0, "p", 0, func(p *sim.Proc) {
@@ -87,12 +87,12 @@ func TestSetRoutesDetoursTransfers(t *testing.T) {
 func TestDMAFollowsRoutes(t *testing.T) {
 	// DMA from chip 7's memory to the I/O hub (chip 0) crosses one link
 	// healthy; with that link dead it must detour the long way.
-	rt, err := topo.NewRouteTable([]int{7}) // link 7 joins chips 7 and 0
+	rt, err := topo.Default().NewRouteTable([]int{7}) // link 7 joins chips 7 and 0
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(routed *topo.RouteTable) int64 {
-		cs := NewControllers()
+		cs := NewControllersFor(topo.Default())
 		cs.SetRoutes(routed)
 		e := sim.NewEngine(topo.New(48), 1)
 		e.Spawn(42, "dma", 0, func(p *sim.Proc) { // a chip-7 core

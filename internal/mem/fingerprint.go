@@ -5,30 +5,14 @@ import (
 	"repro/internal/topo"
 )
 
-// fingerprint covers the coherence charges this package adds on top of
-// topo's raw latencies, and the controller/link rates the memory system
-// is built with. The rates derive from topo constants, but they are the
-// operative values every queued transfer is costed at, so they are
-// recorded here too: a change to how the shares are computed changes this
-// fingerprint even if topo's inputs did not move.
-var fingerprint = func() string {
-	return fprint.New("mem").
-		C("invalidatePerSharer", invalidatePerSharer).
-		C("atomicRMWExtra", atomicRMWExtra).
-		C("controllerBytesPerSec", topo.DRAMMaxBytesPerSec/topo.Chips).
-		C("linkBytesPerSec", float64(topo.HTLinkBytesPerSec)).
-		Sum()
-}()
-
-// Fingerprint returns the canonical fingerprint of the coherence,
-// controller, and link cost constants. See topo.Fingerprint for how the
-// sweep-point cache uses it.
-func Fingerprint() string { return fingerprint }
-
 // FingerprintFor renders the memory system's cost constants as built for
-// the given machine: the coherence charges plus the operative per-chip
-// controller and per-link rates. On the default machine it is
-// byte-identical to Fingerprint(), so warm caches survive.
+// the given machine: the coherence charges this package adds on top of
+// topo's raw latencies, plus the operative per-chip controller and
+// per-link rates. The rates derive from the machine, but they are the
+// values every queued transfer is costed at, so they are recorded here
+// too: a change to how the shares are computed changes this fingerprint
+// even if the machine did not move. See Machine.Fingerprint for how the
+// sweep-point cache uses it.
 func FingerprintFor(m *topo.Machine) string {
 	return fprint.New("mem").
 		C("invalidatePerSharer", invalidatePerSharer).

@@ -42,11 +42,12 @@ func seedFuzzState(md *Model, lines []Line, seed byte) {
 	}
 }
 
-// FuzzLineSet fuzzes line-set construction and merging against the batch
-// charging contract: for any construction sequence (including duplicates,
-// resets, and aliasing between the two sets), AccessSet over the merged
-// set must cost exactly what the per-line calls cost one at a time at the
-// same virtual time, and must leave the directory in the same state.
+// FuzzLineSet fuzzes line-set construction against the batch charging
+// contract: for any construction sequence (including duplicates, resets,
+// and a second set's lines appended onto the first), AccessSet over the
+// combined set must cost exactly what the per-line calls cost one at a
+// time at the same virtual time, and must leave the directory in the same
+// state.
 func FuzzLineSet(f *testing.F) {
 	f.Add([]byte{0, 1, 2}, []byte{3, 4, 5}, uint8(7), uint8(0), uint8(1))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(0), uint8(1), uint8(2))
@@ -64,7 +65,10 @@ func FuzzLineSet(f *testing.F) {
 			md := NewModel(topo.New(topo.MaxCores))
 			lines := md.AllocN(int(seed)%topo.Chips, fuzzPoolLines)
 			seedFuzzState(md, lines, seed)
-			merged := buildFuzzSet(rawA, lines).Merge(buildFuzzSet(rawB, lines))
+			merged := buildFuzzSet(rawA, lines)
+			for _, l := range buildFuzzSet(rawB, lines).Lines() {
+				merged.Add(l)
+			}
 			return md, merged
 		}
 
@@ -106,34 +110,8 @@ func FuzzLineSet(f *testing.F) {
 	})
 }
 
-// TestLineSetMerge pins Merge's bookkeeping: order, duplicates, chaining,
-// and that merging an empty set is a no-op.
-func TestLineSetMerge(t *testing.T) {
-	a := NewLineSet(4).Add(1).Add(2)
-	b := NewLineSet(4).Add(2).Add(7)
-	if got := a.Merge(b); got != a {
-		t.Error("Merge should return the receiver for chaining")
-	}
-	want := []Line{1, 2, 2, 7}
-	if a.Len() != len(want) {
-		t.Fatalf("merged Len = %d, want %d", a.Len(), len(want))
-	}
-	for i, l := range a.Lines() {
-		if l != want[i] {
-			t.Errorf("merged[%d] = %d, want %d", i, l, want[i])
-		}
-	}
-	if b.Len() != 2 {
-		t.Errorf("Merge mutated its argument: Len = %d, want 2", b.Len())
-	}
-	a.Merge(NewLineSet(0))
-	if a.Len() != len(want) {
-		t.Errorf("merging empty set changed Len to %d", a.Len())
-	}
-}
-
 // FuzzParsePlacement pins the placement round trip the sweep cache key
-// relies on (a placement's String is a key term): whatever ParsePlacement
+// relies on (a placement's String is a key term): whatever ParsePlacementFor
 // accepts, on the default machine or a larger one, String renders back to
 // a string that parses to the same value, and parsing never panics.
 func FuzzParsePlacement(f *testing.F) {

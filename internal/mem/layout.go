@@ -34,9 +34,3 @@ func (f *Fields) LineOf(i int) Line {
 
 // Read charges a read of field i by core c at time now.
 func (f *Fields) Read(md *Model, c, i int, now int64) int64 { return md.Read(c, f.LineOf(i), now) }
-
-// Write charges a write of field i by core c at time now.
-func (f *Fields) Write(md *Model, c, i int, now int64) int64 { return md.Write(c, f.LineOf(i), now) }
-
-// Padded reports whether the structure uses the per-field-line layout.
-func (f *Fields) Padded() bool { return f.padded }

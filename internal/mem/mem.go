@@ -514,15 +514,6 @@ func (ls *LineSet) Add(l Line) *LineSet {
 	return ls
 }
 
-// Merge appends every line of o, in order, and returns the set for
-// chaining. Order and duplicates are preserved: charging the merged set is
-// equivalent to charging the two sets back to back at the same virtual
-// time.
-func (ls *LineSet) Merge(o *LineSet) *LineSet {
-	ls.lines = append(ls.lines, o.lines...)
-	return ls
-}
-
 // Reset empties the set, keeping its capacity.
 func (ls *LineSet) Reset() { ls.lines = ls.lines[:0] }
 

@@ -36,7 +36,7 @@ func TestReadAfterRemoteWriteIsExpensive(t *testing.T) {
 	md.Write(0, l, 0) // core 0 (chip 0) dirties the line
 	// Core 47 (chip 7) reads: must fetch from chip 0's cache.
 	got := md.Read(47, l, 1000)
-	want := topo.RemoteCacheLatency(7, 0)
+	want := topo.Default().RemoteCacheLatency(7, 0)
 	if got != want {
 		t.Errorf("cross-chip dirty read = %d, want %d", got, want)
 	}
@@ -209,7 +209,7 @@ func TestFieldsFalseSharing(t *testing.T) {
 	// (a read-only flag). With false sharing the reader misses every time.
 	warm := func(f *Fields, now int64) {
 		f.Read(md, 47, 0, now)
-		f.Write(md, 0, 1, now+100_000)
+		md.Write(0, f.LineOf(1), now+100_000)
 	}
 	warm(shared, 0)
 	warm(padded, 0)

@@ -41,7 +41,7 @@ func PlacementHome(chip int) Placement {
 	return Placement{Kind: PlaceHome, Home: chip}
 }
 
-// String renders the policy in the syntax ParsePlacement accepts.
+// String renders the policy in the syntax ParsePlacementFor accepts.
 func (pl Placement) String() string {
 	switch pl.Kind {
 	case PlaceStriped:
@@ -52,15 +52,9 @@ func (pl Placement) String() string {
 	return "local"
 }
 
-// ParsePlacement parses a placement policy for the default machine:
-// "local", "striped", "remote" (home on chip 0), or "home:N" for an
-// explicit home chip.
-func ParsePlacement(s string) (Placement, error) {
-	return ParsePlacementFor(topo.Default(), s)
-}
-
-// ParsePlacementFor is ParsePlacement with the home-chip range checked
-// against the given machine's chip count.
+// ParsePlacementFor parses a placement policy: "local", "striped",
+// "remote" (home on chip 0), or "home:N" for an explicit home chip, with
+// N checked against machine m's chip count.
 func ParsePlacementFor(m *topo.Machine, s string) (Placement, error) {
 	switch s {
 	case "", "local":

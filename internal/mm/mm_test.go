@@ -196,7 +196,7 @@ func TestPageStructFalseSharing(t *testing.T) {
 func TestFaultChargesLocalController(t *testing.T) {
 	e, md, a := setup(1)
 	as := NewAddressSpace(md, a, Config{NoncachingSuperPageZero: true}, 0)
-	dram := mem.NewControllers()
+	dram := mem.NewControllersFor(topo.Default())
 	e.Spawn(0, "p", 0, func(p *sim.Proc) {
 		r := as.Mmap(p, SuperPageBytes, true)
 		as.Fault(p, r, dram)

@@ -17,7 +17,7 @@ func faultStack(cores int, f *fault.NetFaults) (*sim.Engine, *Stack) {
 	md := mem.NewModel(m)
 	fs := vfs.New(md, mm.NewAllocator(md), vfs.Config{})
 	e := sim.NewEngine(m, 1)
-	s := NewStack(md, fs, NewNIC(MemcachedNIC(), cores), nil, Config{})
+	s := NewStack(md, fs, NewNICFor(topo.Default(), MemcachedNIC(), cores), nil, Config{})
 	s.SetFaults(f)
 	return e, s
 }

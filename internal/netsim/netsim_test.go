@@ -33,8 +33,8 @@ func newStack(cores int, cfg Config, nic *NIC) (*sim.Engine, *Stack) {
 
 func TestNICQueueDecline(t *testing.T) {
 	p := MemcachedNIC()
-	svc16 := NewNIC(p, 16).PacketServiceCycles()
-	svc48 := NewNIC(p, 48).PacketServiceCycles()
+	svc16 := NewNICFor(topo.Default(), p, 16).PacketServiceCycles()
+	svc48 := NewNICFor(topo.Default(), p, 48).PacketServiceCycles()
 	if svc48 <= svc16 {
 		t.Errorf("per-packet service at 48 queues (%d) must exceed 16 queues (%d)", svc48, svc16)
 	}
@@ -47,7 +47,7 @@ func TestNICQueueDecline(t *testing.T) {
 
 func TestNICApacheEnvelopeIsFlat(t *testing.T) {
 	p := ApacheNIC()
-	if NewNIC(p, 1).PacketServiceCycles() != NewNIC(p, 48).PacketServiceCycles() {
+	if NewNICFor(topo.Default(), p, 1).PacketServiceCycles() != NewNICFor(topo.Default(), p, 48).PacketServiceCycles() {
 		t.Error("Apache NIC envelope should not depend on queue count")
 	}
 }
@@ -87,7 +87,7 @@ func TestNICBoundThroughputPlateaus(t *testing.T) {
 	// With the card in the loop, adding cores beyond its envelope must not
 	// add throughput: wall time for a fixed total op count stops falling.
 	wall := func(cores int) int64 {
-		nic := NewNIC(MemcachedNIC(), cores)
+		nic := NewNICFor(topo.Default(), MemcachedNIC(), cores)
 		e, s := newStack(cores, pkCfg(), nic)
 		const totalReqs = 960
 		per := totalReqs / cores
@@ -178,7 +178,7 @@ func TestSegments(t *testing.T) {
 }
 
 func TestLoopbackDoesNotUseNIC(t *testing.T) {
-	nic := NewNIC(MemcachedNIC(), 1)
+	nic := NewNICFor(topo.Default(), MemcachedNIC(), 1)
 	e, s := newStack(1, stockCfg(), nic)
 	e.Spawn(0, "p", 0, func(p *sim.Proc) {
 		c := s.DialLoopback(p)

@@ -58,12 +58,6 @@ type NIC struct {
 	svc    int64 // cycles per packet at the current queue count
 }
 
-// NewNIC configures the card with one hardware queue per active core of
-// the default machine.
-func NewNIC(params NICParams, queues int) *NIC {
-	return NewNICFor(topo.Default(), params, queues)
-}
-
 // NewNICFor configures the card for the given machine. The queue-count
 // decline interpolates from QueueDeclineAfter to the machine's full core
 // count: DeclineFrac is the capacity lost with every queue enabled.
@@ -75,7 +69,7 @@ func NewNICFor(m *topo.Machine, params NICParams, queues int) *NIC {
 			float64(m.MaxCores()-params.QueueDeclineAfter)
 		pps *= 1 - params.DeclineFrac*over
 	}
-	n.svc = int64(m.CyclesPerSec() / pps)
+	n.svc = int64(topo.CyclesPerSec() / pps)
 	if n.svc < 1 {
 		n.svc = 1
 	}

@@ -16,7 +16,7 @@ func newStackWithDRAM(cores int, cfg Config, nic *NIC) (*sim.Engine, *Stack, *me
 	m := topo.New(cores)
 	md := mem.NewModel(m)
 	fs := vfs.New(md, mm.NewAllocator(md), vfs.Config{})
-	dram := mem.NewControllers()
+	dram := mem.NewControllersFor(topo.Default())
 	return sim.NewEngine(m, 1), NewStack(md, fs, nic, dram, cfg), dram
 }
 
@@ -27,7 +27,7 @@ func newStackWithDRAM(cores int, cfg Config, nic *NIC) (*sim.Engine, *Stack, *me
 func TestTxChargesSendBufferDMA(t *testing.T) {
 	// PK per-core pools, sender on chip 7 (core 47): payload must cross
 	// links toward the hub and occupy chip 7's controller.
-	nic := NewNIC(MemcachedNIC(), 48)
+	nic := NewNICFor(topo.Default(), MemcachedNIC(), 48)
 	e, s, dram := newStackWithDRAM(48, pkCfg(), nic)
 	const payload = 1000
 	e.Spawn(47, "srv", 0, func(p *sim.Proc) {
@@ -40,14 +40,14 @@ func TestTxChargesSendBufferDMA(t *testing.T) {
 	if b := dram.Chip(home).BytesRequested(); b < payload {
 		t.Errorf("send buffer's home controller served %d bytes, want >= %d", b, payload)
 	}
-	hops := len(topo.Route(home, topo.IOHubChip))
+	hops := len(topo.Default().Route(home, topo.IOHubChip))
 	if got, want := dram.LinkBytesRequested(), int64(payload*hops); got < want {
 		t.Errorf("tx DMA charged %d link bytes, want >= %d (%d hops to the hub)", got, want, hops)
 	}
 
 	// Stock node-0 pools: the buffer is homed on the hub chip, so the
 	// same send charges chip 0's controller and no links.
-	e2, s2, dram2 := newStackWithDRAM(48, stockCfg(), NewNIC(MemcachedNIC(), 48))
+	e2, s2, dram2 := newStackWithDRAM(48, stockCfg(), NewNICFor(topo.Default(), MemcachedNIC(), 48))
 	e2.Spawn(47, "srv", 0, func(p *sim.Proc) {
 		u := s2.NewUDPSocket(p)
 		s2.SendUDP(p, u, payload)
@@ -77,7 +77,7 @@ func TestTxChargesSendBufferDMA(t *testing.T) {
 func TestConnLifecyclePacketCount(t *testing.T) {
 	// One accept + recv + send + close must move the expected packets
 	// through the NIC: 3 handshake + 1 data in + 1 data out + 2 FIN.
-	nic := NewNIC(ApacheNIC(), 1)
+	nic := NewNICFor(topo.Default(), ApacheNIC(), 1)
 	e, s := newStack(1, pkCfg(), nic)
 	e.Spawn(0, "srv", 0, func(p *sim.Proc) {
 		l := s.Listen(p)
@@ -93,7 +93,7 @@ func TestConnLifecyclePacketCount(t *testing.T) {
 }
 
 func TestLargeSendSegments(t *testing.T) {
-	nic := NewNIC(ApacheNIC(), 1)
+	nic := NewNICFor(topo.Default(), ApacheNIC(), 1)
 	e, s := newStack(1, pkCfg(), nic)
 	e.Spawn(0, "srv", 0, func(p *sim.Proc) {
 		conn := s.NewSteeredConn(p)
@@ -165,7 +165,7 @@ func TestAcceptStealsAreRare(t *testing.T) {
 
 func TestNICParamsValidationFloor(t *testing.T) {
 	// Absurdly high PPS must not produce a zero service time.
-	n := NewNIC(NICParams{PeakPPS: 1e18, QueueDeclineAfter: 48}, 1)
+	n := NewNICFor(topo.Default(), NICParams{PeakPPS: 1e18, QueueDeclineAfter: 48}, 1)
 	if n.PacketServiceCycles() < 1 {
 		t.Errorf("service cycles = %d, want >= 1", n.PacketServiceCycles())
 	}

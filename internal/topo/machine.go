@@ -35,13 +35,14 @@ type hwDerived struct {
 type adjHop struct{ chip, link int }
 
 // Machine describes a simulated host: the hardware description (chip
-// count, cores per chip, clock, cache/DRAM latencies and capacities,
+// count, cores per chip, cache/DRAM latencies and capacities,
 // per-chip DRAM rates, the interconnect link graph with per-link rates,
 // and the I/O-hub chip) plus the active configuration (how many cores
-// are enabled and how they are placed on chips). The zero hardware
-// fields are invalid; build machines with New/NewRR (the paper's default
-// host), Lookup (a registered profile), or a full literal followed by
-// any method call (the first call validates and finalizes).
+// are enabled and how they are placed on chips). Every profile runs at
+// the one clock ClockHz. The zero hardware fields are invalid; build
+// machines with New (the paper's default host), Lookup (a registered
+// profile), or a full literal followed by any method call (the first
+// call validates and finalizes).
 //
 // The paper's evaluation host — the Tyan Thunder S4985 with eight 6-core
 // 2.4 GHz AMD Opteron 8431 chips on a HyperTransport ring (§5.1) — is
@@ -55,8 +56,6 @@ type Machine struct {
 	Chips int
 	// CoresPerChip is the number of cores on one chip.
 	CoresPerChip int
-	// ClockHz is the core clock frequency.
-	ClockHz int64
 	// CacheLineBytes is the coherence granularity.
 	CacheLineBytes int64
 
@@ -118,9 +117,6 @@ func buildHW(m *Machine) *hwDerived {
 	}
 	if m.CoresPerChip < 1 {
 		panic(fmt.Sprintf("topo: machine %q: cores/chip %d < 1", m.Name, m.CoresPerChip))
-	}
-	if m.ClockHz <= 0 {
-		panic(fmt.Sprintf("topo: machine %q: clock %d Hz", m.Name, m.ClockHz))
 	}
 	if m.IOHubChip < 0 || m.IOHubChip >= m.Chips {
 		panic(fmt.Sprintf("topo: machine %q: I/O hub chip %d out of range [0,%d)", m.Name, m.IOHubChip, m.Chips))
@@ -191,15 +187,16 @@ func linkPair(a, b int) [2]int {
 }
 
 // machineFingerprint renders the machine's cost description. For the
-// default host it is byte-identical to the historical constant-based
-// topo fingerprint (same keys, same renderings), so warm sweep caches
-// survive the machine parameterization. Non-ring link graphs and
+// default host it keeps the keys and renderings of the historical
+// constant-based topo fingerprint, so warm sweep caches survive the
+// machine parameterization; topo_test pins its value. The clock is the
+// ClockHz constant on every profile. Non-ring link graphs and
 // heterogeneous link rates contribute extra keys.
 func machineFingerprint(m *Machine, hw *hwDerived) string {
 	f := fprint.New("topo").
 		C("MaxCores", int64(m.Chips*m.CoresPerChip)).
 		C("CoresPerChip", int64(m.CoresPerChip)).
-		C("ClockHz", m.ClockHz).
+		C("ClockHz", int64(ClockHz)).
 		C("CacheLineBytes", m.CacheLineBytes).
 		C("LatL1", m.LatL1).
 		C("LatL2", m.LatL2).
@@ -337,8 +334,13 @@ func (m *Machine) Route(a, b int) []int { return m.hwd().healthy.Route(a, b) }
 func (m *Machine) DefaultRoutes() *RouteTable { return m.hwd().healthy }
 
 // NewRouteTable returns a routing over the machine's link graph with the
-// given links removed, rerouting deterministically around them; see the
-// package-level NewRouteTable.
+// given links removed (by link index, see LinkEnds). Paths are
+// breadth-first shortest routes over the surviving links with a
+// deterministic tie-break (each chip's adjacency order), so two engines
+// building a table from the same dead set route identically. An error is
+// returned if the dead links partition the interconnect — some chip pair
+// would have no path — or a link index is out of range. No dead links
+// returns the shared healthy table.
 func (m *Machine) NewRouteTable(dead []int) (*RouteTable, error) {
 	hw := m.hwd()
 	for _, l := range dead {
@@ -369,14 +371,12 @@ func (m *Machine) SharersAtDistance(chip, d int, chips uint64) uint64 {
 	return hw.distMask[chip][d] & chips
 }
 
-// CyclesPerSec returns the machine's clock rate as a float for rate
-// conversions.
-func (m *Machine) CyclesPerSec() float64 { return float64(m.ClockHz) }
-
 // Fingerprint returns the canonical fingerprint of the machine's
 // latency, bandwidth, and geometry description — the machine's identity
-// as a cost domain for the sweep-point cache. The default host's value
-// is byte-identical to the package-level Fingerprint().
+// as a cost domain for the sweep-point cache, which keys every
+// experiment's stored points on the fingerprints of the cost domains it
+// depends on, so retuning a machine invalidates exactly the cached
+// figures that could have changed.
 func (m *Machine) Fingerprint() string { return m.hwd().fp }
 
 // IsDefault reports whether this machine shares the default profile's
@@ -427,13 +427,11 @@ func Names() []string {
 func Default() *Machine { return defaultMachine }
 
 // defaultMachine is the paper's evaluation host (§5.1). Its fields are
-// the package-level constants; topo_test pins that its fingerprint is
-// byte-identical to the historical constant-based one.
+// the package-level constants; topo_test pins its fingerprint by value.
 var defaultMachine = Register(&Machine{
 	Name:               "s4985",
 	Chips:              Chips,
 	CoresPerChip:       CoresPerChip,
-	ClockHz:            ClockHz,
 	CacheLineBytes:     CacheLineBytes,
 	LatL1:              LatL1,
 	LatL2:              LatL2,
@@ -457,7 +455,6 @@ var _ = Register(&Machine{
 	Name:               "ring16",
 	Chips:              16,
 	CoresPerChip:       CoresPerChip,
-	ClockHz:            ClockHz,
 	CacheLineBytes:     CacheLineBytes,
 	LatL1:              LatL1,
 	LatL2:              LatL2,
@@ -479,7 +476,6 @@ var _ = Register(&Machine{
 	Name:               "mesh4x4",
 	Chips:              16,
 	CoresPerChip:       CoresPerChip,
-	ClockHz:            ClockHz,
 	CacheLineBytes:     CacheLineBytes,
 	LatL1:              LatL1,
 	LatL2:              LatL2,
@@ -504,7 +500,6 @@ var _ = Register(&Machine{
 	Name:               "big192",
 	Chips:              Chips,
 	CoresPerChip:       24,
-	ClockHz:            ClockHz,
 	CacheLineBytes:     CacheLineBytes,
 	LatL1:              LatL1,
 	LatL2:              LatL2,

@@ -5,21 +5,25 @@ import (
 	"testing"
 )
 
+// defaultFingerprint is the default profile's machine fingerprint, the
+// value of the historical constant-based topo fingerprint.
+const defaultFingerprint = "6a131a7bf44d2ac1"
+
 // TestDefaultMachineFingerprintPinned is the warm-cache guard: the default
-// profile's machine fingerprint must stay byte-identical to the package's
+// profile's machine fingerprint must stay byte-identical to the
 // historical constant-based fingerprint, or every cached default-machine
 // sweep point silently invalidates.
 func TestDefaultMachineFingerprintPinned(t *testing.T) {
-	if got, want := Default().Fingerprint(), Fingerprint(); got != want {
-		t.Fatalf("Default().Fingerprint() = %s, want the package fingerprint %s", got, want)
+	if got := Default().Fingerprint(); got != defaultFingerprint {
+		t.Fatalf("Default().Fingerprint() = %s, want the pinned %s", got, defaultFingerprint)
 	}
 	if !Default().IsDefault() {
 		t.Error("Default() does not report IsDefault")
 	}
 	// Core count and placement are run configuration, not hardware
 	// identity: derived sweeps share the profile's fingerprint.
-	if got := Default().WithCores(7).Fingerprint(); got != Fingerprint() {
-		t.Errorf("WithCores(7) fingerprint %s differs from the profile's %s", got, Fingerprint())
+	if got := Default().WithCores(7).Fingerprint(); got != defaultFingerprint {
+		t.Errorf("WithCores(7) fingerprint %s differs from the profile's %s", got, defaultFingerprint)
 	}
 	if Default().WithCoresRR(7).IsDefault() != true {
 		t.Error("WithCoresRR(7) no longer reports IsDefault")
@@ -32,7 +36,7 @@ func TestDefaultMachineFingerprintPinned(t *testing.T) {
 		if m.IsDefault() {
 			t.Errorf("profile %s claims to be the default machine", name)
 		}
-		if m.Fingerprint() == Fingerprint() {
+		if m.Fingerprint() == defaultFingerprint {
 			t.Errorf("profile %s has the default machine's fingerprint", name)
 		}
 	}

@@ -18,23 +18,6 @@ type RouteTable struct {
 	dead   []int
 }
 
-// DefaultRouteTable returns the default machine's healthy routing: ring
-// shortest paths with the antipodal tie broken toward increasing chip
-// numbers.
-func DefaultRouteTable() *RouteTable { return defaultMachine.DefaultRoutes() }
-
-// NewRouteTable returns a routing for the default machine's ring with
-// the given links removed (by ring index, see LinkEnds). Paths are
-// breadth-first shortest routes over the surviving links with a
-// deterministic tie-break (the increasing-chip direction is explored
-// first), so two engines building a table from the same dead set route
-// identically. An error is returned if the dead links partition the
-// interconnect — some chip pair would have no path — or a link index is
-// out of range.
-func NewRouteTable(dead []int) (*RouteTable, error) {
-	return defaultMachine.NewRouteTable(dead)
-}
-
 // bfsRoutes computes shortest paths over the adjacency lists, skipping
 // links in deadSet. Each chip's adjacency order is the deterministic
 // tie-break: the first shortest path discovered wins, identically on

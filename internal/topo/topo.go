@@ -8,11 +8,7 @@
 // 122 cycles, and up to 503 cycles for DRAM of the farthest chip.
 package topo
 
-import (
-	"fmt"
-
-	"repro/internal/fprint"
-)
+import "fmt"
 
 // Machine geometry constants for the paper's evaluation host.
 const (
@@ -22,7 +18,8 @@ const (
 	CoresPerChip = 6
 	// Chips is the number of processor chips (= NUMA nodes).
 	Chips = MaxCores / CoresPerChip
-	// ClockHz is the core clock frequency (2.4 GHz).
+	// ClockHz is the core clock frequency (2.4 GHz). It is the clock of
+	// every machine profile: all cycle/time conversions use it.
 	ClockHz = 2_400_000_000
 	// CacheLineBytes is the coherence granularity.
 	CacheLineBytes = 64
@@ -53,43 +50,7 @@ const (
 	// achievable, measured by the paper's microbenchmarks (§5.8):
 	// 51.5 GByte/second.
 	DRAMMaxBytesPerSec = 51.5 * (1 << 30)
-	// DRAMChipBytesPerSec is one chip's share of the aggregate: each of
-	// the eight Opterons has its own on-die memory controller, and the
-	// 51.5 GB/s maximum is only reachable when all eight stream at once.
-	DRAMChipBytesPerSec = DRAMMaxBytesPerSec / Chips
 )
-
-// fingerprint covers every constant above plus the interconnect
-// parameters below: everything a simulated latency or bandwidth can
-// depend on in this package.
-var fingerprint = func() string {
-	return fprint.New("topo").
-		C("MaxCores", MaxCores).
-		C("CoresPerChip", CoresPerChip).
-		C("ClockHz", ClockHz).
-		C("CacheLineBytes", CacheLineBytes).
-		C("LatL1", LatL1).
-		C("LatL2", LatL2).
-		C("LatL3", LatL3).
-		C("LatDRAMLocal", LatDRAMLocal).
-		C("LatDRAMFar", LatDRAMFar).
-		C("L3Bytes", L3Bytes).
-		C("L2Bytes", L2Bytes).
-		C("DRAMPerChipBytes", DRAMPerChipBytes).
-		C("DRAMMaxBytesPerSec", DRAMMaxBytesPerSec).
-		C("HTLinkBytesPerSec", HTLinkBytesPerSec).
-		C("NumLinks", NumLinks).
-		C("IOHubChip", IOHubChip).
-		C("MaxHops", MaxHops).
-		Sum()
-}()
-
-// Fingerprint returns the canonical fingerprint of this package's
-// latency, bandwidth, and geometry constants. The sweep-point cache keys
-// every experiment's stored points on the fingerprints of the cost
-// domains it depends on, so retuning a constant here invalidates exactly
-// the cached figures that could have changed.
-func Fingerprint() string { return fingerprint }
 
 // New returns the default machine (the paper's host) with n enabled cores
 // packed onto the fewest chips (§5.1: "Experiments that use fewer than 48
@@ -97,11 +58,6 @@ func Fingerprint() string { return fingerprint }
 // out of range; configurations are static test inputs, so an invalid
 // count is a programming error, not a runtime condition.
 func New(n int) *Machine { return defaultMachine.WithCores(n) }
-
-// NewRR returns the default machine with n enabled cores spread
-// round-robin across all eight chips, the placement the paper uses for
-// pedsort and Metis.
-func NewRR(n int) *Machine { return defaultMachine.WithCoresRR(n) }
 
 // Chip returns the chip (NUMA node) that enabled core c sits on.
 func (m *Machine) Chip(c int) int {
@@ -136,15 +92,8 @@ func (m *Machine) CoresOnChip(chip int) int {
 	return n
 }
 
-// MaxHops is the largest HyperTransport hop distance between two chips
-// under the ring metric below.
-const MaxHops = Chips / 2
-
 // HT interconnect parameters.
 const (
-	// NumLinks is the number of HyperTransport links in the ring: link l
-	// joins chip l and chip (l+1) mod Chips.
-	NumLinks = Chips
 	// HTLinkBytesPerSec is the effective payload bandwidth of one
 	// HyperTransport link between adjacent chips: a 16-bit link at HT
 	// speeds delivers ~4 GB/s of usable data per direction after protocol
@@ -158,67 +107,6 @@ const (
 	// the buffer's home chip.
 	IOHubChip = 0
 )
-
-// HopDistance returns the number of HyperTransport hops between two chips.
-// The eight chips form a twisted ladder; we approximate the distance with a
-// ring metric, which reproduces the paper's observed spread of DRAM
-// latencies (122 local to 503 farthest, i.e. up to 4 hops away).
-func HopDistance(a, b int) int {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if d > Chips/2 {
-		d = Chips - d
-	}
-	return d
-}
-
-// HTLatency returns the interconnect latency of traversing h HyperTransport
-// hops, derived from the paper's DRAM latency spread: the farthest chip (4
-// hops) adds 503-122 = 381 cycles over local. Multiply before dividing: the
-// spread does not divide evenly by MaxHops, and the 4-hop endpoint must
-// land exactly on LatDRAMFar-LatDRAMLocal. This is the single
-// interpolation point shared by DRAMLatency and the memory system's
-// cross-chip transfer charging.
-func HTLatency(h int) int64 {
-	return int64(h) * (LatDRAMFar - LatDRAMLocal) / MaxHops
-}
-
-// DRAMLatency returns the cycle cost for a core on chip `from` to read a
-// line homed in the DRAM of chip `home`. Latency grows linearly with hop
-// count from the local 122 cycles to the 4-hop 503 cycles.
-func DRAMLatency(from, home int) int64 {
-	return LatDRAMLocal + HTLatency(HopDistance(from, home))
-}
-
-// LinkEnds returns the two chips link l joins.
-func LinkEnds(l int) (a, b int) {
-	if l < 0 || l >= NumLinks {
-		panic(fmt.Sprintf("topo: link %d out of range [0,%d)", l, NumLinks))
-	}
-	return l, (l + 1) % Chips
-}
-
-// Route returns the link indices on the deterministic shortest
-// HyperTransport path from chip a to chip b on the default machine, in
-// traversal order. The route is empty for a == b, its length always
-// equals HopDistance(a, b), and the antipodal (4-hop) tie is broken
-// toward increasing chip numbers. Callers must not mutate the returned
-// slice.
-func Route(a, b int) []int { return defaultMachine.DefaultRoutes().Route(a, b) }
-
-// RemoteCacheLatency returns the cycle cost for a core on chip `from` to
-// fetch a line that is dirty in a cache on chip `owner`. The paper notes
-// (§4.1) these operations "take about the same time as loading data from
-// off-chip RAM (hundreds of cycles)"; we charge the DRAM latency for the
-// owner's chip, with a floor of the L3 latency for same-chip transfers.
-func RemoteCacheLatency(from, owner int) int64 {
-	if from == owner {
-		return LatL3
-	}
-	return DRAMLatency(from, owner)
-}
 
 // CyclesPerSec returns the clock rate as a float for time conversions.
 func CyclesPerSec() float64 { return float64(ClockHz) }

@@ -35,7 +35,7 @@ func TestPackedPlacement(t *testing.T) {
 }
 
 func TestRoundRobinPlacement(t *testing.T) {
-	m := NewRR(16)
+	m := Default().WithCoresRR(16)
 	// Cores 0..7 land on chips 0..7, then wrap.
 	for c := 0; c < 16; c++ {
 		if got, want := m.Chip(c), c%Chips; got != want {
@@ -45,7 +45,7 @@ func TestRoundRobinPlacement(t *testing.T) {
 	if got := m.ChipsInUse(); got != 8 {
 		t.Errorf("RR ChipsInUse = %d, want 8", got)
 	}
-	if got := NewRR(3).ChipsInUse(); got != 3 {
+	if got := Default().WithCoresRR(3).ChipsInUse(); got != 3 {
 		t.Errorf("RR(3) ChipsInUse = %d, want 3", got)
 	}
 }
@@ -78,20 +78,22 @@ func TestCoresOnChipSumsToNCores(t *testing.T) {
 }
 
 func TestDRAMLatencyEndpoints(t *testing.T) {
-	if got := DRAMLatency(0, 0); got != LatDRAMLocal {
+	m := Default()
+	if got := m.DRAMLatency(0, 0); got != LatDRAMLocal {
 		t.Errorf("local DRAM latency = %d, want %d", got, LatDRAMLocal)
 	}
 	// Farthest chip on an 8-ring is 4 hops.
-	if got := DRAMLatency(0, 4); got != LatDRAMFar {
+	if got := m.DRAMLatency(0, 4); got != LatDRAMFar {
 		t.Errorf("far DRAM latency = %d, want %d", got, LatDRAMFar)
 	}
 }
 
 func TestDRAMLatencySymmetricAndMonotonic(t *testing.T) {
+	m := Default()
 	check := func(a, b int) bool {
 		a, b = abs(a)%Chips, abs(b)%Chips
-		l := DRAMLatency(a, b)
-		if l != DRAMLatency(b, a) {
+		l := m.DRAMLatency(a, b)
+		if l != m.DRAMLatency(b, a) {
 			return false
 		}
 		return l >= LatDRAMLocal && l <= LatDRAMFar
@@ -101,50 +103,61 @@ func TestDRAMLatencySymmetricAndMonotonic(t *testing.T) {
 	}
 }
 
-// TestHTLatencyTableAllChipPairs pins the unified interpolation helper
-// over every one of the 8x8 chip pairs: DRAMLatency must equal the local
-// latency plus HTLatency of the pair's hop distance, and HTLatency itself
-// must hit the per-hop table derived from the paper's 122..503 cycle
-// spread (multiply-before-divide, so the 4-hop endpoint lands exactly on
-// LatDRAMFar).
+// TestHTLatencyTableAllChipPairs pins the default machine's
+// interpolation helper over every one of the 8x8 chip pairs: DRAMLatency
+// must equal the local latency plus HTLatency of the pair's hop distance,
+// and HTLatency itself must hit the per-hop table derived from the
+// paper's 122..503 cycle spread (multiply-before-divide, so the 4-hop
+// endpoint lands exactly on LatDRAMFar).
 func TestHTLatencyTableAllChipPairs(t *testing.T) {
-	wantByHops := [MaxHops + 1]int64{0, 95, 190, 285, 381}
-	for h := 0; h <= MaxHops; h++ {
-		if got := HTLatency(h); got != wantByHops[h] {
-			t.Errorf("HTLatency(%d) = %d, want %d", h, got, wantByHops[h])
+	m := Default()
+	wantByHops := []int64{0, 95, 190, 285, 381}
+	if got := m.MaxHops(); got != len(wantByHops)-1 {
+		t.Fatalf("MaxHops() = %d, want %d", got, len(wantByHops)-1)
+	}
+	for h, want := range wantByHops {
+		if got := m.HTLatency(h); got != want {
+			t.Errorf("HTLatency(%d) = %d, want %d", h, got, want)
 		}
 	}
 	for a := 0; a < Chips; a++ {
 		for b := 0; b < Chips; b++ {
-			hops := HopDistance(a, b)
+			hops := m.HopDistance(a, b)
 			want := int64(LatDRAMLocal) + wantByHops[hops]
-			if got := DRAMLatency(a, b); got != want {
+			if got := m.DRAMLatency(a, b); got != want {
 				t.Errorf("DRAMLatency(%d,%d) = %d, want %d (%d hops)", a, b, got, want, hops)
+			}
+			if got := m.DRAMLatencyAtHops(hops); got != want {
+				t.Errorf("DRAMLatencyAtHops(%d) = %d, want %d", hops, got, want)
 			}
 		}
 	}
-	if got := DRAMLatency(0, MaxHops); got != LatDRAMFar {
+	if got := m.DRAMLatency(0, m.MaxHops()); got != LatDRAMFar {
 		t.Errorf("4-hop endpoint = %d, must land exactly on LatDRAMFar %d", got, LatDRAMFar)
 	}
 }
 
-// TestRouteAllChipPairs checks the link-graph invariants for every chip
-// pair: the route's length equals the hop distance, consecutive links
-// actually join up into a path from a to b, and the route is empty only
-// for a == b.
+// TestRouteAllChipPairs checks the default machine's link-graph
+// invariants for every chip pair: the route's length equals the hop
+// distance, consecutive links actually join up into a path from a to b,
+// and the route is empty only for a == b.
 func TestRouteAllChipPairs(t *testing.T) {
+	m := Default()
+	if got := m.NumLinks(); got != Chips {
+		t.Fatalf("NumLinks() = %d, want %d (one ring link per chip)", got, Chips)
+	}
 	for a := 0; a < Chips; a++ {
 		for b := 0; b < Chips; b++ {
-			r := Route(a, b)
-			if len(r) != HopDistance(a, b) {
-				t.Errorf("len(Route(%d,%d)) = %d, want hop distance %d", a, b, len(r), HopDistance(a, b))
+			r := m.Route(a, b)
+			if len(r) != m.HopDistance(a, b) {
+				t.Errorf("len(Route(%d,%d)) = %d, want hop distance %d", a, b, len(r), m.HopDistance(a, b))
 				continue
 			}
 			// Walk the route: each link must join the current chip to the
 			// next one, ending at b.
 			at := a
 			for _, l := range r {
-				x, y := LinkEnds(l)
+				x, y := m.LinkEnds(l)
 				switch at {
 				case x:
 					at = y
@@ -165,7 +178,7 @@ func TestRouteAllChipPairs(t *testing.T) {
 // the increasing-chip direction.
 func TestRouteAntipodeDeterministic(t *testing.T) {
 	want := []int{0, 1, 2, 3}
-	got := Route(0, 4)
+	got := Default().Route(0, 4)
 	if len(got) != len(want) {
 		t.Fatalf("Route(0,4) = %v, want %v", got, want)
 	}
@@ -177,10 +190,11 @@ func TestRouteAntipodeDeterministic(t *testing.T) {
 }
 
 func TestRemoteCacheLatency(t *testing.T) {
-	if got := RemoteCacheLatency(2, 2); got != LatL3 {
+	m := Default()
+	if got := m.RemoteCacheLatency(2, 2); got != LatL3 {
 		t.Errorf("same-chip remote cache latency = %d, want L3 %d", got, LatL3)
 	}
-	if got := RemoteCacheLatency(0, 4); got != LatDRAMFar {
+	if got := m.RemoteCacheLatency(0, 4); got != LatDRAMFar {
 		t.Errorf("cross-machine dirty fetch = %d, want %d", got, LatDRAMFar)
 	}
 }

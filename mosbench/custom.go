@@ -149,7 +149,7 @@ func RunMetis(cfg MetisConfig) (AppResult, error) {
 	if cfg.InputBytes > 0 {
 		opts.InputBytes = cfg.InputBytes
 	}
-	pl, err := mem.ParsePlacement(cfg.Placement)
+	pl, err := mem.ParsePlacementFor(topo.Default(), cfg.Placement)
 	if err != nil {
 		return AppResult{}, err
 	}

@@ -53,7 +53,7 @@ type Options struct {
 	// kernel the experiment boots: comma-separated events like
 	// "link:3-4@50%,dram:0@75%,core:7@off,drop:0.01,dup:0.001", each with
 	// an optional "@t=<dur>" activation time ("link:0-1@down@t=2ms").
-	// Empty or "none" injects nothing. See CheckFault.
+	// Empty or "none" injects nothing. See CheckFaultFor.
 	Fault string
 	// PointTimeout bounds one sweep point's wall clock; a point that runs
 	// past it is abandoned and reported in Series.Failed. Zero means the
@@ -88,14 +88,11 @@ type Options struct {
 	Shards, ShardIndex int
 }
 
-// CheckFault validates a fault-injection spec against the default machine
-// without running anything, returning the error a Run with this spec
-// would report.
-func CheckFault(spec string) error { return CheckFaultFor(spec, "") }
-
 // CheckFaultFor validates a fault-injection spec against the named
-// machine profile ("" = default): a link event must name chips joined by
-// a link on that machine, a dram event a chip the machine has, and so on.
+// machine profile ("" = default) without running anything, returning the
+// error a Run with this spec would report: a link event must name chips
+// joined by a link on that machine, a dram event a chip the machine has,
+// and so on.
 func CheckFaultFor(spec, machine string) error {
 	s, err := fault.Parse(spec)
 	if err != nil {
@@ -145,10 +142,16 @@ func lookupMachine(name string) (*topo.Machine, error) {
 	return m, nil
 }
 
-// CheckPlacement validates a placement policy string ("local", "striped",
-// "remote", "home:N") without running anything.
-func CheckPlacement(s string) error {
-	_, err := mem.ParsePlacement(s)
+// CheckPlacementFor validates a placement policy string ("local",
+// "striped", "remote", "home:N") against the named machine profile
+// ("" = default) without running anything: N must be one of that
+// machine's chips.
+func CheckPlacementFor(s, machine string) error {
+	m, err := lookupMachine(machine)
+	if err != nil {
+		return err
+	}
+	_, err = mem.ParsePlacementFor(m, s)
 	return err
 }
 
@@ -266,11 +269,11 @@ func Run(id string, o Options) (*Series, error) {
 	if e == nil {
 		return nil, fmt.Errorf("mosbench: unknown experiment %q (use Experiments())", id)
 	}
-	pl, err := mem.ParsePlacement(o.Placement)
+	m, err := lookupMachine(o.Machine)
 	if err != nil {
 		return nil, err
 	}
-	m, err := lookupMachine(o.Machine)
+	pl, err := mem.ParsePlacementFor(m, o.Placement)
 	if err != nil {
 		return nil, err
 	}

@@ -86,6 +86,27 @@ func TestRunValidatesCores(t *testing.T) {
 	}
 }
 
+// TestRunValidatesPlacementOnMachine: Run checks a home:N placement
+// against the selected machine's chips, so home:12 fits ring16's sixteen
+// chips but not the default host's eight; CheckPlacementFor agrees.
+func TestRunValidatesPlacementOnMachine(t *testing.T) {
+	if _, err := Run("fig1", Options{Machine: "ring16", Placement: "home:12"}); err != nil {
+		t.Errorf("Run(fig1, ring16, home:12) = %v, want no error", err)
+	}
+	if _, err := Run("fig1", Options{Placement: "home:12"}); err == nil || !strings.Contains(err.Error(), "0..7") {
+		t.Errorf("Run(fig1, default, home:12) error = %v, want the 0..7 chip range", err)
+	}
+	if err := CheckPlacementFor("home:12", "ring16"); err != nil {
+		t.Errorf("CheckPlacementFor(home:12, ring16) = %v, want nil", err)
+	}
+	if err := CheckPlacementFor("home:16", "ring16"); err == nil || !strings.Contains(err.Error(), "0..15") {
+		t.Errorf("CheckPlacementFor(home:16, ring16) = %v, want the 0..15 chip range", err)
+	}
+	if err := CheckPlacementFor("local", "nosuch"); err == nil {
+		t.Error("CheckPlacementFor accepted an unknown machine")
+	}
+}
+
 func TestRunQuickFig5(t *testing.T) {
 	s, err := Run("fig5", Options{Quick: true})
 	if err != nil {
