@@ -36,6 +36,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -84,20 +85,6 @@ func main() {
 	if *benchBase != "" && *bench == "" {
 		fatalUsage("-benchbaseline gates a fresh -benchjson report, so it needs -benchjson <path>; run with e.g. -benchjson /tmp/new.json -benchbaseline BENCH_sweep.json")
 	}
-	if *shards < 1 {
-		fatalUsage(fmt.Sprintf("-shards must be at least 1, got %d; run with e.g. -shards 4 -cache ./sweepcache", *shards))
-	}
-	if *shardIndex < -1 {
-		fatalUsage(fmt.Sprintf("-shard-index must not be negative, got %d", *shardIndex))
-	}
-	if *shardIndex >= *shards {
-		fatalUsage(fmt.Sprintf("-shard-index %d out of range for -shards %d; valid indices are 0..%d",
-			*shardIndex, *shards, *shards-1))
-	}
-	if *shards > 1 && *cache == "" && *bench == "" {
-		fatalUsage("-shards splits the sweep across processes that share a point cache, so it needs -cache <dir>; run with e.g. -shards 2 -cache ./sweepcache")
-	}
-
 	if *bench != "" {
 		results, err := mosbench.WriteBenchJSON(*bench)
 		if err != nil {
@@ -124,54 +111,52 @@ func main() {
 		return
 	}
 
-	// Validate the experiment ID, placement, and fault spec before running
-	// anything: a typo is a usage error (exit 2) listing what is accepted,
-	// not a mid-run failure.
+	// Validate the experiment ID and every run input before running
+	// anything: a typo is a usage error (exit 2) naming its flag and what
+	// is accepted, not a mid-run failure.
 	if *exp != "" && !*list && !*all {
 		if !knownExperiment(*exp) {
 			fatalUsage(fmt.Sprintf("unknown experiment %q; registered experiments:\n%s", *exp, experimentList()))
 		}
 	}
-	prof, ok := machineProfile(*machine)
-	if !ok {
-		fatalUsage(fmt.Sprintf("unknown machine %q; registered profiles:\n%s", *machine, machineList()))
-	}
-	if err := mosbench.CheckPlacementFor(*place, *machine); err != nil {
-		fatalUsage(fmt.Sprintf("%v; valid placements: local, striped, remote, home:N (N a chip index)", err))
-	}
-	if err := mosbench.CheckFaultFor(*faults, *machine); err != nil {
-		fatalUsage(fmt.Sprintf("bad -fault spec: %v", err))
-	}
-	if err := mosbench.CheckArrival(*arrival); err != nil {
-		fatalUsage(fmt.Sprintf("bad -arrival spec: %v; valid forms: poisson, poisson:users=N, pareto, pareto:alpha=A,users=N", err))
-	}
-	if err := mosbench.CheckLink(*link); err != nil {
-		fatalUsage(fmt.Sprintf("bad -link spec: %v; valid fields (comma-separated): rtt=20ms±5 (or rtt=20ms+-5), loss=0.1%%, bw=10mbit", err))
-	}
-	if err := mosbench.CheckShed(*shed); err != nil {
-		fatalUsage(fmt.Sprintf("bad -shed spec: %v; valid forms: fifo, qlen=N, delay=100us", err))
-	}
-
 	o := mosbench.Options{Quick: *quick, Seed: *seed, Serial: *serial, Placement: *place, Fault: *faults, Machine: *machine,
-		Arrival: *arrival, Link: *link, Shed: *shed}
+		Arrival: *arrival, Link: *link, Shed: *shed, Shards: *shards, ShardIndex: *shardIndex}
+	if *shardIndex == -1 {
+		// Not a worker: check the last index the coordinator would exec.
+		o.ShardIndex = *shards - 1
+	}
+	if err := mosbench.Check(o); err != nil {
+		var oe *mosbench.OptionError
+		if !errors.As(err, &oe) {
+			fatal(err)
+		}
+		name := "-" + strings.ToLower(oe.Field)
+		if oe.Field == "ShardIndex" {
+			name = "-shard-index"
+		}
+		fatalUsage(fmt.Sprintf("bad %s: %v", name, oe.Err))
+	}
+	if *shards > 1 && *cache == "" {
+		fatalUsage("-shards splits the sweep across processes that share a point cache, so it needs -cache <dir>; run with e.g. -shards 2 -cache ./sweepcache")
+	}
 	if *cores != "" {
-		cs, err := parseCores(*cores, prof.Cores)
+		cs, err := parseCores(*cores, machineCores(*machine))
 		if err != nil {
 			fatal(err)
 		}
 		o.Cores = cs
 	}
-	switch {
-	case *shardIndex >= 0:
-		// Worker: compute only the owned points, store them in the shared
-		// cache, and let the coordinator (or CI) assemble the full grid.
-		o.Shards, o.ShardIndex = *shards, *shardIndex
-	case *shards > 1 && !*list:
-		// Coordinator: run every shard worker to completion first, so the
-		// cache handle opened below sees all their stored points. This
-		// process then continues as the merge pass — the same sweep with
-		// Shards left at 1 — and prints the full grid from the warm cache.
-		runShardWorkers(*shards)
+	if *shardIndex == -1 {
+		// Sweep the whole grid. The coordinator first runs every shard
+		// worker to completion, so the cache handle opened below sees all
+		// their stored points; this process then continues as the merge
+		// pass and prints the full grid from the warm cache. A worker
+		// keeps its shard: it computes only the owned points and stores
+		// them in the shared cache.
+		o.Shards, o.ShardIndex = 0, 0
+		if *shards > 1 && !*list {
+			runShardWorkers(*shards)
+		}
 	}
 	if *cache != "" {
 		c, err := mosbench.OpenCache(*cache)
@@ -313,14 +298,15 @@ func experimentList() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// machineProfile resolves -machine ("" = the default profile).
-func machineProfile(name string) (mosbench.MachineProfile, bool) {
+// machineCores returns the core count of the -machine profile ("" =
+// the default profile), which Check has already found registered.
+func machineCores(name string) int {
 	for _, p := range mosbench.Machines() {
 		if name == p.Name || (name == "" && p.Default) {
-			return p, true
+			return p.Cores
 		}
 	}
-	return mosbench.MachineProfile{}, false
+	return 0
 }
 
 // machineList renders the registered machine profiles, one per line.

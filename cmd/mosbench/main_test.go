@@ -40,8 +40,9 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 }
 
 // TestBadSpecsAreUsageErrors: a malformed -arrival/-link/-shed (or
-// -fault/-placement) spec is a usage error — exit 2, before anything
-// runs, with a message that names the flag and lists the valid forms.
+// -fault/-placement) spec, or an invalid -shards/-shard-index pair, is a
+// usage error — exit 2, before anything runs, with a message that names
+// the flag and lists the valid forms.
 func TestBadSpecsAreUsageErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -87,6 +88,26 @@ func TestBadSpecsAreUsageErrors(t *testing.T) {
 			name: "placement home beyond machine",
 			args: []string{"-experiment", "fig1", "-machine", "ring16", "-placement", "home:16"},
 			want: []string{"0..15", "home:N"},
+		},
+		{
+			name: "fault NaN probability",
+			args: []string{"-experiment", "fig5", "-quick", "-fault", "drop:NaN"},
+			want: []string{"-fault", "probability"},
+		},
+		{
+			name: "no shards",
+			args: []string{"-experiment", "fig5", "-shards", "0"},
+			want: []string{"-shards", "at least 1"},
+		},
+		{
+			name: "shard index beyond shards",
+			args: []string{"-experiment", "fig5", "-shards", "2", "-shard-index", "2"},
+			want: []string{"-shard-index", "0..1"},
+		},
+		{
+			name: "negative shard index",
+			args: []string{"-experiment", "fig5", "-shard-index", "-2"},
+			want: []string{"-shard-index", "negative"},
 		},
 	}
 	for _, c := range cases {

@@ -10,6 +10,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -208,8 +209,8 @@ func parseEvent(part string) (Event, error) {
 		}
 		ev.Kind = KindCore
 	case "drop", "dup":
-		p, err := strconv.ParseFloat(rest, 64)
-		if err != nil || p < 0 || p > 1 {
+		p, ok := parseIn(rest, 0, 1)
+		if !ok {
 			return ev, fmt.Errorf("fault: %q: want a probability in [0,1]", part)
 		}
 		ev.Frac = p
@@ -240,20 +241,26 @@ func parsePercent(s string) (float64, error) {
 		return 0, nil
 	}
 	if t, ok := strings.CutSuffix(s, "%"); ok {
-		p, err := strconv.ParseFloat(t, 64)
-		if err != nil || p < 0 || p > 100 {
+		p, ok := parseIn(t, 0, 100)
+		if !ok {
 			return 0, fmt.Errorf("bad percentage %q", s)
 		}
 		return p / 100, nil
 	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f < 0 || f > 1 {
+	f, ok := parseIn(s, 0, 1)
+	if !ok {
 		return 0, fmt.Errorf("bad fraction %q (want N%% or 0..1)", s)
 	}
 	return f, nil
 }
 
-// parseDuration accepts <float>(s|ms|us) and returns seconds.
+// maxAtSeconds caps an @t= injection time at one simulated day, the
+// bound load's specs put on every duration: far beyond it the time no
+// longer converts to a cycle count.
+const maxAtSeconds = 86400
+
+// parseDuration accepts <float>(s|ms|us) up to maxAtSeconds and returns
+// seconds.
 func parseDuration(s string) (float64, error) {
 	unit, mul := "", 0.0
 	switch {
@@ -266,11 +273,18 @@ func parseDuration(s string) (float64, error) {
 	default:
 		return 0, fmt.Errorf("bad duration %q (want e.g. 2ms, 0.5s, 300us)", s)
 	}
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, unit), 64)
-	if err != nil || v < 0 {
+	v, ok := parseIn(strings.TrimSuffix(s, unit), 0, math.MaxFloat64)
+	if !ok || v*mul > maxAtSeconds {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
 	return v * mul, nil
+}
+
+// parseIn parses a number in [lo,hi]. The comparison is written so that
+// NaN, which fails every comparison, is out of range too.
+func parseIn(s string, lo, hi float64) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && f >= lo && f <= hi
 }
 
 // canonicalize sorts events into the canonical order String renders:

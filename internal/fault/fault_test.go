@@ -27,6 +27,7 @@ func TestParseCanonicalString(t *testing.T) {
 		{"core:7@off", "core:7@off"},
 		{"dup:0.002", "dup:0.002"},
 		{"dram:2@50%@t=1ms", "dram:2@50%@t=0.001s"},
+		{"drop:0.01@t=86400s", "drop:0.01@t=86400s"}, // one simulated day, the @t= cap
 	}
 	for _, c := range cases {
 		if got := mustParse(t, c.in).String(); got != c.want {
@@ -46,6 +47,14 @@ func TestParseErrors(t *testing.T) {
 		"link:0--1@0", // negative chip: String would render "link:-1-0@0%", which does not parse
 		"dram:-1@50%", // negative chip
 		"core:-1@off", // negative core
+		// NaN passes a "x < lo || x > hi" range check, and an unbounded
+		// @t= time overflows its cycle count.
+		"drop:NaN",
+		"drop:0.01@t=Infs",
+		"drop:0.01@t=NaNs",
+		"dram:0@50%@t=1e300s",
+		"link:0-1@NaN%",
+		"dram:0@NaN",
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)
@@ -195,6 +204,7 @@ func FuzzParse(f *testing.F) {
 		"", "none", "link:3-4@50%", "link:0-7@down", "drop:0.01,dram:0@75%",
 		"core:7@off", "dup:0.002", "dram:2@50%@t=1ms", "link:0--1@0",
 		"dram:0@50%@t=100us,drop:0.01@t=20us", "link:3-4@0.5@t=0.5s,core:47@off",
+		"drop:0.01@t=86400s",
 	} {
 		f.Add(seed)
 	}
@@ -210,6 +220,11 @@ func FuzzParse(f *testing.F) {
 		}
 		if again.String() != canon {
 			t.Fatalf("Parse(%q) renders %q, which reparses to %q", in, canon, again)
+		}
+		for _, ev := range s.Events {
+			if !(ev.Frac >= 0 && ev.Frac <= 1) || !(ev.At >= 0 && ev.At <= 86400) {
+				t.Fatalf("Parse(%q) accepted %+v: want Frac in [0,1] and At in [0,86400]", in, ev)
+			}
 		}
 		_ = s.ValidateFor(topo.Default())
 		_, _ = s.CompileFor(topo.Default(), 48)

@@ -327,45 +327,47 @@ func runPostgresFig(o Options, id string, writeFrac float64) *Series {
 	return s
 }
 
+// paperApps are Figure 3's and Figure 12's applications in the figures'
+// order: the paper's attribution of each one's remaining bottleneck at 48
+// cores (Figure 12), and its stock and PK runs.
+var paperApps = []struct {
+	name, attribution string
+	stock, pk         func(cores int, o Options) apps.Result
+}{
+	{"Exim", "App: Contention on spool directories",
+		func(c int, o Options) apps.Result { return runExim(kernel.Stock(), c, o) },
+		func(c int, o Options) apps.Result { return runExim(kernel.PK(), c, o) }},
+	{"memcached", "HW: Transmit queues on NIC",
+		func(c int, o Options) apps.Result { return runMemcached(kernel.Stock(), c, o) },
+		func(c int, o Options) apps.Result { return runMemcached(kernel.PK(), c, o) }},
+	{"Apache", "HW: Receive queues on NIC",
+		func(c int, o Options) apps.Result { return runApache(kernel.Stock(), c, false, o) },
+		func(c int, o Options) apps.Result { return runApache(kernel.PK(), c, true, o) }},
+	{"PostgreSQL", "App: Application-level spin lock",
+		func(c int, o Options) apps.Result { return runPostgres(kernel.Stock(), c, 0, false, o) },
+		func(c int, o Options) apps.Result { return runPostgres(kernel.PK(), c, 0, true, o) }},
+	{"gmake", "App: Serial stages and stragglers",
+		func(c int, o Options) apps.Result { return runGmake(kernel.Stock(), c, o) },
+		func(c int, o Options) apps.Result { return runGmake(kernel.PK(), c, o) }},
+	{"pedsort", "HW: Cache capacity",
+		func(c int, o Options) apps.Result { return runPedsort(apps.PedsortThreads, c, o) },
+		func(c int, o Options) apps.Result { return runPedsort(apps.PedsortProcsRR, c, o) }},
+	{"Metis", "HW: DRAM throughput",
+		func(c int, o Options) apps.Result { return runMetis(false, c, o) },
+		func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
+}
+
 // runFig3 computes the summary bars: per-core throughput at 48 cores
 // relative to 1 core, stock vs PK, per application.
 func runFig3(o Options) *Series {
 	max := o.maxCores()
 	s := &Series{ID: "fig3", Title: "MOSBENCH summary (Figure 3)",
 		Unit: fmt.Sprintf("ratio %dc/1c", max)}
-	type appRun struct {
-		name  string
-		stock func(cores int, o Options) apps.Result
-		pk    func(cores int, o Options) apps.Result
-	}
-	appsList := []appRun{
-		{"Exim",
-			func(c int, o Options) apps.Result { return runExim(kernel.Stock(), c, o) },
-			func(c int, o Options) apps.Result { return runExim(kernel.PK(), c, o) }},
-		{"memcached",
-			func(c int, o Options) apps.Result { return runMemcached(kernel.Stock(), c, o) },
-			func(c int, o Options) apps.Result { return runMemcached(kernel.PK(), c, o) }},
-		{"Apache",
-			func(c int, o Options) apps.Result { return runApache(kernel.Stock(), c, false, o) },
-			func(c int, o Options) apps.Result { return runApache(kernel.PK(), c, true, o) }},
-		{"PostgreSQL",
-			func(c int, o Options) apps.Result { return runPostgres(kernel.Stock(), c, 0, false, o) },
-			func(c int, o Options) apps.Result { return runPostgres(kernel.PK(), c, 0, true, o) }},
-		{"gmake",
-			func(c int, o Options) apps.Result { return runGmake(kernel.Stock(), c, o) },
-			func(c int, o Options) apps.Result { return runGmake(kernel.PK(), c, o) }},
-		{"pedsort",
-			func(c int, o Options) apps.Result { return runPedsort(apps.PedsortThreads, c, o) },
-			func(c int, o Options) apps.Result { return runPedsort(apps.PedsortProcsRR, c, o) }},
-		{"Metis",
-			func(c int, o Options) apps.Result { return runMetis(false, c, o) },
-			func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
-	}
 	s.Notes = append(s.Notes, "Table rows are applications, in Figure 3's order:")
 	// Each application needs four independent measurements: stock and PK,
 	// each at 1 and at max cores.
-	results, errs := o.fanOut(s, len(appsList)*4, func(i int) (string, int, func(int, Options) Point) {
-		a := appsList[i/4]
+	results, errs := o.fanOut(s, len(paperApps)*4, func(i int) (string, int, func(int, Options) Point) {
+		a := paperApps[i/4]
 		label, run := a.name+"/Stock", a.stock
 		if i%4 >= 2 {
 			label, run = a.name+"/PK", a.pk
@@ -376,7 +378,7 @@ func runFig3(o Options) *Series {
 		}
 		return label, cores, func(c int, o Options) Point { return point(run(c, o), label, 1) }
 	})
-	for i, a := range appsList {
+	for i, a := range paperApps {
 		if errs[i*4] != nil || errs[i*4+1] != nil || errs[i*4+2] != nil || errs[i*4+3] != nil {
 			s.Notes = append(s.Notes, fmt.Sprintf("  row %d: %-12s skipped: %s", i+1, a.name,
 				rowSkipReason(errs[i*4:i*4+4])))
@@ -402,44 +404,24 @@ func runFig12(o Options) *Series {
 	max := o.maxCores()
 	s := &Series{ID: "fig12",
 		Title: fmt.Sprintf("Remaining bottlenecks at %d cores (Figure 12)", max)}
-	type row struct {
-		app, attribution string
-		run              func(cores int, o Options) apps.Result
-	}
-	rows := []row{
-		{"Exim", "App: Contention on spool directories",
-			func(c int, o Options) apps.Result { return runExim(kernel.PK(), c, o) }},
-		{"memcached", "HW: Transmit queues on NIC",
-			func(c int, o Options) apps.Result { return runMemcached(kernel.PK(), c, o) }},
-		{"Apache", "HW: Receive queues on NIC",
-			func(c int, o Options) apps.Result { return runApache(kernel.PK(), c, true, o) }},
-		{"PostgreSQL", "App: Application-level spin lock",
-			func(c int, o Options) apps.Result { return runPostgres(kernel.PK(), c, 0, true, o) }},
-		{"gmake", "App: Serial stages and stragglers",
-			func(c int, o Options) apps.Result { return runGmake(kernel.PK(), c, o) }},
-		{"pedsort", "HW: Cache capacity",
-			func(c int, o Options) apps.Result { return runPedsort(apps.PedsortProcsRR, c, o) }},
-		{"Metis", "HW: DRAM throughput",
-			func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
-	}
 	// Two independent measurements per row: 1 and max cores.
-	pts, errs := o.fanOut(s, len(rows)*2, func(i int) (string, int, func(int, Options) Point) {
-		r := rows[i/2]
+	pts, errs := o.fanOut(s, len(paperApps)*2, func(i int) (string, int, func(int, Options) Point) {
+		a := paperApps[i/2]
 		cores := 1
 		if i%2 == 1 {
 			cores = max
 		}
-		return r.app, cores, func(c int, o Options) Point { return point(r.run(c, o), r.app, 1) }
+		return a.name, cores, func(c int, o Options) Point { return point(a.pk(c, o), a.name, 1) }
 	})
-	for i, r := range rows {
+	for i, a := range paperApps {
 		if errs[i*2] != nil || errs[i*2+1] != nil {
 			s.Notes = append(s.Notes,
-				fmt.Sprintf("%-12s %-42s skipped: %s", r.app, r.attribution, rowSkipReason(errs[i*2:i*2+2])))
+				fmt.Sprintf("%-12s %-42s skipped: %s", a.name, a.attribution, rowSkipReason(errs[i*2:i*2+2])))
 			continue
 		}
 		retained := pts[i*2+1].PerCore / pts[i*2].PerCore
 		s.Notes = append(s.Notes,
-			fmt.Sprintf("%-12s %-42s per-core retention at %dc: %.2f", r.app, r.attribution, max, retained))
+			fmt.Sprintf("%-12s %-42s per-core retention at %dc: %.2f", a.name, a.attribution, max, retained))
 	}
 	return s
 }

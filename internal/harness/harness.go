@@ -427,25 +427,13 @@ func Format(s *Series) string {
 		}
 		// Per-chip memory-controller utilization, one row per point that
 		// streamed bulk data — this is where DRAM saturation localizes.
-		wroteHeader := false
-		for _, v := range variants {
-			for _, c := range cores {
-				p, ok := s.Get(v, c)
-				if !ok || len(p.DRAMUtil) == 0 {
-					continue
-				}
-				if !wroteHeader {
-					b.WriteString("dram controller utilization (per chip):\n")
-					wroteHeader = true
-				}
-				fmt.Fprintf(&b, "  %-28s %2d cores: %s\n", v, c, formatUtil(p.DRAMUtil))
-			}
-		}
+		writeUtilRows(&b, s, variants, cores, "dram controller utilization (per chip):\n",
+			func(p Point) []float64 { return p.DRAMUtil })
 		// Tail latency, one row per open-loop point: offered rate,
 		// delivered goodput, and the sojourn quantiles. p99 pulling away
 		// from p50 while goodput still tracks offered is the overload
 		// early warning the mean never shows.
-		wroteHeader = false
+		wroteHeader := false
 		for _, v := range variants {
 			for _, c := range cores {
 				p, ok := s.Get(v, c)
@@ -462,20 +450,8 @@ func Format(s *Series) string {
 		}
 		// Per-link HT utilization: the busiest link pinned near 1.00 while
 		// controllers idle is interconnect saturation.
-		wroteHeader = false
-		for _, v := range variants {
-			for _, c := range cores {
-				p, ok := s.Get(v, c)
-				if !ok || len(p.LinkUtil) == 0 {
-					continue
-				}
-				if !wroteHeader {
-					b.WriteString("ht link utilization (per link):\n")
-					wroteHeader = true
-				}
-				fmt.Fprintf(&b, "  %-28s %2d cores: %s\n", v, c, formatUtil(p.LinkUtil))
-			}
-		}
+		writeUtilRows(&b, s, variants, cores, "ht link utilization (per link):\n",
+			func(p Point) []float64 { return p.LinkUtil })
 	}
 	if len(s.Failed) > 0 {
 		fmt.Fprintf(&b, "failed points (%d):\n", len(s.Failed))
@@ -490,6 +466,23 @@ func Format(s *Series) string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// writeUtilRows writes one "variant cores: utilizations" row per point
+// whose util is nonempty, under heading, which is omitted when no point
+// has any.
+func writeUtilRows(b *strings.Builder, s *Series, variants []string, cores []int, heading string, util func(Point) []float64) {
+	for _, v := range variants {
+		for _, c := range cores {
+			p, ok := s.Get(v, c)
+			if !ok || len(util(p)) == 0 {
+				continue
+			}
+			b.WriteString(heading)
+			heading = ""
+			fmt.Fprintf(b, "  %-28s %2d cores: %s\n", v, c, formatUtil(util(p)))
+		}
+	}
 }
 
 // formatUtil renders a per-chip utilization vector compactly.

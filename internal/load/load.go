@@ -191,22 +191,13 @@ func (c *cohorts) next() int64 {
 }
 
 // requestDelay returns the one-way client->server link delay for one
-// request, charging loss-driven retransmissions to stats. Draws happen
-// only when the corresponding spec field is active, preserving the
-// conditional-draw discipline: an ideal link perturbs no PRNG stream.
+// request: respDelay's shaping, then loss-driven retransmissions charged
+// to stats. Draws happen only when the corresponding spec field is
+// active, preserving the conditional-draw discipline: an ideal link
+// perturbs no PRNG stream.
 func requestDelay(e *sim.Engine, l *LinkSpec, bytes int64, st *Stats) int64 {
-	if l == nil {
-		return 0
-	}
-	d := l.RTTCycles / 2
-	if l.JitterCycles > 0 {
-		// Uniform in ±Jitter/2 per direction; Jitter <= RTT keeps d >= 0.
-		d += int64(e.Rand.Float64()*float64(l.JitterCycles)) - l.JitterCycles/2
-	}
-	if l.BitsPerSec > 0 {
-		d += int64(float64(bytes*8) * float64(topo.ClockHz) / l.BitsPerSec)
-	}
-	if l.Loss > 0 {
+	d := respDelay(e, l, bytes)
+	if l != nil && l.Loss > 0 {
 		for attempt := 0; attempt < fault.RetryMaxAttempts-1; attempt++ {
 			if e.Rand.Float64() >= l.Loss {
 				break
@@ -221,15 +212,16 @@ func requestDelay(e *sim.Engine, l *LinkSpec, bytes int64, st *Stats) int64 {
 	return d
 }
 
-// respDelay is the server->client path: same shaping, no loss retries
-// (a lost response surfaces as a client timeout, which the give-up
-// accounting already covers).
+// respDelay is the server->client path: half the RTT, jitter and
+// serialization, with no loss retries (a lost response surfaces as a
+// client timeout, which the give-up accounting already covers).
 func respDelay(e *sim.Engine, l *LinkSpec, bytes int64) int64 {
 	if l == nil {
 		return 0
 	}
 	d := l.RTTCycles / 2
 	if l.JitterCycles > 0 {
+		// Uniform in ±Jitter/2 per direction; Jitter <= RTT keeps d >= 0.
 		d += int64(e.Rand.Float64()*float64(l.JitterCycles)) - l.JitterCycles/2
 	}
 	if l.BitsPerSec > 0 {

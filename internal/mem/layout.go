@@ -31,6 +31,3 @@ func (f *Fields) LineOf(i int) Line {
 	}
 	return f.lines[0]
 }
-
-// Read charges a read of field i by core c at time now.
-func (f *Fields) Read(md *Model, c, i int, now int64) int64 { return md.Read(c, f.LineOf(i), now) }

@@ -208,13 +208,13 @@ func TestFieldsFalseSharing(t *testing.T) {
 	// Writer core 0 updates field 1 (stats); reader core 47 reads field 0
 	// (a read-only flag). With false sharing the reader misses every time.
 	warm := func(f *Fields, now int64) {
-		f.Read(md, 47, 0, now)
+		md.Read(47, f.LineOf(0), now)
 		md.Write(0, f.LineOf(1), now+100_000)
 	}
 	warm(shared, 0)
 	warm(padded, 0)
-	f := shared.Read(md, 47, 0, 1_000_000)
-	g := padded.Read(md, 47, 0, 1_000_000)
+	f := md.Read(47, shared.LineOf(0), 1_000_000)
+	g := md.Read(47, padded.LineOf(0), 1_000_000)
 	if f <= g {
 		t.Errorf("false-shared read (%d) should cost more than padded read (%d)", f, g)
 	}

@@ -67,7 +67,7 @@ func ParsePlacementFor(m *topo.Machine, s string) (Placement, error) {
 	if rest, ok := strings.CutPrefix(s, "home:"); ok {
 		chip, err := strconv.Atoi(rest)
 		if err != nil || chip < 0 || chip >= m.Chips {
-			return Placement{}, fmt.Errorf("mem: bad home chip %q (want 0..%d)", rest, m.Chips-1)
+			return Placement{}, fmt.Errorf("mem: bad home chip %q in home:N (want N in 0..%d)", rest, m.Chips-1)
 		}
 		return PlacementHome(chip), nil
 	}

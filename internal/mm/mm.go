@@ -341,5 +341,5 @@ func (ps *PageStructs) TouchN(p *sim.Proc, md *mem.Model, base, n int) {
 // ReadFlags models a hot read-only access to page i's flags word.
 func (ps *PageStructs) ReadFlags(p *sim.Proc, md *mem.Model, i int) {
 	f := ps.fields[i%len(ps.fields)]
-	p.Advance(f.Read(md, p.Core(), pageFieldFlags, p.Now()))
+	p.Advance(md.Read(p.Core(), f.LineOf(pageFieldFlags), p.Now()))
 }

@@ -53,7 +53,7 @@ type Options struct {
 	// kernel the experiment boots: comma-separated events like
 	// "link:3-4@50%,dram:0@75%,core:7@off,drop:0.01,dup:0.001", each with
 	// an optional "@t=<dur>" activation time ("link:0-1@down@t=2ms").
-	// Empty or "none" injects nothing. See CheckFaultFor.
+	// Empty or "none" injects nothing.
 	Fault string
 	// PointTimeout bounds one sweep point's wall clock; a point that runs
 	// past it is abandoned and reported in Series.Failed. Zero means the
@@ -61,16 +61,16 @@ type Options struct {
 	PointTimeout time.Duration
 	// Arrival selects the open-loop arrival process for load experiments
 	// (latload): "poisson[:users=N]" or "pareto[:alpha=A][,users=N]".
-	// Empty or "none" keeps the experiment's default. See CheckArrival.
+	// Empty or "none" keeps the experiment's default.
 	Arrival string
 	// Link shapes the simulated client link for open-loop experiments:
 	// comma-separated "rtt=20ms±5", "loss=0.1%", "bw=10mbit" fields.
-	// Empty or "none" is an ideal link. See CheckLink.
+	// Empty or "none" is an ideal link.
 	Link string
 	// Shed selects the open-loop server's admission policy: "fifo"
 	// (unbounded queue), "qlen=N" (bounded accept queue), or
 	// "delay=100us" (delay-bounded accept queue). Empty keeps the
-	// experiment's default. See CheckShed.
+	// experiment's default.
 	Shed string
 	// Machine selects the simulated host by registered profile name
 	// ("s4985", "ring16", "mesh4x4", "big192", ...; see Machines). Empty
@@ -86,23 +86,6 @@ type Options struct {
 	// 1) then merges every shard's stored points into a complete Series.
 	// ShardIndex must be in [0, Shards); Run rejects invalid combinations.
 	Shards, ShardIndex int
-}
-
-// CheckFaultFor validates a fault-injection spec against the named
-// machine profile ("" = default) without running anything, returning the
-// error a Run with this spec would report: a link event must name chips
-// joined by a link on that machine, a dram event a chip the machine has,
-// and so on.
-func CheckFaultFor(spec, machine string) error {
-	s, err := fault.Parse(spec)
-	if err != nil {
-		return err
-	}
-	m, err := lookupMachine(machine)
-	if err != nil {
-		return err
-	}
-	return s.ValidateFor(m)
 }
 
 // MachineProfile describes one registered machine profile.
@@ -126,52 +109,6 @@ func Machines() []MachineProfile {
 		})
 	}
 	return out
-}
-
-// lookupMachine resolves a profile name ("" = default) or returns an
-// error listing what is registered.
-func lookupMachine(name string) (*topo.Machine, error) {
-	if name == "" {
-		return topo.Default(), nil
-	}
-	m, ok := topo.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("mosbench: unknown machine %q (registered: %s)",
-			name, strings.Join(topo.Names(), ", "))
-	}
-	return m, nil
-}
-
-// CheckPlacementFor validates a placement policy string ("local",
-// "striped", "remote", "home:N") against the named machine profile
-// ("" = default) without running anything: N must be one of that
-// machine's chips.
-func CheckPlacementFor(s, machine string) error {
-	m, err := lookupMachine(machine)
-	if err != nil {
-		return err
-	}
-	_, err = mem.ParsePlacementFor(m, s)
-	return err
-}
-
-// CheckArrival validates an open-loop arrival spec without running
-// anything.
-func CheckArrival(s string) error {
-	_, err := load.ParseArrival(s)
-	return err
-}
-
-// CheckLink validates a link-shaping spec without running anything.
-func CheckLink(s string) error {
-	_, err := load.ParseLink(s)
-	return err
-}
-
-// CheckShed validates an admission-control spec without running anything.
-func CheckShed(s string) error {
-	_, err := load.ParseShed(s)
-	return err
 }
 
 // The result and cache types are the harness's own, re-exported.
@@ -263,23 +200,59 @@ func Experiments() []Experiment {
 	return out
 }
 
-// Run executes the experiment with the given ID.
+// Run executes the experiment with the given ID. Invalid Options are
+// rejected with the error Check reports, before anything runs.
 func Run(id string, o Options) (*Series, error) {
 	e := harness.ByID(id)
 	if e == nil {
 		return nil, fmt.Errorf("mosbench: unknown experiment %q (use Experiments())", id)
 	}
-	m, err := lookupMachine(o.Machine)
+	ho, err := o.harness()
 	if err != nil {
 		return nil, err
+	}
+	return e.Run(ho), nil
+}
+
+// OptionError is the error Check and Run return for an invalid Options
+// value: Field names the Options field at fault ("Placement",
+// "ShardIndex", ...), and Err says what is wrong with it.
+type OptionError struct {
+	Field string
+	Err   error
+}
+
+func (e *OptionError) Error() string { return fmt.Sprintf("mosbench: bad %s: %v", e.Field, e.Err) }
+
+// Check validates o without running anything, returning the
+// *OptionError a Run with these Options would report, or nil. Every spec
+// is checked against the selected machine: a home:N placement, a link or
+// dram fault and a core count must exist on it.
+func Check(o Options) error {
+	_, err := o.harness()
+	return err
+}
+
+// harness checks o and converts it to the harness's options.
+func (o Options) harness() (harness.Options, error) {
+	bad := func(field string, err error) (harness.Options, error) {
+		return harness.Options{}, &OptionError{Field: field, Err: err}
+	}
+	m := topo.Default()
+	if o.Machine != "" {
+		var ok bool
+		if m, ok = topo.Lookup(o.Machine); !ok {
+			return bad("Machine", fmt.Errorf("unknown machine %q (registered: %s)",
+				o.Machine, strings.Join(topo.Names(), ", ")))
+		}
 	}
 	pl, err := mem.ParsePlacementFor(m, o.Placement)
 	if err != nil {
-		return nil, err
+		return bad("Placement", err)
 	}
 	for _, n := range o.Cores {
 		if n < 1 || n > m.MaxCores() {
-			return nil, fmt.Errorf("mosbench: core count %d out of range [1,%d]", n, m.MaxCores())
+			return bad("Cores", fmt.Errorf("core count %d out of range [1,%d]", n, m.MaxCores()))
 		}
 	}
 	ho := harness.Options{
@@ -290,33 +263,28 @@ func Run(id string, o Options) (*Series, error) {
 		ho.Machine = m
 	}
 	if o.Shards != 0 || o.ShardIndex != 0 {
-		shards := o.Shards
-		if shards == 0 {
-			shards = 1 // unset Shards with an explicit index still validates
+		if err := harness.ValidateShards(o.Shards, o.ShardIndex); err != nil {
+			if o.Shards < 1 {
+				return bad("Shards", err)
+			}
+			return bad("ShardIndex", err)
 		}
-		if err := harness.ValidateShards(shards, o.ShardIndex); err != nil {
-			return nil, fmt.Errorf("mosbench: %w", err)
-		}
-		ho.Shards, ho.ShardIndex = shards, o.ShardIndex
+		ho.Shards, ho.ShardIndex = o.Shards, o.ShardIndex
 	}
-	if o.Fault != "" {
-		spec, err := fault.Parse(o.Fault)
-		if err != nil {
-			return nil, err
-		}
-		if err := spec.ValidateFor(m); err != nil {
-			return nil, err
-		}
-		ho.Fault = spec
+	if ho.Fault, err = fault.Parse(o.Fault); err != nil {
+		return bad("Fault", err)
+	}
+	if err := ho.Fault.ValidateFor(m); err != nil {
+		return bad("Fault", err)
 	}
 	if ho.Arrival, err = load.ParseArrival(o.Arrival); err != nil {
-		return nil, err
+		return bad("Arrival", err)
 	}
 	if ho.Link, err = load.ParseLink(o.Link); err != nil {
-		return nil, err
+		return bad("Link", err)
 	}
 	if ho.Shed, err = load.ParseShed(o.Shed); err != nil {
-		return nil, err
+		return bad("Shed", err)
 	}
-	return e.Run(ho), nil
+	return ho, nil
 }

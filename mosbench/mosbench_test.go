@@ -1,6 +1,7 @@
 package mosbench
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -88,7 +89,7 @@ func TestRunValidatesCores(t *testing.T) {
 
 // TestRunValidatesPlacementOnMachine: Run checks a home:N placement
 // against the selected machine's chips, so home:12 fits ring16's sixteen
-// chips but not the default host's eight; CheckPlacementFor agrees.
+// chips but not the default host's eight; Check agrees.
 func TestRunValidatesPlacementOnMachine(t *testing.T) {
 	if _, err := Run("fig1", Options{Machine: "ring16", Placement: "home:12"}); err != nil {
 		t.Errorf("Run(fig1, ring16, home:12) = %v, want no error", err)
@@ -96,14 +97,47 @@ func TestRunValidatesPlacementOnMachine(t *testing.T) {
 	if _, err := Run("fig1", Options{Placement: "home:12"}); err == nil || !strings.Contains(err.Error(), "0..7") {
 		t.Errorf("Run(fig1, default, home:12) error = %v, want the 0..7 chip range", err)
 	}
-	if err := CheckPlacementFor("home:12", "ring16"); err != nil {
-		t.Errorf("CheckPlacementFor(home:12, ring16) = %v, want nil", err)
+	if err := Check(Options{Machine: "ring16", Placement: "home:12"}); err != nil {
+		t.Errorf("Check(ring16, home:12) = %v, want nil", err)
 	}
-	if err := CheckPlacementFor("home:16", "ring16"); err == nil || !strings.Contains(err.Error(), "0..15") {
-		t.Errorf("CheckPlacementFor(home:16, ring16) = %v, want the 0..15 chip range", err)
+	if err := Check(Options{Machine: "ring16", Placement: "home:16"}); err == nil || !strings.Contains(err.Error(), "0..15") {
+		t.Errorf("Check(ring16, home:16) = %v, want the 0..15 chip range", err)
 	}
-	if err := CheckPlacementFor("local", "nosuch"); err == nil {
-		t.Error("CheckPlacementFor accepted an unknown machine")
+	if err := Check(Options{Machine: "nosuch", Placement: "local"}); err == nil {
+		t.Error("Check accepted an unknown machine")
+	}
+}
+
+// TestCheckMatchesRun: Check rejects exactly what Run rejects, with the
+// same error, and names the Options field at fault.
+func TestCheckMatchesRun(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		o     Options
+	}{
+		{"Machine", Options{Machine: "nosuch"}},
+		{"Placement", Options{Placement: "home:16"}},
+		{"Cores", Options{Cores: []int{49}}},
+		{"Shards", Options{Shards: -1}},
+		{"ShardIndex", Options{Shards: 2, ShardIndex: 2}},
+		{"Fault", Options{Fault: "drop:NaN"}},
+		{"Fault", Options{Fault: "drop:0.01@t=Infs"}},
+		{"Fault", Options{Fault: "dram:0@50%@t=1e300s"}},
+		{"Fault", Options{Fault: "dram:9@50%"}},
+		{"Arrival", Options{Arrival: "uniform"}},
+		{"Link", Options{Link: "mtu=9000"}},
+		{"Shed", Options{Shed: "qlen=0"}},
+	} {
+		cerr := Check(tc.o)
+		_, rerr := Run("fig1", tc.o)
+		var oe *OptionError
+		if !errors.As(cerr, &oe) || oe.Field != tc.field {
+			t.Errorf("Check(%+v) = %v, want an *OptionError for %s", tc.o, cerr, tc.field)
+			continue
+		}
+		if rerr == nil || rerr.Error() != cerr.Error() {
+			t.Errorf("Run(fig1, %+v) error = %v, want Check's %q", tc.o, rerr, cerr)
+		}
 	}
 }
 
