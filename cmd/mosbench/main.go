@@ -142,7 +142,7 @@ func main() {
 	if *cores != "" {
 		cs, err := parseCores(*cores, machineCores(*machine))
 		if err != nil {
-			fatal(err)
+			fatalUsage(fmt.Sprintf("bad -cores: %v", err))
 		}
 		o.Cores = cs
 	}

@@ -109,6 +109,16 @@ func TestBadSpecsAreUsageErrors(t *testing.T) {
 			args: []string{"-experiment", "fig5", "-shard-index", "-2"},
 			want: []string{"-shard-index", "negative"},
 		},
+		{
+			name: "zero cores",
+			args: []string{"-experiment", "fig5", "-cores", "0"},
+			want: []string{"bad -cores", "out of range [1,48]"},
+		},
+		{
+			name: "core range bound not a number",
+			args: []string{"-experiment", "fig5", "-cores", "1..x"},
+			want: []string{"bad -cores", `bad core count "x"`},
+		},
 	}
 	for _, c := range cases {
 		c := c

@@ -15,6 +15,8 @@
 package apps
 
 import (
+	"strconv"
+
 	"repro/internal/kernel"
 	"repro/internal/load"
 	"repro/internal/topo"
@@ -32,6 +34,19 @@ func onlineCores(k *kernel.Kernel) []int {
 		}
 	}
 	return out
+}
+
+// appendNum appends n in decimal, zero-padded to width digits: what fmt's
+// %0*d prints for the non-negative numbers in file names. The workloads
+// name a file or two per operation, and fmt.Sprintf would also box each
+// number past 255 into an interface, a second allocation per name.
+func appendNum(b []byte, n int64, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], n, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // Result is the outcome of one application run at one core count.

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/netsim"
 	"repro/internal/proc"
@@ -57,11 +55,12 @@ func RunExim(k *kernel.Kernel, opts EximOpts) Result {
 	stack := k.NewStack(nil) // clients are on the same machine: loopback
 
 	// Set up spool directories, user mailboxes, and the shared log.
+	var buf [32]byte
 	for d := 0; d < opts.SpoolDirs; d++ {
-		fs.MustMkdirAll(fmt.Sprintf("/var/spool/input/%02d", d))
+		fs.MustMkdirAll(string(eximSpoolDir(buf[:0], d)))
 	}
 	for u := 0; u < opts.Users; u++ {
-		fs.MustCreateFile(fmt.Sprintf("/var/mail/user%02d", u), 0)
+		fs.MustCreateFile(string(eximMailbox(buf[:0], u)), 0)
 	}
 	fs.MustCreateFile("/var/log/exim/mainlog", 0)
 	for _, path := range eximConfigPaths {
@@ -109,13 +108,28 @@ func RunExim(k *kernel.Kernel, opts EximOpts) Result {
 	}
 }
 
+// eximSpoolDir appends the path of spool directory d to b.
+func eximSpoolDir(b []byte, d int) []byte {
+	return appendNum(append(b, "/var/spool/input/"...), int64(d), 2)
+}
+
+// eximMailbox appends the path of user u's mailbox to b.
+func eximMailbox(b []byte, u int) []byte {
+	return appendNum(append(b, "/var/mail/user"...), int64(u), 2)
+}
+
 // eximMessage models receiving and delivering one message.
 func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsim.LoopbackConn,
 	connProc *proc.Process, user, spool int, opts EximOpts) {
 
 	fs := k.FS
-	dir := fmt.Sprintf("/var/spool/input/%02d", spool)
-	msgName := fmt.Sprintf("m%d-%d", p.Core(), p.Now())
+	var buf [64]byte
+	dir := string(eximSpoolDir(buf[:0], spool))
+	// The message's spool files are m<core>-<arrival cycle>-H and -D.
+	msg := appendNum(append(buf[:0], 'm'), int64(p.Core()), 0)
+	msg = appendNum(append(msg, '-'), p.Now(), 0)
+	hName := string(append(msg, "-H"...))
+	dName := string(append(msg, "-D"...))
 
 	// Receive the message body over the SMTP connection.
 	stack.LoopbackXfer(p, conn, eximSMTPBytes)
@@ -131,10 +145,10 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsi
 	// Queue: create header (-H) and data (-D) files in the spool
 	// directory. The per-directory i_mutex inside Create is the residual
 	// PK bottleneck.
-	fh := fs.Create(p, dir, msgName+"-H")
+	fh := fs.Create(p, dir, hName)
 	fs.Append(p, fh, eximHeaderBytes)
 	fs.Close(p, fh)
-	fd := fs.Create(p, dir, msgName+"-D")
+	fd := fs.Create(p, dir, dName)
 	fs.Append(p, fd, eximSMTPBytes)
 	fs.Close(p, fd)
 
@@ -151,13 +165,12 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsi
 
 	// Delivery: locate the spooled message, append to the user's
 	// mailbox, remove the spool files, and log the delivery.
-	fs.Stat(p, dir+"/"+msgName+"-H")
-	mailbox := fmt.Sprintf("/var/mail/user%02d", user)
-	mf := fs.Open(p, mailbox)
+	fs.Stat(p, dir+"/"+hName)
+	mf := fs.Open(p, string(eximMailbox(buf[:0], user)))
 	fs.Append(p, mf, eximHeaderBytes+eximSMTPBytes)
 	fs.Close(p, mf)
-	fs.Unlink(p, dir, msgName+"-H")
-	fs.Unlink(p, dir, msgName+"-D")
+	fs.Unlink(p, dir, hName)
+	fs.Unlink(p, dir, dName)
 	lf := fs.Open(p, "/var/log/exim/mainlog")
 	fs.Append(p, lf, 80)
 	fs.Close(p, lf)

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/proc"
@@ -48,11 +46,12 @@ func RunGmake(k *kernel.Kernel, opts GmakeOpts) Result {
 	// Sources and objects spread across per-subsystem directories, as in
 	// a kernel tree; this avoids a single hot directory dentry, which a
 	// real build does not have either.
+	var buf [64]byte
 	for d := 0; d < 16; d++ {
-		fs.MustMkdirAll(fmt.Sprintf("/build/obj/d%02d", d))
+		fs.MustMkdirAll(string(gmakeObjDir(buf[:0], d)))
 	}
 	for j := 0; j < opts.Objects; j++ {
-		fs.MustCreateFile(fmt.Sprintf("/build/src/d%02d/f%03d.c", j%16, j), gmakeSourceBytes)
+		fs.MustCreateFile(string(gmakeSource(buf[:0], j)), gmakeSourceBytes)
 	}
 
 	cores := k.Machine.NCores
@@ -117,6 +116,17 @@ func RunGmake(k *kernel.Kernel, opts GmakeOpts) Result {
 	}
 }
 
+// gmakeSource appends the path of job j's source file to b.
+func gmakeSource(b []byte, j int) []byte {
+	b = appendNum(append(b, "/build/src/d"...), int64(j%16), 2)
+	return append(appendNum(append(b, "/f"...), int64(j), 3), ".c"...)
+}
+
+// gmakeObjDir appends the path of object directory d to b.
+func gmakeObjDir(b []byte, d int) []byte {
+	return appendNum(append(b, "/build/obj/d"...), int64(d), 2)
+}
+
 // gmakeCompile models one compiler invocation: fork+exec, read the source,
 // compile, write the object file.
 func gmakeCompile(k *kernel.Kernel, p *sim.Proc, self *proc.Process, j int, cost int64, pl mem.Placement) {
@@ -125,14 +135,19 @@ func gmakeCompile(k *kernel.Kernel, p *sim.Proc, self *proc.Process, j int, cost
 	k.Procs.ChildStart(p, child)
 	k.Procs.Exec(p)
 
-	src := fs.Open(p, fmt.Sprintf("/build/src/d%02d/f%03d.c", j%16, j))
+	var buf [64]byte
+	src := fs.Open(p, string(gmakeSource(buf[:0], j)))
 	fs.Read(p, src, gmakeSourceBytes)
 	fs.Close(p, src)
 
 	p.AdvanceUser(cost)
 	p.Advance(gmakeSysPerJob)
 
-	obj := fs.Create(p, fmt.Sprintf("/build/obj/d%02d", j%16), fmt.Sprintf("f%03d-%d.o", j, p.Core()))
+	// Each object file is f<job>-<core>.o.
+	objDir := string(gmakeObjDir(buf[:0], j%16))
+	name := appendNum(append(buf[:0], 'f'), int64(j), 3)
+	name = appendNum(append(name, '-'), int64(p.Core()), 0)
+	obj := fs.Create(p, objDir, string(append(name, ".o"...)))
 	fs.Append(p, obj, gmakeObjBytes)
 	fs.Close(p, obj)
 	// The compiler's source read and object write stream through the

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/mm"
@@ -79,6 +77,12 @@ const (
 	pedsortFlushEvery  = 24     // files per flush
 )
 
+// pedsortSource appends the path of corpus file f to b.
+func pedsortSource(b []byte, f int) []byte {
+	b = appendNum(append(b, "/src/d"...), int64(f%32), 2)
+	return appendNum(append(b, "/f"...), int64(f), 4)
+}
+
 // RunPedsort executes one indexing run and reports jobs/hour/core.
 func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 	e := k.Engine
@@ -86,8 +90,9 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 	// The corpus is a source tree: files spread over many directories,
 	// so no single directory dentry is hot.
 	fs.MustMkdirAll("/tmp/ind")
+	var buf [32]byte
 	for f := 0; f < opts.Files; f++ {
-		fs.MustCreateFile(fmt.Sprintf("/src/d%02d/f%04d", f%32, f), opts.FileBytes)
+		fs.MustCreateFile(string(pedsortSource(buf[:0], f)), opts.FileBytes)
 	}
 
 	cores := k.Machine.NCores
@@ -112,6 +117,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 			}
 			// Phase 1: pull files, mmap-read, hash words, flush
 			// periodically.
+			var buf [32]byte // file names, one at a time
 			processed := 0
 			for {
 				f := next
@@ -119,7 +125,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 					break
 				}
 				next++
-				src := fs.Open(p, fmt.Sprintf("/src/d%02d/f%04d", f%32, f))
+				src := fs.Open(p, string(pedsortSource(buf[:0], f)))
 				r := as.Mmap(p, opts.FileBytes, false)
 				for i := int64(0); i < r.Pages(); i++ {
 					// Faulted pages come from the local node; their zero
@@ -131,7 +137,9 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 				fs.Close(p, src)
 				processed++
 				if processed%pedsortFlushEvery == 0 {
-					out := fs.Create(p, "/tmp/ind", fmt.Sprintf("int-%d-%d", c, processed))
+					name := appendNum(append(buf[:0], "int-"...), int64(c), 0)
+					name = appendNum(append(name, '-'), int64(processed), 0)
+					out := fs.Create(p, "/tmp/ind", string(name))
 					fs.Append(p, out, pedsortFlushBytes)
 					fs.Close(p, out)
 				}
@@ -154,7 +162,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 			// placement (local by default, matching the first-touch
 			// pages the hash phase faulted in).
 			k.DRAM.TransferPlaced(p, opts.Placement, int64(opts.Files)*opts.FileBytes/int64(len(workers)))
-			out := fs.Create(p, "/tmp/ind", fmt.Sprintf("final-%d", c))
+			out := fs.Create(p, "/tmp/ind", string(appendNum(append(buf[:0], "final-"...), int64(c), 0)))
 			fs.Append(p, out, pedsortFlushBytes)
 			fs.Close(p, out)
 		})

@@ -59,10 +59,10 @@ type pgState struct {
 	// lock, whose tag always hashes to the same slot — the paper's point
 	// that "even a non-conflicting row- or table-level lock acquisition
 	// requires exclusively locking one of only 16 global mutexes" (§5.5).
-	lockMgr []*slock.Mutex
+	lockMgr []slock.Mutex
 	// rootSpin is the user-level spin lock on the buffer-cache page
 	// holding the index root — PK+modPG's residual bottleneck (§5.5).
-	rootSpin *slock.SpinLock
+	rootSpin slock.SpinLock
 }
 
 // newPGState builds the shared instance state: the lock-manager mutex
@@ -78,10 +78,10 @@ func newPGState(k *kernel.Kernel, opts PostgresOpts) *pgState {
 	}
 	st := &pgState{rootSpin: slock.NewSpinLock(k.MD, "pg-root-page", 0)}
 	st.rootSpin.ChargeUser = true
-	for i := 0; i < nMutex; i++ {
-		m := slock.NewMutex(k.MD, fmt.Sprintf("pg-lockmgr-%d", i), i%8)
-		m.ChargeUser = true
-		st.lockMgr = append(st.lockMgr, m)
+	st.lockMgr = make([]slock.Mutex, nMutex)
+	for i := range st.lockMgr {
+		st.lockMgr[i] = slock.NewMutex(k.MD, fmt.Sprintf("pg-lockmgr-%d", i), i%8)
+		st.lockMgr[i].ChargeUser = true
 	}
 	return st
 }
@@ -208,7 +208,7 @@ func (st *pgState) acquireLock(p *sim.Proc, slot int, modPG bool) {
 		p.AdvanceUser(pgLockMgrWork / 4)
 		return
 	}
-	m := st.lockMgr[slot%len(st.lockMgr)]
+	m := &st.lockMgr[slot%len(st.lockMgr)]
 	m.Acquire(p)
 	p.AdvanceUser(pgLockMgrWork)
 	m.Release(p)

@@ -453,3 +453,33 @@ func TestWriteStatsJSONCreatesParentDirs(t *testing.T) {
 		t.Errorf("orphan temp files left: %v", orphans)
 	}
 }
+
+// TestExperimentBodyDomainsRekeyOnlyTheirSection pins the experiment-body
+// constants of steering and scount into their own section fingerprints:
+// retuning one (modeled by swapping its costDomains entry) re-keys that
+// section and no other.
+func TestExperimentBodyDomainsRekeyOnlyTheirSection(t *testing.T) {
+	for _, id := range []string{"steering", "scount"} {
+		t.Run(id, func(t *testing.T) {
+			orig, ok := costDomains[id]
+			if !ok {
+				t.Fatalf("domain %q not registered; its body constants would not key its cache section", id)
+			}
+			before := map[string]string{}
+			for _, e := range Experiments() {
+				before[e.ID] = fingerprintFor(e.ID)
+			}
+			costDomains[id] = "feedfacefeedface"
+			defer func() { costDomains[id] = orig }()
+			for _, e := range Experiments() {
+				if len(e.Domains) == 0 {
+					continue // the all-domains fallback re-keys on any retune
+				}
+				changed := fingerprintFor(e.ID) != before[e.ID]
+				if changed != (e.ID == id) {
+					t.Errorf("retuning %s's body constants: %s section re-keyed = %v", id, e.ID, changed)
+				}
+			}
+		})
+	}
+}

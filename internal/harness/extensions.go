@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
+	"repro/internal/fprint"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/netsim"
@@ -53,7 +54,7 @@ func init() {
 		ID:      "steering",
 		Title:   "Flow-director misdirection sweep for short connections",
 		Paper:   "§4.2: sampling misdirects most packets of short connections",
-		Domains: []string{"topo", "mem", "kernel"},
+		Domains: []string{"topo", "mem", "kernel", "steering"},
 		Run:     runSteering,
 	})
 
@@ -231,6 +232,28 @@ func runLockMgr(o Options) *Series {
 	return s
 }
 
+// The steering experiment's short-connection request: each core serves
+// steeringRequests of them (scaled down by -quick), each receiving a
+// request, reading a small file, sending a response and doing user-mode
+// work.
+const (
+	steeringRequests  = 150
+	steeringReqBytes  = 120
+	steeringFileBytes = 300
+	steeringRespBytes = 550
+	steeringUserWork  = 10_000 // cycles per request
+)
+
+// steeringFingerprint is the "steering" cost domain: the steering
+// experiment's own constants, which no other domain covers.
+var steeringFingerprint = fprint.New("steering").
+	C("steeringRequests", steeringRequests).
+	C("steeringReqBytes", steeringReqBytes).
+	C("steeringFileBytes", steeringFileBytes).
+	C("steeringRespBytes", steeringRespBytes).
+	C("steeringUserWork", steeringUserWork).
+	Sum()
+
 // runSteering sweeps the flow-director misdirection probability for a
 // short-connection workload. Every other PK fix is applied so kernel
 // serialization does not mask the steering cost — this isolates what the
@@ -254,20 +277,20 @@ func runSteering(o Options) *Series {
 			netCfg := cfg.Net()
 			netCfg.MisdirectProb = prob
 			stack := netsim.NewStack(k.MD, k.FS, nil, k.DRAM, netCfg)
-			k.FS.MustCreateFile("/www/f", 300)
-			reqs := scale(150, o.Quick)
+			k.FS.MustCreateFile("/www/f", steeringFileBytes)
+			reqs := scale(steeringRequests, o.Quick)
 			for c := 0; c < cores; c++ {
 				k.Engine.Spawn(c, "srv", 0, func(p *sim.Proc) {
 					l := stack.Listen(p)
 					for i := 0; i < reqs; i++ {
 						conn := stack.Accept(p, l)
-						stack.Recv(p, conn, 120)
+						stack.Recv(p, conn, steeringReqBytes)
 						f := k.FS.Open(p, "/www/f")
-						k.FS.Read(p, f, 300)
+						k.FS.Read(p, f, steeringFileBytes)
 						k.FS.Close(p, f)
-						stack.Send(p, conn, 550)
+						stack.Send(p, conn, steeringRespBytes)
 						stack.CloseConn(p, conn)
-						p.AdvanceUser(10_000)
+						p.AdvanceUser(steeringUserWork)
 					}
 				})
 			}

@@ -30,6 +30,9 @@ var costDomains = func() map[string]string {
 		"kernel": kernel.Fingerprint(),
 		"fault":  fault.Fingerprint(),
 		"load":   load.Fingerprint(),
+		// Cost constants written in one experiment's own body.
+		"steering": steeringFingerprint,
+		"scount":   scountFingerprint,
 	}
 	for app, fp := range apps.Fingerprints() {
 		d["apps/"+app] = fp

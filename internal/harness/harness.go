@@ -355,8 +355,9 @@ type Experiment struct {
 	// Paper cites what the artifact shows in the paper.
 	Paper string
 	// Domains lists the cost-model domains this experiment's measurements
-	// depend on (see costDomains): "topo", "mem", "kernel", and the
-	// "apps/<name>" domain of every workload it runs. The sweep-point
+	// depend on (see costDomains): "topo", "mem", "kernel", the
+	// "apps/<name>" domain of every workload it runs, and a domain named
+	// after itself if its body has cost constants. The sweep-point
 	// cache stores the experiment's points under the combined fingerprint
 	// of these domains, so retuning one workload's constants invalidates
 	// only the figures that workload appears in. An empty list is the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
+	"repro/internal/fprint"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/scount"
@@ -56,7 +57,7 @@ func init() {
 		ID:      "scount",
 		Title:   "Sloppy vs shared counter scalability (simulated)",
 		Paper:   "§4.3: a shared atomic serializes on one line; sloppy counters stay core-local",
-		Domains: []string{"topo", "mem", "kernel"},
+		Domains: []string{"topo", "mem", "kernel", "scount"},
 		Run:     runScountSweep,
 	})
 }
@@ -202,13 +203,28 @@ func runNICEnvelope(o Options) *Series {
 	return s
 }
 
+// The scount experiment's churn: each core runs scountPairs acquire and
+// release pairs (scaled down by -quick), holding each reference for
+// scountHoldWork user cycles.
+const (
+	scountPairs    = 400
+	scountHoldWork = 150
+)
+
+// scountFingerprint is the "scount" cost domain: the scount experiment's
+// own constants, which no other domain covers.
+var scountFingerprint = fprint.New("scount-sweep").
+	C("scountPairs", scountPairs).
+	C("scountHoldWork", scountHoldWork).
+	Sum()
+
 // runScountSweep sweeps core counts with every core churning acquire and
 // release pairs on one logical reference counter, comparing the stock
 // shared atomic against the paper's sloppy counter (§4.3). Each point is
 // an independent simulation, so the sweep fans out across workers.
 func runScountSweep(o Options) *Series {
 	s := &Series{ID: "scount", Title: "Reference counter scalability (§4.3)", Unit: "pairs/ms/core"}
-	pairs := scale(400, o.Quick)
+	pairs := scale(scountPairs, o.Quick)
 	runPoint := func(variant string, cores int, o Options, mk func(md *mem.Model) scount.Counter) Point {
 		m := o.topo(cores)
 		md := mem.NewModel(m)
@@ -218,7 +234,7 @@ func runScountSweep(o Options) *Series {
 			e.Spawn(c, "churner", 0, func(p *sim.Proc) {
 				for i := 0; i < pairs; i++ {
 					ctr.Acquire(p, 1)
-					p.AdvanceUser(150) // hold the reference briefly
+					p.AdvanceUser(scountHoldWork) // hold the reference briefly
 					ctr.Release(p, 1)
 				}
 			})
@@ -235,7 +251,7 @@ func runScountSweep(o Options) *Series {
 	}
 	o.runGrid(s, []variantRun{
 		{"Shared atomic", func(c int, o Options) Point {
-			return runPoint("Shared atomic", c, o, func(md *mem.Model) scount.Counter { return scount.NewShared(md, 0) })
+			return runPoint("Shared atomic", c, o, func(md *mem.Model) scount.Counter { s := scount.NewShared(md, 0); return &s })
 		}},
 		{"Sloppy", func(c int, o Options) Point {
 			return runPoint("Sloppy", c, o, func(md *mem.Model) scount.Counter { return scount.NewSloppy(md, 0) })

@@ -56,17 +56,17 @@ const pageAllocWork = 120
 // NUMA node, as in Linux's per-node buddy allocator.
 type Allocator struct {
 	md    *mem.Model
-	locks []*slock.SpinLock
+	locks []slock.SpinLock
 	freed []int64 // statistics per node
 	alloc []int64
 }
 
 // NewAllocator returns an allocator with one free list per chip.
 func NewAllocator(md *mem.Model) *Allocator {
-	a := &Allocator{md: md}
 	chips := md.Machine().Chips
-	for n := 0; n < chips; n++ {
-		a.locks = append(a.locks, slock.NewSpinLock(md, fmt.Sprintf("pgalloc-node%d", n), n))
+	a := &Allocator{md: md, locks: make([]slock.SpinLock, chips)}
+	for n := range a.locks {
+		a.locks[n] = slock.NewSpinLock(md, fmt.Sprintf("pgalloc-node%d", n), n)
 	}
 	a.freed = make([]int64, chips)
 	a.alloc = make([]int64, chips)
@@ -79,7 +79,7 @@ func (a *Allocator) AllocPages(p *sim.Proc, node int, n int64) {
 	if node < 0 || node >= len(a.locks) {
 		panic(fmt.Sprintf("mm: alloc from node %d", node))
 	}
-	l := a.locks[node]
+	l := &a.locks[node]
 	l.Acquire(p)
 	p.Advance(n * pageAllocWork)
 	a.alloc[node] += n
@@ -88,7 +88,7 @@ func (a *Allocator) AllocPages(p *sim.Proc, node int, n int64) {
 
 // FreePages returns n pages to the given node's free list.
 func (a *Allocator) FreePages(p *sim.Proc, node int, n int64) {
-	l := a.locks[node]
+	l := &a.locks[node]
 	l.Acquire(p)
 	p.Advance(n * pageAllocWork / 2)
 	a.freed[node] += n
@@ -99,7 +99,7 @@ func (a *Allocator) FreePages(p *sim.Proc, node int, n int64) {
 func (a *Allocator) Allocated(node int) int64 { return a.alloc[node] }
 
 // NodeLock exposes a node's allocator lock for contention statistics.
-func (a *Allocator) NodeLock(node int) *slock.SpinLock { return a.locks[node] }
+func (a *Allocator) NodeLock(node int) *slock.SpinLock { return &a.locks[node] }
 
 // Region is one mmap'd range of an address space.
 type Region struct {
@@ -138,7 +138,7 @@ type AddressSpace struct {
 	RegionLock *slock.RWMutex
 
 	// superMu is the stock single super-page fault mutex.
-	superMu *slock.Mutex
+	superMu slock.Mutex
 
 	regions []*Region
 	home    int
@@ -180,7 +180,8 @@ const tlbShootdownPerCore = 1_000
 func (as *AddressSpace) Mmap(p *sim.Proc, bytes int64, huge bool) *Region {
 	r := &Region{Bytes: bytes, Huge: huge}
 	if huge && as.cfg.PerMappingSuperPageMutex {
-		r.mu = slock.NewMutex(as.md, "super-page-mapping", as.home)
+		mu := slock.NewMutex(as.md, "super-page-mapping", as.home)
+		r.mu = &mu
 	}
 	as.RegionLock.Lock(p)
 	p.Advance(mmapWork)
@@ -237,7 +238,7 @@ func (as *AddressSpace) Fault(p *sim.Proc, r *Region, dram *mem.Controllers) {
 	as.userCores[p.Core()>>6] |= 1 << uint(p.Core()&63)
 	as.RegionLock.RLock(p)
 	if r.Huge {
-		mu := as.superMu
+		mu := &as.superMu
 		if r.mu != nil {
 			mu = r.mu
 		}
@@ -327,10 +328,9 @@ func (ps *PageStructs) Touch(p *sim.Proc, md *mem.Model, i int) {
 func (ps *PageStructs) TouchN(p *sim.Proc, md *mem.Model, base, n int) {
 	ps.touchFlags.Reset()
 	ps.touchRefs.Reset()
-	for i := 0; i < n; i++ {
-		f := ps.fields[(base+i)%len(ps.fields)]
-		ps.touchFlags.Add(f.LineOf(pageFieldFlags))
-		ps.touchRefs.Add(f.LineOf(pageFieldCount))
+	for i := base; i < base+n; i++ {
+		ps.touchFlags.Add(ps.FlagsLine(i))
+		ps.touchRefs.Add(ps.fields[i%len(ps.fields)].LineOf(pageFieldCount))
 	}
 	c := p.Core()
 	cost := md.AccessSet(c, ps.touchFlags.Lines(), mem.OpRead, p.Now())
@@ -338,8 +338,8 @@ func (ps *PageStructs) TouchN(p *sim.Proc, md *mem.Model, base, n int) {
 	p.Advance(cost)
 }
 
-// ReadFlags models a hot read-only access to page i's flags word.
-func (ps *PageStructs) ReadFlags(p *sim.Proc, md *mem.Model, i int) {
-	f := ps.fields[i%len(ps.fields)]
-	p.Advance(md.Read(p.Core(), f.LineOf(pageFieldFlags), p.Now()))
+// FlagsLine returns the cache line holding page i's read-mostly flags
+// word (mod the sample size), the word fault handlers read.
+func (ps *PageStructs) FlagsLine(i int) mem.Line {
+	return ps.fields[i%len(ps.fields)].LineOf(pageFieldFlags)
 }

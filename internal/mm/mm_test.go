@@ -175,7 +175,8 @@ func TestPageStructFalseSharing(t *testing.T) {
 					if c%2 == 0 {
 						ps.Touch(p, md, i) // writer path (fork/COW)
 					} else {
-						ps.ReadFlags(p, md, i) // reader path
+						// Reader path: a fault handler reads the flags.
+						p.Advance(md.Read(p.Core(), ps.FlagsLine(i), p.Now()))
 					}
 				}
 			})

@@ -118,14 +118,14 @@ func NewStack(md *mem.Model, fs *vfs.FS, nic *NIC, dram *mem.Controllers, cfg Co
 	} else {
 		dst := scount.NewShared(md, 0)
 		md.Label(dst.Line(), "dst_entry.refcnt")
-		s.dst = dst
+		s.dst = &dst
 	}
 	if cfg.SloppyProtoMem {
 		s.protoMem = scount.NewSloppy(md, 0)
 	} else {
 		pm := scount.NewShared(md, 0)
 		md.Label(pm.Line(), "proto.memory_allocated")
-		s.protoMem = pm
+		s.protoMem = &pm
 	}
 	s.netdev = newNetDev(md, cfg.NetDevFalseSharingFix)
 	return s
@@ -300,9 +300,9 @@ func (s *Stack) SendUDP(p *sim.Proc, u *UDPSocket, n int64) {
 // socket lock; PK gives each core its own backlog queue filled by the
 // hardware flow director, with stealing when the local queue is empty.
 type Listener struct {
-	lock        *slock.SpinLock // stock shared backlog lock
-	backlogLine mem.Line        // stock shared queue head
-	coreLines   []mem.Line      // PK per-core backlog queues
+	lock        slock.SpinLock // stock shared backlog lock
+	backlogLine mem.Line       // stock shared queue head
+	coreLines   []mem.Line     // PK per-core backlog queues
 	steals      int64
 }
 
@@ -479,10 +479,10 @@ type SkbPool struct {
 	perCore bool
 	md      *mem.Model
 
-	lock     *slock.SpinLock
+	lock     slock.SpinLock
 	listLine mem.Line
 
-	coreLocks []*slock.SpinLock
+	coreLocks []slock.SpinLock
 	coreLines []mem.Line
 
 	// payload samples the cache lines of each core's receive buffer. The
@@ -506,9 +506,9 @@ func newSkbPool(md *mem.Model, perCore bool) *SkbPool {
 		md.Label(sp.listLine, "skb.free_list(node0)")
 	}
 	n := md.Machine().NCores
+	sp.coreLocks = make([]slock.SpinLock, n)
 	for c := 0; c < n; c++ {
-		sp.coreLocks = append(sp.coreLocks,
-			slock.NewSpinLock(md, fmt.Sprintf("skb-pool-cpu%d", c), md.Machine().Chip(c)))
+		sp.coreLocks[c] = slock.NewSpinLock(md, fmt.Sprintf("skb-pool-cpu%d", c), md.Machine().Chip(c))
 		sp.coreLines = append(sp.coreLines, md.AllocLocal(c))
 		home := 0
 		if perCore {
@@ -573,4 +573,4 @@ func (sp *SkbPool) Put(p *sim.Proc) {
 func (sp *SkbPool) Gets() int64 { return sp.gets }
 
 // Node0Lock exposes the stock pool lock (statistics).
-func (sp *SkbPool) Node0Lock() *slock.SpinLock { return sp.lock }
+func (sp *SkbPool) Node0Lock() *slock.SpinLock { return &sp.lock }

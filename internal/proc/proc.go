@@ -32,7 +32,7 @@ type Table struct {
 	md *mem.Model
 	ps *mm.PageStructs
 
-	pidLock *slock.SpinLock // pidmap/tasklist lock
+	pidLock slock.SpinLock // pidmap/tasklist lock
 	nextPID int
 
 	forks, execs, exits int64
@@ -55,7 +55,8 @@ type Process struct {
 	AS *mm.AddressSpace
 	// ptLines sample the page-table lines the parent wrote during fork;
 	// the child's first touches and the final frees pay their transfer.
-	ptLines []mem.Line
+	// They live inline, so a fork allocates only the Process.
+	ptLines [ptSampleLines]mem.Line
 	// creatorCore is the core fork ran on.
 	creatorCore int
 }
@@ -77,11 +78,10 @@ func (t *Table) Fork(p *sim.Proc, parent *Process, childAS *mm.AddressSpace) *Pr
 	t.pidLock.Release(p)
 
 	child := &Process{PID: pid, AS: childAS, creatorCore: p.Core()}
-	child.ptLines = make([]mem.Line, ptSampleLines)
 	for i := range child.ptLines {
 		child.ptLines[i] = t.md.AllocLocal(p.Core())
 	}
-	p.Advance(forkWork + t.md.AccessSet(p.Core(), child.ptLines, mem.OpWrite, p.Now()))
+	p.Advance(forkWork + t.md.AccessSet(p.Core(), child.ptLines[:], mem.OpWrite, p.Now()))
 	t.ps.TouchN(p, t.md, pid*7, pageStructTouches)
 	return child
 }
@@ -90,7 +90,7 @@ func (t *Table) Fork(p *sim.Proc, parent *Process, childAS *mm.AddressSpace) *Pr
 // parent initialized; cheap if the child runs on the parent's core, a
 // string of remote fetches otherwise.
 func (t *Table) ChildStart(p *sim.Proc, child *Process) {
-	p.Advance(t.md.AccessSet(p.Core(), child.ptLines, mem.OpRead, p.Now()))
+	p.Advance(t.md.AccessSet(p.Core(), child.ptLines[:], mem.OpRead, p.Now()))
 }
 
 // Exec charges an exec: new address space, binary load.
@@ -103,7 +103,7 @@ func (t *Table) Exec(p *sim.Proc) {
 // writing the sampled page-table lines (remote if the process migrated).
 func (t *Table) Exit(p *sim.Proc, proc *Process) {
 	t.exits++
-	p.Advance(exitWork + t.md.AccessSet(p.Core(), proc.ptLines, mem.OpWrite, p.Now()))
+	p.Advance(exitWork + t.md.AccessSet(p.Core(), proc.ptLines[:], mem.OpWrite, p.Now()))
 	t.ps.TouchN(p, t.md, proc.PID*7, pageStructTouches)
 }
 

@@ -114,7 +114,7 @@ func TestForkFalseSharingHurtsPageReaders(t *testing.T) {
 					// Long-running fault-path flag reads, overlapping
 					// the fork churn in time.
 					for i := 0; i < 1500; i++ {
-						ps.ReadFlags(p, md, i)
+						p.Advance(md.Read(p.Core(), ps.FlagsLine(i), p.Now()))
 						p.Advance(100)
 					}
 				}
@@ -145,5 +145,26 @@ func TestExecCounts(t *testing.T) {
 	e.Run()
 	if tbl.Execs() != 2 {
 		t.Errorf("execs = %d, want 2", tbl.Execs())
+	}
+}
+
+// TestForkExitAllocationBudget pins a fork's host cost: the sampled
+// page-table lines live inside the Process, so a Fork and Exit allocate
+// one object.
+func TestForkExitAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e, _, tbl := setup(1, false)
+	parent := tbl.NewInitProcess(nil)
+	var allocs float64
+	e.Spawn(0, "p", 0, func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			tbl.Exit(p, tbl.Fork(p, parent, nil))
+		})
+	})
+	e.Run()
+	if allocs != 1 {
+		t.Errorf("a Fork+Exit allocates %.0f objects, want 1", allocs)
 	}
 }

@@ -46,15 +46,17 @@ type Shared struct {
 	value int64 // references issued (in use)
 }
 
-// NewShared allocates a shared counter homed on the given chip.
-func NewShared(md *mem.Model, homeChip int) *Shared {
-	return &Shared{md: md, line: md.Alloc(homeChip)}
+// NewShared returns a shared counter homed on the given chip. It returns
+// a value, so the kernel object that owns the counter embeds it instead
+// of pointing at a separate allocation.
+func NewShared(md *mem.Model, homeChip int) Shared {
+	return NewSharedAt(md, md.Alloc(homeChip))
 }
 
-// NewSharedAt creates a shared counter on an existing cache line, modeling
+// NewSharedAt returns a shared counter on an existing cache line, modeling
 // a refcount embedded in a structure alongside other hot fields.
-func NewSharedAt(md *mem.Model, line mem.Line) *Shared {
-	return &Shared{md: md, line: line}
+func NewSharedAt(md *mem.Model, line mem.Line) Shared {
+	return Shared{md: md, line: line}
 }
 
 // Line returns the cache line holding the counter.
@@ -95,8 +97,7 @@ type Sloppy struct {
 	central     int64 // value of the shared central counter
 	centralLine mem.Line
 
-	spares     []int64    // per-core spare references
-	spareLines []mem.Line // each on its own cache line
+	cores []sloppyCore // per-core spare pools, indexed by core
 
 	inUse int64 // references handed out (model bookkeeping, not a kernel field)
 
@@ -106,6 +107,13 @@ type Sloppy struct {
 	centralOps, localOps int64
 }
 
+// sloppyCore is one core's spare pool: the spare references it holds and
+// the cache line, homed on that core's chip, that holds the count.
+type sloppyCore struct {
+	spares int64
+	line   mem.Line
+}
+
 // NewSloppy allocates a sloppy counter: a central line on the given home
 // chip plus one line per core homed on that core's chip.
 func NewSloppy(md *mem.Model, homeChip int) *Sloppy {
@@ -113,12 +121,11 @@ func NewSloppy(md *mem.Model, homeChip int) *Sloppy {
 	s := &Sloppy{
 		md:          md,
 		centralLine: md.Alloc(homeChip),
-		spares:      make([]int64, n),
-		spareLines:  make([]mem.Line, n),
+		cores:       make([]sloppyCore, n),
 		Threshold:   DefaultSpareThreshold,
 	}
-	for c := 0; c < n; c++ {
-		s.spareLines[c] = md.AllocLocal(c)
+	for c := range s.cores {
+		s.cores[c].line = md.AllocLocal(c)
 	}
 	return s
 }
@@ -128,11 +135,11 @@ func NewSloppy(md *mem.Model, homeChip int) *Sloppy {
 func (s *Sloppy) Acquire(p *sim.Proc, v int64) {
 	c := p.Core()
 	s.inUse += v
-	if s.spares[c] >= v {
+	if pool := &s.cores[c]; pool.spares >= v {
 		// Local decrement: typically a cache hit on this core's own line.
-		s.spares[c] -= v
+		pool.spares -= v
 		s.localOps++
-		p.Advance(s.md.Write(c, s.spareLines[c], p.Now()))
+		p.Advance(s.md.Write(c, pool.line, p.Now()))
 		return
 	}
 	// Not enough spares: acquire from the central counter. (Any local
@@ -150,15 +157,16 @@ func (s *Sloppy) Release(p *sim.Proc, v int64) {
 		panic(fmt.Sprintf("scount: releasing %d of %d references", v, s.inUse))
 	}
 	c := p.Core()
+	pool := &s.cores[c]
 	s.inUse -= v
-	s.spares[c] += v
+	pool.spares += v
 	s.localOps++
-	cost := s.md.Write(c, s.spareLines[c], p.Now())
-	if s.spares[c] > s.Threshold {
+	cost := s.md.Write(c, pool.line, p.Now())
+	if pool.spares > s.Threshold {
 		// Return the excess above half the threshold to the central
 		// counter in one batch.
-		give := s.spares[c] - s.Threshold/2
-		s.spares[c] -= give
+		give := pool.spares - s.Threshold/2
+		pool.spares -= give
 		s.central -= give
 		s.centralOps++
 		cost += s.md.Atomic(c, s.centralLine, p.Now())
@@ -175,9 +183,9 @@ func (s *Sloppy) InUse() int64 { return s.inUse }
 func (s *Sloppy) Reconcile(p *sim.Proc) int64 {
 	var cost int64
 	total := s.central
-	for c := range s.spares {
-		cost += s.md.Read(p.Core(), s.spareLines[c], p.Now())
-		total -= s.spares[c]
+	for _, pool := range s.cores {
+		cost += s.md.Read(p.Core(), pool.line, p.Now())
+		total -= pool.spares
 	}
 	cost += s.md.Read(p.Core(), s.centralLine, p.Now())
 	p.Advance(cost)
@@ -189,8 +197,8 @@ func (s *Sloppy) Reconcile(p *sim.Proc) int64 {
 // the broken state.
 func (s *Sloppy) Check() error {
 	var spares int64
-	for _, v := range s.spares {
-		spares += v
+	for _, pool := range s.cores {
+		spares += pool.spares
 	}
 	if s.central != s.inUse+spares {
 		return fmt.Errorf("scount: invariant broken: central=%d inUse=%d spares=%d",

@@ -149,7 +149,8 @@ func TestSloppyScalesBetterThanShared(t *testing.T) {
 
 	mShared := mem.NewModel(topo.New(48))
 	mSloppy := mem.NewModel(topo.New(48))
-	shared48 := perOp(NewShared(mShared, 0), 48)
+	shared := NewShared(mShared, 0)
+	shared48 := perOp(&shared, 48)
 	sloppy48 := perOp(NewSloppy(mSloppy, 0), 48)
 	if shared48 < 5*sloppy48 {
 		t.Errorf("at 48 cores shared counter wall-time/op = %.0f, sloppy = %.0f; want shared >> sloppy",
@@ -170,9 +171,9 @@ func TestSloppyThresholdBoundsSpares(t *testing.T) {
 		})
 	}
 	e.Run()
-	for c, v := range s.spares {
-		if v > s.Threshold {
-			t.Errorf("core %d spare pool %d exceeds threshold %d", c, v, s.Threshold)
+	for c, pool := range s.cores {
+		if pool.spares > s.Threshold {
+			t.Errorf("core %d spare pool %d exceeds threshold %d", c, pool.spares, s.Threshold)
 		}
 	}
 	if err := s.Check(); err != nil {
@@ -210,5 +211,22 @@ func TestSloppyBatchedAcquire(t *testing.T) {
 	e.Run()
 	if s.InUse() != 0 {
 		t.Errorf("in-use after batch = %d, want 0", s.InUse())
+	}
+}
+
+// sloppySink keeps the counters TestNewSloppyAllocationBudget builds on
+// the heap, as a kernel object's counter is.
+var sloppySink *Sloppy
+
+// TestNewSloppyAllocationBudget pins a sloppy counter's host cost: the
+// counter and one array holding every core's spare count and line.
+func TestNewSloppyAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	md := mem.NewModel(topo.New(48))
+	allocs := testing.AllocsPerRun(100, func() { sloppySink = NewSloppy(md, 0) })
+	if allocs != 2 {
+		t.Errorf("NewSloppy allocates %.0f objects, want 2", allocs)
 	}
 }

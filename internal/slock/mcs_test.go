@@ -44,7 +44,8 @@ func TestMCSScalesBetterThanTicketLock(t *testing.T) {
 		if mcs {
 			l = NewMCSLock(md, "l", 0)
 		} else {
-			l = NewSpinLock(md, "l", 0)
+			spin := NewSpinLock(md, "l", 0)
+			l = &spin
 		}
 		const acquires = 50
 		for c := 0; c < cores; c++ {

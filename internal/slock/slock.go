@@ -98,16 +98,19 @@ func (l *SpinLock) accountWait(p *sim.Proc, cycles int64) {
 	}
 }
 
-// NewSpinLock allocates a spin lock whose word is homed on the given chip.
-func NewSpinLock(md *mem.Model, name string, homeChip int) *SpinLock {
-	return &SpinLock{Name: name, md: md, line: md.Alloc(homeChip), stats: md.Prof.Lock(name)}
+// NewSpinLock returns a spin lock whose word is homed on the given chip.
+// It returns a value, so the kernel object that owns the lock embeds it
+// instead of pointing at a separate allocation; the lock must not be
+// copied once it is in use.
+func NewSpinLock(md *mem.Model, name string, homeChip int) SpinLock {
+	return NewSpinLockAt(md, name, md.Alloc(homeChip))
 }
 
-// NewSpinLockAt creates a spin lock whose word lives on an existing cache
+// NewSpinLockAt returns a spin lock whose word lives on an existing cache
 // line, modeling a lock embedded in a structure alongside other fields
 // (e.g. d_lock sharing struct dentry's first line with d_count).
-func NewSpinLockAt(md *mem.Model, name string, line mem.Line) *SpinLock {
-	return &SpinLock{Name: name, md: md, line: line, stats: md.Prof.Lock(name)}
+func NewSpinLockAt(md *mem.Model, name string, line mem.Line) SpinLock {
+	return SpinLock{Name: name, md: md, line: line, stats: md.Prof.Lock(name)}
 }
 
 // Line returns the cache line holding the lock word.
@@ -216,9 +219,10 @@ func (m *Mutex) adv(p *sim.Proc, cycles int64) {
 	}
 }
 
-// NewMutex allocates a mutex homed on the given chip.
-func NewMutex(md *mem.Model, name string, homeChip int) *Mutex {
-	return &Mutex{Name: name, md: md, line: md.Alloc(homeChip), stats: md.Prof.Lock(name)}
+// NewMutex returns a mutex homed on the given chip, for its owner to
+// embed.
+func NewMutex(md *mem.Model, name string, homeChip int) Mutex {
+	return Mutex{Name: name, md: md, line: md.Alloc(homeChip), stats: md.Prof.Lock(name)}
 }
 
 // Acquire takes the mutex. The adaptive behavior (paper footnote 1: "a
@@ -431,9 +435,10 @@ type Gen struct {
 	modifying bool
 }
 
-// NewGen allocates a generation counter homed on the given chip.
-func NewGen(md *mem.Model, homeChip int) *Gen {
-	return &Gen{md: md, line: md.Alloc(homeChip), gen: 1}
+// NewGen returns a generation counter homed on the given chip, for its
+// owner to embed.
+func NewGen(md *mem.Model, homeChip int) Gen {
+	return Gen{md: md, line: md.Alloc(homeChip), gen: 1}
 }
 
 // BeginWrite marks a modification in progress: the generation is set to 0

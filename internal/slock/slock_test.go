@@ -316,8 +316,8 @@ func TestContendedCycleAllocatesNothing(t *testing.T) {
 	}
 	const cores = 8
 	for name, mk := range map[string]func(*mem.Model) Locker{
-		"spin":  func(md *mem.Model) Locker { return NewSpinLock(md, "l", 0) },
-		"mutex": func(md *mem.Model) Locker { return NewMutex(md, "l", 0) },
+		"spin":  func(md *mem.Model) Locker { l := NewSpinLock(md, "l", 0); return &l },
+		"mutex": func(md *mem.Model) Locker { m := NewMutex(md, "l", 0); return &m },
 		"mcs":   func(md *mem.Model) Locker { return NewMCSLock(md, "l", 0) },
 	} {
 		e, md := setup(cores)

@@ -11,23 +11,30 @@ import (
 // churn by many cores invalidates the line lookups need. In the PK layout
 // the fields line is read-mostly (cheap to share), the refcount is sloppy,
 // and lookups use the lock-free generation protocol (§4.3, §4.4).
+//
+// A dentry embeds its inode, lock, generation counter and stock reference
+// count, so creating a file costs one host allocation (two with a sloppy
+// reference count, whose per-core pools live apart).
 type Dentry struct {
 	// Name is this component's name.
 	Name string
 
 	parent   *Dentry
-	children map[string]*Dentry
-	inode    *Inode
+	children map[string]*Dentry // nil for a file
+	inode    Inode
 
-	fieldsLine mem.Line        // d_name/d_inode/d_parent, compared by lookup
-	fieldSet   *mem.LineSet    // the compared lines, prebuilt for batch charging
-	lock       *slock.SpinLock // d_lock
-	gen        *slock.Gen      // PK generation counter, nil in stock
-	ref        scount.Counter  // d_count
+	// fieldLines holds the line of d_name/d_inode/d_parent, the fields a
+	// lookup compares; as an array it is also the set the lock-free
+	// compare batch-charges.
+	fieldLines [1]mem.Line
+	lock       slock.SpinLock // d_lock
+	gen        slock.Gen      // PK generation counter, unused in stock
+	count      scount.Shared  // d_count when it is a shared counter
+	ref        scount.Counter // d_count: &count, or a sloppy counter
 }
 
 // Inode returns the dentry's inode.
-func (d *Dentry) Inode() *Inode { return d.inode }
+func (d *Dentry) Inode() *Inode { return &d.inode }
 
 // Parent returns the parent dentry (nil for the root).
 func (d *Dentry) Parent() *Dentry { return d.parent }
@@ -39,7 +46,7 @@ func (d *Dentry) NumChildren() int { return len(d.children) }
 func (d *Dentry) Ref() scount.Counter { return d.ref }
 
 // Lock exposes the per-dentry spin lock (tests and statistics).
-func (d *Dentry) Lock() *slock.SpinLock { return d.lock }
+func (d *Dentry) Lock() *slock.SpinLock { return &d.lock }
 
 // Inode models the fields of a tmpfs inode the workloads touch.
 type Inode struct {
@@ -49,12 +56,12 @@ type Inode struct {
 	Size int64
 
 	isDir    bool
-	sizeLine mem.Line     // i_size and neighbors, read by stat/lseek
-	mu       *slock.Mutex // i_mutex
+	sizeLine mem.Line    // i_size and neighbors, read by stat/lseek
+	mu       slock.Mutex // i_mutex
 }
 
 // IsDir reports whether the inode is a directory.
 func (i *Inode) IsDir() bool { return i.isDir }
 
 // Mutex exposes the inode mutex (tests and statistics).
-func (i *Inode) Mutex() *slock.Mutex { return i.mu }
+func (i *Inode) Mutex() *slock.Mutex { return &i.mu }

@@ -40,14 +40,16 @@ func newMountTable(md *mem.Model, cfg Config) *MountTable {
 	if cfg.ScalableMountLock {
 		mt.lock = slock.NewMCSLock(md, "vfsmount_lock(mcs)", 0)
 	} else {
-		mt.lock = slock.NewSpinLock(md, "vfsmount_lock", 0)
+		l := slock.NewSpinLock(md, "vfsmount_lock", 0)
+		mt.lock = &l
 	}
 	md.Label(mt.centralLine, "vfsmount.table+refcnt")
 	if cfg.SloppyVfsmountRef {
 		mt.ref = scount.NewSloppy(md, 0)
 	} else {
 		// Stock: the refcount shares the hot central table line.
-		mt.ref = scount.NewSharedAt(md, mt.centralLine)
+		ref := scount.NewSharedAt(md, mt.centralLine)
+		mt.ref = &ref
 	}
 	n := md.Machine().NCores
 	mt.cacheLines = make([]mem.Line, n)

@@ -19,11 +19,11 @@ type SuperBlock struct {
 	cfg Config
 
 	// Stock: one lock + one list line.
-	lock     *slock.SpinLock
+	lock     slock.SpinLock
 	listLine mem.Line
 
 	// PK: per-core locks and list lines.
-	coreLocks []*slock.SpinLock
+	coreLocks []slock.SpinLock
 	coreLines []mem.Line
 
 	crossCoreRemovals int64
@@ -37,9 +37,9 @@ func newSuperBlock(md *mem.Model, cfg Config) *SuperBlock {
 		listLine: md.Alloc(0),
 	}
 	n := md.Machine().NCores
+	sb.coreLocks = make([]slock.SpinLock, n)
 	for c := 0; c < n; c++ {
-		sb.coreLocks = append(sb.coreLocks,
-			slock.NewSpinLock(md, fmt.Sprintf("sb_files_cpu%d", c), md.Machine().Chip(c)))
+		sb.coreLocks[c] = slock.NewSpinLock(md, fmt.Sprintf("sb_files_cpu%d", c), md.Machine().Chip(c))
 		sb.coreLines = append(sb.coreLines, md.AllocLocal(c))
 	}
 	return sb
@@ -107,4 +107,4 @@ func (sb *SuperBlock) RemountCheck(p *sim.Proc) {
 func (sb *SuperBlock) CrossCoreRemovals() int64 { return sb.crossCoreRemovals }
 
 // Lock exposes the global open-list lock (statistics).
-func (sb *SuperBlock) Lock() *slock.SpinLock { return sb.lock }
+func (sb *SuperBlock) Lock() *slock.SpinLock { return &sb.lock }

@@ -19,7 +19,6 @@
 package vfs
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/mem"
@@ -71,9 +70,9 @@ type FS struct {
 	sb     *SuperBlock
 
 	// inodeLock is the global inode_lock protecting the inode lists.
-	inodeLock *slock.SpinLock
+	inodeLock slock.SpinLock
 	// dcacheLock is the global dcache_lock protecting dentry LRU lists.
-	dcacheLock *slock.SpinLock
+	dcacheLock slock.SpinLock
 	// rcu protects the dcache hash chains: lookups walk them inside
 	// read-side sections (both kernels — the dcache has been RCU-based
 	// since 2.4 [40]); unlinks defer the dentry free past a grace period.
@@ -112,55 +111,54 @@ func (fs *FS) MountTable() *MountTable { return fs.mounts }
 func (fs *FS) SuperBlock() *SuperBlock { return fs.sb }
 
 // InodeLock exposes the global inode list lock (for statistics).
-func (fs *FS) InodeLock() *slock.SpinLock { return fs.inodeLock }
+func (fs *FS) InodeLock() *slock.SpinLock { return &fs.inodeLock }
 
 // DcacheLock exposes the global dentry list lock (for statistics).
-func (fs *FS) DcacheLock() *slock.SpinLock { return fs.dcacheLock }
+func (fs *FS) DcacheLock() *slock.SpinLock { return &fs.dcacheLock }
 
 // ---- Setup-time (cost-free) tree construction ----
 
 // newInodeSetup builds an inode without charging simulation time.
-func (fs *FS) newInodeSetup(isDir bool, homeChip int) *Inode {
+func (fs *FS) newInodeSetup(isDir bool, homeChip int) Inode {
 	fs.nextIno++
-	ino := &Inode{
+	return Inode{
 		Ino:      fs.nextIno,
 		isDir:    isDir,
 		sizeLine: fs.md.Alloc(homeChip),
 		mu:       slock.NewMutex(fs.md, "i_mutex", homeChip),
 	}
-	return ino
 }
 
-// newDentrySetup builds a dentry without charging simulation time.
+// newDentrySetup builds a dentry without charging simulation time. Its
+// lock registers under the class name d_lock, the name contention
+// profiles report for every dentry's lock.
 func (fs *FS) newDentrySetup(name string, parent *Dentry, isDir bool) *Dentry {
 	const homeChip = 0
 	d := &Dentry{
-		Name:     name,
-		parent:   parent,
-		children: map[string]*Dentry{},
-		inode:    fs.newInodeSetup(isDir, homeChip),
+		Name:   name,
+		parent: parent,
+		inode:  fs.newInodeSetup(isDir, homeChip),
 	}
+	if isDir {
+		d.children = map[string]*Dentry{}
+	}
+	d.fieldLines[0] = fs.md.Alloc(homeChip)
 	if fs.cfg.SloppyDentryRef || fs.cfg.LockFreeDlookup {
 		// PK layout: fields, lock, and refcount each on their own line.
-		d.fieldsLine = fs.md.Alloc(homeChip)
-		d.lock = slock.NewSpinLock(fs.md, "d_lock:"+name, homeChip)
+		d.lock = slock.NewSpinLock(fs.md, "d_lock", homeChip)
 	} else {
 		// Stock layout: one hot line holds d_lock, d_count, and the
 		// fields the lookup compares.
-		line := fs.md.Alloc(homeChip)
-		d.fieldsLine = line
-		d.lock = slock.NewSpinLockAt(fs.md, "d_lock:"+name, line)
+		d.lock = slock.NewSpinLockAt(fs.md, "d_lock", d.fieldLines[0])
 	}
 	if fs.cfg.SloppyDentryRef {
 		d.ref = scount.NewSloppy(fs.md, homeChip)
 	} else {
-		d.ref = scount.NewSharedAt(fs.md, d.fieldsLine)
+		d.count = scount.NewSharedAt(fs.md, d.fieldLines[0])
+		d.ref = &d.count
 	}
 	if fs.cfg.LockFreeDlookup {
 		d.gen = slock.NewGen(fs.md, homeChip)
-		// The lines the lock-free protocol compares, built once and
-		// batch-charged on every probe.
-		d.fieldSet = mem.NewLineSet(1).Add(d.fieldsLine)
 	}
 	if parent != nil {
 		parent.children[name] = d
@@ -251,22 +249,22 @@ func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
 // RCU-protected hash probe, field comparison (lock-free with generation
 // counters in PK, under the per-dentry spin lock in stock), and a
 // reference count acquire. The lock-free compare charges the dentry's
-// prebuilt field LineSet in one batch per probe. The RCU section is why
+// compared lines in one batch per probe. The RCU section is why
 // the *walk* itself scales on both kernels; the stock bottlenecks are the
 // per-dentry lock and the refcount, which live outside RCU's protection
 // (§4.4).
 func (fs *FS) dgetCompare(p *sim.Proc, d *Dentry) {
 	fs.rcu.ReadLock(p)
 	p.Advance(hashWork)
-	if fs.cfg.LockFreeDlookup && d.gen != nil {
-		if d.gen.TryRead(p, d.fieldSet.Lines()) {
+	if fs.cfg.LockFreeDlookup {
+		if d.gen.TryRead(p, d.fieldLines[:]) {
 			d.ref.Acquire(p, 1)
 			fs.rcu.ReadUnlock(p)
 			return
 		}
 	}
 	d.lock.Acquire(p)
-	p.Advance(fs.md.Read(p.Core(), d.fieldsLine, p.Now()))
+	p.Advance(fs.md.Read(p.Core(), d.fieldLines[0], p.Now()))
 	d.lock.Release(p)
 	d.ref.Acquire(p, 1)
 	fs.rcu.ReadUnlock(p)
@@ -291,7 +289,7 @@ type File struct {
 // open-file list.
 func (fs *FS) Open(p *sim.Proc, path string) *File {
 	d := fs.Walk(p, path, true)
-	f := &File{Dentry: d, Inode: d.inode}
+	f := &File{Dentry: d, Inode: &d.inode}
 	f.openCore = fs.sb.Add(p)
 	return f
 }
@@ -354,12 +352,12 @@ func (fs *FS) Create(p *sim.Proc, dirPath, name string) *File {
 	dir := fs.Walk(p, dirPath, true)
 	dir.inode.mu.Acquire(p)
 	if _, exists := dir.children[name]; exists {
-		panic(fmt.Sprintf("vfs: create of existing file %s/%s", dirPath, name))
+		panic("vfs: create of existing file " + dirPath + "/" + name)
 	}
 	fs.chargeInodeListLock(p, false)
 	fs.chargeDcacheListLock(p, false)
 	d := fs.newDentrySetup(name, dir, false)
-	if d.gen != nil {
+	if fs.cfg.LockFreeDlookup {
 		d.gen.BeginWrite(p)
 		d.gen.EndWrite(p)
 	}
@@ -367,7 +365,7 @@ func (fs *FS) Create(p *sim.Proc, dirPath, name string) *File {
 	p.Advance(createWork)
 	dir.inode.mu.Release(p)
 
-	f := &File{Dentry: d, Inode: d.inode}
+	f := &File{Dentry: d, Inode: &d.inode}
 	f.openCore = fs.sb.Add(p)
 	fs.Put(p, dir)
 	return f
@@ -381,7 +379,7 @@ func (fs *FS) Unlink(p *sim.Proc, dirPath, name string) {
 	dir.inode.mu.Acquire(p)
 	d, ok := dir.children[name]
 	if !ok {
-		panic(fmt.Sprintf("vfs: unlink of missing file %s/%s", dirPath, name))
+		panic("vfs: unlink of missing file " + dirPath + "/" + name)
 	}
 	delete(dir.children, name)
 	fs.chargeInodeListLock(p, true)
@@ -426,7 +424,7 @@ func (fs *FS) chargeDcacheListLock(p *sim.Proc, destroying bool) {
 // destroying them stresses the global inode and dcache list locks, which is
 // the "inode lists"/"dcache lists" bottleneck memcached and Apache hit.
 type AnonInode struct {
-	inode *Inode
+	inode Inode
 }
 
 // CreateAnon allocates a socket-style anonymous inode.

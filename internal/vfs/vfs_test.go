@@ -325,3 +325,38 @@ func BenchmarkWalk(b *testing.B) {
 	})
 	e.Run()
 }
+
+// TestFileCycleAllocationBudget pins the host allocations of one file's
+// life: a Create, Close and Unlink cost one object for the dentry (its
+// inode, locks, generation counter and stock refcount live inside it) and
+// one for the open File. The PK kernel's sloppy reference count adds its
+// counter and its per-core pools.
+func TestFileCycleAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want float64
+	}{
+		{"stock", stockCfg(), 2},
+		{"pk", pkCfg(), 4},
+	} {
+		e, fs := newFS(1, c.cfg)
+		fs.MustMkdirAll("/spool")
+		cycle := func(p *sim.Proc) {
+			fs.Close(p, fs.Create(p, "/spool", "msg"))
+			fs.Unlink(p, "/spool", "msg")
+		}
+		var allocs float64
+		e.Spawn(0, "p", 0, func(p *sim.Proc) {
+			cycle(p) // grow the directory's map once
+			allocs = testing.AllocsPerRun(100, func() { cycle(p) })
+		})
+		e.Run()
+		if allocs != c.want {
+			t.Errorf("%s: a Create+Close+Unlink cycle allocates %.0f objects, want %.0f", c.name, allocs, c.want)
+		}
+	}
+}
