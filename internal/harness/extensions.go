@@ -7,7 +7,6 @@ import (
 	"repro/internal/fprint"
 	"repro/internal/kernel"
 	"repro/internal/mem"
-	"repro/internal/netsim"
 	"repro/internal/scount"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -78,10 +77,10 @@ func runScalableLocks(o Options) *Series {
 		Title: "Mount table: ticket lock vs MCS vs refactoring (Exim, 48 cores)",
 		Unit:  "msg/s/core"}
 	mcs := kernel.Stock()
-	mcs.ScalableMountLock = true
+	mcs.VFS.ScalableMountLock = true
 	refactored := kernel.Stock()
-	refactored.SloppyVfsmountRef = true
-	refactored.PerCoreMountCache = true
+	refactored.VFS.SloppyVfsmountRef = true
+	refactored.VFS.PerCoreMountCache = true
 	var runs []variantRun
 	for _, v := range []struct {
 		name string
@@ -272,11 +271,10 @@ func runSteering(o Options) *Series {
 		runs = append(runs, variantRun{name, func(cores int, o Options) Point {
 			m := o.topo(cores)
 			cfg := kernel.PK()
-			cfg.ParallelAccept = false // sampled steering, shared backlog
+			cfg.Net.ParallelAccept = false // sampled steering, shared backlog
+			cfg.Net.MisdirectProb = prob
 			k := o.newKernel(m, cfg)
-			netCfg := cfg.Net()
-			netCfg.MisdirectProb = prob
-			stack := netsim.NewStack(k.MD, k.FS, nil, k.DRAM, netCfg)
+			stack := k.NewStack(nil)
 			k.FS.MustCreateFile("/www/f", steeringFileBytes)
 			reqs := scale(steeringRequests, o.Quick)
 			for c := 0; c < cores; c++ {

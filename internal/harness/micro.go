@@ -160,7 +160,7 @@ func runDMAAblation(o Options) *Series {
 	max := o.maxCores()
 	run := func(local bool, cores int, o Options) apps.Result {
 		cfg := kernel.PK()
-		cfg.LocalDMABuf = local
+		cfg.Net.LocalDMABuf = local
 		k := o.newKernel(o.topo(cores), cfg)
 		opts := apps.DefaultMemcachedOpts()
 		opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
@@ -274,7 +274,7 @@ func runAblations(o Options) *Series {
 	runFor := func(app string, cfg kernel.Config, o Options) float64 {
 		switch app {
 		case "Apache":
-			return runApache(cfg, max, cfg.ParallelAccept, o).PerCore()
+			return runApache(cfg, max, cfg.Net.ParallelAccept, o).PerCore()
 		case "memcached":
 			return runMemcached(cfg, max, o).PerCore()
 		case "PostgreSQL":
@@ -302,7 +302,7 @@ func runAblations(o Options) *Series {
 		label, cfg := f.Name+"/stock", kernel.Stock()
 		if i%2 == 1 {
 			label = f.Name + "/fix"
-			f.Enable(&cfg)
+			*f.Flag(&cfg) = true
 		}
 		return label, max, func(c int, o Options) Point {
 			return Point{Cores: c, Variant: label, PerCore: runFor(ablationApp(f.Name), cfg, o)}

@@ -18,107 +18,29 @@ import (
 	"repro/internal/vfs"
 )
 
-// Config holds one boolean per kernel change in Figure 1.
+// Config is the kernel configuration: the switches of each subsystem the
+// kernel assembles. A Figure 1 fix is one field of one of these configs
+// plus the Fixes row that points at it.
 type Config struct {
-	// §4.2 — user per-core backlog queues for listening sockets.
-	ParallelAccept bool
-	// §4.3 — sloppy counters for dentry reference counts.
-	SloppyDentryRef bool
-	// §4.3 — sloppy counters for mount-point (vfsmount) objects.
-	SloppyVfsmountRef bool
-	// §4.3 — sloppy counters for IP routing table entries (dst_entry).
-	SloppyDstRef bool
-	// §4.3 — sloppy counters for protocol memory usage tracking.
-	SloppyProtoMem bool
-	// §4.4 — lock-free protocol in dlookup for filename matches.
-	LockFreeDlookup bool
-	// §4.5 — per-core mount table caches.
-	PerCoreMountCache bool
-	// §4.5 — per-core open-file lists per super block.
-	PerCoreOpenList bool
-	// §4.5/§5.3 — allocate Ethernet DMA buffers from the local node.
-	LocalDMABuf bool
-	// §4.6 — place read-only net_device/device fields on own lines.
-	NetDevFalseSharingFix bool
-	// §4.6 — place read-only page fields on their own cache lines.
-	PageFalseSharingFix bool
-	// §4.7 — avoid the global inode-list locks when not necessary.
-	InodeListAvoidLock bool
-	// §4.7 — avoid the global dcache-list locks when not necessary.
-	DcacheListAvoidLock bool
-	// §4.7/§5.5 — atomic reads instead of the per-inode mutex in lseek.
-	AtomicLseek bool
-	// §4.7/§5.8 — one mutex per super-page mapping instead of one global.
-	PerMappingSuperPageMutex bool
-	// §4.7/§5.8 — zero super-pages with non-caching instructions.
-	NoncachingSuperPageZero bool
-
-	// ScalableMountLock is NOT one of the paper's 16 fixes: it swaps the
-	// mount table's ticket lock for an MCS queue lock, for the
-	// "scalable-locks" experiment contrasting better locks with the
-	// paper's data refactoring.
-	ScalableMountLock bool
+	VFS vfs.Config
+	Net netsim.Config
+	MM  mm.Config
 }
 
 // Stock returns the unmodified Linux 2.6.35-rc5 configuration.
 func Stock() Config { return Config{} }
 
-// PK returns the patched kernel: all 16 fixes applied.
-func PK() Config {
-	return Config{
-		ParallelAccept:           true,
-		SloppyDentryRef:          true,
-		SloppyVfsmountRef:        true,
-		SloppyDstRef:             true,
-		SloppyProtoMem:           true,
-		LockFreeDlookup:          true,
-		PerCoreMountCache:        true,
-		PerCoreOpenList:          true,
-		LocalDMABuf:              true,
-		NetDevFalseSharingFix:    true,
-		PageFalseSharingFix:      true,
-		InodeListAvoidLock:       true,
-		DcacheListAvoidLock:      true,
-		AtomicLseek:              true,
-		PerMappingSuperPageMutex: true,
-		NoncachingSuperPageZero:  true,
-	}
-}
+// PK returns the patched kernel: every Fixes row enabled.
+func PK() Config { return pk }
 
-// VFS projects the VFS-relevant flags.
-func (c Config) VFS() vfs.Config {
-	return vfs.Config{
-		SloppyDentryRef:     c.SloppyDentryRef,
-		SloppyVfsmountRef:   c.SloppyVfsmountRef,
-		LockFreeDlookup:     c.LockFreeDlookup,
-		PerCoreMountCache:   c.PerCoreMountCache,
-		PerCoreOpenList:     c.PerCoreOpenList,
-		InodeListAvoidLock:  c.InodeListAvoidLock,
-		DcacheListAvoidLock: c.DcacheListAvoidLock,
-		AtomicLseek:         c.AtomicLseek,
-		ScalableMountLock:   c.ScalableMountLock,
+// pk is built once: a config set through Fix.Flag escapes to the heap, so
+// building it per PK call would allocate.
+var pk = func() (c Config) {
+	for _, f := range Fixes {
+		*f.Flag(&c) = true
 	}
-}
-
-// Net projects the network-stack flags.
-func (c Config) Net() netsim.Config {
-	return netsim.Config{
-		ParallelAccept:        c.ParallelAccept,
-		SloppyDstRef:          c.SloppyDstRef,
-		SloppyProtoMem:        c.SloppyProtoMem,
-		LocalDMABuf:           c.LocalDMABuf,
-		NetDevFalseSharingFix: c.NetDevFalseSharingFix,
-	}
-}
-
-// MM projects the memory-management flags.
-func (c Config) MM() mm.Config {
-	return mm.Config{
-		PerMappingSuperPageMutex: c.PerMappingSuperPageMutex,
-		NoncachingSuperPageZero:  c.NoncachingSuperPageZero,
-		PageFalseSharingFix:      c.PageFalseSharingFix,
-	}
-}
+	return c
+}()
 
 // Kernel is one booted simulated machine: engine, memory model, and kernel
 // subsystems, ready to run a workload.
@@ -186,8 +108,8 @@ func NewOnEngine(e *sim.Engine, cfg Config, plan *fault.Plan, spare *mem.PageLis
 		Engine:    e,
 		MD:        md,
 		Alloc:     alloc,
-		FS:        vfs.New(md, alloc, cfg.VFS()),
-		Pages:     mm.NewPageStructs(md, pageStructSample, cfg.PageFalseSharingFix),
+		FS:        vfs.New(md, alloc, cfg.VFS),
+		Pages:     mm.NewPageStructs(md, pageStructSample, cfg.MM.PageFalseSharingFix),
 		DRAM:      mem.NewControllersFor(m),
 		Faults:    plan,
 		NetFaults: &fault.NetFaults{},
@@ -301,12 +223,12 @@ func (k *Kernel) LinkUtilization() []float64 { return k.DRAM.LinkUtilization(k.E
 // against the kernel's memory system (links + home controller) and
 // consults the kernel's live NIC fault state per packet.
 func (k *Kernel) NewStack(nic *netsim.NIC) *netsim.Stack {
-	s := netsim.NewStack(k.MD, k.FS, nic, k.DRAM, k.Cfg.Net())
+	s := netsim.NewStack(k.MD, k.FS, nic, k.DRAM, k.Cfg.Net)
 	s.SetFaults(k.NetFaults)
 	return s
 }
 
 // NewAddressSpace creates a process address space homed on the given chip.
 func (k *Kernel) NewAddressSpace(homeChip int) *mm.AddressSpace {
-	return mm.NewAddressSpace(k.MD, k.Alloc, k.Cfg.MM(), homeChip)
+	return mm.NewAddressSpace(k.MD, k.Alloc, k.Cfg.MM, homeChip)
 }

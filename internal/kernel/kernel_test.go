@@ -9,7 +9,7 @@ import (
 func TestStockHasNoFixes(t *testing.T) {
 	c := Stock()
 	for _, f := range Fixes {
-		if f.Enabled(c) {
+		if *f.Flag(&c) {
 			t.Errorf("fix %q enabled in stock config", f.Name)
 		}
 	}
@@ -18,7 +18,7 @@ func TestStockHasNoFixes(t *testing.T) {
 func TestPKHasAllFixes(t *testing.T) {
 	c := PK()
 	for _, f := range Fixes {
-		if !f.Enabled(c) {
+		if !*f.Flag(&c) {
 			t.Errorf("fix %q not enabled in PK config", f.Name)
 		}
 	}
@@ -30,43 +30,24 @@ func TestSixteenFixes(t *testing.T) {
 	}
 }
 
-func TestEnableMatchesEnabled(t *testing.T) {
-	for _, f := range Fixes {
-		c := Stock()
-		f.Enable(&c)
-		if !f.Enabled(c) {
-			t.Errorf("fix %q: Enable did not set the flag Enabled reads", f.Name)
-		}
-	}
-}
-
 func TestEachFixTogglesDistinctFlag(t *testing.T) {
-	// Enabling all fixes one at a time must produce the PK config:
-	// no two registry entries may share a flag, and none may be missing.
-	c := Stock()
+	// Every registry row must point at its own switch: no two rows may
+	// share a flag, and setting any one alone must change Stock.
+	var c Config
+	owner := map[*bool]string{}
 	for _, f := range Fixes {
-		f.Enable(&c)
+		p := f.Flag(&c)
+		if prev, ok := owner[p]; ok {
+			t.Errorf("fixes %q and %q share a flag", prev, f.Name)
+		}
+		owner[p] = f.Name
 	}
-	if c != PK() {
-		t.Errorf("enabling every fix = %+v, want PK %+v", c, PK())
-	}
-	// And each fix must flip exactly one field: enabling fix i on stock
-	// must differ from stock.
 	for _, f := range Fixes {
 		c := Stock()
-		f.Enable(&c)
+		*f.Flag(&c) = true
 		if c == Stock() {
 			t.Errorf("fix %q did not change the config", f.Name)
 		}
-	}
-}
-
-func TestFixByName(t *testing.T) {
-	if FixByName("lseek-mutex") == nil {
-		t.Error("FixByName(lseek-mutex) = nil")
-	}
-	if FixByName("no-such-fix") != nil {
-		t.Error("FixByName(no-such-fix) != nil")
 	}
 }
 
@@ -85,16 +66,5 @@ func TestBootKernel(t *testing.T) {
 	as := k.NewAddressSpace(0)
 	if as == nil {
 		t.Fatal("NewAddressSpace returned nil")
-	}
-}
-
-func TestConfigProjections(t *testing.T) {
-	c := PK()
-	if !c.VFS().SloppyDentryRef || !c.Net().SloppyDstRef || !c.MM().NoncachingSuperPageZero {
-		t.Error("config projections dropped flags")
-	}
-	s := Stock()
-	if s.VFS().SloppyDentryRef || s.Net().ParallelAccept || s.MM().PageFalseSharingFix {
-		t.Error("stock projections enabled flags")
 	}
 }

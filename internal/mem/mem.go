@@ -193,8 +193,7 @@ type Model struct {
 	Prof *prof.Registry
 
 	// Stats
-	reads, writes   int64
-	remoteTransfers int64 // fetches that crossed a chip boundary
+	reads, writes int64
 }
 
 // NewModel returns an empty model for the given machine.
@@ -355,11 +354,7 @@ func (md *Model) read(c, w int, bit uint64, myChip int, l Line, now int64) int64
 		cost = md.mach.LatL1
 	case s.dirty:
 		// Must fetch the modified copy from the owner's cache.
-		ownerChip := int(md.chipOf[s.owner])
-		cost = md.mach.RemoteCacheLatency(myChip, ownerChip)
-		if ownerChip != myChip {
-			md.remoteTransfers++
-		}
+		cost = md.mach.RemoteCacheLatency(myChip, int(md.chipOf[s.owner]))
 		s.dirty = false // downgraded to shared; owner keeps a copy
 	case s.anySharer(hi):
 		// Clean copy in some cache; nearest provider wins.
@@ -367,9 +362,6 @@ func (md *Model) read(c, w int, bit uint64, myChip int, l Line, now int64) int64
 	default:
 		// Nobody caches it: DRAM access to the home node.
 		cost = md.mach.DRAMLatency(myChip, int(s.home))
-		if int(s.home) != myChip {
-			md.remoteTransfers++
-		}
 	}
 	s.addSharer(hi, w, bit)
 	s.chips |= 1 << uint(myChip)
@@ -385,7 +377,6 @@ func (md *Model) fetchFromSharers(myChip int, s *state) int64 {
 	if s.chips&(1<<uint(myChip)) != 0 {
 		return md.mach.LatL3 // same-chip L3 hit
 	}
-	md.remoteTransfers++
 	maxHops := md.mach.MaxHops()
 	for d := 1; d <= maxHops; d++ {
 		if md.mach.SharersAtDistance(myChip, d, s.chips) != 0 {
@@ -428,18 +419,11 @@ func (md *Model) write(c, w int, bit uint64, myChip int, l Line, now int64) int6
 		cost = md.mach.LatL1
 	case s.dirty:
 		// Fetch modified data from previous owner, then own it.
-		ownerChip := int(md.chipOf[s.owner])
-		cost = md.mach.RemoteCacheLatency(myChip, ownerChip)
-		if ownerChip != myChip {
-			md.remoteTransfers++
-		}
+		cost = md.mach.RemoteCacheLatency(myChip, int(md.chipOf[s.owner]))
 	case s.anySharer(hi):
 		cost = md.fetchFromSharers(myChip, s)
 	default:
 		cost = md.mach.DRAMLatency(myChip, int(s.home))
-		if int(s.home) != myChip {
-			md.remoteTransfers++
-		}
 	}
 	// Invalidation traffic: proportional to the number of *other* caches
 	// holding copies (§4.1: "the protocol finds the cached copies and
@@ -579,9 +563,6 @@ func (md *Model) Reads() int64 { return md.reads }
 
 // Writes returns the total write count.
 func (md *Model) Writes() int64 { return md.writes }
-
-// RemoteTransfers returns how many accesses crossed a chip boundary.
-func (md *Model) RemoteTransfers() int64 { return md.remoteTransfers }
 
 // NumLines returns how many lines have been allocated.
 func (md *Model) NumLines() int { return md.n }

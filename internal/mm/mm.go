@@ -98,9 +98,6 @@ func (a *Allocator) FreePages(p *sim.Proc, node int, n int64) {
 // Allocated returns the pages allocated from a node (statistics).
 func (a *Allocator) Allocated(node int) int64 { return a.alloc[node] }
 
-// NodeLock exposes a node's allocator lock for contention statistics.
-func (a *Allocator) NodeLock(node int) *slock.SpinLock { return &a.locks[node] }
-
 // Region is one mmap'd range of an address space.
 type Region struct {
 	// Bytes is the mapped length.

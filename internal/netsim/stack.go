@@ -571,6 +571,3 @@ func (sp *SkbPool) Put(p *sim.Proc) {
 
 // Gets returns the number of allocations served.
 func (sp *SkbPool) Gets() int64 { return sp.gets }
-
-// Node0Lock exposes the stock pool lock (statistics).
-func (sp *SkbPool) Node0Lock() *slock.SpinLock { return &sp.lock }

@@ -35,7 +35,7 @@ type Table struct {
 	pidLock slock.SpinLock // pidmap/tasklist lock
 	nextPID int
 
-	forks, execs, exits int64
+	forks, execs int64
 }
 
 // NewTable creates a process table. pageStructs models the shared page
@@ -102,7 +102,6 @@ func (t *Table) Exec(p *sim.Proc) {
 // Exit tears the process down: page-struct releases and mapping frees,
 // writing the sampled page-table lines (remote if the process migrated).
 func (t *Table) Exit(p *sim.Proc, proc *Process) {
-	t.exits++
 	p.Advance(exitWork + t.md.AccessSet(p.Core(), proc.ptLines[:], mem.OpWrite, p.Now()))
 	t.ps.TouchN(p, t.md, proc.PID*7, pageStructTouches)
 }
@@ -112,6 +111,3 @@ func (t *Table) Forks() int64 { return t.forks }
 
 // Execs returns the total exec count.
 func (t *Table) Execs() int64 { return t.execs }
-
-// Exits returns the total exit count.
-func (t *Table) Exits() int64 { return t.exits }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/topo"
 )
@@ -383,4 +384,57 @@ func TestPooledEngineAcrossGoroutines(t *testing.T) {
 		turns[i%2] <- true
 		diffTraces(t, fmt.Sprintf("run %d (worker %d)", i, i%2), fresh, <-traces)
 	}
+}
+
+// retained is what a body captures in the retention tests: a stand-in for
+// the kernel a sweep point's procs close over.
+type retained struct{ buf [1 << 10]byte }
+
+// spawnHolding spawns a proc whose body captures a fresh retained object
+// and returns a weak pointer to it; block makes the body wait forever.
+func spawnHolding(e *Engine, block bool) weak.Pointer[retained] {
+	obj := new(retained)
+	e.Spawn(0, "holder", 0, func(p *Proc) {
+		p.Advance(int64(obj.buf[0]) + 1)
+		if block {
+			p.Block()
+		}
+	})
+	return weak.Make(obj)
+}
+
+// TestParkedSlotDropsBody checks that a pooled engine's parked proc slots
+// do not pin what their finished bodies captured: once a run ends (or a
+// Reset stops a blocked proc), the captured object is garbage.
+func TestParkedSlotDropsBody(t *testing.T) {
+	t.Run("retire", func(t *testing.T) {
+		e := NewPooledEngine(topo.New(1), 1)
+		defer e.Close()
+		w := spawnHolding(e, false)
+		e.Run()
+		if e.NumParked() != 1 {
+			t.Fatalf("%d parked slots after the run, want 1", e.NumParked())
+		}
+		runtime.GC()
+		if w.Value() != nil {
+			t.Error("a parked slot still holds its finished body's captures")
+		}
+	})
+	t.Run("reset", func(t *testing.T) {
+		e := NewPooledEngine(topo.New(1), 1)
+		defer e.Close()
+		w := spawnHolding(e, true)
+		func() {
+			defer func() { recover() }() // the blocked proc deadlocks Run
+			e.Run()
+		}()
+		e.Reset(1)
+		if e.NumParked() != 1 {
+			t.Fatalf("%d parked slots after Reset, want 1", e.NumParked())
+		}
+		runtime.GC()
+		if w.Value() != nil {
+			t.Error("a slot Reset returned to the free list still holds its body's captures")
+		}
+	})
 }

@@ -480,8 +480,11 @@ func (e *Engine) retire(p *Proc) {
 	e.free(p)
 }
 
-// free returns a finished slot to the free list on a pooled engine.
+// free returns a finished slot to the free list on a pooled engine. The
+// slot drops its body, so a parked slot does not keep what the body
+// captured (a finished point's whole kernel) alive until its next Spawn.
 func (e *Engine) free(p *Proc) {
+	p.body = nil
 	if e.pooled {
 		e.freeProcs = append(e.freeProcs, p)
 	}

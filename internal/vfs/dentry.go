@@ -55,13 +55,9 @@ type Inode struct {
 	// Size is the file size in bytes.
 	Size int64
 
-	isDir    bool
 	sizeLine mem.Line    // i_size and neighbors, read by stat/lseek
 	mu       slock.Mutex // i_mutex
 }
-
-// IsDir reports whether the inode is a directory.
-func (i *Inode) IsDir() bool { return i.isDir }
 
 // Mutex exposes the inode mutex (tests and statistics).
 func (i *Inode) Mutex() *slock.Mutex { return &i.mu }

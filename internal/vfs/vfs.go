@@ -31,14 +31,28 @@ import (
 
 // Config selects stock vs PK behavior per VFS fix.
 type Config struct {
-	SloppyDentryRef     bool
-	SloppyVfsmountRef   bool
-	LockFreeDlookup     bool
-	PerCoreMountCache   bool
-	PerCoreOpenList     bool
-	InodeListAvoidLock  bool
+	// SloppyDentryRef reference-counts dentries with sloppy counters (§4.3).
+	SloppyDentryRef bool
+	// SloppyVfsmountRef reference-counts mount points (vfsmount) with
+	// sloppy counters (§4.3).
+	SloppyVfsmountRef bool
+	// LockFreeDlookup checks filename matches in dlookup with a lock-free
+	// protocol instead of the per-dentry spin lock (§4.4).
+	LockFreeDlookup bool
+	// PerCoreMountCache resolves mount points through per-core mount table
+	// caches (§4.5).
+	PerCoreMountCache bool
+	// PerCoreOpenList keeps per-core open-file lists per super block (§4.5).
+	PerCoreOpenList bool
+	// InodeListAvoidLock avoids the global inode-list locks when not
+	// necessary (§4.7).
+	InodeListAvoidLock bool
+	// DcacheListAvoidLock avoids the global dcache-list locks when not
+	// necessary (§4.7).
 	DcacheListAvoidLock bool
-	AtomicLseek         bool
+	// AtomicLseek reads the file size atomically instead of taking the
+	// per-inode mutex in lseek (§4.7/§5.5).
+	AtomicLseek bool
 
 	// ScalableMountLock replaces the mount table's ticket spin lock with
 	// an MCS queue lock. Not one of the paper's fixes: it exists for the
@@ -110,20 +124,13 @@ func (fs *FS) MountTable() *MountTable { return fs.mounts }
 // SuperBlock exposes the super block (for statistics).
 func (fs *FS) SuperBlock() *SuperBlock { return fs.sb }
 
-// InodeLock exposes the global inode list lock (for statistics).
-func (fs *FS) InodeLock() *slock.SpinLock { return &fs.inodeLock }
-
-// DcacheLock exposes the global dentry list lock (for statistics).
-func (fs *FS) DcacheLock() *slock.SpinLock { return &fs.dcacheLock }
-
 // ---- Setup-time (cost-free) tree construction ----
 
 // newInodeSetup builds an inode without charging simulation time.
-func (fs *FS) newInodeSetup(isDir bool, homeChip int) Inode {
+func (fs *FS) newInodeSetup(homeChip int) Inode {
 	fs.nextIno++
 	return Inode{
 		Ino:      fs.nextIno,
-		isDir:    isDir,
 		sizeLine: fs.md.Alloc(homeChip),
 		mu:       slock.NewMutex(fs.md, "i_mutex", homeChip),
 	}
@@ -137,7 +144,7 @@ func (fs *FS) newDentrySetup(name string, parent *Dentry, isDir bool) *Dentry {
 	d := &Dentry{
 		Name:   name,
 		parent: parent,
-		inode:  fs.newInodeSetup(isDir, homeChip),
+		inode:  fs.newInodeSetup(homeChip),
 	}
 	if isDir {
 		d.children = map[string]*Dentry{}
@@ -432,7 +439,7 @@ func (fs *FS) CreateAnon(p *sim.Proc) *AnonInode {
 	fs.chargeInodeListLock(p, false)
 	fs.chargeDcacheListLock(p, false)
 	p.Advance(createWork / 2)
-	return &AnonInode{inode: fs.newInodeSetup(false, p.Chip())}
+	return &AnonInode{inode: fs.newInodeSetup(p.Chip())}
 }
 
 // ReleaseAnon frees a socket inode. PK defers and batches the list
