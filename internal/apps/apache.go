@@ -33,19 +33,22 @@ func DefaultApacheOpts() ApacheOpts {
 	}
 }
 
-// Apache per-request fixed work (cycles). Calibrated so one core spends
-// ~60% of its time in the kernel (§3.3) with an absolute request cost of
-// order 100 microseconds.
-const (
-	apacheUserWork   = 100_000 // request parse, MPM bookkeeping
-	apacheKernelMisc = 40_000  // TCP timers and residual stack work
-	apacheReqBytes   = 120     // GET request size
-	apacheHdrBytes   = 250     // response headers
+// apacheCosts is Apache's per-request fixed work (cycles) and sizes.
+// Calibrated so one core spends ~60% of its time in the kernel (§3.3)
+// with an absolute request cost of order 100 microseconds.
+var apacheCosts = struct {
+	apacheUserWork, apacheKernelMisc, apacheReqBytes, apacheHdrBytes int64
+	apacheAckPackets                                                 int
+}{
+	apacheUserWork:   100_000, // request parse, MPM bookkeeping
+	apacheKernelMisc: 40_000,  // TCP timers and residual stack work
+	apacheReqBytes:   120,     // GET request size
+	apacheHdrBytes:   250,     // response headers
 	// apacheAckPackets are pure-ack packets per request; they traverse
 	// the full IP path (dst cache, device, skb pool), bringing the
 	// per-request packet count to roughly the paper's ~10.
-	apacheAckPackets = 3
-)
+	apacheAckPackets: 3,
+}
 
 // RunApache executes the web-server workload: per-core server processes
 // accept connections, stat+open+read the file, respond, and close. Each
@@ -108,7 +111,7 @@ func apacheRequest(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack,
 
 	fs := k.FS
 	conn := stack.Accept(p, l)
-	stack.Recv(p, conn, apacheReqBytes)
+	stack.Recv(p, conn, apacheCosts.apacheReqBytes)
 
 	// Serve the file: stat, open, copy, close (§3.3: "it stats and opens
 	// a file on every request").
@@ -117,11 +120,11 @@ func apacheRequest(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack,
 	fs.Read(p, f, opts.FileBytes)
 	fs.Close(p, f)
 
-	stack.Send(p, conn, apacheHdrBytes+opts.FileBytes)
-	for i := 0; i < apacheAckPackets; i++ {
+	stack.Send(p, conn, apacheCosts.apacheHdrBytes+opts.FileBytes)
+	for i := 0; i < apacheCosts.apacheAckPackets; i++ {
 		stack.Send(p, conn, 0)
 	}
 	stack.CloseConn(p, conn)
-	p.AdvanceUser(apacheUserWork)
-	p.Advance(apacheKernelMisc)
+	p.AdvanceUser(apacheCosts.apacheUserWork)
+	p.Advance(apacheCosts.apacheKernelMisc)
 }

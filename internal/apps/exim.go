@@ -36,14 +36,17 @@ func DefaultEximOpts() EximOpts {
 	}
 }
 
-// Exim per-message fixed work (cycles). Calibrated so one core spends
-// roughly 69% of its time in the kernel (§3.1), with an absolute message
-// cost within the paper's order of magnitude (hundreds of microseconds).
-const (
-	eximUserWorkPerMessage = 260_000 // parsing, routing, Berkeley DB
-	eximSMTPBytes          = 400     // SMTP envelope + 20-byte body
-	eximHeaderBytes        = 600     // stored message with headers
-)
+// eximCosts is Exim's per-message fixed work (cycles) and message sizes.
+// Calibrated so one core spends roughly 69% of its time in the kernel
+// (§3.1), with an absolute message cost within the paper's order of
+// magnitude (hundreds of microseconds).
+var eximCosts = struct {
+	eximUserWorkPerMessage, eximSMTPBytes, eximHeaderBytes int64
+}{
+	eximUserWorkPerMessage: 260_000, // parsing, routing, Berkeley DB
+	eximSMTPBytes:          400,     // SMTP envelope + 20-byte body
+	eximHeaderBytes:        600,     // stored message with headers
+}
 
 // RunExim executes the Exim workload: one worker per core processes SMTP
 // connections; each message forks a per-connection process and two
@@ -132,7 +135,7 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsi
 	dName := string(append(msg, "-D"...))
 
 	// Receive the message body over the SMTP connection.
-	stack.LoopbackXfer(p, conn, eximSMTPBytes)
+	stack.LoopbackXfer(p, conn, eximCosts.eximSMTPBytes)
 
 	// Configuration and hints lookups: Exim stats its configuration,
 	// router files, and Berkeley DB hints on each delivery, so each
@@ -146,10 +149,10 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsi
 	// directory. The per-directory i_mutex inside Create is the residual
 	// PK bottleneck.
 	fh := fs.Create(p, dir, hName)
-	fs.Append(p, fh, eximHeaderBytes)
+	fs.Append(p, fh, eximCosts.eximHeaderBytes)
 	fs.Close(p, fh)
 	fd := fs.Create(p, dir, dName)
-	fs.Append(p, fd, eximSMTPBytes)
+	fs.Append(p, fd, eximCosts.eximSMTPBytes)
 	fs.Close(p, fd)
 
 	// Fork twice to deliver the message (per-connection process forks a
@@ -167,7 +170,7 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsi
 	// mailbox, remove the spool files, and log the delivery.
 	fs.Stat(p, dir+"/"+hName)
 	mf := fs.Open(p, string(eximMailbox(buf[:0], user)))
-	fs.Append(p, mf, eximHeaderBytes+eximSMTPBytes)
+	fs.Append(p, mf, eximCosts.eximHeaderBytes+eximCosts.eximSMTPBytes)
 	fs.Close(p, mf)
 	fs.Unlink(p, dir, hName)
 	fs.Unlink(p, dir, dName)
@@ -176,7 +179,7 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsi
 	fs.Close(p, lf)
 
 	// User-mode processing (routing, expansion, Berkeley DB hints).
-	p.AdvanceUser(eximUserWorkPerMessage)
+	p.AdvanceUser(eximCosts.eximUserWorkPerMessage)
 }
 
 // eximConfigPaths are the per-message stat targets (configuration, router

@@ -3,60 +3,22 @@ package apps
 import "repro/internal/fprint"
 
 // fingerprints maps each workload to the canonical fingerprint of its
-// tuning: the calibrated work constants plus the default options the
-// harness runs it with. Retuning one application's constants changes only
-// that application's fingerprint, so the sweep-point cache invalidates
-// only the figures that application appears in.
+// tuning: its cost table (the calibrated work constants) plus the default
+// options the harness runs it with. Retuning one application's constants
+// changes only that application's fingerprint, so the sweep-point cache
+// invalidates only the figures that application appears in.
 var fingerprints = map[string]string{
 	"exim": fprint.New("apps/exim").
-		C("eximUserWorkPerMessage", eximUserWorkPerMessage).
-		C("eximSMTPBytes", eximSMTPBytes).
-		C("eximHeaderBytes", eximHeaderBytes).
+		Table(eximCosts).
 		C("eximConfigPaths", len(eximConfigPaths)).
 		C("defaults", DefaultEximOpts()).
 		Sum(),
-	"memcached": fprint.New("apps/memcached").
-		C("memcachedUserWork", memcachedUserWork).
-		C("defaults", DefaultMemcachedOpts()).
-		Sum(),
-	"apache": fprint.New("apps/apache").
-		C("apacheUserWork", apacheUserWork).
-		C("apacheKernelMisc", apacheKernelMisc).
-		C("apacheReqBytes", apacheReqBytes).
-		C("apacheHdrBytes", apacheHdrBytes).
-		C("apacheAckPackets", apacheAckPackets).
-		C("defaults", DefaultApacheOpts()).
-		Sum(),
-	"postgres": fprint.New("apps/postgres").
-		C("pgUserWorkPerQuery", pgUserWorkPerQuery).
-		C("pgUserWorkPerWrite", pgUserWorkPerWrite).
-		C("pgLseeksPerQuery", pgLseeksPerQuery).
-		C("pgRootSpinHold", pgRootSpinHold).
-		C("pgLockMgrWork", pgLockMgrWork).
-		C("pgWALBytes", pgWALBytes).
-		C("defaults", DefaultPostgresOpts()).
-		Sum(),
-	"gmake": fprint.New("apps/gmake").
-		C("gmakeBaseCompile", gmakeBaseCompile).
-		C("gmakeSysPerJob", gmakeSysPerJob).
-		C("gmakeSourceBytes", gmakeSourceBytes).
-		C("gmakeObjBytes", gmakeObjBytes).
-		C("defaults", DefaultGmakeOpts()).
-		Sum(),
-	"pedsort": fprint.New("apps/pedsort").
-		C("pedsortHashPerByte", pedsortHashPerByte).
-		C("pedsortSortPerByte", pedsortSortPerByte).
-		C("pedsortMissPenalty", pedsortMissPenalty).
-		C("pedsortThreadedTax", pedsortThreadedTax).
-		C("pedsortFlushBytes", pedsortFlushBytes).
-		C("pedsortFlushEvery", pedsortFlushEvery).
-		C("defaults", DefaultPedsortOpts()).
-		Sum(),
-	"metis": fprint.New("apps/metis").
-		C("metisMapPerByte", metisMapPerByte).
-		C("metisReducePerByte", metisReducePerByte).
-		C("defaults", DefaultMetisOpts()).
-		Sum(),
+	"memcached": fprint.New("apps/memcached").Table(memcachedCosts).C("defaults", DefaultMemcachedOpts()).Sum(),
+	"apache":    fprint.New("apps/apache").Table(apacheCosts).C("defaults", DefaultApacheOpts()).Sum(),
+	"postgres":  fprint.New("apps/postgres").Table(postgresCosts).C("defaults", DefaultPostgresOpts()).Sum(),
+	"gmake":     fprint.New("apps/gmake").Table(gmakeCosts).C("defaults", DefaultGmakeOpts()).Sum(),
+	"pedsort":   fprint.New("apps/pedsort").Table(pedsortCosts).C("defaults", DefaultPedsortOpts()).Sum(),
+	"metis":     fprint.New("apps/metis").Table(metisCosts).C("defaults", DefaultMetisOpts()).Sum(),
 }
 
 // Fingerprints returns a copy of the per-workload cost fingerprints,

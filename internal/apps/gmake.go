@@ -28,16 +28,18 @@ func DefaultGmakeOpts() GmakeOpts {
 	return GmakeOpts{Objects: 480, SerialPrepFrac: 0.004, SerialLinkFrac: 0.004}
 }
 
-// gmake per-object work (cycles). The compiler dominates; system time is
-// 7.6% at one core (§3.5). Compile times vary: most objects are small, a
-// few are large (drivers vs. tiny headers), which creates the straggler
-// tail the paper mentions.
-const (
-	gmakeBaseCompile = 5_000_000 // median compile, user cycles (~2 ms)
-	gmakeSysPerJob   = 330_000   // faults, pipes, file I/O inside the compiler
-	gmakeSourceBytes = 20_000
-	gmakeObjBytes    = 12_000
-)
+// gmakeCosts is gmake's per-object work (cycles) and file sizes. The
+// compiler dominates; system time is 7.6% at one core (§3.5). Compile
+// times vary: most objects are small, a few are large (drivers vs. tiny
+// headers), which creates the straggler tail the paper mentions.
+var gmakeCosts = struct {
+	gmakeBaseCompile, gmakeSysPerJob, gmakeSourceBytes, gmakeObjBytes int64
+}{
+	gmakeBaseCompile: 5_000_000, // median compile, user cycles (~2 ms)
+	gmakeSysPerJob:   330_000,   // faults, pipes, file I/O inside the compiler
+	gmakeSourceBytes: 20_000,
+	gmakeObjBytes:    12_000,
+}
 
 // RunGmake executes one parallel build and reports builds/hour/core.
 func RunGmake(k *kernel.Kernel, opts GmakeOpts) Result {
@@ -51,7 +53,7 @@ func RunGmake(k *kernel.Kernel, opts GmakeOpts) Result {
 		fs.MustMkdirAll(string(gmakeObjDir(buf[:0], d)))
 	}
 	for j := 0; j < opts.Objects; j++ {
-		fs.MustCreateFile(string(gmakeSource(buf[:0], j)), gmakeSourceBytes)
+		fs.MustCreateFile(string(gmakeSource(buf[:0], j)), gmakeCosts.gmakeSourceBytes)
 	}
 
 	cores := k.Machine.NCores
@@ -62,11 +64,11 @@ func RunGmake(k *kernel.Kernel, opts GmakeOpts) Result {
 	jobCost := func(j int) int64 {
 		switch {
 		case j%19 == 0:
-			return 3 * gmakeBaseCompile
+			return 3 * gmakeCosts.gmakeBaseCompile
 		case j%7 == 0:
-			return 3 * gmakeBaseCompile / 2
+			return 3 * gmakeCosts.gmakeBaseCompile / 2
 		default:
-			return gmakeBaseCompile
+			return gmakeCosts.gmakeBaseCompile
 		}
 	}
 	var totalWork int64
@@ -137,23 +139,23 @@ func gmakeCompile(k *kernel.Kernel, p *sim.Proc, self *proc.Process, j int, cost
 
 	var buf [64]byte
 	src := fs.Open(p, string(gmakeSource(buf[:0], j)))
-	fs.Read(p, src, gmakeSourceBytes)
+	fs.Read(p, src, gmakeCosts.gmakeSourceBytes)
 	fs.Close(p, src)
 
 	p.AdvanceUser(cost)
-	p.Advance(gmakeSysPerJob)
+	p.Advance(gmakeCosts.gmakeSysPerJob)
 
 	// Each object file is f<job>-<core>.o.
 	objDir := string(gmakeObjDir(buf[:0], j%16))
 	name := appendNum(append(buf[:0], 'f'), int64(j), 3)
 	name = appendNum(append(name, '-'), int64(p.Core()), 0)
 	obj := fs.Create(p, objDir, string(append(name, ".o"...)))
-	fs.Append(p, obj, gmakeObjBytes)
+	fs.Append(p, obj, gmakeCosts.gmakeObjBytes)
 	fs.Close(p, obj)
 	// The compiler's source read and object write stream through the
 	// memory system under the configured placement (local by default:
 	// tmpfs pages are allocated on the faulting chip).
-	k.DRAM.TransferPlaced(p, pl, gmakeSourceBytes+gmakeObjBytes)
+	k.DRAM.TransferPlaced(p, pl, gmakeCosts.gmakeSourceBytes+gmakeCosts.gmakeObjBytes)
 
 	k.Procs.Exit(p, child)
 }

@@ -33,12 +33,14 @@ func DefaultMetisOpts() MetisOpts {
 	}
 }
 
-// Metis work constants. Mostly user time: 3% kernel at one core, rising to
-// 16% at 48 in the stock 4 KB configuration (§3.7).
-const (
-	metisMapPerByte    = 4 // user cycles per input byte in the map phase
-	metisReducePerByte = 2 // user cycles per table byte in the reduce phase
-)
+// metisCosts is Metis's work table. Mostly user time: 3% kernel at one
+// core, rising to 16% at 48 in the stock 4 KB configuration (§3.7).
+var metisCosts = struct {
+	metisMapPerByte, metisReducePerByte int64
+}{
+	metisMapPerByte:    4, // user cycles per input byte in the map phase
+	metisReducePerByte: 2, // user cycles per table byte in the reduce phase
+}
 
 // RunMetis executes one inverted-index job and reports jobs/hour/core.
 // All workers share one address space: Metis is a threaded library.
@@ -75,7 +77,7 @@ func RunMetis(k *kernel.Kernel, opts MetisOpts) Result {
 			// them in while scanning the input.
 			r := sharedAS.Mmap(p, tableBytes, opts.SuperPages)
 			pages := r.Pages()
-			userPerFault := perCoreInput * metisMapPerByte / pages
+			userPerFault := perCoreInput * metisCosts.metisMapPerByte / pages
 			for i := int64(0); i < pages; i++ {
 				sharedAS.Fault(p, r, k.DRAM)
 				p.AdvanceUser(userPerFault)
@@ -90,7 +92,7 @@ func RunMetis(k *kernel.Kernel, opts MetisOpts) Result {
 			// or explicit-home placement moves the same stream onto the HT
 			// links instead.
 			k.DRAM.TransferPlaced(p, opts.Placement, tableBytes)
-			p.AdvanceUser(tableBytes * metisReducePerByte)
+			p.AdvanceUser(tableBytes * metisCosts.metisReducePerByte)
 		})
 	}
 	e.Run()

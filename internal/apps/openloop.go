@@ -71,7 +71,7 @@ func RunMemcachedOpenLoop(k *kernel.Kernel, opts MemcachedOpts, ol OpenLoopOpts)
 	workers := onlineCores(k)
 	serve := func(p *sim.Proc, sock *netsim.UDPSocket) {
 		stack.RecvUDP(p, sock, opts.RequestBytes)
-		p.AdvanceUser(memcachedUserWork)
+		p.AdvanceUser(memcachedCosts.memcachedUserWork)
 		stack.SendUDP(p, sock, opts.ResponseBytes)
 	}
 

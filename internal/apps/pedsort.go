@@ -63,19 +63,23 @@ func DefaultPedsortOpts() PedsortOpts {
 	}
 }
 
-// pedsort work constants. User-dominated: 1.9% kernel time at one core
-// (§3.6). The per-byte work includes hash-table maintenance and periodic
-// in-memory sorting, which dominate real indexing; this keeps the
-// kernel-operation rate (opens, mmaps) at its realistic, low level even
-// though the corpus is scaled down.
-const (
-	pedsortHashPerByte = 68  // hashing + table maintenance per input byte
-	pedsortSortPerByte = 25  // merge/sort cost per input byte (phase 2)
-	pedsortMissPenalty = 4.0 // user-time multiplier at 100% L3 miss
-	pedsortThreadedTax = 1.15
-	pedsortFlushBytes  = 64_000 // intermediate index flush size
-	pedsortFlushEvery  = 24     // files per flush
-)
+// pedsortCosts is pedsort's work table. User-dominated: 1.9% kernel time
+// at one core (§3.6). The per-byte work includes hash-table maintenance
+// and periodic in-memory sorting, which dominate real indexing; this keeps
+// the kernel-operation rate (opens, mmaps) at its realistic, low level
+// even though the corpus is scaled down.
+var pedsortCosts = struct {
+	pedsortHashPerByte, pedsortSortPerByte, pedsortFlushBytes int64
+	pedsortFlushEvery                                         int
+	pedsortMissPenalty, pedsortThreadedTax                    float64
+}{
+	pedsortHashPerByte: 68,     // hashing + table maintenance per input byte
+	pedsortSortPerByte: 25,     // merge/sort cost per input byte (phase 2)
+	pedsortMissPenalty: 4.0,    // user-time multiplier at 100% L3 miss
+	pedsortThreadedTax: 1.15,   // thread-safe glibc variants
+	pedsortFlushBytes:  64_000, // intermediate index flush size
+	pedsortFlushEvery:  24,     // files per flush
+}
 
 // pedsortSource appends the path of corpus file f to b.
 func pedsortSource(b []byte, f int) []byte {
@@ -113,7 +117,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 			}
 			userTax := 1.0
 			if opts.Mode == PedsortThreads {
-				userTax = pedsortThreadedTax // thread-safe glibc variants
+				userTax = pedsortCosts.pedsortThreadedTax // thread-safe glibc variants
 			}
 			// Phase 1: pull files, mmap-read, hash words, flush
 			// periodically.
@@ -132,15 +136,15 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 					// traffic charges this chip's controller.
 					as.Fault(p, r, k.DRAM)
 				}
-				p.AdvanceUser(int64(float64(opts.FileBytes*pedsortHashPerByte) * userTax))
+				p.AdvanceUser(int64(float64(opts.FileBytes*pedsortCosts.pedsortHashPerByte) * userTax))
 				as.Munmap(p, r)
 				fs.Close(p, src)
 				processed++
-				if processed%pedsortFlushEvery == 0 {
+				if processed%pedsortCosts.pedsortFlushEvery == 0 {
 					name := appendNum(append(buf[:0], "int-"...), int64(c), 0)
 					name = appendNum(append(name, '-'), int64(processed), 0)
 					out := fs.Create(p, "/tmp/ind", string(name))
-					fs.Append(p, out, pedsortFlushBytes)
+					fs.Append(p, out, pedsortCosts.pedsortFlushBytes)
 					fs.Close(p, out)
 				}
 			}
@@ -153,9 +157,9 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 			chip := p.Chip()
 			wsOnChip := opts.SortSetBytes * int64(k.Machine.CoresOnChip(chip))
 			miss := mem.MissRatio(wsOnChip, k.Machine.L3Bytes)
-			totalMerge := float64(int64(opts.Files)*opts.FileBytes*pedsortSortPerByte) * userTax
+			totalMerge := float64(int64(opts.Files)*opts.FileBytes*pedsortCosts.pedsortSortPerByte) * userTax
 			sortWork := totalMerge / float64(len(workers))
-			sortWork *= 1 + pedsortMissPenalty*miss
+			sortWork *= 1 + pedsortCosts.pedsortMissPenalty*miss
 			p.AdvanceUser(int64(sortWork))
 			// The merge streams this core's share of the intermediate
 			// index through the memory system under the configured
@@ -163,7 +167,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 			// pages the hash phase faulted in).
 			k.DRAM.TransferPlaced(p, opts.Placement, int64(opts.Files)*opts.FileBytes/int64(len(workers)))
 			out := fs.Create(p, "/tmp/ind", string(appendNum(append(buf[:0], "final-"...), int64(c), 0)))
-			fs.Append(p, out, pedsortFlushBytes)
+			fs.Append(p, out, pedsortCosts.pedsortFlushBytes)
 			fs.Close(p, out)
 		})
 	}

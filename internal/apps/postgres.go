@@ -36,21 +36,25 @@ func DefaultPostgresOpts() PostgresOpts {
 	return PostgresOpts{QueriesPerCore: 400, WriteFraction: 0, ModPG: false, BatchSize: 256}
 }
 
-// PostgreSQL per-query fixed work (cycles). Calibrated so one core spends
-// ~1.5% of its time in the kernel on the read-only workload (§3.4): the
-// application does almost all the work in user mode.
-const (
-	pgUserWorkPerQuery = 100_000 // B-tree descent, tuple fetch, executor
-	pgUserWorkPerWrite = 15_000  // extra update work
-	pgLseeksPerQuery   = 12      // "many times per query on the same two files"
+// postgresCosts is PostgreSQL's per-query fixed work (cycles) and sizes.
+// Calibrated so one core spends ~1.5% of its time in the kernel on the
+// read-only workload (§3.4): the application does almost all the work in
+// user mode.
+var postgresCosts = struct {
+	pgUserWorkPerQuery, pgUserWorkPerWrite, pgRootSpinHold, pgLockMgrWork, pgWALBytes int64
+	pgLseeksPerQuery                                                                  int
+}{
+	pgUserWorkPerQuery: 100_000, // B-tree descent, tuple fetch, executor
+	pgUserWorkPerWrite: 15_000,  // extra update work
+	pgLseeksPerQuery:   12,      // "many times per query on the same two files"
 	// pgRootSpinHold is the buffer-cache root page lock hold time. Every
 	// query pins the index root; at 48 cores this user-level lock is the
 	// paper's residual PK+modPG bottleneck, costing a visible fraction of
 	// per-core throughput (§5.5, Figure 12).
-	pgRootSpinHold = 1_200
-	pgLockMgrWork  = 1_200 // lock manager hash + bookkeeping per acquisition
-	pgWALBytes     = 400   // WAL record per update
-)
+	pgRootSpinHold: 1_200,
+	pgLockMgrWork:  1_200, // lock manager hash + bookkeeping per acquisition
+	pgWALBytes:     400,   // WAL record per update
+}
 
 // pgState is the shared PostgreSQL instance state.
 type pgState struct {
@@ -153,12 +157,12 @@ func pgQuery(k *kernel.Kernel, p *sim.Proc, st *pgState,
 
 	// Buffer cache root page: every query pins the index root briefly.
 	st.rootSpin.Acquire(p)
-	p.AdvanceUser(pgRootSpinHold)
+	p.AdvanceUser(postgresCosts.pgRootSpinHold)
 	st.rootSpin.Release(p)
 
 	// The lseek storm on the two files (§5.5): the kernel-side
 	// bottleneck.
-	for i := 0; i < pgLseeksPerQuery; i++ {
+	for i := 0; i < postgresCosts.pgLseeksPerQuery; i++ {
 		if i%2 == 0 {
 			fs.Lseek(p, table)
 		} else {
@@ -170,8 +174,8 @@ func pgQuery(k *kernel.Kernel, p *sim.Proc, st *pgState,
 	// misses). The variance matters: it lets independent backends drift
 	// in phase, which is what exposes coincident lseeks to the mutex
 	// convoy at high core counts.
-	jitter := p.Engine().Rand.Int63n(pgUserWorkPerQuery / 2)
-	p.AdvanceUser(pgUserWorkPerQuery - pgUserWorkPerQuery/4 + jitter)
+	jitter := p.Engine().Rand.Int63n(postgresCosts.pgUserWorkPerQuery / 2)
+	p.AdvanceUser(postgresCosts.pgUserWorkPerQuery - postgresCosts.pgUserWorkPerQuery/4 + jitter)
 
 	// Lock manager. The read-only workload aggregates successive
 	// transactions, so it "makes little use of row- and table-level
@@ -194,8 +198,8 @@ func pgQuery(k *kernel.Kernel, p *sim.Proc, st *pgState,
 			// per-query cost is user-mode work, not a shared-file append;
 			// the record bytes still stream through the memory system
 			// under the configured placement (local by default).
-			p.AdvanceUser(pgUserWorkPerWrite)
-			k.DRAM.TransferPlaced(p, opts.Placement, pgWALBytes)
+			p.AdvanceUser(postgresCosts.pgUserWorkPerWrite)
+			k.DRAM.TransferPlaced(p, opts.Placement, postgresCosts.pgWALBytes)
 		}
 	}
 }
@@ -205,11 +209,11 @@ func (st *pgState) acquireLock(p *sim.Proc, slot int, modPG bool) {
 	if modPG {
 		// Lock-free fast path in the uncontended case: one atomic on the
 		// lock's shared state plus bookkeeping, no mutex.
-		p.AdvanceUser(pgLockMgrWork / 4)
+		p.AdvanceUser(postgresCosts.pgLockMgrWork / 4)
 		return
 	}
 	m := &st.lockMgr[slot%len(st.lockMgr)]
 	m.Acquire(p)
-	p.AdvanceUser(pgLockMgrWork)
+	p.AdvanceUser(postgresCosts.pgLockMgrWork)
 	m.Release(p)
 }

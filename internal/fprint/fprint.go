@@ -12,6 +12,8 @@
 // A fingerprint is a short hex digest of "name=value" pairs sorted by
 // name, so it is independent of declaration order and stable across
 // builds and machines as long as the values themselves are unchanged.
+// A domain declares its cost constants once, as the fields of one table
+// value, and records them all with Table.
 // Fingerprints compose: a package that assembles others (kernel, the
 // harness's per-experiment combination) records their fingerprints as
 // values of its own.
@@ -21,6 +23,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"sort"
 )
 
@@ -43,6 +46,18 @@ func New(domain string) *F {
 // is deterministic.
 func (f *F) C(name string, value any) *F {
 	f.entries = append(f.entries, fmt.Sprintf("%s=%v", name, value))
+	return f
+}
+
+// Table records every field of the struct value t as name=value, as C
+// would record a constant of the field's name and value. Unexported
+// fields are rendered too, so a package's cost table needs no exported
+// surface.
+func (f *F) Table(t any) *F {
+	v := reflect.ValueOf(t)
+	for i := range v.NumField() {
+		f.entries = append(f.entries, fmt.Sprintf("%s=%v", v.Type().Field(i).Name, v.Field(i)))
+	}
 	return f
 }
 

@@ -38,3 +38,21 @@ func TestSumComposes(t *testing.T) {
 		t.Error("a sub-domain change did not propagate to the composed fingerprint")
 	}
 }
+
+func TestTableRendersLikeC(t *testing.T) {
+	const (
+		work  = 1400
+		share = 0.05
+		ratio = 4.0
+	)
+	table := struct {
+		work  int64
+		share float64
+		ratio float64
+		lines int
+	}{work: work, share: share, ratio: ratio, lines: 2}
+	want := New("d").C("work", work).C("share", share).C("ratio", ratio).C("lines", 2).Sum()
+	if got := New("d").Table(table).Sum(); got != want {
+		t.Errorf("Table fingerprint %s, want the per-constant C fingerprint %s", got, want)
+	}
+}

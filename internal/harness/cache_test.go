@@ -41,12 +41,40 @@ func cachingExperiments(t *testing.T, seed uint64) []string {
 }
 
 // TestSectionFingerprintGolden pins the sweep-point cache's keys by
-// value: the default machine's mem domain, the combined fingerprints of
-// default and "@machine" sections, and the cache schema. A refactor of
-// how machines, domains or sections are fingerprinted must keep these
-// bytes, or every warm cache silently re-simulates; a deliberate retune
-// updates the table.
+// value: every cost domain's fingerprint, the default machine's mem
+// domain, the combined fingerprints of default and "@machine" sections,
+// and the cache schema. A refactor of how machines, domains, cost tables
+// or sections are fingerprinted must keep these bytes, or every warm
+// cache silently re-simulates; a deliberate retune updates the table.
 func TestSectionFingerprintGolden(t *testing.T) {
+	domains := map[string]string{
+		"apps/apache":    "798f483dbadb3960",
+		"apps/exim":      "ce4467b76b1c0546",
+		"apps/gmake":     "f3e71f42f425cede",
+		"apps/memcached": "3d4cdddd7cfd02ec",
+		"apps/metis":     "46ee3bfc2e6327b7",
+		"apps/pedsort":   "999d16e09ee994f5",
+		"apps/postgres":  "e117097ec6bd649d",
+		"fault":          "93c5dd56f5fa281c",
+		"kernel":         "07615955617721fe",
+		"load":           "043aeeca502d32c8",
+		"mem":            "292d23844d62b174",
+		"scount":         "45f4313e7824a2eb",
+		"steering":       "3eef9d641f8dc0f8",
+		"topo":           "6a131a7bf44d2ac1",
+	}
+	for name, got := range costDomains {
+		if want, ok := domains[name]; !ok {
+			t.Errorf("cost domain %q = %s is not pinned here", name, got)
+		} else if got != want {
+			t.Errorf("cost domain %q = %s, want %s", name, got, want)
+		}
+	}
+	for name := range domains {
+		if _, ok := costDomains[name]; !ok {
+			t.Errorf("pinned cost domain %q is not registered", name)
+		}
+	}
 	if got, want := mem.FingerprintFor(topo.Default()), "292d23844d62b174"; got != want {
 		t.Errorf("mem.FingerprintFor(default) = %s, want %s", got, want)
 	}

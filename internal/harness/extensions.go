@@ -231,27 +231,24 @@ func runLockMgr(o Options) *Series {
 	return s
 }
 
-// The steering experiment's short-connection request: each core serves
-// steeringRequests of them (scaled down by -quick), each receiving a
-// request, reading a small file, sending a response and doing user-mode
-// work.
-const (
-	steeringRequests  = 150
-	steeringReqBytes  = 120
-	steeringFileBytes = 300
-	steeringRespBytes = 550
-	steeringUserWork  = 10_000 // cycles per request
-)
+// steeringCosts is the steering experiment's short-connection request:
+// each core serves steeringRequests of them (scaled down by -quick), each
+// receiving a request, reading a small file, sending a response and doing
+// user-mode work.
+var steeringCosts = struct {
+	steeringRequests                                                         int
+	steeringReqBytes, steeringFileBytes, steeringRespBytes, steeringUserWork int64
+}{
+	steeringRequests:  150,
+	steeringReqBytes:  120,
+	steeringFileBytes: 300,
+	steeringRespBytes: 550,
+	steeringUserWork:  10_000, // cycles per request
+}
 
 // steeringFingerprint is the "steering" cost domain: the steering
-// experiment's own constants, which no other domain covers.
-var steeringFingerprint = fprint.New("steering").
-	C("steeringRequests", steeringRequests).
-	C("steeringReqBytes", steeringReqBytes).
-	C("steeringFileBytes", steeringFileBytes).
-	C("steeringRespBytes", steeringRespBytes).
-	C("steeringUserWork", steeringUserWork).
-	Sum()
+// experiment's own cost table, which no other domain covers.
+var steeringFingerprint = fprint.New("steering").Table(steeringCosts).Sum()
 
 // runSteering sweeps the flow-director misdirection probability for a
 // short-connection workload. Every other PK fix is applied so kernel
@@ -275,20 +272,20 @@ func runSteering(o Options) *Series {
 			cfg.Net.MisdirectProb = prob
 			k := o.newKernel(m, cfg)
 			stack := k.NewStack(nil)
-			k.FS.MustCreateFile("/www/f", steeringFileBytes)
-			reqs := scale(steeringRequests, o.Quick)
+			k.FS.MustCreateFile("/www/f", steeringCosts.steeringFileBytes)
+			reqs := scale(steeringCosts.steeringRequests, o.Quick)
 			for c := 0; c < cores; c++ {
 				k.Engine.Spawn(c, "srv", 0, func(p *sim.Proc) {
 					l := stack.Listen(p)
 					for i := 0; i < reqs; i++ {
 						conn := stack.Accept(p, l)
-						stack.Recv(p, conn, steeringReqBytes)
+						stack.Recv(p, conn, steeringCosts.steeringReqBytes)
 						f := k.FS.Open(p, "/www/f")
-						k.FS.Read(p, f, steeringFileBytes)
+						k.FS.Read(p, f, steeringCosts.steeringFileBytes)
 						k.FS.Close(p, f)
-						stack.Send(p, conn, steeringRespBytes)
+						stack.Send(p, conn, steeringCosts.steeringRespBytes)
 						stack.CloseConn(p, conn)
-						p.AdvanceUser(steeringUserWork)
+						p.AdvanceUser(steeringCosts.steeringUserWork)
 					}
 				})
 			}

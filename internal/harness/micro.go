@@ -203,20 +203,17 @@ func runNICEnvelope(o Options) *Series {
 	return s
 }
 
-// The scount experiment's churn: each core runs scountPairs acquire and
-// release pairs (scaled down by -quick), holding each reference for
-// scountHoldWork user cycles.
-const (
-	scountPairs    = 400
-	scountHoldWork = 150
-)
+// scountCosts is the scount experiment's churn: each core runs
+// scountPairs acquire and release pairs (scaled down by -quick), holding
+// each reference for scountHoldWork user cycles.
+var scountCosts = struct {
+	scountPairs    int
+	scountHoldWork int64
+}{scountPairs: 400, scountHoldWork: 150}
 
 // scountFingerprint is the "scount" cost domain: the scount experiment's
-// own constants, which no other domain covers.
-var scountFingerprint = fprint.New("scount-sweep").
-	C("scountPairs", scountPairs).
-	C("scountHoldWork", scountHoldWork).
-	Sum()
+// own cost table, which no other domain covers.
+var scountFingerprint = fprint.New("scount-sweep").Table(scountCosts).Sum()
 
 // runScountSweep sweeps core counts with every core churning acquire and
 // release pairs on one logical reference counter, comparing the stock
@@ -224,7 +221,7 @@ var scountFingerprint = fprint.New("scount-sweep").
 // an independent simulation, so the sweep fans out across workers.
 func runScountSweep(o Options) *Series {
 	s := &Series{ID: "scount", Title: "Reference counter scalability (§4.3)", Unit: "pairs/ms/core"}
-	pairs := scale(scountPairs, o.Quick)
+	pairs := scale(scountCosts.scountPairs, o.Quick)
 	runPoint := func(variant string, cores int, o Options, mk func(md *mem.Model) scount.Counter) Point {
 		m := o.topo(cores)
 		md := mem.NewModel(m)
@@ -234,7 +231,7 @@ func runScountSweep(o Options) *Series {
 			e.Spawn(c, "churner", 0, func(p *sim.Proc) {
 				for i := 0; i < pairs; i++ {
 					ctr.Acquire(p, 1)
-					p.AdvanceUser(scountHoldWork) // hold the reference briefly
+					p.AdvanceUser(scountCosts.scountHoldWork) // hold the reference briefly
 					ctr.Release(p, 1)
 				}
 			})

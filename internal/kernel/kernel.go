@@ -70,10 +70,6 @@ type Kernel struct {
 	online []bool // per enabled core; nil means all online
 }
 
-// pageStructSample is the number of page structs modeled for false-sharing
-// purposes; enough to spread across chips without dominating memory.
-const pageStructSample = 256
-
 // New boots a kernel on the given machine with a deterministic seed.
 func New(m *topo.Machine, cfg Config, seed uint64) *Kernel {
 	return NewOnEngine(sim.NewEngine(m, seed), cfg, nil, nil)
@@ -109,7 +105,7 @@ func NewOnEngine(e *sim.Engine, cfg Config, plan *fault.Plan, spare *mem.PageLis
 		MD:        md,
 		Alloc:     alloc,
 		FS:        vfs.New(md, alloc, cfg.VFS),
-		Pages:     mm.NewPageStructs(md, pageStructSample, cfg.MM.PageFalseSharingFix),
+		Pages:     mm.NewPageStructs(md, costs.pageStructSample, cfg.MM.PageFalseSharingFix),
 		DRAM:      mem.NewControllersFor(m),
 		Faults:    plan,
 		NetFaults: &fault.NetFaults{},

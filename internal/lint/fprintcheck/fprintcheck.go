@@ -2,25 +2,22 @@
 // models. The sweep-point cache stores each experiment's points under the
 // combined fingerprint of its cost domains (internal/fprint): a numeric
 // constant that feeds simulated charging but is missing from its
-// package's Fingerprint() silently poisons the shared cache — retuning
-// the constant leaves stale points valid. That bug class is invisible at
+// package's fingerprint silently poisons the shared cache — retuning the
+// constant leaves stale points valid. That bug class is invisible at
 // runtime (the cache just serves wrong hits); fprintcheck makes it a vet
 // diagnostic.
 //
-// For every package that declares a fingerprint (a Fingerprint-style
-// function or a fingerprint var), it computes:
-//
-//   - charging constants: package-level numeric constants referenced by
-//     any function that (transitively, within the package) reaches a
-//     charging callsite — a method call named Advance, Use, AccessSet,
-//     Transfer, DMAWrite, ... — including through package-level vars;
-//   - fingerprinted constants: constants reachable from the fingerprint
-//     builders, closed downward over constant declarations (recording
-//     `a` covers `b` when a = b*2: b moving changes a's rendered value).
-//
-// Every charging constant must be fingerprinted. iota enumerations are
-// exempt (they tag variants; they are not costs), as is any constant
-// annotated //mosvet:allow fprintcheck <reason>.
+// A cost domain declares its charged constants once, as the fields of
+// one table value whose fingerprint renders every field (fprint.Table),
+// so a table field is fingerprinted by construction. What is left to
+// check is that no cost sits outside a table: in every package that
+// imports internal/fprint, fprintcheck reports each package-level
+// numeric constant referenced by a function that (transitively, within
+// the package) reaches a charging callsite — a method call named
+// Advance, Use, AccessSet, Transfer, DMAWrite, ... — including through
+// package-level vars. iota enumerations are exempt (they tag variants;
+// they are not costs), as is any constant annotated
+// //mosvet:allow fprintcheck <reason>.
 package fprintcheck
 
 import (
@@ -36,7 +33,7 @@ import (
 // Analyzer is the fprintcheck analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "fprintcheck",
-	Doc:  "flag numeric cost constants referenced on charging paths but missing from the package's Fingerprint()",
+	Doc:  "flag numeric constants read on a charging path outside the package's cost table",
 	Run:  run,
 }
 
@@ -53,68 +50,62 @@ var chargeMethods = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	if !strings.HasPrefix(pass.Pkg.Path(), "repro/") {
+	if !strings.HasPrefix(pass.Pkg.Path(), "repro/") || !importsFprint(pass.Pkg) {
+		// Not a cost domain. (A charging package with no fingerprint at
+		// all is caught at experiment registration, which validates
+		// declared cost domains.)
 		return nil
 	}
 	idx := index(pass)
-	if len(idx.fingerprintRoots) == 0 && len(idx.fingerprintVarInits) == 0 {
-		// Not a cost domain: nothing to reconcile against. (A charging
-		// package with no fingerprint at all is caught at experiment
-		// registration, which validates declared cost domains.)
-		return nil
-	}
-
 	charging := chargingFuncs(pass, idx)
-	chargingConsts := map[*types.Const]string{} // const -> sample charging function
+	chargingConsts := map[*types.Const]*types.Func{} // const -> first charging function reading it
 	for fn, decl := range idx.funcs {
-		if !charging[fn] {
-			continue
+		if !charging[fn] || strings.HasSuffix(pass.Fset.Position(decl.Pos()).Filename, "_test.go") {
+			continue // a test's own charges are not cached
 		}
 		for _, c := range idx.constRefs(pass, decl.Body) {
-			if _, ok := chargingConsts[c]; !ok {
-				chargingConsts[c] = fn.Name()
+			if prev, ok := chargingConsts[c]; !ok || fn.Pos() < prev.Pos() {
+				chargingConsts[c] = fn
 			}
 		}
 	}
 
-	covered := fingerprinted(pass, idx)
-
-	var flagged []*types.Const
+	flagged := make([]*types.Const, 0, len(chargingConsts))
 	for c := range chargingConsts {
-		if !covered[c] {
-			flagged = append(flagged, c)
-		}
+		flagged = append(flagged, c)
 	}
 	sort.Slice(flagged, func(i, j int) bool { return flagged[i].Pos() < flagged[j].Pos() })
 	for _, c := range flagged {
 		pass.Reportf(c.Pos(),
-			"cost constant %s feeds the charging path (via %s) but is not recorded in this package's fingerprint: a retune would leave stale cache sections valid — add .C(%q, %s) to the Fingerprint builder",
-			c.Name(), chargingConsts[c], c.Name(), c.Name())
+			"cost constant %s feeds the charging path (via %s) outside the package's cost table: a retune would leave stale cache sections valid — make it a field of the table its fingerprint renders",
+			c.Name(), chargingConsts[c].Name())
 	}
 	return nil
 }
 
+// importsFprint reports whether pkg declares a cost domain, that is,
+// imports the fingerprint package.
+func importsFprint(pkg *types.Package) bool {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == "repro/internal/fprint" {
+			return true
+		}
+	}
+	return false
+}
+
 // pkgIndex is the per-package declaration index the walk needs.
 type pkgIndex struct {
-	funcs               map[*types.Func]*ast.FuncDecl
-	constSpec           map[*types.Const]*ast.ValueSpec
-	numericConsts       map[*types.Const]bool // package-level, numeric, non-iota
-	varInit             map[*types.Var]ast.Expr
-	fingerprintRoots    []*ast.FuncDecl
-	fingerprintVarInits []ast.Expr
+	funcs         map[*types.Func]*ast.FuncDecl
+	numericConsts map[*types.Const]bool // package-level, numeric, non-iota
+	varInit       map[*types.Var]ast.Expr
 }
 
 func index(pass *analysis.Pass) *pkgIndex {
 	idx := &pkgIndex{
 		funcs:         analysis.DeclaredFuncs(&analysis.Package{Fset: pass.Fset, Files: pass.Files, Types: pass.Pkg, Info: pass.TypesInfo}),
-		constSpec:     map[*types.Const]*ast.ValueSpec{},
 		numericConsts: map[*types.Const]bool{},
 		varInit:       map[*types.Var]ast.Expr{},
-	}
-	for fn, decl := range idx.funcs {
-		if decl.Body != nil && isFingerprintName(fn.Name()) {
-			idx.fingerprintRoots = append(idx.fingerprintRoots, decl)
-		}
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -131,10 +122,6 @@ func index(pass *analysis.Pass) *pkgIndex {
 		}
 	}
 	return idx
-}
-
-func isFingerprintName(name string) bool {
-	return strings.Contains(strings.ToLower(name), "fingerprint")
 }
 
 func indexConstDecl(pass *analysis.Pass, idx *pkgIndex, gd *ast.GenDecl) {
@@ -165,7 +152,6 @@ func indexConstDecl(pass *analysis.Pass, idx *pkgIndex, gd *ast.GenDecl) {
 			if !ok || c.Parent() != pass.Pkg.Scope() {
 				continue
 			}
-			idx.constSpec[c] = vs
 			if usesIota {
 				continue // an enumeration tag, not a cost
 			}
@@ -194,12 +180,8 @@ func indexVarDecl(pass *analysis.Pass, idx *pkgIndex, gd *ast.GenDecl) {
 			} else if len(vs.Values) == 1 {
 				init = vs.Values[0]
 			}
-			if init == nil {
-				continue
-			}
-			idx.varInit[v] = init
-			if isFingerprintName(v.Name()) {
-				idx.fingerprintVarInits = append(idx.fingerprintVarInits, init)
+			if init != nil {
+				idx.varInit[v] = init
 			}
 		}
 	}
@@ -274,83 +256,5 @@ func (idx *pkgIndex) constRefs(pass *analysis.Pass, node ast.Node) []*types.Cons
 		})
 	}
 	walk(node)
-	return out
-}
-
-// fingerprinted computes the covered constant set: constants reachable
-// from the fingerprint builders (the Fingerprint-named functions and
-// fingerprint var initializers, plus every same-package function they
-// call), closed downward over constant declarations.
-func fingerprinted(pass *analysis.Pass, idx *pkgIndex) map[*types.Const]bool {
-	// Functions reachable from the fingerprint roots.
-	reach := map[*types.Func]bool{}
-	var queue []ast.Node
-	for _, decl := range idx.fingerprintRoots {
-		queue = append(queue, decl.Body)
-	}
-	queue = append(queue, toNodes(idx.fingerprintVarInits)...)
-	for len(queue) > 0 {
-		body := queue[0]
-		queue = queue[1:]
-		analysis.WalkCalls(body, func(call *ast.CallExpr) {
-			callee := analysis.StaticCallee(pass.TypesInfo, call)
-			if callee == nil || reach[callee] {
-				return
-			}
-			if decl, ok := idx.funcs[callee]; ok && decl.Body != nil {
-				reach[callee] = true
-				queue = append(queue, decl.Body)
-			}
-		})
-	}
-
-	covered := map[*types.Const]bool{}
-	add := func(node ast.Node) {
-		for _, c := range idx.constRefs(pass, node) {
-			covered[c] = true
-		}
-	}
-	for _, decl := range idx.fingerprintRoots {
-		add(decl.Body)
-	}
-	for _, init := range idx.fingerprintVarInits {
-		add(init)
-	}
-	for fn := range reach {
-		add(idx.funcs[fn].Body)
-	}
-
-	// Downward closure: a recorded constant's rendered value moves when
-	// any constant in its own declaration moves, so those are covered
-	// too.
-	work := make([]*types.Const, 0, len(covered))
-	for c := range covered {
-		work = append(work, c)
-	}
-	sort.Slice(work, func(i, j int) bool { return work[i].Pos() < work[j].Pos() })
-	for len(work) > 0 {
-		c := work[0]
-		work = work[1:]
-		spec, ok := idx.constSpec[c]
-		if !ok {
-			continue
-		}
-		for _, v := range spec.Values {
-			for _, dep := range idx.constRefs(pass, v) {
-				if !covered[dep] {
-					covered[dep] = true
-					work = append(work, dep)
-				}
-			}
-		}
-	}
-	return covered
-}
-
-func toNodes(exprs []ast.Expr) []ast.Node {
-	out := make([]ast.Node, len(exprs))
-	for i, e := range exprs {
-		out[i] = e
-	}
 	return out
 }

@@ -7,8 +7,9 @@ import (
 	"repro/internal/lint/linttest"
 )
 
-// TestRegressionSeed pins the deliberately-unfingerprinted cost
-// constants in the fpseed fixture: fprintcheck must keep firing on them.
+// TestRegressionSeed pins the charged constants the fpseed fixture
+// declares outside its cost table: fprintcheck must keep firing on them,
+// and stay silent on the table's fields.
 func TestRegressionSeed(t *testing.T) {
 	linttest.Run(t, fprintcheck.Analyzer, "testdata/src/fpseed", "repro/internal/fpseed")
 }

@@ -1,5 +1,5 @@
 // Package fpallow proves //mosvet:allow fprintcheck: a charged constant
-// annotated with a reason is exempt from the fingerprint requirement.
+// annotated with a reason is exempt from the cost-table requirement.
 // The fixture carries no want comments, so the test asserts silence.
 package fpallow
 
@@ -9,19 +9,20 @@ type meter struct{ n int64 }
 
 func (m *meter) Use(v int64) { m.n += v }
 
-// debugSpin is charged but deliberately excluded from the fingerprint:
+// debugSpin is charged but deliberately kept out of the cost table:
 //
 //mosvet:allow fprintcheck diagnostic-only spin cost, zeroed in every cached configuration
 const debugSpin = 3
 
-const realCost = 9
+var costs = struct{ realCost int64 }{realCost: 9}
 
 func tick(m *meter) {
 	m.Use(debugSpin)
-	m.Use(realCost)
+	m.Use(costs.realCost)
 }
 
-// Fingerprint records only the constant that matters to cached results.
+// Fingerprint records the table, which holds every cost that matters to
+// cached results.
 func Fingerprint() string {
-	return fprint.New("fpallow").C("realCost", realCost).Sum()
+	return fprint.New("fpallow").Table(costs).Sum()
 }

@@ -1,8 +1,8 @@
-// Package fpseed is the fprintcheck regression seed: a package whose
-// charging path references cost constants its Fingerprint deliberately
-// omits. The want comments pin the diagnostics; if fprintcheck ever
-// stops firing here, the cache-poisoning bug class it guards against
-// has gone invisible again.
+// Package fpseed is the fprintcheck regression seed: a cost domain whose
+// costs sit in a table, plus constants that feed its charging path from
+// outside the table. The want comments pin the diagnostics; if
+// fprintcheck ever stops firing here, the cache-poisoning bug class it
+// guards against has gone invisible again.
 package fpseed
 
 import "repro/internal/fprint"
@@ -14,17 +14,18 @@ type clock struct{ t int64 }
 
 func (c *clock) Advance(d int64) { c.t += d }
 
-const (
-	costHit  = 120 // recorded below: fine
-	costMiss = 250 // want "cost constant costMiss feeds the charging path"
-)
+// costs is the domain's cost table: its fields are fingerprinted by
+// construction, so charging them is fine.
+var costs = struct{ hit, miss int64 }{hit: 120, miss: 250}
 
-// costBase is covered transitively: the fingerprint records costDerived,
-// whose declaration references costBase, so costBase moving already
-// changes the recorded value.
-const costBase = 40
+var fingerprint = fprint.New("fpseed").Table(costs).Sum()
 
-const costDerived = costBase * 2
+// costStray is charged but declared outside the table.
+const costStray = 40 // want "cost constant costStray feeds the charging path .via runSeed. outside the package's cost table"
+
+// costRecorded is recorded by name in the fingerprint, but a charged
+// constant belongs in the table: the one rule has no second list.
+const costRecorded = 9 // want "cost constant costRecorded feeds the charging path .via runIndirect."
 
 // costVarMiss feeds charging only through a package var's initializer;
 // the reference is traced through the var and flagged at the constant.
@@ -39,20 +40,21 @@ const (
 )
 
 func runSeed(c *clock, mode int) {
-	c.Advance(costHit)
-	c.Advance(costMiss)
-	c.Advance(costBase)
+	c.Advance(costs.hit)
+	c.Advance(costStray)
 	c.Advance(int64(tunedCost))
 	if mode == modeB {
-		c.Advance(costHit)
+		c.Advance(costs.miss)
 	}
 }
 
-// Fingerprint records the package's cost constants — minus the two the
-// fixture deliberately omits.
+func charge(c *clock, d int64) { c.Advance(d) }
+
+// runIndirect charges only through charge, so its constants are on the
+// charging path too.
+func runIndirect(c *clock) { charge(c, costRecorded) }
+
+// Fingerprint returns the domain's fingerprint.
 func Fingerprint() string {
-	return fprint.New("fpseed").
-		C("costHit", costHit).
-		C("costDerived", costDerived).
-		Sum()
+	return fprint.New("fpseed-outer").C("table", fingerprint).C("costRecorded", costRecorded).Sum()
 }

@@ -39,7 +39,7 @@ func TestWideSharersInvalidateAndClear(t *testing.T) {
 	}
 	fetch := md.Read(writer, twin, 1000)
 	got := md.Write(writer, l, 1000)
-	if want := fetch + int64(len(readers))*invalidatePerSharer; got != want {
+	if want := fetch + int64(len(readers))*costs.invalidatePerSharer; got != want {
 		t.Errorf("write by core %d over sharers %v cost %d, want fetch %d + %d invalidations = %d",
 			writer, readers, got, fetch, len(readers), want)
 	}

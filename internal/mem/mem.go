@@ -388,10 +388,6 @@ func (md *Model) fetchFromSharers(myChip int, s *state) int64 {
 	panic("mem: fetchFromSharers on a line with no sharers")
 }
 
-// invalidatePerSharer is the extra cost charged to a writer for each remote
-// copy the coherence protocol must find and invalidate.
-const invalidatePerSharer = 20
-
 // Write returns the cycle cost for core c writing line l at virtual time
 // now, and updates the directory: all other copies are invalidated and c
 // becomes exclusive owner. Modifications of one line serialize: a write
@@ -429,7 +425,7 @@ func (md *Model) write(c, w int, bit uint64, myChip int, l Line, now int64) int6
 	// holding copies (§4.1: "the protocol finds the cached copies and
 	// invalidates them").
 	others := s.othersCount(hi, w, bit)
-	cost += int64(others) * invalidatePerSharer
+	cost += int64(others) * costs.invalidatePerSharer
 
 	// Contention is not work-conserving: an op that had to queue keeps
 	// retrying and re-requesting while it waits, consuming line/directory
@@ -456,17 +452,13 @@ func (md *Model) write(c, w int, bit uint64, myChip int, l Line, now int64) int6
 	return wait + cost
 }
 
-// atomicRMWExtra is the extra cost of a locked read-modify-write over a
-// plain store (bus lock + pipeline serialization).
-const atomicRMWExtra = 10
-
 // Atomic returns the cost of an atomic read-modify-write (e.g. atomic
 // increment) by core c on line l at time now. The coherence cost
 // dominates; the atomic adds a small constant. This is the paper's point
 // in §4.3: "lock-free atomic increment ... do[es] not help, because the
 // coherence hardware serializes the operations on a given counter."
 func (md *Model) Atomic(c int, l Line, now int64) int64 {
-	return md.Write(c, l, now) + atomicRMWExtra
+	return md.Write(c, l, now) + costs.atomicRMWExtra
 }
 
 // Op identifies the access kind of a batch charge.
@@ -530,7 +522,7 @@ func (md *Model) AccessSet(c int, lines []Line, op Op, now int64) int64 {
 		}
 	case OpAtomic:
 		for _, l := range lines {
-			total += md.write(c, w, bit, myChip, l, now) + atomicRMWExtra
+			total += md.write(c, w, bit, myChip, l, now) + costs.atomicRMWExtra
 		}
 	default:
 		panic(fmt.Sprintf("mem: unknown op %d", op))

@@ -45,13 +45,6 @@ type Config struct {
 	PageFalseSharingFix bool
 }
 
-// zeroBytesPerCycle is the store bandwidth of one core zeroing memory.
-const zeroBytesPerCycle = 16
-
-// pageAllocWork is the bookkeeping cost of one page allocation once the
-// free-list lock is held (list unlink, compound page setup).
-const pageAllocWork = 120
-
 // Allocator is the physical page allocator: one free list + spin lock per
 // NUMA node, as in Linux's per-node buddy allocator.
 type Allocator struct {
@@ -81,7 +74,7 @@ func (a *Allocator) AllocPages(p *sim.Proc, node int, n int64) {
 	}
 	l := &a.locks[node]
 	l.Acquire(p)
-	p.Advance(n * pageAllocWork)
+	p.Advance(n * costs.pageAllocWork)
 	a.alloc[node] += n
 	l.Release(p)
 }
@@ -90,7 +83,7 @@ func (a *Allocator) AllocPages(p *sim.Proc, node int, n int64) {
 func (a *Allocator) FreePages(p *sim.Proc, node int, n int64) {
 	l := &a.locks[node]
 	l.Acquire(p)
-	p.Advance(n * pageAllocWork / 2)
+	p.Advance(n * costs.pageAllocWork / 2)
 	a.freed[node] += n
 	l.Release(p)
 }
@@ -160,16 +153,6 @@ func NewAddressSpace(md *mem.Model, alloc *Allocator, cfg Config, homeChip int) 
 	}
 }
 
-// mmapWork is the cost of region-list manipulation under the write lock.
-const mmapWork = 600
-
-// tlbShootdownPerCore is the cost of one remote TLB invalidation IPI plus
-// its acknowledgment. Unmapping from an address space whose threads run on
-// many cores pays this per remote core — while holding the region lock —
-// which is the deep reason pedsort's threaded version loses to processes
-// (§5.7): the mmap/munmap serialization grows with the thread count.
-const tlbShootdownPerCore = 1_000
-
 // Mmap adds a mapping of the given size, taking the region lock for
 // writing. Page-table population is deferred to Fault, as Linux does
 // (§5.8: "Metis allocates memory with mmap, which adds the new memory to a
@@ -181,7 +164,7 @@ func (as *AddressSpace) Mmap(p *sim.Proc, bytes int64, huge bool) *Region {
 		r.mu = &mu
 	}
 	as.RegionLock.Lock(p)
-	p.Advance(mmapWork)
+	p.Advance(costs.mmapWork)
 	as.regions = append(as.regions, r)
 	as.RegionLock.Unlock(p)
 	return r
@@ -191,7 +174,7 @@ func (as *AddressSpace) Mmap(p *sim.Proc, bytes int64, huge bool) *Region {
 // address space, and frees the populated pages.
 func (as *AddressSpace) Munmap(p *sim.Proc, r *Region) {
 	as.RegionLock.Lock(p)
-	cost := int64(mmapWork)
+	cost := costs.mmapWork
 	c := p.Core()
 	others := 0
 	for w, word := range as.userCores {
@@ -201,7 +184,7 @@ func (as *AddressSpace) Munmap(p *sim.Proc, r *Region) {
 		others += bits.OnesCount64(word)
 	}
 	if others > 0 {
-		cost += int64(others) * tlbShootdownPerCore
+		cost += int64(others) * costs.tlbShootdownPerCore
 	}
 	p.Advance(cost)
 	for i, reg := range as.regions {
@@ -221,9 +204,6 @@ func (as *AddressSpace) Munmap(p *sim.Proc, r *Region) {
 	}
 }
 
-// faultEntryWork is the fixed cost of the fault trap and page-table walk.
-const faultEntryWork = 400
-
 // Fault handles a soft page fault on the region: it takes the region lock
 // for reading, serializes super-page faults on the configured mutex,
 // allocates physical memory from the faulting core's node, and zeroes it.
@@ -231,7 +211,7 @@ const faultEntryWork = 400
 // the controller of the faulting core's own chip, where the page was
 // allocated.
 func (as *AddressSpace) Fault(p *sim.Proc, r *Region, dram *mem.Controllers) {
-	p.Advance(faultEntryWork)
+	p.Advance(costs.faultEntryWork)
 	as.userCores[p.Core()>>6] |= 1 << uint(p.Core()&63)
 	as.RegionLock.RLock(p)
 	if r.Huge {
@@ -264,7 +244,7 @@ func (as *AddressSpace) populate(p *sim.Proc, r *Region, dram *mem.Controllers) 
 	// super-page additionally displaces the whole L3's worth of useful
 	// data; we charge the refill of the displaced lines to the zeroing
 	// core, which is what the lost locality costs the application.
-	zero := r.PageSize() / zeroBytesPerCycle
+	zero := r.PageSize() / costs.zeroBytesPerCycle
 	if r.Huge && !as.cfg.NoncachingSuperPageZero {
 		m := as.md.Machine()
 		displaced := min(r.PageSize(), m.L3Bytes) / m.CacheLineBytes

@@ -28,18 +28,10 @@ type Config struct {
 	NetDevFalseSharingFix bool
 	// MisdirectProb overrides the probability that a short connection's
 	// packet is steered to the wrong core under the sampling-based flow
-	// director. Zero means the default (misdirectProbability). Used by
+	// director. Zero means the default (costs.misdirectProbability). Used by
 	// the flow-director ablation; ignored when ParallelAccept is set.
 	MisdirectProb float64
 }
-
-// Per-packet fixed kernel work (cycles), besides the shared-line charges.
-const (
-	protoWork   = 1400 // IP + UDP/TCP protocol processing
-	driverWork  = 500  // descriptor/ring handling in the driver
-	copyPerByte = 16   // bytes per cycle copying payloads
-	sockQueueOp = 120  // per-socket queue lock + enqueue (uncontended)
-)
 
 // Stack is one machine's network stack instance.
 type Stack struct {
@@ -184,7 +176,7 @@ func (s *Stack) lostAttempts(p *sim.Proc) int {
 func (s *Stack) chargeLostAttempts(p *sim.Proc, lost int) {
 	for i := 0; i < lost; i++ {
 		s.nic.Transfer(p, 1)
-		p.Advance(driverWork)
+		p.Advance(costs.driverWork)
 		p.Idle(fault.Backoff(i))
 		s.retries++
 	}
@@ -201,7 +193,7 @@ func (s *Stack) chargeDuplicate(p *sim.Proc) {
 	}
 	if p.Engine().Rand.Float64() < f.Dup {
 		s.nic.Transfer(p, 1)
-		p.Advance(driverWork + protoWork/4)
+		p.Advance(costs.driverWork + costs.protoWork/4)
 		s.duplicated++
 	}
 }
@@ -226,10 +218,10 @@ func (s *Stack) rxPacket(p *sim.Proc, n int64) {
 	}
 	s.skb.Get(p)
 	s.skb.DMARecv(p)
-	p.Advance(s.netdev.packetTouch(p) + driverWork)
+	p.Advance(s.netdev.packetTouch(p) + costs.driverWork)
 	s.protoMem.Acquire(p, 1)
 	s.dst.Acquire(p, 1)
-	p.Advance(protoWork + n/copyPerByte + sockQueueOp)
+	p.Advance(costs.protoWork + n/costs.copyPerByte + costs.sockQueueOp)
 	s.dst.Release(p, 1)
 	s.protoMem.Release(p, 1)
 	s.skb.Put(p)
@@ -241,10 +233,10 @@ func (s *Stack) rxPacket(p *sim.Proc, n int64) {
 // txPacket charges the transmit path for one packet of n payload bytes.
 func (s *Stack) txPacket(p *sim.Proc, n int64) {
 	s.skb.Get(p)
-	p.Advance(s.netdev.packetTouch(p) + driverWork)
+	p.Advance(s.netdev.packetTouch(p) + costs.driverWork)
 	s.protoMem.Acquire(p, 1)
 	s.dst.Acquire(p, 1)
-	p.Advance(protoWork + n/copyPerByte)
+	p.Advance(costs.protoWork + n/costs.copyPerByte)
 	s.dst.Release(p, 1)
 	s.protoMem.Release(p, 1)
 	if s.nic != nil {
@@ -330,22 +322,13 @@ type Conn struct {
 	local bool
 }
 
-// tcpHandshakePackets is the packet count charged at accept: the inbound
-// SYN and ACK plus the outbound SYN-ACK.
-const tcpHandshakePackets = 3
-
-// stealProbability approximates how often a PK accept finds its local
-// backlog empty and steals from another core (load imbalance is small in
-// the paper's closed-loop experiments).
-const stealProbability = 0.05
-
 // Accept dequeues one connection request. The caller is assumed to be a
 // server thread that will process the connection on this core.
 func (s *Stack) Accept(p *sim.Proc, l *Listener) *Conn {
 	conn := &Conn{}
 	if s.cfg.ParallelAccept {
 		// Local backlog: a core-private line, no shared lock.
-		if p.Engine().Rand.Float64() < stealProbability {
+		if p.Engine().Rand.Float64() < costs.stealProbability {
 			// Steal from a neighbor's queue: remote line traffic.
 			victim := p.Engine().Rand.Intn(len(l.coreLines))
 			p.Advance(s.md.Write(p.Core(), l.coreLines[victim], p.Now()))
@@ -356,13 +339,13 @@ func (s *Stack) Accept(p *sim.Proc, l *Listener) *Conn {
 		conn.local = true
 	} else {
 		l.lock.Acquire(p)
-		p.Advance(s.md.Write(p.Core(), l.backlogLine, p.Now()) + sockQueueOp)
+		p.Advance(s.md.Write(p.Core(), l.backlogLine, p.Now()) + costs.sockQueueOp)
 		l.lock.Release(p)
 		conn.local = false
 	}
 	conn.anon = s.fs.CreateAnon(p)
 	// Handshake packets processed by this core.
-	for i := 0; i < tcpHandshakePackets; i++ {
+	for i := 0; i < costs.tcpHandshakePackets; i++ {
 		s.chargeSteering(p, conn)
 		if i < 2 {
 			s.rxPacket(p, 60)
@@ -382,12 +365,6 @@ func (s *Stack) NewSteeredConn(p *sim.Proc) *Conn {
 	return &Conn{anon: s.fs.CreateAnon(p), local: true}
 }
 
-// misdirectProbability is the chance a short connection's packet lands on
-// the wrong core under the stock sampling-based flow director (§4.2: "it
-// is likely that the majority of packets on a given short connection will
-// be misdirected").
-const misdirectProbability = 0.6
-
 // chargeSteering charges the cache misses of a misdirected packet: the
 // socket state lives on the processing core, the packet arrived on another.
 func (s *Stack) chargeSteering(p *sim.Proc, c *Conn) {
@@ -396,7 +373,7 @@ func (s *Stack) chargeSteering(p *sim.Proc, c *Conn) {
 	}
 	prob := s.cfg.MisdirectProb
 	if prob == 0 {
-		prob = misdirectProbability
+		prob = costs.misdirectProbability
 	}
 	if p.Engine().Rand.Float64() < prob {
 		s.misdirected++
@@ -430,17 +407,14 @@ func (s *Stack) CloseConn(p *sim.Proc, c *Conn) {
 	s.fs.ReleaseAnon(p, c.anon)
 }
 
-// mss is the TCP maximum segment size used for packetization.
-const mss = 1448
-
 func segments(n int64) []int64 {
 	if n <= 0 {
 		return []int64{0}
 	}
 	var segs []int64
-	for n > mss {
-		segs = append(segs, mss)
-		n -= mss
+	for n > costs.mss {
+		segs = append(segs, costs.mss)
+		n -= costs.mss
 	}
 	return append(segs, n)
 }
@@ -461,7 +435,7 @@ func (s *Stack) DialLoopback(p *sim.Proc) *LoopbackConn {
 // LoopbackXfer charges a loopback send+receive of n bytes.
 func (s *Stack) LoopbackXfer(p *sim.Proc, c *LoopbackConn, n int64) {
 	s.protoMem.Acquire(p, 1)
-	p.Advance(protoWork + n/copyPerByte + sockQueueOp)
+	p.Advance(costs.protoWork + n/costs.copyPerByte + costs.sockQueueOp)
 	s.protoMem.Release(p, 1)
 }
 
@@ -514,21 +488,14 @@ func newSkbPool(md *mem.Model, perCore bool) *SkbPool {
 		if perCore {
 			home = md.Machine().Chip(c)
 		}
-		ls := mem.NewLineSet(dmaPayloadLines)
-		for i := 0; i < dmaPayloadLines; i++ {
+		ls := mem.NewLineSet(costs.dmaPayloadLines)
+		for i := 0; i < costs.dmaPayloadLines; i++ {
 			ls.Add(md.Alloc(home))
 		}
 		sp.payload = append(sp.payload, ls)
 	}
 	return sp
 }
-
-const (
-	skbWork = 80 // buffer init once allocated
-	// dmaPayloadLines is how many buffer cache lines we sample per
-	// received packet for the DMA-landing cost.
-	dmaPayloadLines = 2
-)
 
 // DMARecv models the card depositing a packet into this core's receive
 // buffer: the DMA write invalidates any cached copies, and the driver's
@@ -546,12 +513,12 @@ func (sp *SkbPool) Get(p *sim.Proc) {
 	if sp.perCore {
 		c := p.Core()
 		sp.coreLocks[c].Acquire(p)
-		p.Advance(sp.md.Write(c, sp.coreLines[c], p.Now()) + skbWork)
+		p.Advance(sp.md.Write(c, sp.coreLines[c], p.Now()) + costs.skbWork)
 		sp.coreLocks[c].Release(p)
 		return
 	}
 	sp.lock.Acquire(p)
-	p.Advance(sp.md.Write(p.Core(), sp.listLine, p.Now()) + skbWork)
+	p.Advance(sp.md.Write(p.Core(), sp.listLine, p.Now()) + costs.skbWork)
 	sp.lock.Release(p)
 }
 

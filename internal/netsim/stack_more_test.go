@@ -159,7 +159,7 @@ func TestAcceptStealsAreRare(t *testing.T) {
 	})
 	e.Run()
 	if l.steals > 400/5 {
-		t.Errorf("steals = %d of 400 accepts; should be ~%v%%", l.steals, stealProbability*100)
+		t.Errorf("steals = %d of 400 accepts; should be ~%v%%", l.steals, costs.stealProbability*100)
 	}
 }
 

@@ -14,18 +14,10 @@ import (
 	"repro/internal/slock"
 )
 
-// Fixed work constants (cycles at 2.4 GHz).
-const (
-	forkWork = 120_000 // copy mm, file table, signal state (~50 us)
-	execWork = 100_000 // load binary, set up fresh address space
-	exitWork = 40_000  // teardown besides the mapping frees
-	// ptSampleLines is how many page-table cache lines we sample per
-	// process to model parent/child transfer costs.
-	ptSampleLines = 24
-	// pageStructTouches is how many shared page structs a fork/exit
-	// touches (COW refcounting).
-	pageStructTouches = 32
-)
+// ptSampleLines is how many page-table cache lines we sample per process
+// to model parent/child transfer costs. It sizes an array, so it stays a
+// constant and proc's fingerprint records it by name.
+const ptSampleLines = 24
 
 // Table is the process table.
 type Table struct {
@@ -81,8 +73,8 @@ func (t *Table) Fork(p *sim.Proc, parent *Process, childAS *mm.AddressSpace) *Pr
 	for i := range child.ptLines {
 		child.ptLines[i] = t.md.AllocLocal(p.Core())
 	}
-	p.Advance(forkWork + t.md.AccessSet(p.Core(), child.ptLines[:], mem.OpWrite, p.Now()))
-	t.ps.TouchN(p, t.md, pid*7, pageStructTouches)
+	p.Advance(costs.forkWork + t.md.AccessSet(p.Core(), child.ptLines[:], mem.OpWrite, p.Now()))
+	t.ps.TouchN(p, t.md, pid*7, costs.pageStructTouches)
 	return child
 }
 
@@ -96,14 +88,14 @@ func (t *Table) ChildStart(p *sim.Proc, child *Process) {
 // Exec charges an exec: new address space, binary load.
 func (t *Table) Exec(p *sim.Proc) {
 	t.execs++
-	p.Advance(execWork)
+	p.Advance(costs.execWork)
 }
 
 // Exit tears the process down: page-struct releases and mapping frees,
 // writing the sampled page-table lines (remote if the process migrated).
 func (t *Table) Exit(p *sim.Proc, proc *Process) {
-	p.Advance(exitWork + t.md.AccessSet(p.Core(), proc.ptLines[:], mem.OpWrite, p.Now()))
-	t.ps.TouchN(p, t.md, proc.PID*7, pageStructTouches)
+	p.Advance(costs.exitWork + t.md.AccessSet(p.Core(), proc.ptLines[:], mem.OpWrite, p.Now()))
+	t.ps.TouchN(p, t.md, proc.PID*7, costs.pageStructTouches)
 }
 
 // Forks returns the total fork count.

@@ -45,24 +45,6 @@ var (
 	_ Locker = (*MCSLock)(nil)
 )
 
-// Tunable cost constants (cycles). These are order-of-magnitude estimates
-// consistent with the paper's qualitative statements; the reproduced curves
-// depend on their relative, not absolute, magnitudes.
-const (
-	// spinTrafficPerWaiter is the holder slowdown per spinning waiter per
-	// release — the non-scalable term.
-	spinTrafficPerWaiter = 60
-	// futexWake is the cost of waking a sleeping mutex waiter.
-	futexWake = 3000
-	// mutexSpinWindow is how long an adaptive mutex busy-waits before
-	// yielding to the futex path. Contended acquires whose total wait fits
-	// the window never sleep.
-	mutexSpinWindow = 3000
-	// starvationPerWaiter is the extra re-acquire cost a woken mutex waiter
-	// pays per concurrent waiter (lost races to spinning newcomers).
-	starvationPerWaiter = 400
-)
-
 // SpinLock is a non-scalable kernel spin lock.
 type SpinLock struct {
 	Name string
@@ -156,7 +138,7 @@ func (l *SpinLock) Release(p *sim.Proc) {
 		panic("slock: release of unheld spin lock " + l.Name)
 	}
 	cost := l.md.Write(p.Core(), l.line, p.Now())
-	traffic := int64(len(l.waiters)) * spinTrafficPerWaiter
+	traffic := int64(len(l.waiters)) * costs.spinTrafficPerWaiter
 	cost += traffic
 	if len(l.waiters) > 0 {
 		next := dequeue(&l.waiters)
@@ -256,14 +238,14 @@ func (m *Mutex) Acquire(p *sim.Proc) {
 	p.Block()
 	waited := p.Now() - start
 	m.stats.WaitCycles += waited
-	if waited <= mutexSpinWindow {
+	if waited <= costs.mutexSpinWindow {
 		// Spin-resolved: the wait was spent busy-waiting on the CPU.
 		m.accountWaitMutex(p, waited)
 		m.adv(p, m.md.Atomic(p.Core(), m.line, p.Now()))
 		return
 	}
-	penalty := int64(len(m.waiters)) * starvationPerWaiter
-	m.adv(p, mutexSpinWindow+futexWake+penalty+m.md.Atomic(p.Core(), m.line, p.Now()))
+	penalty := int64(len(m.waiters)) * costs.starvationPerWaiter
+	m.adv(p, costs.mutexSpinWindow+costs.futexWake+penalty+m.md.Atomic(p.Core(), m.line, p.Now()))
 }
 
 // accountWaitMutex attributes busy-wait time with the configured

@@ -45,20 +45,18 @@ func newSuperBlock(md *mem.Model, cfg Config) *SuperBlock {
 	return sb
 }
 
-const listWork = 40 // list insert/remove once the lock is held
-
 // Add installs a file on the open list, returning which core's list holds
 // it (for PK removal accounting).
 func (sb *SuperBlock) Add(p *sim.Proc) int {
 	core := p.Core()
 	if sb.cfg.PerCoreOpenList {
 		sb.coreLocks[core].Acquire(p)
-		p.Advance(sb.md.Write(core, sb.coreLines[core], p.Now()) + listWork)
+		p.Advance(sb.md.Write(core, sb.coreLines[core], p.Now()) + costs.listWork)
 		sb.coreLocks[core].Release(p)
 		return core
 	}
 	sb.lock.Acquire(p)
-	p.Advance(sb.md.Write(core, sb.listLine, p.Now()) + listWork)
+	p.Advance(sb.md.Write(core, sb.listLine, p.Now()) + costs.listWork)
 	sb.lock.Release(p)
 	return -1
 }
@@ -76,12 +74,12 @@ func (sb *SuperBlock) Remove(p *sim.Proc, addedOn int) {
 			sb.crossCoreRemovals++
 		}
 		sb.coreLocks[target].Acquire(p)
-		p.Advance(sb.md.Write(core, sb.coreLines[target], p.Now()) + listWork)
+		p.Advance(sb.md.Write(core, sb.coreLines[target], p.Now()) + costs.listWork)
 		sb.coreLocks[target].Release(p)
 		return
 	}
 	sb.lock.Acquire(p)
-	p.Advance(sb.md.Write(core, sb.listLine, p.Now()) + listWork)
+	p.Advance(sb.md.Write(core, sb.listLine, p.Now()) + costs.listWork)
 	sb.lock.Release(p)
 }
 
@@ -91,13 +89,13 @@ func (sb *SuperBlock) Remove(p *sim.Proc, addedOn int) {
 func (sb *SuperBlock) RemountCheck(p *sim.Proc) {
 	if !sb.cfg.PerCoreOpenList {
 		sb.lock.Acquire(p)
-		p.Advance(sb.md.Read(p.Core(), sb.listLine, p.Now()) + listWork)
+		p.Advance(sb.md.Read(p.Core(), sb.listLine, p.Now()) + costs.listWork)
 		sb.lock.Release(p)
 		return
 	}
 	for c := range sb.coreLocks {
 		sb.coreLocks[c].Acquire(p)
-		p.Advance(sb.md.Read(p.Core(), sb.coreLines[c], p.Now()) + listWork)
+		p.Advance(sb.md.Read(p.Core(), sb.coreLines[c], p.Now()) + costs.listWork)
 		sb.coreLocks[c].Release(p)
 	}
 }

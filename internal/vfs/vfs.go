@@ -62,16 +62,6 @@ type Config struct {
 	ScalableMountLock bool
 }
 
-// Fixed work constants (cycles).
-const (
-	syscallEntry = 150  // trap + entry/exit bookkeeping per syscall
-	hashWork     = 50   // per-component name hash + bucket probe
-	copyPerByte  = 16   // bytes copied per cycle (rep movs-ish)
-	statWork     = 100  // filling a stat buffer
-	createWork   = 5000 // inode init, dirent insertion, timestamps (~2 us)
-	unlinkWork   = 2500 // directory entry removal + inode teardown
-)
-
 // FS is a mounted in-memory (tmpfs-like) file system plus the global VFS
 // state: the dcache, the mount table, and the global list locks.
 type FS struct {
@@ -221,7 +211,7 @@ func splitDir(path string) (dir, name string) {
 // components ("//", a trailing "/") are skipped, and the walk allocates
 // nothing.
 func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
-	p.Advance(syscallEntry)
+	p.Advance(costs.syscallEntry)
 	fs.mounts.Get(p)
 	d := fs.root
 	fs.dgetCompare(p, d)
@@ -262,7 +252,7 @@ func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
 // (§4.4).
 func (fs *FS) dgetCompare(p *sim.Proc, d *Dentry) {
 	fs.rcu.ReadLock(p)
-	p.Advance(hashWork)
+	p.Advance(costs.hashWork)
 	if fs.cfg.LockFreeDlookup {
 		if d.gen.TryRead(p, d.fieldLines[:]) {
 			d.ref.Acquire(p, 1)
@@ -303,7 +293,7 @@ func (fs *FS) Open(p *sim.Proc, path string) *File {
 
 // Close removes the file from the open list and drops the reference.
 func (fs *FS) Close(p *sim.Proc, f *File) {
-	p.Advance(syscallEntry)
+	p.Advance(costs.syscallEntry)
 	fs.sb.Remove(p, f.openCore)
 	fs.Put(p, f.Dentry)
 }
@@ -311,14 +301,14 @@ func (fs *FS) Close(p *sim.Proc, f *File) {
 // Stat resolves the path and reads inode attributes.
 func (fs *FS) Stat(p *sim.Proc, path string) {
 	d := fs.Walk(p, path, true)
-	p.Advance(fs.md.Read(p.Core(), d.inode.sizeLine, p.Now()) + statWork)
+	p.Advance(fs.md.Read(p.Core(), d.inode.sizeLine, p.Now()) + costs.statWork)
 	fs.Put(p, d)
 }
 
 // Lseek positions the file, reading i_size. The stock kernel takes the
 // inode mutex; PK uses an atomic read (§5.5).
 func (fs *FS) Lseek(p *sim.Proc, f *File) {
-	p.Advance(syscallEntry)
+	p.Advance(costs.syscallEntry)
 	if fs.cfg.AtomicLseek {
 		p.Advance(fs.md.Read(p.Core(), f.Inode.sizeLine, p.Now()))
 		return
@@ -331,15 +321,15 @@ func (fs *FS) Lseek(p *sim.Proc, f *File) {
 // Read charges a buffered read of n bytes: lock-free page-cache lookup plus
 // the copy to user space.
 func (fs *FS) Read(p *sim.Proc, f *File, n int64) {
-	p.Advance(syscallEntry)
+	p.Advance(costs.syscallEntry)
 	pages := 1 + n/mm.PageBytes
-	p.Advance(pages*hashWork + n/copyPerByte)
+	p.Advance(pages*costs.hashWork + n/costs.copyPerByte)
 }
 
 // Append writes n bytes at the end of the file under the inode mutex,
 // allocating tmpfs pages as needed.
 func (fs *FS) Append(p *sim.Proc, f *File, n int64) {
-	p.Advance(syscallEntry)
+	p.Advance(costs.syscallEntry)
 	f.Inode.mu.Acquire(p)
 	oldPages := (f.Inode.Size + mm.PageBytes - 1) / mm.PageBytes
 	f.Inode.Size += n
@@ -347,7 +337,7 @@ func (fs *FS) Append(p *sim.Proc, f *File, n int64) {
 	if newPages > oldPages {
 		fs.alloc.AllocPages(p, p.Chip(), newPages-oldPages)
 	}
-	p.Advance(n / copyPerByte)
+	p.Advance(n / costs.copyPerByte)
 	p.Advance(fs.md.Write(p.Core(), f.Inode.sizeLine, p.Now()))
 	f.Inode.mu.Release(p)
 }
@@ -369,7 +359,7 @@ func (fs *FS) Create(p *sim.Proc, dirPath, name string) *File {
 		d.gen.EndWrite(p)
 	}
 	d.ref.Acquire(p, 1) // the returned open file holds a reference
-	p.Advance(createWork)
+	p.Advance(costs.createWork)
 	dir.inode.mu.Release(p)
 
 	f := &File{Dentry: d, Inode: &d.inode}
@@ -397,7 +387,7 @@ func (fs *FS) Unlink(p *sim.Proc, dirPath, name string) {
 	// The dentry itself is freed after a grace period so concurrent
 	// RCU-walkers never dereference freed memory.
 	fs.rcu.CallRCU(p)
-	p.Advance(unlinkWork)
+	p.Advance(costs.unlinkWork)
 	dir.inode.mu.Release(p)
 	fs.Put(p, dir)
 }
@@ -438,7 +428,7 @@ type AnonInode struct {
 func (fs *FS) CreateAnon(p *sim.Proc) *AnonInode {
 	fs.chargeInodeListLock(p, false)
 	fs.chargeDcacheListLock(p, false)
-	p.Advance(createWork / 2)
+	p.Advance(costs.createWork / 2)
 	return &AnonInode{inode: fs.newInodeSetup(p.Chip())}
 }
 
@@ -452,5 +442,5 @@ func (fs *FS) ReleaseAnon(p *sim.Proc, a *AnonInode) {
 	if !fs.cfg.DcacheListAvoidLock {
 		fs.chargeDcacheListLock(p, true)
 	}
-	p.Advance(unlinkWork / 2)
+	p.Advance(costs.unlinkWork / 2)
 }
