@@ -10,9 +10,6 @@ import (
 type ApacheOpts struct {
 	// RequestsPerCore is the per-core request budget.
 	RequestsPerCore int
-	// FileBytes is the static file size (300 bytes in the paper, chosen
-	// so the 10 Gbit link is not the bottleneck).
-	FileBytes int64
 	// UseNIC includes the IXGBE receive-FIFO envelope.
 	UseNIC bool
 	// SingleInstance runs one Apache instance with a shared listening
@@ -27,7 +24,6 @@ type ApacheOpts struct {
 func DefaultApacheOpts() ApacheOpts {
 	return ApacheOpts{
 		RequestsPerCore: 120,
-		FileBytes:       300,
 		UseNIC:          true,
 		SingleInstance:  true,
 	}
@@ -37,13 +33,16 @@ func DefaultApacheOpts() ApacheOpts {
 // Calibrated so one core spends ~60% of its time in the kernel (§3.3)
 // with an absolute request cost of order 100 microseconds.
 var apacheCosts = struct {
-	apacheUserWork, apacheKernelMisc, apacheReqBytes, apacheHdrBytes int64
-	apacheAckPackets                                                 int
+	apacheUserWork, apacheKernelMisc, apacheReqBytes, apacheHdrBytes, apacheFileBytes int64
+	apacheAckPackets                                                                  int
 }{
 	apacheUserWork:   100_000, // request parse, MPM bookkeeping
 	apacheKernelMisc: 40_000,  // TCP timers and residual stack work
 	apacheReqBytes:   120,     // GET request size
 	apacheHdrBytes:   250,     // response headers
+	// apacheFileBytes is the static file size (300 bytes in the paper,
+	// chosen so the 10 Gbit link is not the bottleneck).
+	apacheFileBytes: 300,
 	// apacheAckPackets are pure-ack packets per request; they traverse
 	// the full IP path (dst cache, device, skb pool), bringing the
 	// per-request packet count to roughly the paper's ~10.
@@ -61,7 +60,7 @@ func RunApache(k *kernel.Kernel, opts ApacheOpts) Result {
 		nic = netsim.NewNICFor(k.Machine, netsim.ApacheNIC(), k.Machine.NCores)
 	}
 	stack := k.NewStack(nic)
-	fs.MustCreateFile("/var/www/htdocs/index.html", opts.FileBytes)
+	fs.MustCreateFile("/var/www/htdocs/index.html", apacheCosts.apacheFileBytes)
 
 	cores := k.Machine.NCores
 	workers := onlineCores(k)
@@ -84,7 +83,7 @@ func RunApache(k *kernel.Kernel, opts ApacheOpts) Result {
 		for _, c := range workers {
 			p.Engine().Spawn(c, "apache", p.Now(), func(wp *sim.Proc) {
 				for i := 0; i < opts.RequestsPerCore; i++ {
-					apacheRequest(k, wp, stack, nic, listeners[c], opts)
+					apacheRequest(k, wp, stack, listeners[c])
 				}
 			})
 		}
@@ -106,9 +105,7 @@ func RunApache(k *kernel.Kernel, opts ApacheOpts) Result {
 	}
 }
 
-func apacheRequest(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack,
-	nic *netsim.NIC, l *netsim.Listener, opts ApacheOpts) {
-
+func apacheRequest(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, l *netsim.Listener) {
 	fs := k.FS
 	conn := stack.Accept(p, l)
 	stack.Recv(p, conn, apacheCosts.apacheReqBytes)
@@ -117,10 +114,10 @@ func apacheRequest(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack,
 	// a file on every request").
 	fs.Stat(p, "/var/www/htdocs/index.html")
 	f := fs.Open(p, "/var/www/htdocs/index.html")
-	fs.Read(p, f, opts.FileBytes)
+	fs.Read(p, f, apacheCosts.apacheFileBytes)
 	fs.Close(p, f)
 
-	stack.Send(p, conn, apacheCosts.apacheHdrBytes+opts.FileBytes)
+	stack.Send(p, conn, apacheCosts.apacheHdrBytes+apacheCosts.apacheFileBytes)
 	for i := 0; i < apacheCosts.apacheAckPackets; i++ {
 		stack.Send(p, conn, 0)
 	}

@@ -53,9 +53,6 @@ func appendNum(b []byte, n int64, width int) []byte {
 type Result struct {
 	// App is the application name.
 	App string
-	// Variant distinguishes configurations within a figure (e.g.
-	// "stock", "pk", "stock+threads").
-	Variant string
 	// Cores is the number of active cores.
 	Cores int
 	// Ops is the number of application-level operations completed

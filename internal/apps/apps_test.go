@@ -226,31 +226,33 @@ func TestFig9GmakeShape(t *testing.T) {
 	}
 }
 
-func pedsortAt(mode PedsortMode, cores int) Result {
+// pedsortAt runs pedsort on threads or processes, with the active cores
+// packed onto the fewest chips or spread round-robin across them (rr).
+func pedsortAt(threads, rr bool, cores int) Result {
 	m := topo.New(cores)
-	if mode == PedsortProcsRR {
+	if rr {
 		m = topo.Default().WithCoresRR(cores)
 	}
 	k := kernel.New(m, kernel.Stock(), 1)
 	opts := DefaultPedsortOpts()
-	opts.Mode = mode
+	opts.Threads = threads
 	return RunPedsort(k, opts)
 }
 
 func TestFig10PedsortShape(t *testing.T) {
-	threads48 := pedsortAt(PedsortThreads, 48)
-	procs1 := pedsortAt(PedsortProcs, 1)
-	procs8 := pedsortAt(PedsortProcs, 8)
-	procs48 := pedsortAt(PedsortProcs, 48)
-	rr8 := pedsortAt(PedsortProcsRR, 8)
-	rr48 := pedsortAt(PedsortProcsRR, 48)
+	threads48 := pedsortAt(true, false, 48)
+	procs1 := pedsortAt(false, false, 1)
+	procs8 := pedsortAt(false, false, 8)
+	procs48 := pedsortAt(false, false, 48)
+	rr8 := pedsortAt(false, true, 8)
+	rr48 := pedsortAt(false, true, 48)
 
 	// Threads lose to processes (mmap serialization + thread-safe libc).
 	if threads48.PerCore() > 0.9*procs48.PerCore() {
 		t.Errorf("threaded pedsort at 48 (%.0f) should lose to processes (%.0f)",
 			threads48.PerCore(), procs48.PerCore())
 	}
-	threads1 := pedsortAt(PedsortThreads, 1)
+	threads1 := pedsortAt(true, false, 1)
 	if threads1.PerCore() > procs1.PerCore() {
 		t.Error("threaded pedsort should lose even on one core (thread-safe glibc)")
 	}

@@ -119,18 +119,21 @@ func TestCalibrationProbe(t *testing.T) {
 	}
 
 	fmt.Println("== pedsort (jobs/hour/core) ==")
-	for _, mode := range []PedsortMode{PedsortThreads, PedsortProcs, PedsortProcsRR} {
+	for _, mode := range []struct {
+		name        string
+		threads, rr bool
+	}{{"Stock + Threads", true, false}, {"Stock + Procs", false, false}, {"Stock + Procs RR", false, true}} {
 		opts := DefaultPedsortOpts()
-		opts.Mode = mode
+		opts.Threads = mode.threads
 		for _, n := range coresList {
 			m := topo.New(n)
-			if mode == PedsortProcsRR {
+			if mode.rr {
 				m = topo.Default().WithCoresRR(n)
 			}
 			k := kernel.New(m, kernel.Stock(), 1)
 			r := RunPedsort(k, opts)
 			fmt.Printf("  %-18s %2d cores: %8.2f /hr/core  sys_s=%5.2f user_s=%6.2f\n",
-				mode, n, r.PerCore()*3600,
+				mode.name, n, r.PerCore()*3600,
 				topo.CyclesToSec(r.SysCycles), topo.CyclesToSec(r.UserCycles))
 		}
 	}

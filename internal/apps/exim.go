@@ -14,38 +14,33 @@ type EximOpts struct {
 	// SpoolDirs is the number of spool directories incoming mail is
 	// hashed across (the paper's modified configuration uses 62).
 	SpoolDirs int
-	// MessagesPerConn is how many messages each SMTP connection carries
-	// (the paper's clients send 10 to avoid port exhaustion).
-	MessagesPerConn int
-	// Users is the number of distinct destination mailboxes (one per
-	// client in the paper, 96 clients).
-	Users int
-	// AvoidExec mirrors the deliver_drop_privilege configuration, which
-	// avoids an exec per mail message.
-	AvoidExec bool
 }
 
 // DefaultEximOpts returns the paper's configuration.
 func DefaultEximOpts() EximOpts {
-	return EximOpts{
-		MessagesPerCore: 40,
-		SpoolDirs:       62,
-		MessagesPerConn: 10,
-		Users:           96,
-		AvoidExec:       true,
-	}
+	return EximOpts{MessagesPerCore: 40, SpoolDirs: 62}
 }
 
-// eximCosts is Exim's per-message fixed work (cycles) and message sizes.
-// Calibrated so one core spends roughly 69% of its time in the kernel
-// (§3.1), with an absolute message cost within the paper's order of
-// magnitude (hundreds of microseconds).
+// eximCosts is Exim's per-message fixed work (cycles), message sizes and
+// client mix. Calibrated so one core spends roughly 69% of its time in
+// the kernel (§3.1), with an absolute message cost within the paper's
+// order of magnitude (hundreds of microseconds). Exim runs with
+// deliver_drop_privilege, which avoids an exec per message, so a
+// delivery forks but never execs.
 var eximCosts = struct {
-	eximUserWorkPerMessage, eximSMTPBytes, eximHeaderBytes int64
+	eximUserWorkPerMessage, eximSMTPBytes, eximHeaderBytes, eximLogBytes int64
+	eximMessagesPerConn, eximUsers                                       int
 }{
 	eximUserWorkPerMessage: 260_000, // parsing, routing, Berkeley DB
 	eximSMTPBytes:          400,     // SMTP envelope + 20-byte body
 	eximHeaderBytes:        600,     // stored message with headers
+	eximLogBytes:           80,      // one mainlog line per delivery
+	// eximMessagesPerConn is how many messages each SMTP connection
+	// carries (the paper's clients send 10 to avoid port exhaustion).
+	eximMessagesPerConn: 10,
+	// eximUsers is the number of distinct destination mailboxes (one
+	// per client in the paper, 96 clients).
+	eximUsers: 96,
 }
 
 // RunExim executes the Exim workload: one worker per core processes SMTP
@@ -62,7 +57,7 @@ func RunExim(k *kernel.Kernel, opts EximOpts) Result {
 	for d := 0; d < opts.SpoolDirs; d++ {
 		fs.MustMkdirAll(string(eximSpoolDir(buf[:0], d)))
 	}
-	for u := 0; u < opts.Users; u++ {
+	for u := 0; u < eximCosts.eximUsers; u++ {
 		fs.MustCreateFile(string(eximMailbox(buf[:0], u)), 0)
 	}
 	fs.MustCreateFile("/var/log/exim/mainlog", 0)
@@ -83,14 +78,14 @@ func RunExim(k *kernel.Kernel, opts EximOpts) Result {
 				conn := stack.DialLoopback(p)
 				connProc := k.Procs.Fork(p, master, mailAS)
 				k.Procs.ChildStart(p, connProc)
-				n := opts.MessagesPerConn
+				n := eximCosts.eximMessagesPerConn
 				if rem := opts.MessagesPerCore - sent; n > rem {
 					n = rem
 				}
 				for m := 0; m < n; m++ {
-					user := e.Rand.Intn(opts.Users)
+					user := e.Rand.Intn(eximCosts.eximUsers)
 					spool := e.Rand.Intn(opts.SpoolDirs)
-					eximMessage(k, p, stack, conn, connProc, user, spool, opts)
+					eximMessage(k, p, stack, conn, connProc, user, spool)
 					sent++
 				}
 				k.Procs.Exit(p, connProc)
@@ -123,7 +118,7 @@ func eximMailbox(b []byte, u int) []byte {
 
 // eximMessage models receiving and delivering one message.
 func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsim.LoopbackConn,
-	connProc *proc.Process, user, spool int, opts EximOpts) {
+	connProc *proc.Process, user, spool int) {
 
 	fs := k.FS
 	var buf [64]byte
@@ -160,9 +155,6 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsi
 	for i := 0; i < 2; i++ {
 		child := k.Procs.Fork(p, connProc, connProc.AS)
 		k.Procs.ChildStart(p, child)
-		if !opts.AvoidExec {
-			k.Procs.Exec(p)
-		}
 		k.Procs.Exit(p, child)
 	}
 
@@ -175,7 +167,7 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsi
 	fs.Unlink(p, dir, hName)
 	fs.Unlink(p, dir, dName)
 	lf := fs.Open(p, "/var/log/exim/mainlog")
-	fs.Append(p, lf, 80)
+	fs.Append(p, lf, eximCosts.eximLogBytes)
 	fs.Close(p, lf)
 
 	// User-mode processing (routing, expansion, Berkeley DB hints).

@@ -11,34 +11,35 @@ import (
 type GmakeOpts struct {
 	// Objects is the number of compilation units in the build DAG.
 	Objects int
-	// SerialPrepFrac is the fraction of total build work in the serial
-	// stage at the start (configure, header generation).
-	SerialPrepFrac float64
-	// SerialLinkFrac is the fraction in the final serial link.
-	SerialLinkFrac float64
 	// Placement selects where the compilers' source/object streams are
 	// homed (zero value: local tmpfs pages).
 	Placement mem.Placement
 }
 
-// DefaultGmakeOpts returns a scaled-down Linux-kernel-like build. The
-// serial fractions are small: the paper measures a 35x speedup on 48
-// cores, which bounds the Amdahl serial share near 0.8%.
+// DefaultGmakeOpts returns a scaled-down Linux-kernel-like build.
 func DefaultGmakeOpts() GmakeOpts {
-	return GmakeOpts{Objects: 480, SerialPrepFrac: 0.004, SerialLinkFrac: 0.004}
+	return GmakeOpts{Objects: 480}
 }
 
-// gmakeCosts is gmake's per-object work (cycles) and file sizes. The
-// compiler dominates; system time is 7.6% at one core (§3.5). Compile
-// times vary: most objects are small, a few are large (drivers vs. tiny
-// headers), which creates the straggler tail the paper mentions.
+// gmakeCosts is gmake's per-object work (cycles), file sizes and serial
+// stages. The compiler dominates; system time is 7.6% at one core
+// (§3.5). Compile times vary: most objects are small, a few are large
+// (drivers vs. tiny headers), which creates the straggler tail the paper
+// mentions.
 var gmakeCosts = struct {
 	gmakeBaseCompile, gmakeSysPerJob, gmakeSourceBytes, gmakeObjBytes int64
+	gmakeSerialPrepFrac, gmakeSerialLinkFrac                          float64
 }{
 	gmakeBaseCompile: 5_000_000, // median compile, user cycles (~2 ms)
 	gmakeSysPerJob:   330_000,   // faults, pipes, file I/O inside the compiler
 	gmakeSourceBytes: 20_000,
 	gmakeObjBytes:    12_000,
+	// The serial stages' shares of total build work: the start
+	// (configure, header generation) and the final link. They are small:
+	// the paper measures a 35x speedup on 48 cores, which bounds the
+	// Amdahl serial share near 0.8%.
+	gmakeSerialPrepFrac: 0.004,
+	gmakeSerialLinkFrac: 0.004,
 }
 
 // RunGmake executes one parallel build and reports builds/hour/core.
@@ -75,8 +76,8 @@ func RunGmake(k *kernel.Kernel, opts GmakeOpts) Result {
 	for j := 0; j < opts.Objects; j++ {
 		totalWork += jobCost(j)
 	}
-	prep := int64(opts.SerialPrepFrac * float64(totalWork))
-	link := int64(opts.SerialLinkFrac * float64(totalWork))
+	prep := int64(gmakeCosts.gmakeSerialPrepFrac * float64(totalWork))
+	link := int64(gmakeCosts.gmakeSerialLinkFrac * float64(totalWork))
 
 	workers := onlineCores(k)
 	next := 0              // shared job queue cursor (engine-serialized)

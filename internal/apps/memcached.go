@@ -10,8 +10,6 @@ import (
 type MemcachedOpts struct {
 	// RequestsPerCore is the per-core request budget.
 	RequestsPerCore int
-	// RequestBytes and ResponseBytes match the paper (68 and 64).
-	RequestBytes, ResponseBytes int64
 	// UseNIC includes the IXGBE envelope; disable to isolate kernel
 	// effects.
 	UseNIC bool
@@ -19,20 +17,22 @@ type MemcachedOpts struct {
 
 // DefaultMemcachedOpts returns the paper's configuration.
 func DefaultMemcachedOpts() MemcachedOpts {
-	return MemcachedOpts{
-		RequestsPerCore: 300,
-		RequestBytes:    68,
-		ResponseBytes:   64,
-		UseNIC:          true,
-	}
+	return MemcachedOpts{RequestsPerCore: 300, UseNIC: true}
 }
 
-// memcachedCosts is memcached's per-request work. memcachedUserWork is
-// the user-mode hash-table lookup per request, calibrated so one core
-// spends ~80% of its time in the kernel (§3.2). Lookups are for
-// non-existent keys (the paper's choice, maximizing kernel load relative
-// to application work).
-var memcachedCosts = struct{ memcachedUserWork int64 }{memcachedUserWork: 1_600}
+// memcachedCosts is memcached's per-request work and message sizes.
+// memcachedUserWork is the user-mode hash-table lookup per request,
+// calibrated so one core spends ~80% of its time in the kernel (§3.2).
+// Lookups are for non-existent keys (the paper's choice, maximizing
+// kernel load relative to application work); the request and response
+// sizes match the paper (68 and 64 bytes).
+var memcachedCosts = struct {
+	memcachedUserWork, memcachedRequestBytes, memcachedResponseBytes int64
+}{
+	memcachedUserWork:      1_600,
+	memcachedRequestBytes:  68,
+	memcachedResponseBytes: 64,
+}
 
 // RunMemcached executes the object-cache workload: one memcached instance
 // per core, each with its own UDP port and hardware queue; clients query
@@ -51,9 +51,9 @@ func RunMemcached(k *kernel.Kernel, opts MemcachedOpts) Result {
 		e.Spawn(c, "memcached", 0, func(p *sim.Proc) {
 			sock := stack.NewUDPSocket(p)
 			for i := 0; i < opts.RequestsPerCore; i++ {
-				stack.RecvUDP(p, sock, opts.RequestBytes)
+				stack.RecvUDP(p, sock, memcachedCosts.memcachedRequestBytes)
 				p.AdvanceUser(memcachedCosts.memcachedUserWork)
-				stack.SendUDP(p, sock, opts.ResponseBytes)
+				stack.SendUDP(p, sock, memcachedCosts.memcachedResponseBytes)
 			}
 			stack.CloseUDP(p, sock)
 		})

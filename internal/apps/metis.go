@@ -16,9 +16,6 @@ type MetisOpts struct {
 	// paper's fix (the kernel-side halves are PerMappingSuperPageMutex
 	// and NoncachingSuperPageZero).
 	SuperPages bool
-	// TableBytesPerInputByte is how much temporary-table memory the
-	// inverted-index application allocates per input byte.
-	TableBytesPerInputByte float64
 	// Placement selects where the reduce phase's table stream is homed
 	// (zero value: local, the faulted-in first-touch placement).
 	Placement mem.Placement
@@ -26,20 +23,20 @@ type MetisOpts struct {
 
 // DefaultMetisOpts returns the scaled-down inverted-index job.
 func DefaultMetisOpts() MetisOpts {
-	return MetisOpts{
-		InputBytes:             96 << 20,
-		SuperPages:             false,
-		TableBytesPerInputByte: 1.5,
-	}
+	return MetisOpts{InputBytes: 96 << 20, SuperPages: false}
 }
 
 // metisCosts is Metis's work table. Mostly user time: 3% kernel at one
 // core, rising to 16% at 48 in the stock 4 KB configuration (§3.7).
 var metisCosts = struct {
 	metisMapPerByte, metisReducePerByte int64
+	metisTableBytesPerInputByte         float64
 }{
 	metisMapPerByte:    4, // user cycles per input byte in the map phase
 	metisReducePerByte: 2, // user cycles per table byte in the reduce phase
+	// metisTableBytesPerInputByte is how much temporary-table memory the
+	// inverted-index application allocates per input byte.
+	metisTableBytesPerInputByte: 1.5,
 }
 
 // RunMetis executes one inverted-index job and reports jobs/hour/core.
@@ -53,7 +50,7 @@ func RunMetis(k *kernel.Kernel, opts MetisOpts) Result {
 	// The input is fixed; the online workers split it evenly, so an
 	// offlined core's share lands on the survivors.
 	perCoreInput := opts.InputBytes / int64(len(workers))
-	tableBytes := int64(float64(perCoreInput) * opts.TableBytesPerInputByte)
+	tableBytes := int64(float64(perCoreInput) * metisCosts.metisTableBytesPerInputByte)
 
 	// Map/reduce barrier: reducers start only when every mapper is done.
 	remaining := len(workers)
@@ -96,13 +93,8 @@ func RunMetis(k *kernel.Kernel, opts MetisOpts) Result {
 		})
 	}
 	e.Run()
-	variant := "Stock + 4KB pages"
-	if opts.SuperPages {
-		variant = "PK + 2MB pages"
-	}
 	return Result{
 		App:        "Metis",
-		Variant:    variant,
 		Cores:      cores,
 		Ops:        1,
 		WallCycles: e.Now(),

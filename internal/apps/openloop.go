@@ -21,36 +21,17 @@ type OpenLoopOpts struct {
 	// Shed is the server's admission policy (nil = unbounded FIFO).
 	Shed *load.ShedSpec
 	// LoadPercent is the offered load as a percentage of the calibrated
-	// saturation rate: 100 is the knee, above 100 is overload. 0 means
-	// 100.
+	// saturation rate: 100 is the knee, above 100 is overload. Required
+	// (positive).
 	LoadPercent int
 	// RequestsPerCore is the measured-phase offered budget per core
-	// (0 = load.DefaultRequestsPerCore).
+	// (load.DefaultRequestsPerCore in the paper-scale run). Required
+	// (positive).
 	RequestsPerCore int
 	// CalibRequestsPerCore is the closed-loop calibration budget per
-	// core (0 = load.DefaultCalibRequestsPerCore).
+	// core (load.DefaultCalibRequestsPerCore in the paper-scale run).
+	// Required (positive).
 	CalibRequestsPerCore int
-}
-
-func (o OpenLoopOpts) requests() int {
-	if o.RequestsPerCore > 0 {
-		return o.RequestsPerCore
-	}
-	return load.DefaultRequestsPerCore
-}
-
-func (o OpenLoopOpts) calib() int {
-	if o.CalibRequestsPerCore > 0 {
-		return o.CalibRequestsPerCore
-	}
-	return load.DefaultCalibRequestsPerCore
-}
-
-func (o OpenLoopOpts) loadPercent() int {
-	if o.LoadPercent > 0 {
-		return o.LoadPercent
-	}
-	return 100
 }
 
 // RunMemcachedOpenLoop drives the object-cache workload open-loop in two
@@ -70,12 +51,12 @@ func RunMemcachedOpenLoop(k *kernel.Kernel, opts MemcachedOpts, ol OpenLoopOpts)
 	stack := k.NewStack(nic)
 	workers := onlineCores(k)
 	serve := func(p *sim.Proc, sock *netsim.UDPSocket) {
-		stack.RecvUDP(p, sock, opts.RequestBytes)
+		stack.RecvUDP(p, sock, memcachedCosts.memcachedRequestBytes)
 		p.AdvanceUser(memcachedCosts.memcachedUserWork)
-		stack.SendUDP(p, sock, opts.ResponseBytes)
+		stack.SendUDP(p, sock, memcachedCosts.memcachedResponseBytes)
 	}
 
-	calib := ol.calib()
+	calib := ol.CalibRequestsPerCore
 	for _, c := range workers {
 		e.Spawn(c, "memcached-calib", 0, func(p *sim.Proc) {
 			sock := stack.NewUDPSocket(p)
@@ -94,7 +75,7 @@ func RunMemcachedOpenLoop(k *kernel.Kernel, opts MemcachedOpts, ol OpenLoopOpts)
 	// concurrently, so the elapsed virtual time over one core's budget is
 	// the knee's inter-completion gap.
 	perReq := calEnd / int64(calib)
-	gap := perReq * 100 / int64(ol.loadPercent())
+	gap := perReq * 100 / int64(ol.LoadPercent)
 	if gap < 1 {
 		gap = 1
 	}
@@ -105,9 +86,9 @@ func RunMemcachedOpenLoop(k *kernel.Kernel, opts MemcachedOpts, ol OpenLoopOpts)
 		Shed:          ol.Shed,
 		MeanGapCycles: gap,
 		ServiceCycles: perReq,
-		Requests:      ol.requests(),
-		RequestBytes:  opts.RequestBytes,
-		ResponseBytes: opts.ResponseBytes,
+		Requests:      ol.RequestsPerCore,
+		RequestBytes:  memcachedCosts.memcachedRequestBytes,
+		ResponseBytes: memcachedCosts.memcachedResponseBytes,
 		Start:         calEnd,
 	}, func(p *sim.Proc) func(*sim.Proc) {
 		// UDP has no duplicate suppression, so load.Run serves a

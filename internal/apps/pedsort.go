@@ -7,47 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-// PedsortMode selects the pedsort parallelization strategy (§5.7).
-type PedsortMode int
-
-const (
-	// PedsortThreads is the original version: one process, one thread per
-	// core. All threads share an address space, so mmap/munmap of each
-	// input file serializes on the process's mmap_sem.
-	PedsortThreads PedsortMode = iota
-	// PedsortProcs uses one process per core (the paper's ~10-line fix),
-	// eliminating the shared address space.
-	PedsortProcs
-	// PedsortProcsRR is PedsortProcs with active cores spread round-robin
-	// across chips, giving access to more total L3.
-	PedsortProcsRR
-)
-
-// String returns the figure legend label.
-func (m PedsortMode) String() string {
-	switch m {
-	case PedsortThreads:
-		return "Stock + Threads"
-	case PedsortProcs:
-		return "Stock + Procs"
-	case PedsortProcsRR:
-		return "Stock + Procs RR"
-	}
-	return "unknown"
-}
-
 // PedsortOpts configures the file-indexer workload (§3.6, §5.7).
 type PedsortOpts struct {
-	Mode PedsortMode
+	// Threads runs the original version: one process, one thread per
+	// core. All threads share an address space, so mmap/munmap of each
+	// input file serializes on the process's mmap_sem. When false, each
+	// core runs its own process (the paper's ~10-line fix), eliminating
+	// the shared address space.
+	Threads bool
 	// Files is the input file count (scaled down from the paper's
 	// 33,312; work per file is preserved).
 	Files int
-	// FileBytes is the average input file size (the paper's corpus is
-	// 368 MB over 33,312 files ≈ 11.3 KB/file).
-	FileBytes int64
-	// SortSetBytes is the effective per-core working set of the final
-	// msort_with_tmp phase, which contends for L3 capacity.
-	SortSetBytes int64
 	// Placement selects where the merge phase's index stream is homed
 	// (zero value: local).
 	Placement mem.Placement
@@ -55,12 +25,7 @@ type PedsortOpts struct {
 
 // DefaultPedsortOpts returns the scaled-down corpus.
 func DefaultPedsortOpts() PedsortOpts {
-	return PedsortOpts{
-		Mode:         PedsortProcs,
-		Files:        960,
-		FileBytes:    11_300,
-		SortSetBytes: 4 << 20,
-	}
+	return PedsortOpts{Files: 960}
 }
 
 // pedsortCosts is pedsort's work table. User-dominated: 1.9% kernel time
@@ -70,6 +35,7 @@ func DefaultPedsortOpts() PedsortOpts {
 // even though the corpus is scaled down.
 var pedsortCosts = struct {
 	pedsortHashPerByte, pedsortSortPerByte, pedsortFlushBytes int64
+	pedsortFileBytes, pedsortSortSetBytes                     int64
 	pedsortFlushEvery                                         int
 	pedsortMissPenalty, pedsortThreadedTax                    float64
 }{
@@ -79,6 +45,12 @@ var pedsortCosts = struct {
 	pedsortThreadedTax: 1.15,   // thread-safe glibc variants
 	pedsortFlushBytes:  64_000, // intermediate index flush size
 	pedsortFlushEvery:  24,     // files per flush
+	// pedsortFileBytes is the average input file size (the paper's
+	// corpus is 368 MB over 33,312 files ≈ 11.3 KB/file).
+	pedsortFileBytes: 11_300,
+	// pedsortSortSetBytes is the effective per-core working set of the
+	// final msort_with_tmp phase, which contends for L3 capacity.
+	pedsortSortSetBytes: 4 << 20,
 }
 
 // pedsortSource appends the path of corpus file f to b.
@@ -96,7 +68,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 	fs.MustMkdirAll("/tmp/ind")
 	var buf [32]byte
 	for f := 0; f < opts.Files; f++ {
-		fs.MustCreateFile(string(pedsortSource(buf[:0], f)), opts.FileBytes)
+		fs.MustCreateFile(string(pedsortSource(buf[:0], f)), pedsortCosts.pedsortFileBytes)
 	}
 
 	cores := k.Machine.NCores
@@ -104,7 +76,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 	// One shared address space for the threaded version; private ones per
 	// core otherwise.
 	var sharedAS *mm.AddressSpace
-	if opts.Mode == PedsortThreads {
+	if opts.Threads {
 		sharedAS = k.NewAddressSpace(0)
 	}
 
@@ -116,7 +88,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 				as = k.NewAddressSpace(p.Chip())
 			}
 			userTax := 1.0
-			if opts.Mode == PedsortThreads {
+			if opts.Threads {
 				userTax = pedsortCosts.pedsortThreadedTax // thread-safe glibc variants
 			}
 			// Phase 1: pull files, mmap-read, hash words, flush
@@ -130,13 +102,13 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 				}
 				next++
 				src := fs.Open(p, string(pedsortSource(buf[:0], f)))
-				r := as.Mmap(p, opts.FileBytes, false)
+				r := as.Mmap(p, pedsortCosts.pedsortFileBytes, false)
 				for i := int64(0); i < r.Pages(); i++ {
 					// Faulted pages come from the local node; their zero
 					// traffic charges this chip's controller.
 					as.Fault(p, r, k.DRAM)
 				}
-				p.AdvanceUser(int64(float64(opts.FileBytes*pedsortCosts.pedsortHashPerByte) * userTax))
+				p.AdvanceUser(int64(float64(pedsortCosts.pedsortFileBytes*pedsortCosts.pedsortHashPerByte) * userTax))
 				as.Munmap(p, r)
 				fs.Close(p, src)
 				processed++
@@ -155,9 +127,9 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 			// per-core working set shares the chip's L3 with every other
 			// active core on the chip; misses turn into user-time stalls.
 			chip := p.Chip()
-			wsOnChip := opts.SortSetBytes * int64(k.Machine.CoresOnChip(chip))
+			wsOnChip := pedsortCosts.pedsortSortSetBytes * int64(k.Machine.CoresOnChip(chip))
 			miss := mem.MissRatio(wsOnChip, k.Machine.L3Bytes)
-			totalMerge := float64(int64(opts.Files)*opts.FileBytes*pedsortCosts.pedsortSortPerByte) * userTax
+			totalMerge := float64(int64(opts.Files)*pedsortCosts.pedsortFileBytes*pedsortCosts.pedsortSortPerByte) * userTax
 			sortWork := totalMerge / float64(len(workers))
 			sortWork *= 1 + pedsortCosts.pedsortMissPenalty*miss
 			p.AdvanceUser(int64(sortWork))
@@ -165,7 +137,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 			// index through the memory system under the configured
 			// placement (local by default, matching the first-touch
 			// pages the hash phase faulted in).
-			k.DRAM.TransferPlaced(p, opts.Placement, int64(opts.Files)*opts.FileBytes/int64(len(workers)))
+			k.DRAM.TransferPlaced(p, opts.Placement, int64(opts.Files)*pedsortCosts.pedsortFileBytes/int64(len(workers)))
 			out := fs.Create(p, "/tmp/ind", string(appendNum(append(buf[:0], "final-"...), int64(c), 0)))
 			fs.Append(p, out, pedsortCosts.pedsortFlushBytes)
 			fs.Close(p, out)
@@ -174,7 +146,6 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 	e.Run()
 	return Result{
 		App:        "pedsort",
-		Variant:    opts.Mode.String(),
 		Cores:      cores,
 		Ops:        1, // one indexing job
 		WallCycles: e.Now(),

@@ -21,8 +21,6 @@ type PostgresOpts struct {
 	// row/table lock manager fast path and 1024 instead of 16 lock
 	// manager mutexes (§5.5).
 	ModPG bool
-	// BatchSize is queries per network round trip (256 in the paper).
-	BatchSize int
 	// LockMutexes overrides the lock-manager mutex count (defaults: 16
 	// stock, 1024 with ModPG).
 	LockMutexes int
@@ -33,7 +31,7 @@ type PostgresOpts struct {
 
 // DefaultPostgresOpts returns the read-only workload configuration.
 func DefaultPostgresOpts() PostgresOpts {
-	return PostgresOpts{QueriesPerCore: 400, WriteFraction: 0, ModPG: false, BatchSize: 256}
+	return PostgresOpts{QueriesPerCore: 400, WriteFraction: 0, ModPG: false}
 }
 
 // postgresCosts is PostgreSQL's per-query fixed work (cycles) and sizes.
@@ -42,11 +40,12 @@ func DefaultPostgresOpts() PostgresOpts {
 // user mode.
 var postgresCosts = struct {
 	pgUserWorkPerQuery, pgUserWorkPerWrite, pgRootSpinHold, pgLockMgrWork, pgWALBytes int64
-	pgLseeksPerQuery                                                                  int
+	pgLseeksPerQuery, pgBatchSize                                                     int
 }{
 	pgUserWorkPerQuery: 100_000, // B-tree descent, tuple fetch, executor
 	pgUserWorkPerWrite: 15_000,  // extra update work
 	pgLseeksPerQuery:   12,      // "many times per query on the same two files"
+	pgBatchSize:        256,     // queries per network round trip
 	// pgRootSpinHold is the buffer-cache root page lock hold time. Every
 	// query pins the index root; at 48 cores this user-level lock is the
 	// paper's residual PK+modPG bottleneck, costing a visible fraction of
@@ -115,7 +114,7 @@ func RunPostgres(k *kernel.Kernel, opts PostgresOpts) Result {
 			wal := fs.Open(p, "/pgdata/pg_xlog/wal")
 			done := 0
 			for done < opts.QueriesPerCore {
-				n := opts.BatchSize
+				n := postgresCosts.pgBatchSize
 				if rem := opts.QueriesPerCore - done; n > rem {
 					n = rem
 				}

@@ -48,15 +48,15 @@ func cachingExperiments(t *testing.T, seed uint64) []string {
 // cache silently re-simulates; a deliberate retune updates the table.
 func TestSectionFingerprintGolden(t *testing.T) {
 	domains := map[string]string{
-		"apps/apache":    "798f483dbadb3960",
-		"apps/exim":      "ce4467b76b1c0546",
-		"apps/gmake":     "f3e71f42f425cede",
-		"apps/memcached": "3d4cdddd7cfd02ec",
-		"apps/metis":     "46ee3bfc2e6327b7",
-		"apps/pedsort":   "999d16e09ee994f5",
-		"apps/postgres":  "e117097ec6bd649d",
+		"apps/apache":    "e9e9c6c7aa7500ae",
+		"apps/exim":      "899698637dcb4d86",
+		"apps/gmake":     "8a49368340b7f9b9",
+		"apps/memcached": "681c4bfbd54a891d",
+		"apps/metis":     "7a1c0ecd51cb4503",
+		"apps/pedsort":   "e3c52b297d2f2baf",
+		"apps/postgres":  "08b03bfa48a4eec4",
 		"fault":          "93c5dd56f5fa281c",
-		"kernel":         "07615955617721fe",
+		"kernel":         "10655430d4b72a23",
 		"load":           "043aeeca502d32c8",
 		"mem":            "292d23844d62b174",
 		"scount":         "45f4313e7824a2eb",
@@ -79,11 +79,11 @@ func TestSectionFingerprintGolden(t *testing.T) {
 		t.Errorf("mem.FingerprintFor(default) = %s, want %s", got, want)
 	}
 	for _, c := range []struct{ section, want string }{
-		{"fig4", "b9bed4c8a87e7249"},
-		{"fig4@ring16", "5af9ddf7531b4662"},
-		{"latload", "080c9d4f5dd3b2a2"},
-		{"degrade@big192", "640abcb47e66b2d1"},
-		{"fig11@mesh4x4", "545d9fa7bb125d6a"},
+		{"fig4", "151ecb309e38f01b"},
+		{"fig4@ring16", "39f1b752bbc2797c"},
+		{"latload", "21d576fc178a5993"},
+		{"degrade@big192", "3d945dc4eafb69da"},
+		{"fig11@mesh4x4", "eb44fe116c6347fe"},
 	} {
 		if got := fingerprintFor(c.section); got != c.want {
 			t.Errorf("fingerprintFor(%q) = %s, want %s", c.section, got, c.want)

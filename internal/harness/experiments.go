@@ -84,24 +84,23 @@ func runGmake(cfg kernel.Config, cores int, o Options) apps.Result {
 	return apps.RunGmake(k, opts)
 }
 
-func runPedsort(mode apps.PedsortMode, cores int, o Options) apps.Result {
+// runPedsort runs pedsort on threads or processes, with the active cores
+// packed onto the fewest chips or, with rr, spread round-robin across
+// them for more total L3.
+func runPedsort(threads, rr bool, cores int, o Options) apps.Result {
 	m := o.topo(cores)
-	if mode == apps.PedsortProcsRR {
+	if rr {
 		m = o.topoRR(cores)
 	}
 	k := o.newKernel(m, kernel.Stock())
 	opts := apps.DefaultPedsortOpts()
 	opts.Files = scale(opts.Files, o.Quick)
-	opts.Mode = mode
+	opts.Threads = threads
 	opts.Placement = o.Placement
 	return apps.RunPedsort(k, opts)
 }
 
-func runMetis(super bool, cores int, o Options) apps.Result {
-	cfg := kernel.Stock()
-	if super {
-		cfg = kernel.PK()
-	}
+func runMetis(cfg kernel.Config, super bool, cores int, o Options) apps.Result {
 	k := o.newKernel(o.topoRR(cores), cfg)
 	opts := apps.DefaultMetisOpts()
 	if o.Quick {
@@ -243,10 +242,21 @@ func init() {
 		Run: func(o Options) *Series {
 			s := &Series{ID: "fig10", Title: "pedsort (Figure 10)", Unit: "jobs/hr/core"}
 			var runs []variantRun
-			for _, mode := range []apps.PedsortMode{apps.PedsortThreads, apps.PedsortProcs, apps.PedsortProcsRR} {
-				mode := mode
-				runs = append(runs, variantRun{mode.String(), func(c int, o Options) Point {
-					return point(runPedsort(mode, c, o), mode.String(), 3600)
+			for _, v := range []struct {
+				name        string
+				threads, rr bool
+			}{
+				// The original: one thread per core in one address space.
+				{"Stock + Threads", true, false},
+				// One process per core (the paper's ~10-line fix).
+				{"Stock + Procs", false, false},
+				// Processes with active cores spread round-robin across
+				// chips, giving access to more total L3.
+				{"Stock + Procs RR", false, true},
+			} {
+				v := v
+				runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
+					return point(runPedsort(v.threads, v.rr, c, o), v.name, 3600)
 				}})
 			}
 			// Registered placement variant, like fig11's: the round-robin
@@ -254,7 +264,7 @@ func init() {
 			// chip's memory controller.
 			runs = append(runs, variantRun{"Procs RR + striped", func(c int, o Options) Point {
 				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-				return point(runPedsort(apps.PedsortProcsRR, c, o), "Procs RR + striped", 3600)
+				return point(runPedsort(false, true, c, o), "Procs RR + striped", 3600)
 			}})
 			o.runGrid(s, runs)
 			return s
@@ -269,13 +279,14 @@ func init() {
 		Run: func(o Options) *Series {
 			s := &Series{ID: "fig11", Title: "Metis (Figure 11)", Unit: "jobs/hr/core"}
 			var runs []variantRun
-			for _, super := range []bool{false, true} {
-				super, name := super, "Stock + 4KB pages"
-				if super {
-					name = "PK + 2MB pages"
-				}
-				runs = append(runs, variantRun{name, func(c int, o Options) Point {
-					return point(runMetis(super, c, o), name, 3600)
+			for _, v := range []struct {
+				name  string
+				cfg   kernel.Config
+				super bool
+			}{{"Stock + 4KB pages", kernel.Stock(), false}, {"PK + 2MB pages", kernel.PK(), true}} {
+				v := v
+				runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
+					return point(runMetis(v.cfg, v.super, c, o), v.name, 3600)
 				}})
 			}
 			// Registered placement variant: the same PK configuration with
@@ -284,7 +295,7 @@ func init() {
 			// requiring a second run with the global -placement knob.
 			runs = append(runs, variantRun{"PK + 2MB striped", func(c int, o Options) Point {
 				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-				return point(runMetis(true, c, o), "PK + 2MB striped", 3600)
+				return point(runMetis(kernel.PK(), true, c, o), "PK + 2MB striped", 3600)
 			}})
 			o.runGrid(s, runs)
 			return s
@@ -350,11 +361,11 @@ var paperApps = []struct {
 		func(c int, o Options) apps.Result { return runGmake(kernel.Stock(), c, o) },
 		func(c int, o Options) apps.Result { return runGmake(kernel.PK(), c, o) }},
 	{"pedsort", "HW: Cache capacity",
-		func(c int, o Options) apps.Result { return runPedsort(apps.PedsortThreads, c, o) },
-		func(c int, o Options) apps.Result { return runPedsort(apps.PedsortProcsRR, c, o) }},
+		func(c int, o Options) apps.Result { return runPedsort(true, false, c, o) },
+		func(c int, o Options) apps.Result { return runPedsort(false, true, c, o) }},
 	{"Metis", "HW: DRAM throughput",
-		func(c int, o Options) apps.Result { return runMetis(false, c, o) },
-		func(c int, o Options) apps.Result { return runMetis(true, c, o) }},
+		func(c int, o Options) apps.Result { return runMetis(kernel.Stock(), false, c, o) },
+		func(c int, o Options) apps.Result { return runMetis(kernel.PK(), true, c, o) }},
 }
 
 // runFig3 computes the summary bars: per-core throughput at 48 cores

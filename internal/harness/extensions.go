@@ -160,6 +160,7 @@ func runSloppyThreshold(o Options) *Series {
 			e.Spawn(c, "churn", 0, func(p *sim.Proc) {
 				for i := 0; i < churn; i++ {
 					ctr.Acquire(p, batch)
+					//mosvet:allow fprintcheck hold time of a sweep that never enters the point cache
 					p.Advance(120)
 					ctr.Release(p, batch)
 				}

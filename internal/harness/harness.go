@@ -174,28 +174,21 @@ type Options struct {
 }
 
 // DefaultCores is the standard sweep on the default machine, a subset of
-// the paper's x-axis.
+// the paper's x-axis: defaultCoresFor(48).
 var DefaultCores = []int{1, 2, 4, 8, 16, 24, 32, 40, 48}
 
 // QuickCores is the abbreviated sweep used by Quick runs on the default
-// machine.
+// machine: quickCoresFor(48).
 var QuickCores = []int{1, 8, 48}
 
 func (o Options) cores() []int {
 	if len(o.Cores) > 0 {
 		return o.Cores
 	}
-	m := o.machine()
-	if m.IsDefault() {
-		if o.Quick {
-			return QuickCores
-		}
-		return DefaultCores
-	}
 	if o.Quick {
-		return quickCoresFor(m.MaxCores())
+		return quickCoresFor(o.maxCores())
 	}
-	return defaultCoresFor(m.MaxCores())
+	return defaultCoresFor(o.maxCores())
 }
 
 // defaultCoresFor builds a machine's standard sweep: the small powers of

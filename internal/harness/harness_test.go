@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -136,5 +137,17 @@ func TestSeriesVariantsOrder(t *testing.T) {
 	v := s.Variants()
 	if len(v) != 2 || v[0] != "B" || v[1] != "A" {
 		t.Errorf("Variants() = %v, want [B A] in first-seen order", v)
+	}
+}
+
+// TestDefaultSweepsAreTheMachineRule: the default machine's sweeps are
+// the general per-machine rule at 48 cores, so Options.cores needs no
+// special case for it.
+func TestDefaultSweepsAreTheMachineRule(t *testing.T) {
+	if got := defaultCoresFor(48); !slices.Equal(got, DefaultCores) {
+		t.Errorf("defaultCoresFor(48) = %v, want DefaultCores %v", got, DefaultCores)
+	}
+	if got := quickCoresFor(48); !slices.Equal(got, QuickCores) {
+		t.Errorf("quickCoresFor(48) = %v, want QuickCores %v", got, QuickCores)
 	}
 }

@@ -1,6 +1,13 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -8,13 +15,52 @@ import (
 	"repro/internal/kernel"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/quick_outputs.sha256 from this run")
+
+// quickOutputsPath pins a sha256 of every experiment's quick Format and
+// CSV output, so a refactor that claims byte-identical figures is checked
+// for every registered experiment.
+var quickOutputsPath = filepath.Join("testdata", "quick_outputs.sha256")
+
+// readQuickOutputs loads the pinned table: one "id format-sha csv-sha"
+// line per experiment.
+func readQuickOutputs(t *testing.T) map[string][2]string {
+	data, err := os.ReadFile(quickOutputsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string][2]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			t.Fatalf("%s: malformed line %q", quickOutputsPath, line)
+		}
+		pins[f[0]] = [2]string{f[1], f[2]}
+	}
+	return pins
+}
+
+func sha(s string) string {
+	h := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(h[:])
+}
+
 // TestEveryExperimentRunsQuick executes the complete registry with quick
 // options — the whole-paper smoke test. Each series must produce output
-// and be internally consistent.
+// and be internally consistent, and its Format and CSV output must hash
+// to the pinned values (go test -run TestEveryExperimentRunsQuick -update
+// rewrites them). The hashes are checked on amd64 only: other
+// architectures may fuse multiply-adds and change the last bits.
 func TestEveryExperimentRunsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep")
 	}
+	check := runtime.GOARCH == "amd64" && !*update
+	var pins map[string][2]string
+	if check {
+		pins = readQuickOutputs(t)
+	}
+	got := map[string][2]string{}
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -37,7 +83,29 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 			if !strings.Contains(out, e.ID) {
 				t.Errorf("formatted output does not mention the experiment ID:\n%s", out)
 			}
+			got[e.ID] = [2]string{sha(out), sha(CSV(s))}
+			if !check {
+				return
+			}
+			if want, ok := pins[e.ID]; !ok {
+				t.Errorf("no pinned output hashes in %s", quickOutputsPath)
+			} else if got[e.ID] != want {
+				t.Errorf("output hashes (Format, CSV) = %v, pinned %v", got[e.ID], want)
+			}
 		})
+	}
+	if *update {
+		var b strings.Builder
+		for _, e := range Experiments() {
+			h, ok := got[e.ID]
+			if !ok {
+				t.Fatalf("-update needs every experiment; %s did not run", e.ID)
+			}
+			fmt.Fprintf(&b, "%s %s %s\n", e.ID, h[0], h[1])
+		}
+		if err := os.WriteFile(quickOutputsPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -63,6 +63,7 @@ func RunPerfSuite() []BenchResult {
 		defer e.Close()
 		e.Spawn(0, "runner", 0, func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
+				//mosvet:allow fprintcheck host-speed microbenchmark step; no simulated result is cached
 				p.Advance(10)
 			}
 		})
@@ -78,6 +79,7 @@ func RunPerfSuite() []BenchResult {
 		defer e.Close()
 		body := func(p *sim.Proc) {
 			for i := 0; i < n; i++ {
+				//mosvet:allow fprintcheck host-speed microbenchmark step; no simulated result is cached
 				p.Advance(10)
 			}
 		}
@@ -92,6 +94,7 @@ func RunPerfSuite() []BenchResult {
 	{
 		const cycles, procs = 200, 48
 		m := topo.New(procs)
+		//mosvet:allow fprintcheck host-speed microbenchmark step; no simulated result is cached
 		body := func(p *sim.Proc) { p.Advance(10) }
 		out = append(out, timeOp("spawn_run_fresh_engine", cycles, func() {
 			for i := 0; i < cycles; i++ {

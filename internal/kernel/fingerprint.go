@@ -5,6 +5,7 @@ import (
 	"repro/internal/mm"
 	"repro/internal/netsim"
 	"repro/internal/proc"
+	"repro/internal/rcu"
 	"repro/internal/scount"
 	"repro/internal/slock"
 	"repro/internal/vfs"
@@ -28,6 +29,7 @@ var fingerprint = fprint.New("kernel").
 	C("vfs", vfs.Fingerprint()).
 	C("mm", mm.Fingerprint()).
 	C("proc", proc.Fingerprint()).
+	C("rcu", rcu.Fingerprint()).
 	C("netsim", netsim.Fingerprint()).
 	C("slock", slock.Fingerprint()).
 	C("scount", scount.Fingerprint()).

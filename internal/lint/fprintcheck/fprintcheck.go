@@ -17,11 +17,17 @@
 // Advance, Use, AccessSet, Transfer, DMAWrite, ... — including through
 // package-level vars. iota enumerations are exempt (they tag variants;
 // they are not costs), as is any constant annotated
-// //mosvet:allow fprintcheck <reason>.
+// //mosvet:allow fprintcheck <reason>. A bare literal charge has the same
+// flaw as an untabled constant, so it reports each argument of a
+// charging call that is a constant built from literals alone
+// (p.Advance(60), p.Advance(4*300 + 800)), unless annotated. The value 1
+// is exempt: as an argument it counts one item (nic.Transfer(p, 1) moves
+// one packet), never a calibrated magnitude.
 package fprintcheck
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -80,7 +86,54 @@ func run(pass *analysis.Pass) error {
 			"cost constant %s feeds the charging path (via %s) outside the package's cost table: a retune would leave stale cache sections valid — make it a field of the table its fingerprint renders",
 			c.Name(), chargingConsts[c].Name())
 	}
+	reportLiteralCharges(pass)
 	return nil
+}
+
+// reportLiteralCharges reports every argument of a charging call, outside
+// test files, that isLiteralCost.
+func reportLiteralCharges(pass *analysis.Pass) {
+	for _, file := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+			continue // a test's own charges are not cached
+		}
+		analysis.WalkCalls(file, func(call *ast.CallExpr) {
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok || !chargeMethods[sel.Sel.Name] {
+				return
+			}
+			if _, isMethod := pass.TypesInfo.Selections[sel]; !isMethod {
+				return
+			}
+			for _, arg := range call.Args {
+				if isLiteralCost(pass, arg) {
+					pass.Reportf(arg.Pos(),
+						"literal cost %s is charged by %s outside the package's cost table: a retune would leave stale cache sections valid — make it a field of the table its fingerprint renders",
+						types.ExprString(arg), sel.Sel.Name)
+				}
+			}
+		})
+	}
+}
+
+// isLiteralCost reports whether expr is a numeric constant other than 1
+// written with literals only: no named constant (the rule above judges
+// those), just numbers, operators and conversions such as int64(60).
+func isLiteralCost(pass *analysis.Pass, expr ast.Expr) bool {
+	v := pass.TypesInfo.Types[expr].Value
+	if v == nil || (v.Kind() != constant.Int && v.Kind() != constant.Float) || v.String() == "1" {
+		return false
+	}
+	literal := true
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if _, isType := pass.TypesInfo.Uses[id].(*types.TypeName); !isType {
+				literal = false
+			}
+		}
+		return literal
+	})
+	return literal
 }
 
 // importsFprint reports whether pkg declares a cost domain, that is,

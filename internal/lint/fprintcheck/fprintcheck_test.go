@@ -25,3 +25,10 @@ func TestNoFingerprintSilent(t *testing.T) {
 func TestOutsideScopeSilent(t *testing.T) {
 	linttest.RunSilent(t, fprintcheck.Analyzer, "testdata/src/fpseed", "example.com/outside")
 }
+
+// TestLiteralCharges pins the literal rule: a charging call's argument
+// written with literals only is reported, the table's fields and values
+// computed from them are not, and an annotated literal is exempt.
+func TestLiteralCharges(t *testing.T) {
+	linttest.Run(t, fprintcheck.Analyzer, "testdata/src/fplit", "repro/internal/fplit")
+}

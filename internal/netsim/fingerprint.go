@@ -7,6 +7,7 @@ import "repro/internal/fprint"
 // parameters.
 var costs = struct {
 	protoWork, driverWork, copyPerByte, sockQueueOp, skbWork, mss int64
+	misdirectWork, ctlPacketBytes                                 int64
 	tcpHandshakePackets, dmaPayloadLines                          int
 	stealProbability, misdirectProbability                        float64
 }{
@@ -17,6 +18,14 @@ var costs = struct {
 	skbWork:     80,   // buffer init once allocated, cycles
 	// mss is the TCP maximum segment size used for packetization.
 	mss: 1448,
+	// ctlPacketBytes is the size of a header-only TCP control packet:
+	// each handshake packet at accept and the FIN exchange at close.
+	ctlPacketBytes: 60,
+	// misdirectWork is the extra work of a misdirected packet: socket
+	// state, receive queue head and packet data bounce between the two
+	// cores (~300 cycles per line), and the right core must be woken
+	// remotely.
+	misdirectWork: 4*300 + 800,
 	// tcpHandshakePackets is the packet count charged at accept: the
 	// inbound SYN and ACK plus the outbound SYN-ACK.
 	tcpHandshakePackets: 3,

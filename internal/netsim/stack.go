@@ -348,9 +348,9 @@ func (s *Stack) Accept(p *sim.Proc, l *Listener) *Conn {
 	for i := 0; i < costs.tcpHandshakePackets; i++ {
 		s.chargeSteering(p, conn)
 		if i < 2 {
-			s.rxPacket(p, 60)
+			s.rxPacket(p, costs.ctlPacketBytes)
 		} else {
-			s.txPacket(p, 60)
+			s.txPacket(p, costs.ctlPacketBytes)
 		}
 	}
 	return conn
@@ -377,10 +377,8 @@ func (s *Stack) chargeSteering(p *sim.Proc, c *Conn) {
 	}
 	if p.Engine().Rand.Float64() < prob {
 		s.misdirected++
-		// The packet is handled on the wrong core: socket state, receive
-		// queue head, and packet data bounce between the two cores, and
-		// the right core must be woken remotely.
-		p.Advance(4*300 + 800)
+		// The packet is handled on the wrong core.
+		p.Advance(costs.misdirectWork)
 	}
 }
 
@@ -402,8 +400,8 @@ func (s *Stack) Send(p *sim.Proc, c *Conn, n int64) {
 // CloseConn tears the connection down (FIN exchange + socket inode).
 func (s *Stack) CloseConn(p *sim.Proc, c *Conn) {
 	s.chargeSteering(p, c)
-	s.rxPacket(p, 60)
-	s.txPacket(p, 60)
+	s.rxPacket(p, costs.ctlPacketBytes)
+	s.txPacket(p, costs.ctlPacketBytes)
 	s.fs.ReleaseAnon(p, c.anon)
 }
 

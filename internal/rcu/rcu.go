@@ -11,9 +11,8 @@
 //     kernel, and why the residual stock bottlenecks are the reference
 //     counts and per-dentry locks the paper's fixes target, not the hash
 //     walk itself.
-//   - Writers defer reclamation: call_rcu is cheap and asynchronous, but
-//     synchronize_rcu must wait a grace period that grows with the number
-//     of cores that must pass through a quiescent state.
+//   - Writers defer reclamation: call_rcu is cheap and asynchronous, so
+//     the dentry frees on the unlink path never wait for a grace period.
 package rcu
 
 import (
@@ -23,10 +22,6 @@ import (
 	"repro/internal/sim"
 )
 
-// graceQuantum is the per-core contribution to a grace period: each active
-// core must pass a quiescent state (roughly a context switch / tick).
-const graceQuantum = 2_000
-
 // RCU is one RCU domain for a machine.
 type RCU struct {
 	md *mem.Model
@@ -35,11 +30,6 @@ type RCU struct {
 	perCoreLines []mem.Line
 
 	nesting []int // read-side nesting depth per core
-
-	// callbacks counts deferred reclamations not yet invoked.
-	callbacks int64
-	// completed counts grace periods completed.
-	completed int64
 }
 
 // New creates an RCU domain.
@@ -76,25 +66,5 @@ func (r *RCU) InReader(core int) bool { return r.nesting[core] > 0 }
 // CallRCU registers a deferred reclamation: cheap, asynchronous, no
 // waiting — the discipline the dcache uses to free dentries safely.
 func (r *RCU) CallRCU(p *sim.Proc) {
-	r.callbacks++
-	p.Advance(40) // queueing the callback on a per-core list
+	p.Advance(costs.callRCUWork)
 }
-
-// Synchronize waits for a full grace period: every active core must pass
-// a quiescent state, so the latency grows linearly with the core count.
-// The caller must not be inside a read-side section.
-func (r *RCU) Synchronize(p *sim.Proc) {
-	if r.nesting[p.Core()] > 0 {
-		panic("rcu: Synchronize inside a read-side critical section")
-	}
-	cores := int64(r.md.Machine().NCores)
-	p.Idle(cores * graceQuantum)
-	r.completed++
-	r.callbacks = 0
-}
-
-// PendingCallbacks returns deferred reclamations not yet processed.
-func (r *RCU) PendingCallbacks() int64 { return r.callbacks }
-
-// Completed returns how many grace periods have finished.
-func (r *RCU) Completed() int64 { return r.completed }

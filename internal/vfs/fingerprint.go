@@ -6,7 +6,7 @@ import "repro/internal/fprint"
 // charges. The shared-line coherence charges themselves come from mem and
 // topo, which carry their own fingerprints.
 var costs = struct {
-	syscallEntry, hashWork, copyPerByte, statWork, createWork, unlinkWork, listWork int64
+	syscallEntry, hashWork, copyPerByte, statWork, createWork, unlinkWork, listWork, listLockHold int64
 }{
 	syscallEntry: 150,  // trap + entry/exit bookkeeping per syscall
 	hashWork:     50,   // per-component name hash + bucket probe
@@ -15,6 +15,7 @@ var costs = struct {
 	createWork:   5000, // inode init, dirent insertion, timestamps (~2 us)
 	unlinkWork:   2500, // directory entry removal + inode teardown
 	listWork:     40,   // list insert/remove once the lock is held
+	listLockHold: 60,   // inode_lock/dcache_lock hold for a list insert/remove
 }
 
 var fingerprint = fprint.New("vfs").Table(costs).Sum()

@@ -102,9 +102,6 @@ func New(md *mem.Model, alloc *mm.Allocator, cfg Config) *FS {
 	return fs
 }
 
-// RCU exposes the dcache's RCU domain (statistics and tests).
-func (fs *FS) RCU() *rcu.RCU { return fs.rcu }
-
 // Config returns the active configuration.
 func (fs *FS) Config() Config { return fs.cfg }
 
@@ -400,7 +397,7 @@ func (fs *FS) chargeInodeListLock(p *sim.Proc, destroying bool) {
 		return
 	}
 	fs.inodeLock.Acquire(p)
-	p.Advance(60) // list insert/remove
+	p.Advance(costs.listLockHold)
 	fs.inodeLock.Release(p)
 }
 
@@ -411,7 +408,7 @@ func (fs *FS) chargeDcacheListLock(p *sim.Proc, destroying bool) {
 		return
 	}
 	fs.dcacheLock.Acquire(p)
-	p.Advance(60)
+	p.Advance(costs.listLockHold)
 	fs.dcacheLock.Release(p)
 }
 
