@@ -119,6 +119,7 @@ func apacheRequest(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, l *netsim
 
 	stack.Send(p, conn, apacheCosts.apacheHdrBytes+apacheCosts.apacheFileBytes)
 	for i := 0; i < apacheCosts.apacheAckPackets; i++ {
+		//mosvet:allow fprintcheck a pure ACK carries no payload: 0 bytes is not a calibrated size
 		stack.Send(p, conn, 0)
 	}
 	stack.CloseConn(p, conn)

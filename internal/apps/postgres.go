@@ -40,12 +40,15 @@ func DefaultPostgresOpts() PostgresOpts {
 // user mode.
 var postgresCosts = struct {
 	pgUserWorkPerQuery, pgUserWorkPerWrite, pgRootSpinHold, pgLockMgrWork, pgWALBytes int64
+	pgQueryBytes, pgReplyBytes                                                        int64
 	pgLseeksPerQuery, pgBatchSize                                                     int
 }{
 	pgUserWorkPerQuery: 100_000, // B-tree descent, tuple fetch, executor
 	pgUserWorkPerWrite: 15_000,  // extra update work
 	pgLseeksPerQuery:   12,      // "many times per query on the same two files"
 	pgBatchSize:        256,     // queries per network round trip
+	pgQueryBytes:       64,      // one query's request on the connection
+	pgReplyBytes:       128,     // one query's response
 	// pgRootSpinHold is the buffer-cache root page lock hold time. Every
 	// query pins the index root; at 48 cores this user-level lock is the
 	// paper's residual PK+modPG bottleneck, costing a visible fraction of
@@ -118,12 +121,12 @@ func RunPostgres(k *kernel.Kernel, opts PostgresOpts) Result {
 				if rem := opts.QueriesPerCore - done; n > rem {
 					n = rem
 				}
-				stack.Recv(p, conn, int64(64*n)) // batched queries arrive
+				stack.Recv(p, conn, postgresCosts.pgQueryBytes*int64(n)) // batched queries arrive
 				for q := 0; q < n; q++ {
 					write := e.Rand.Float64() < opts.WriteFraction
 					pgQuery(k, p, st, table, index, wal, write, opts)
 				}
-				stack.Send(p, conn, int64(128*n))
+				stack.Send(p, conn, postgresCosts.pgReplyBytes*int64(n))
 				done += n
 			}
 			fs.Close(p, table)

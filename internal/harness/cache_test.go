@@ -54,7 +54,7 @@ func TestSectionFingerprintGolden(t *testing.T) {
 		"apps/memcached": "681c4bfbd54a891d",
 		"apps/metis":     "7a1c0ecd51cb4503",
 		"apps/pedsort":   "e3c52b297d2f2baf",
-		"apps/postgres":  "08b03bfa48a4eec4",
+		"apps/postgres":  "6b074bc43bcdbca7",
 		"fault":          "93c5dd56f5fa281c",
 		"kernel":         "10655430d4b72a23",
 		"load":           "043aeeca502d32c8",

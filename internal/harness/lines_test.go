@@ -1,0 +1,55 @@
+package harness
+
+import (
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/kernel"
+	"repro/internal/sim"
+	"repro/internal/topo"
+)
+
+// eximLinesPerMessage bounds how many directory lines one more Exim
+// message adds to the memory model. A message creates and unlinks two
+// spool files, whose dentries stay (three lines each under Stock, about
+// seven under PK), and forks three processes, whose page-table lines Exit
+// frees. A path that leaks lines on every operation (a sloppy counter's
+// per-core pools allocated up front, a process's 24 page-table lines never
+// freed) costs tens to hundreds of lines per message and fails the bound.
+const eximLinesPerMessage = 20
+
+// TestEximDirectoryLinesPerMessage runs Exim, Stock and PK, on the default
+// 48-core machine and on big192, at half the quick message budget and at
+// the quick budget, and bounds the directory's growth between the two runs
+// per extra message. Comparing two runs leaves out the setup and the pool
+// lines the first messages allocate for long-lived files.
+func TestEximDirectoryLinesPerMessage(t *testing.T) {
+	big, ok := topo.Lookup("big192")
+	if !ok {
+		t.Fatal("machine profile big192 not registered")
+	}
+	perCore := scale(apps.DefaultEximOpts().MessagesPerCore, true)
+	for _, m := range []*topo.Machine{topo.Default(), big} {
+		for _, v := range []struct {
+			name string
+			cfg  kernel.Config
+		}{{"Stock", kernel.Stock()}, {"PK", kernel.PK()}} {
+			run := func(perCore int) (lines int, msgs int64) {
+				k := kernel.NewOnEngine(sim.NewEngine(m, 1), v.cfg, nil, nil)
+				opts := apps.DefaultEximOpts()
+				opts.MessagesPerCore = perCore
+				r := apps.RunExim(k, opts)
+				return k.MD.NumLines(), r.Ops
+			}
+			lines, msgs := run(perCore / 2)
+			lines2, msgs2 := run(perCore)
+			perMsg := float64(lines2-lines) / float64(msgs2-msgs)
+			t.Logf("%s %s: %d then %d messages, %d then %d lines, %.1f per message",
+				m.Name, v.name, msgs, msgs2, lines, lines2, perMsg)
+			if perMsg > eximLinesPerMessage {
+				t.Errorf("%s %s Exim adds %.1f directory lines per message, want at most %d",
+					m.Name, v.name, perMsg, eximLinesPerMessage)
+			}
+		}
+	}
+}

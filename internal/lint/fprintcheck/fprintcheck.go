@@ -14,7 +14,7 @@
 // imports internal/fprint, fprintcheck reports each package-level
 // numeric constant referenced by a function that (transitively, within
 // the package) reaches a charging callsite — a method call named
-// Advance, Use, AccessSet, Transfer, DMAWrite, ... — including through
+// Advance, Use, AccessSet, Transfer, DMAWrite, Send, Append, ... — including through
 // package-level vars. iota enumerations are exempt (they tag variants;
 // they are not costs), as is any constant annotated
 // //mosvet:allow fprintcheck <reason>. A bare literal charge has the same
@@ -44,8 +44,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // chargeMethods are the method names that charge simulated cost: engine
-// time (Proc), resource queues, and the memory system's batch and bulk
-// paths.
+// time (Proc), resource queues, the memory system's batch and bulk paths,
+// and the network stack's and VFS's byte-charging calls, whose byte
+// counts are copied at a per-byte cost.
 var chargeMethods = map[string]bool{
 	"Advance": true, "AdvanceUser": true, "Use": true,
 	"Idle": true, "IdleUntil": true,
@@ -53,6 +54,8 @@ var chargeMethods = map[string]bool{
 	"TransferStriped": true, "TransferPlaced": true,
 	"DMAWrite": true, "DMARead": true,
 	"AccountSys": true, "AccountUser": true,
+	"Recv": true, "Send": true, "RecvUDP": true, "SendUDP": true,
+	"LoopbackXfer": true, "Append": true, "Read": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -223,3 +223,75 @@ func chargeSequence(md *Model, seed uint64) []int64 {
 	}
 	return costs
 }
+
+// TestFreedLineAccessPanics: between Free and the Alloc that reuses it, a
+// line is a tombstone, and every access to it panics, a second Free
+// included.
+func TestFreedLineAccessPanics(t *testing.T) {
+	for name, access := range map[string]func(md *Model, l Line){
+		"read":      func(md *Model, l Line) { md.Read(0, l, 0) },
+		"write":     func(md *Model, l Line) { md.Write(0, l, 0) },
+		"atomic":    func(md *Model, l Line) { md.Atomic(0, l, 0) },
+		"accessset": func(md *Model, l Line) { md.AccessSet(0, []Line{l}, OpRead, 0) },
+		"dmawrite":  func(md *Model, l Line) { md.DMAWrite([]Line{l}) },
+		"label":     func(md *Model, l Line) { md.Label(l, "freed") },
+		"free":      func(md *Model, l Line) { md.Free(l) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			md := newModel48()
+			l := md.Alloc(0)
+			md.Write(3, l, 0)
+			md.Free(l)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a freed line did not panic", name)
+				}
+			}()
+			access(md, l)
+		})
+	}
+}
+
+// TestFreeLabeledLinePanics: a label names a long-lived contention point,
+// so its line is never freed.
+func TestFreeLabeledLinePanics(t *testing.T) {
+	md := newModel48()
+	l := md.Alloc(0)
+	md.Label(l, "hot")
+	defer func() {
+		if recover() == nil {
+			t.Error("Free of a labeled line did not panic")
+		}
+	}()
+	md.Free(l)
+}
+
+// TestReusedLinesChargeLikeFresh is the free list's guarantee: a model
+// whose lines an earlier sequence dirtied and freed charges the same cost
+// sequence as a fresh model, reusing those lines instead of growing, on
+// machines with and without sharer words beyond the first.
+func TestReusedLinesChargeLikeFresh(t *testing.T) {
+	big, ok := topo.Lookup("big192")
+	if !ok {
+		t.Fatal("machine profile big192 not registered")
+	}
+	for _, m := range []*topo.Machine{topo.New(48), big} {
+		t.Run(m.Name, func(t *testing.T) {
+			want := chargeSequence(NewModel(m), 1)
+
+			md := NewModel(m)
+			chargeSequence(md, 2)
+			n := md.NumLines()
+			for l := range n {
+				md.Free(Line(l))
+			}
+			got := chargeSequence(md, 1)
+			if md.NumLines() != n {
+				t.Errorf("the directory grew from %d to %d lines; want every line reused", n, md.NumLines())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("reused lines changed the charged costs:\ngot  %v\nwant %v", got, want)
+			}
+		})
+	}
+}

@@ -46,10 +46,14 @@ type state struct {
 	busyUntil int64
 
 	owner int16 // core that last wrote, -1 if never written
-	home  int8  // chip whose DRAM homes this line
+	home  int8  // chip whose DRAM homes this line; freed for a freed line
 	dirty bool  // true if owner's copy is modified
 	label int32 // 1-based index into Model.labeled, 0 if unlabeled
 }
+
+// freed is the home of a freed entry: st panics on it, so a line is never
+// accessed between Free and the Alloc that reuses it.
+const freed = -1
 
 // pageSize is how many lines one directory page holds. Pages are allocated
 // whole as the directory grows and never move, so growth never copies
@@ -171,7 +175,11 @@ type Model struct {
 	// (wide stays empty when words is 0).
 	pages []*page
 	wide  [][]uint64
-	n     int // lines allocated
+	n     int // lines allocated, freed ones included
+
+	// free lists the freed lines Alloc reuses before it grows the
+	// directory.
+	free []Line
 
 	// spare is the free list new pages come from first, nil for a model
 	// that allocates every page.
@@ -233,7 +241,7 @@ func (md *Model) Release() {
 		}
 		sp.wide = append(sp.wide, md.wide...)
 	}
-	md.pages, md.wide, md.n, md.spare = nil, nil, 0, nil
+	md.pages, md.wide, md.n, md.free, md.spare = nil, nil, 0, nil, nil
 }
 
 // newPage returns a directory page, from the spare list when it has one.
@@ -279,21 +287,29 @@ func (md *Model) Label(l Line, name string) {
 // Machine returns the machine this model simulates.
 func (md *Model) Machine() *topo.Machine { return md.mach }
 
-// Alloc allocates a fresh line homed in the DRAM of the given chip.
+// Alloc allocates a fresh line homed in the DRAM of the given chip. It
+// reuses a freed line when there is one; a reused line starts exactly as
+// a new one does.
 func (md *Model) Alloc(homeChip int) Line {
 	if homeChip < 0 || homeChip >= md.mach.Chips {
 		panic(fmt.Sprintf("mem: home chip %d out of range", homeChip))
 	}
-	pg, i := md.n/pageSize, md.n%pageSize
-	if i == 0 {
-		md.pages = append(md.pages, md.newPage())
-		if md.words > 0 {
-			md.wide = append(md.wide, md.newWide())
+	var l Line
+	if n := len(md.free); n > 0 {
+		l = md.free[n-1]
+		md.free = md.free[:n-1]
+	} else {
+		if md.n%pageSize == 0 {
+			md.pages = append(md.pages, md.newPage())
+			if md.words > 0 {
+				md.wide = append(md.wide, md.newWide())
+			}
 		}
+		l = Line(md.n)
+		md.n++
 	}
-	md.pages[pg][i] = state{owner: -1, home: int8(homeChip)}
-	md.n++
-	return Line(md.n - 1)
+	md.pages[uint(l)/pageSize][uint(l)%pageSize] = state{owner: -1, home: int8(homeChip)}
+	return l
 }
 
 // AllocLocal allocates a line homed on the chip of the given core, the
@@ -311,6 +327,19 @@ func (md *Model) AllocN(homeChip, n int) []Line {
 	return ls
 }
 
+// Free returns line l to the directory. Until an Alloc reuses it, any
+// access to l panics. A labeled line cannot be freed: labels name
+// long-lived contention points.
+func (md *Model) Free(l Line) {
+	s, hi := md.st(l)
+	if s.label != 0 {
+		panic(fmt.Sprintf("mem: free of labeled line %d", l))
+	}
+	*s = state{home: freed}
+	clear(hi)
+	md.free = append(md.free, l)
+}
+
 // st returns line l's directory entry and its sharer words for cores 64..
 // (empty on machines with at most 64 cores).
 func (md *Model) st(l Line) (*state, []uint64) {
@@ -319,6 +348,9 @@ func (md *Model) st(l Line) (*state, []uint64) {
 	}
 	pg, i := uint(l)/pageSize, uint(l)%pageSize
 	s := &md.pages[pg][i]
+	if s.home == freed {
+		panic(fmt.Sprintf("mem: access to freed line %d", l))
+	}
 	if md.words == 0 {
 		return s, nil
 	}
@@ -358,7 +390,7 @@ func (md *Model) read(c, w int, bit uint64, myChip int, l Line, now int64) int64
 		s.dirty = false // downgraded to shared; owner keeps a copy
 	case s.anySharer(hi):
 		// Clean copy in some cache; nearest provider wins.
-		cost = md.fetchFromSharers(myChip, s)
+		cost = md.fetchFromSharers(myChip, s.chips)
 	default:
 		// Nobody caches it: DRAM access to the home node.
 		cost = md.mach.DRAMLatency(myChip, int(s.home))
@@ -369,17 +401,17 @@ func (md *Model) read(c, w int, bit uint64, myChip int, l Line, now int64) int64
 }
 
 // fetchFromSharers returns the latency of fetching a clean copy from the
-// nearest sharing cache. The directory tracks sharers per chip (s.chips),
+// nearest sharing cache. The directory tracks sharers per chip (chips),
 // and interconnect latency grows monotonically with hop distance, so the
 // nearest provider is found by widening the hop radius over the chip
 // bitmask instead of scanning all NCores sharer bits.
-func (md *Model) fetchFromSharers(myChip int, s *state) int64 {
-	if s.chips&(1<<uint(myChip)) != 0 {
+func (md *Model) fetchFromSharers(myChip int, chips uint64) int64 {
+	if chips&(1<<uint(myChip)) != 0 {
 		return md.mach.LatL3 // same-chip L3 hit
 	}
 	maxHops := md.mach.MaxHops()
 	for d := 1; d <= maxHops; d++ {
-		if md.mach.SharersAtDistance(myChip, d, s.chips) != 0 {
+		if md.mach.SharersAtDistance(myChip, d, chips) != 0 {
 			// Equal hop distance means equal latency for every provider
 			// at that radius.
 			return md.mach.DRAMLatencyAtHops(d)
@@ -417,7 +449,7 @@ func (md *Model) write(c, w int, bit uint64, myChip int, l Line, now int64) int6
 		// Fetch modified data from previous owner, then own it.
 		cost = md.mach.RemoteCacheLatency(myChip, int(md.chipOf[s.owner]))
 	case s.anySharer(hi):
-		cost = md.fetchFromSharers(myChip, s)
+		cost = md.fetchFromSharers(myChip, s.chips)
 	default:
 		cost = md.mach.DRAMLatency(myChip, int(s.home))
 	}
@@ -556,5 +588,6 @@ func (md *Model) Reads() int64 { return md.reads }
 // Writes returns the total write count.
 func (md *Model) Writes() int64 { return md.writes }
 
-// NumLines returns how many lines have been allocated.
+// NumLines returns how many lines the directory holds: the lines
+// allocated, freed ones awaiting reuse included.
 func (md *Model) NumLines() int { return md.n }

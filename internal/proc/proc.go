@@ -91,10 +91,15 @@ func (t *Table) Exec(p *sim.Proc) {
 	p.Advance(costs.execWork)
 }
 
-// Exit tears the process down: page-struct releases and mapping frees,
-// writing the sampled page-table lines (remote if the process migrated).
+// Exit tears a forked process down: page-struct releases and mapping
+// frees, writing the sampled page-table lines (remote if the process
+// migrated). The freed page tables return their lines to the memory
+// model, so the process must not be touched again.
 func (t *Table) Exit(p *sim.Proc, proc *Process) {
 	p.Advance(costs.exitWork + t.md.AccessSet(p.Core(), proc.ptLines[:], mem.OpWrite, p.Now()))
+	for _, l := range proc.ptLines {
+		t.md.Free(l)
+	}
 	t.ps.TouchN(p, t.md, proc.PID*7, costs.pageStructTouches)
 }
 

@@ -168,3 +168,36 @@ func TestForkExitAllocationBudget(t *testing.T) {
 		t.Errorf("a Fork+Exit allocates %.0f objects, want 1", allocs)
 	}
 }
+
+// TestExitFreesPageTableLines: Exit returns the process's 24 sampled
+// page-table lines to the memory model, and the next Fork reuses them
+// instead of growing the directory.
+func TestExitFreesPageTableLines(t *testing.T) {
+	e, md, tbl := setup(4, true)
+	e.Spawn(1, "parent", 0, func(p *sim.Proc) {
+		parent := tbl.NewInitProcess(nil)
+		child := tbl.Fork(p, parent, nil)
+		lines := md.NumLines()
+		freed := map[mem.Line]bool{}
+		for _, l := range child.ptLines {
+			freed[l] = true
+		}
+		tbl.Exit(p, child)
+
+		next := tbl.Fork(p, parent, nil)
+		if md.NumLines() != lines {
+			t.Errorf("fork after exit grew the directory from %d to %d lines", lines, md.NumLines())
+		}
+		for _, l := range next.ptLines {
+			if !freed[l] {
+				t.Errorf("fork after exit allocated line %d, not one the exited child freed", l)
+			}
+			delete(freed, l)
+		}
+		if len(freed) != 0 || len(next.ptLines) != ptSampleLines {
+			t.Errorf("the next fork took %d lines and left %d of the exited child's; want all %d reused",
+				len(next.ptLines), len(freed), ptSampleLines)
+		}
+	})
+	e.Run()
+}

@@ -99,6 +99,10 @@ type Sloppy struct {
 
 	cores []sloppyCore // per-core spare pools, indexed by core
 
+	// shadow is the coherence state of every pool line not yet
+	// allocated: only Reconcile has read them.
+	shadow mem.Shadow
+
 	inUse int64 // references handed out (model bookkeeping, not a kernel field)
 
 	// Threshold is the per-core spare cap; see DefaultSpareThreshold.
@@ -108,14 +112,18 @@ type Sloppy struct {
 }
 
 // sloppyCore is one core's spare pool: the spare references it holds and
-// the cache line, homed on that core's chip, that holds the count.
+// the cache line, homed on that core's chip, that holds the count
+// (mem.NoLine until the core first touches its pool).
 type sloppyCore struct {
 	spares int64
 	line   mem.Line
 }
 
 // NewSloppy allocates a sloppy counter: a central line on the given home
-// chip plus one line per core homed on that core's chip.
+// chip, and one spare pool per core. A pool's line, homed on its core's
+// chip, is allocated when that core first touches the pool; until then
+// the counter's shadow stands in for it, so a counter costs directory
+// lines only for the cores that use it.
 func NewSloppy(md *mem.Model, homeChip int) *Sloppy {
 	n := md.Machine().NCores
 	s := &Sloppy{
@@ -125,9 +133,18 @@ func NewSloppy(md *mem.Model, homeChip int) *Sloppy {
 		Threshold:   DefaultSpareThreshold,
 	}
 	for c := range s.cores {
-		s.cores[c].line = md.AllocLocal(c)
+		s.cores[c].line = mem.NoLine
 	}
 	return s
+}
+
+// pool returns core c's spare pool with its line allocated.
+func (s *Sloppy) pool(c int) *sloppyCore {
+	pool := &s.cores[c]
+	if pool.line == mem.NoLine {
+		pool.line = s.md.AllocShadow(s.md.Machine().Chip(c), &s.shadow)
+	}
+	return pool
 }
 
 // Acquire takes v references: from the local spare pool when possible,
@@ -135,8 +152,9 @@ func NewSloppy(md *mem.Model, homeChip int) *Sloppy {
 func (s *Sloppy) Acquire(p *sim.Proc, v int64) {
 	c := p.Core()
 	s.inUse += v
-	if pool := &s.cores[c]; pool.spares >= v {
+	if s.cores[c].spares >= v {
 		// Local decrement: typically a cache hit on this core's own line.
+		pool := s.pool(c)
 		pool.spares -= v
 		s.localOps++
 		p.Advance(s.md.Write(c, pool.line, p.Now()))
@@ -157,7 +175,7 @@ func (s *Sloppy) Release(p *sim.Proc, v int64) {
 		panic(fmt.Sprintf("scount: releasing %d of %d references", v, s.inUse))
 	}
 	c := p.Core()
-	pool := &s.cores[c]
+	pool := s.pool(c)
 	s.inUse -= v
 	pool.spares += v
 	s.localOps++
@@ -179,15 +197,22 @@ func (s *Sloppy) InUse() int64 { return s.inUse }
 
 // Reconcile computes the true value by visiting every per-core line — the
 // expensive operation the paper says makes sloppy counters suitable only
-// for rarely deallocated objects.
+// for rarely deallocated objects. A pool whose line is not yet allocated
+// is charged as the read of that line, from the shadow.
 func (s *Sloppy) Reconcile(p *sim.Proc) int64 {
+	c, now := p.Core(), p.Now()
 	var cost int64
 	total := s.central
-	for _, pool := range s.cores {
-		cost += s.md.Read(p.Core(), pool.line, p.Now())
+	for u, pool := range s.cores {
+		if pool.line == mem.NoLine {
+			cost += s.md.ReadShadow(c, &s.shadow, s.md.Machine().Chip(u))
+		} else {
+			cost += s.md.Read(c, pool.line, now)
+		}
 		total -= pool.spares
 	}
-	cost += s.md.Read(p.Core(), s.centralLine, p.Now())
+	s.md.ShareShadow(c, &s.shadow)
+	cost += s.md.Read(c, s.centralLine, now)
 	p.Advance(cost)
 	return total
 }

@@ -13,8 +13,11 @@ import (
 // and lookups use the lock-free generation protocol (§4.3, §4.4).
 //
 // A dentry embeds its inode, lock, generation counter and stock reference
-// count, so creating a file costs one host allocation (two with a sloppy
-// reference count, whose per-core pools live apart).
+// count, so creating a file costs one host allocation (three with a sloppy
+// reference count: the counter and its per-core pool array live apart).
+// A sloppy count's pool lines enter the memory model only for the cores
+// that touch them; every other line the dentry allocates stays in the
+// model after Unlink.
 type Dentry struct {
 	// Name is this component's name.
 	Name string
