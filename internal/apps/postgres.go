@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -86,7 +84,7 @@ func newPGState(k *kernel.Kernel, opts PostgresOpts) *pgState {
 	st.rootSpin.ChargeUser = true
 	st.lockMgr = make([]slock.Mutex, nMutex)
 	for i := range st.lockMgr {
-		st.lockMgr[i] = slock.NewMutex(k.MD, fmt.Sprintf("pg-lockmgr-%d", i), i%8)
+		st.lockMgr[i] = slock.NewMutex(k.MD, "pg-lockmgr", i%8)
 		st.lockMgr[i].ChargeUser = true
 	}
 	return st
@@ -153,7 +151,7 @@ func RunPostgres(k *kernel.Kernel, opts PostgresOpts) Result {
 // pgQuery executes one query: index descent with the buffer-cache root
 // lock, lseeks on the backing files, optional row-lock + WAL for updates.
 func pgQuery(k *kernel.Kernel, p *sim.Proc, st *pgState,
-	table, index, wal *vfs.File, write bool, opts PostgresOpts) {
+	table, index, wal vfs.File, write bool, opts PostgresOpts) {
 
 	fs := k.FS
 

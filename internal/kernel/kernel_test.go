@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -66,5 +68,52 @@ func TestBootKernel(t *testing.T) {
 	as := k.NewAddressSpace(0)
 	if as == nil {
 		t.Fatal("NewAddressSpace returned nil")
+	}
+}
+
+// TestLockClassesShareOneRecord: a lock counts into its class's record.
+// On a PK kernel each core's open-file list lock is one of 48 locks of the
+// class sb_files-cpu*, and an open and a close on every core reach that
+// one record, the only sb_files-cpu row of the profile. On a stock kernel
+// a dentry created at run time counts its d_lock into md.Prof.Lock
+// ("d_lock").
+func TestLockClassesShareOneRecord(t *testing.T) {
+	k := New(topo.New(48), PK(), 1)
+	k.FS.MustCreateFile("/f", 1)
+	for c := 0; c < 48; c++ {
+		k.Engine.Spawn(c, "p", 0, func(p *sim.Proc) {
+			k.FS.Close(p, k.FS.Open(p, "/f"))
+		})
+	}
+	k.Engine.Run()
+	if got := k.MD.Prof.Lock("sb_files-cpu*").Acquisitions; got != 2*48 {
+		t.Errorf("sb_files-cpu* acquisitions = %d, want %d (one open and one close per core)", got, 2*48)
+	}
+	var rows []string
+	for _, s := range k.MD.Prof.TopLocks(100) {
+		if strings.HasPrefix(s.Name, "sb_files") {
+			rows = append(rows, s.Name)
+		}
+	}
+	if len(rows) != 1 || rows[0] != "sb_files-cpu*" {
+		t.Errorf("profile rows for the open-file list locks = %q, want one sb_files-cpu* row", rows)
+	}
+
+	k = New(topo.New(1), Stock(), 1)
+	k.FS.MustMkdirAll("/spool")
+	dLock := k.MD.Prof.Lock("d_lock")
+	var viaSpool, viaNew int64
+	k.Engine.Spawn(0, "p", 0, func(p *sim.Proc) {
+		k.FS.Close(p, k.FS.Create(p, "/spool", "new"))
+		before := dLock.Acquisitions
+		k.FS.Walk(p, "/spool", false)
+		viaSpool = dLock.Acquisitions - before
+		before = dLock.Acquisitions
+		k.FS.Walk(p, "/spool/new", false)
+		viaNew = dLock.Acquisitions - before
+	})
+	k.Engine.Run()
+	if viaSpool != 2 || viaNew != 3 {
+		t.Errorf("d_lock acquisitions: walking /spool added %d, /spool/new %d; want 2 and 3 (the new dentry's lock counts into d_lock)", viaSpool, viaNew)
 	}
 }

@@ -59,7 +59,7 @@ func NewAllocator(md *mem.Model) *Allocator {
 	chips := md.Machine().Chips
 	a := &Allocator{md: md, locks: make([]slock.SpinLock, chips)}
 	for n := range a.locks {
-		a.locks[n] = slock.NewSpinLock(md, fmt.Sprintf("pgalloc-node%d", n), n)
+		a.locks[n] = slock.NewSpinLock(md, "pgalloc-node*", n)
 	}
 	a.freed = make([]int64, chips)
 	a.alloc = make([]int64, chips)

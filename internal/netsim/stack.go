@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/scount"
@@ -261,18 +259,18 @@ func (s *Stack) txPacket(p *sim.Proc, n int64) {
 
 // UDPSocket is a bound UDP socket pinned to a core.
 type UDPSocket struct {
-	anon *vfs.AnonInode
 	core int
 }
 
 // NewUDPSocket creates a socket owned by the calling proc's core.
 func (s *Stack) NewUDPSocket(p *sim.Proc) *UDPSocket {
-	return &UDPSocket{anon: s.fs.CreateAnon(p), core: p.Core()}
+	s.fs.CreateAnon(p)
+	return &UDPSocket{core: p.Core()}
 }
 
 // CloseUDP destroys the socket.
 func (s *Stack) CloseUDP(p *sim.Proc, u *UDPSocket) {
-	s.fs.ReleaseAnon(p, u.anon)
+	s.fs.ReleaseAnon(p)
 }
 
 // RecvUDP charges receipt of one request datagram of n bytes.
@@ -316,7 +314,6 @@ func (s *Stack) Listen(p *sim.Proc) *Listener {
 
 // Conn is an accepted TCP connection.
 type Conn struct {
-	anon *vfs.AnonInode
 	// local is true when all packet processing for the connection happens
 	// on the accepting core (PK parallel accept with flow steering).
 	local bool
@@ -343,7 +340,7 @@ func (s *Stack) Accept(p *sim.Proc, l *Listener) *Conn {
 		l.lock.Release(p)
 		conn.local = false
 	}
-	conn.anon = s.fs.CreateAnon(p)
+	s.fs.CreateAnon(p)
 	// Handshake packets processed by this core.
 	for i := 0; i < costs.tcpHandshakePackets; i++ {
 		s.chargeSteering(p, conn)
@@ -362,7 +359,8 @@ func (s *Stack) Accept(p *sim.Proc, l *Listener) *Conn {
 // design typically performs well for long-lived connections"). PostgreSQL
 // relies on it on both kernels (§5.5).
 func (s *Stack) NewSteeredConn(p *sim.Proc) *Conn {
-	return &Conn{anon: s.fs.CreateAnon(p), local: true}
+	s.fs.CreateAnon(p)
+	return &Conn{local: true}
 }
 
 // chargeSteering charges the cache misses of a misdirected packet: the
@@ -402,7 +400,7 @@ func (s *Stack) CloseConn(p *sim.Proc, c *Conn) {
 	s.chargeSteering(p, c)
 	s.rxPacket(p, costs.ctlPacketBytes)
 	s.txPacket(p, costs.ctlPacketBytes)
-	s.fs.ReleaseAnon(p, c.anon)
+	s.fs.ReleaseAnon(p)
 }
 
 func segments(n int64) []int64 {
@@ -421,13 +419,12 @@ func segments(n int64) []int64 {
 
 // LoopbackConn is a same-machine TCP connection: no NIC, no DMA buffers,
 // but still socket inodes and protocol work.
-type LoopbackConn struct {
-	anon *vfs.AnonInode
-}
+type LoopbackConn struct{}
 
 // DialLoopback creates a client->server loopback connection.
 func (s *Stack) DialLoopback(p *sim.Proc) *LoopbackConn {
-	return &LoopbackConn{anon: s.fs.CreateAnon(p)}
+	s.fs.CreateAnon(p)
+	return &LoopbackConn{}
 }
 
 // LoopbackXfer charges a loopback send+receive of n bytes.
@@ -439,7 +436,7 @@ func (s *Stack) LoopbackXfer(p *sim.Proc, c *LoopbackConn, n int64) {
 
 // CloseLoopback destroys the loopback connection.
 func (s *Stack) CloseLoopback(p *sim.Proc, c *LoopbackConn) {
-	s.fs.ReleaseAnon(p, c.anon)
+	s.fs.ReleaseAnon(p)
 }
 
 // ---- skb pool ----
@@ -471,7 +468,7 @@ func newSkbPool(md *mem.Model, perCore bool) *SkbPool {
 	sp := &SkbPool{
 		perCore:  perCore,
 		md:       md,
-		lock:     slock.NewSpinLock(md, "skb-pool-node0", 0),
+		lock:     slock.NewSpinLock(md, "skb-pool-node*", 0),
 		listLine: md.Alloc(0),
 	}
 	if !perCore {
@@ -480,7 +477,7 @@ func newSkbPool(md *mem.Model, perCore bool) *SkbPool {
 	n := md.Machine().NCores
 	sp.coreLocks = make([]slock.SpinLock, n)
 	for c := 0; c < n; c++ {
-		sp.coreLocks[c] = slock.NewSpinLock(md, fmt.Sprintf("skb-pool-cpu%d", c), md.Machine().Chip(c))
+		sp.coreLocks[c] = slock.NewSpinLock(md, "skb-pool-cpu*", md.Machine().Chip(c))
 		sp.coreLines = append(sp.coreLines, md.AllocLocal(c))
 		home := 0
 		if perCore {

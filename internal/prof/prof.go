@@ -12,10 +12,13 @@ import (
 	"strings"
 )
 
-// LockStats accumulates per-lock contention counters. Lock implementations
-// update the fields directly; the registry only aggregates and reports.
+// LockStats accumulates the contention counters of one lock class: every
+// lock registered under the same name counts into the one record, so a
+// per-core array of locks or every dentry's d_lock is one row. Lock
+// implementations update the fields directly; the registry only reports.
 type LockStats struct {
-	// Name identifies the lock (e.g. "vfsmount_lock").
+	// Name identifies the lock class (e.g. "vfsmount_lock", "d_lock",
+	// "skb-pool-cpu*").
 	Name string
 	// Acquisitions counts every acquire.
 	Acquisitions int64
@@ -36,33 +39,26 @@ type LineStats struct {
 	WaitCycles int64
 }
 
-// lockSlab is how many lock records one slab holds. A simulated kernel
-// constructs thousands of locks (per-core, per-dentry, per-inode), so
-// records come a slab at a time instead of one allocation each.
-const lockSlab = 128
-
 // Registry owns all stats for one simulated machine.
 type Registry struct {
-	// locks holds the lock records in registration order, lockSlab to a
-	// slab. Slabs are allocated at full capacity and never grow, so the
-	// pointers Lock hands out stay valid.
-	locks [][]LockStats
+	locks map[string]*LockStats
 	lines []*LineStats
 }
 
 // New returns an empty registry.
-func New() *Registry { return &Registry{} }
+func New() *Registry { return &Registry{locks: map[string]*LockStats{}} }
 
-// Lock registers and returns a stats record for a named lock.
+// Lock returns the stats record of the named lock class, creating it on
+// first use. Every lock of a class shares the record, so the name must be
+// the class (e.g. "sb_files-cpu*" for each core's open-file list lock),
+// never a per-instance one.
 func (r *Registry) Lock(name string) *LockStats {
-	n := len(r.locks)
-	if n == 0 || len(r.locks[n-1]) == lockSlab {
-		r.locks = append(r.locks, make([]LockStats, 0, lockSlab))
-		n++
+	s, ok := r.locks[name]
+	if !ok {
+		s = &LockStats{Name: name}
+		r.locks[name] = s
 	}
-	slab := append(r.locks[n-1], LockStats{Name: name})
-	r.locks[n-1] = slab
-	return &slab[len(slab)-1]
+	return s
 }
 
 // Line registers and returns a stats record for a named cache line.
@@ -72,28 +68,13 @@ func (r *Registry) Line(name string) *LineStats {
 	return s
 }
 
-// TopLocks returns up to n locks ordered by wait cycles (descending),
-// aggregated by name (per-core lock instances share a logical name).
+// TopLocks returns up to n acquired lock classes ordered by wait cycles
+// (descending), then by name.
 func (r *Registry) TopLocks(n int) []LockStats {
-	agg := map[string]*LockStats{}
-	for _, slab := range r.locks {
-		for i := range slab {
-			s := &slab[i]
-			name := logicalName(s.Name)
-			a, ok := agg[name]
-			if !ok {
-				a = &LockStats{Name: name}
-				agg[name] = a
-			}
-			a.Acquisitions += s.Acquisitions
-			a.Contended += s.Contended
-			a.WaitCycles += s.WaitCycles
-		}
-	}
-	out := make([]LockStats, 0, len(agg))
-	for _, a := range agg {
-		if a.Acquisitions > 0 {
-			out = append(out, *a)
+	out := make([]LockStats, 0, len(r.locks))
+	for _, s := range r.locks {
+		if s.Acquisitions > 0 {
+			out = append(out, *s)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -126,21 +107,6 @@ func (r *Registry) TopLines(n int) []LineStats {
 		out = out[:n]
 	}
 	return out
-}
-
-// logicalName strips per-instance suffixes like "-cpu7" or ":filename" so
-// per-core lock arrays aggregate into one row.
-func logicalName(name string) string {
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		name = name[:i]
-	}
-	if i := strings.LastIndex(name, "-cpu"); i >= 0 {
-		name = name[:i] + "-cpu*"
-	}
-	if i := strings.LastIndex(name, "-node"); i >= 0 {
-		name = name[:i] + "-node*"
-	}
-	return name
 }
 
 // Report renders a human-readable contention profile.

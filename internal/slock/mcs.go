@@ -19,8 +19,6 @@ import (
 // serialize on that line, so refactoring the data (sloppy counters,
 // per-core caches) beats upgrading the lock.
 type MCSLock struct {
-	Name string
-
 	md   *mem.Model
 	tail mem.Line // the swap target for enqueueing
 
@@ -29,16 +27,13 @@ type MCSLock struct {
 
 	held    bool
 	waiters []*sim.Proc
-
-	acquCount int64
-	contCount int64
-	stats     *prof.LockStats
+	stats   *prof.LockStats
 }
 
-// NewMCSLock allocates an MCS lock with per-core queue nodes.
+// NewMCSLock allocates an MCS lock with per-core queue nodes. name is
+// the lock's class (see prof.Registry).
 func NewMCSLock(md *mem.Model, name string, homeChip int) *MCSLock {
 	l := &MCSLock{
-		Name:  name,
 		md:    md,
 		tail:  md.Alloc(homeChip),
 		stats: md.Prof.Lock(name),
@@ -53,7 +48,6 @@ func NewMCSLock(md *mem.Model, name string, homeChip int) *MCSLock {
 // line; waiting is a spin on the core's own queue node, which costs the
 // interconnect nothing.
 func (l *MCSLock) Acquire(p *sim.Proc) {
-	l.acquCount++
 	l.stats.Acquisitions++
 	// Swap self into the tail: the lock's only shared-line operation,
 	// paid once per acquire regardless of contention.
@@ -64,7 +58,6 @@ func (l *MCSLock) Acquire(p *sim.Proc) {
 		l.held = true
 		return
 	}
-	l.contCount++
 	l.stats.Contended++
 	l.waiters = append(l.waiters, p)
 	start := p.Now()
@@ -81,7 +74,7 @@ func (l *MCSLock) Acquire(p *sim.Proc) {
 // defining property of a scalable lock.
 func (l *MCSLock) Release(p *sim.Proc) {
 	if !l.held {
-		panic("slock: release of unheld MCS lock " + l.Name)
+		panic("slock: release of unheld MCS lock " + l.stats.Name)
 	}
 	// State transitions happen before cycle charging (see SpinLock), so a
 	// proc that observes the lock state mid-charge cannot strand itself.
@@ -96,9 +89,3 @@ func (l *MCSLock) Release(p *sim.Proc) {
 	l.held = false
 	p.Advance(l.md.Atomic(p.Core(), l.tail, p.Now()))
 }
-
-// Acquisitions returns the total acquire count.
-func (l *MCSLock) Acquisitions() int64 { return l.acquCount }
-
-// Contended returns how many acquisitions had to wait.
-func (l *MCSLock) Contended() int64 { return l.contCount }

@@ -28,8 +28,8 @@ func TestMCSMutualExclusion(t *testing.T) {
 	if maxInside != 1 {
 		t.Errorf("max procs in MCS critical section = %d, want 1", maxInside)
 	}
-	if l.Acquisitions() != 160 {
-		t.Errorf("acquisitions = %d, want 160", l.Acquisitions())
+	if got := md.Prof.Lock("mcs").Acquisitions; got != 160 {
+		t.Errorf("acquisitions = %d, want 160", got)
 	}
 }
 

@@ -32,11 +32,11 @@ import (
 
 // Locker is the common interface of the simulated locks, letting kernel
 // structures swap disciplines (e.g. ticket spin lock vs MCS) per config.
+// A lock's acquire and contention counts live in its class's
+// prof.LockStats record, md.Prof.Lock(name).
 type Locker interface {
 	Acquire(p *sim.Proc)
 	Release(p *sim.Proc)
-	Acquisitions() int64
-	Contended() int64
 }
 
 var (
@@ -45,26 +45,31 @@ var (
 	_ Locker = (*MCSLock)(nil)
 )
 
-// SpinLock is a non-scalable kernel spin lock.
-type SpinLock struct {
-	Name string
-
+// waitLock is the state SpinLock and Mutex share: the lock word's line,
+// the held flag, the FIFO of blocked waiters, the accounting mode and the
+// lock class's stats record. The two differ only in what a contended
+// acquire and a release charge.
+type waitLock struct {
 	// ChargeUser accounts the lock's CPU cost (including busy-wait) as
-	// user time, for application-level spin locks such as PostgreSQL's
-	// buffer-cache page locks (§5.5).
+	// user time instead of system time, for application-level locks:
+	// PostgreSQL's buffer-cache page spin locks and its futex-based lock
+	// manager burn user cycles when they contend (§5.5).
 	ChargeUser bool
 
 	md   *mem.Model
 	line mem.Line
 
-	held      bool
-	waiters   []*sim.Proc
-	acquCount int64
-	contCount int64
-	stats     *prof.LockStats
+	held    bool
+	waiters []*sim.Proc
+	stats   *prof.LockStats
 }
 
-func (l *SpinLock) adv(p *sim.Proc, cycles int64) {
+func newWaitLock(md *mem.Model, name string, line mem.Line) waitLock {
+	return waitLock{md: md, line: line, stats: md.Prof.Lock(name)}
+}
+
+// adv charges cycles with the configured accounting.
+func (l *waitLock) adv(p *sim.Proc, cycles int64) {
 	if l.ChargeUser {
 		p.AdvanceUser(cycles)
 	} else {
@@ -72,7 +77,9 @@ func (l *SpinLock) adv(p *sim.Proc, cycles int64) {
 	}
 }
 
-func (l *SpinLock) accountWait(p *sim.Proc, cycles int64) {
+// accountWait attributes busy-wait time that already elapsed while the
+// proc was blocked, with the configured accounting.
+func (l *waitLock) accountWait(p *sim.Proc, cycles int64) {
 	if l.ChargeUser {
 		p.AccountUser(cycles)
 	} else {
@@ -80,10 +87,53 @@ func (l *SpinLock) accountWait(p *sim.Proc, cycles int64) {
 	}
 }
 
+// acquire counts an acquire and, if the lock is free, takes it and
+// charges the atomic on the lock word. Otherwise it queues p and blocks
+// it until a release hands the lock over, then returns contended true and
+// how long p waited, leaving the new holder's charges to the caller.
+//
+// Lock state transitions happen instantaneously at the proc's current
+// virtual time and the cycle cost is charged afterwards; this keeps state
+// decisions in a single total order even though cost charging yields to
+// the engine.
+func (l *waitLock) acquire(p *sim.Proc) (contended bool, waited int64) {
+	l.stats.Acquisitions++
+	if !l.held {
+		l.held = true
+		l.adv(p, l.md.Atomic(p.Core(), l.line, p.Now()))
+		return false, 0
+	}
+	l.stats.Contended++
+	l.waiters = append(l.waiters, p)
+	start := p.Now()
+	waited = p.Block() - start
+	l.stats.WaitCycles += waited
+	return true, waited
+}
+
+// release drops the lock, passing it directly to the oldest waiter, woken
+// no earlier than wakeAt, if there is one. Releasing a lock that is not
+// held panics.
+func (l *waitLock) release(wakeAt int64) {
+	if !l.held {
+		panic("slock: release of unheld lock " + l.stats.Name)
+	}
+	if len(l.waiters) > 0 {
+		dequeue(&l.waiters).Wake(wakeAt)
+	} else {
+		l.held = false
+	}
+}
+
+// SpinLock is a non-scalable kernel spin lock.
+type SpinLock struct {
+	waitLock
+}
+
 // NewSpinLock returns a spin lock whose word is homed on the given chip.
 // It returns a value, so the kernel object that owns the lock embeds it
 // instead of pointing at a separate allocation; the lock must not be
-// copied once it is in use.
+// copied once it is in use. name is the lock's class (see prof.Registry).
 func NewSpinLock(md *mem.Model, name string, homeChip int) SpinLock {
 	return NewSpinLockAt(md, name, md.Alloc(homeChip))
 }
@@ -92,38 +142,21 @@ func NewSpinLock(md *mem.Model, name string, homeChip int) SpinLock {
 // line, modeling a lock embedded in a structure alongside other fields
 // (e.g. d_lock sharing struct dentry's first line with d_count).
 func NewSpinLockAt(md *mem.Model, name string, line mem.Line) SpinLock {
-	return SpinLock{Name: name, md: md, line: line, stats: md.Prof.Lock(name)}
+	return SpinLock{newWaitLock(md, name, line)}
 }
-
-// Line returns the cache line holding the lock word.
-func (l *SpinLock) Line() mem.Line { return l.line }
 
 // Acquire takes the lock, blocking the proc while it is held elsewhere.
 // The acquiring core always pays the coherence cost of the lock word; a
 // core that last held the lock pays only a cache hit, matching the paper's
 // "a few cycles if the acquiring core was the previous lock holder".
-//
-// Lock state transitions happen instantaneously at the proc's current
-// virtual time and the cycle cost is charged afterwards; this keeps state
-// decisions in a single total order even though cost charging yields to
-// the engine.
 func (l *SpinLock) Acquire(p *sim.Proc) {
-	l.acquCount++
-	l.stats.Acquisitions++
-	if !l.held {
-		l.held = true
-		l.adv(p, l.md.Atomic(p.Core(), l.line, p.Now()))
+	contended, waited := l.acquire(p)
+	if !contended {
 		return
 	}
-	l.contCount++
-	l.stats.Contended++
-	l.waiters = append(l.waiters, p)
-	start := p.Now()
-	wake := p.Block()
 	// The waiter was busy-spinning the whole time; account it as CPU
 	// time (the core did no useful work).
-	l.accountWait(p, wake-start)
-	l.stats.WaitCycles += wake - start
+	l.accountWait(p, waited)
 	// The new holder pays the line transfer when it finally wins the lock.
 	l.adv(p, l.md.Atomic(p.Core(), l.line, p.Now()))
 }
@@ -134,20 +167,10 @@ func (l *SpinLock) Acquire(p *sim.Proc) {
 // and the lock transfer itself are slowed in proportion to the waiter
 // count — the defining non-scalable behavior (§4.1).
 func (l *SpinLock) Release(p *sim.Proc) {
-	if !l.held {
-		panic("slock: release of unheld spin lock " + l.Name)
-	}
-	cost := l.md.Write(p.Core(), l.line, p.Now())
 	traffic := int64(len(l.waiters)) * costs.spinTrafficPerWaiter
-	cost += traffic
-	if len(l.waiters) > 0 {
-		next := dequeue(&l.waiters)
-		// The new holder cannot proceed until the polling storm drains.
-		next.Wake(p.Now() + traffic)
-	} else {
-		l.held = false
-	}
-	l.adv(p, cost)
+	// The new holder cannot proceed until the polling storm drains.
+	l.release(p.Now() + traffic)
+	l.adv(p, l.md.Write(p.Core(), l.line, p.Now())+traffic)
 }
 
 // dequeue removes and returns the oldest entry of a FIFO wait queue. It
@@ -165,46 +188,16 @@ func dequeue[T any](q *[]T) T {
 	return head
 }
 
-// Acquisitions returns the total acquire count.
-func (l *SpinLock) Acquisitions() int64 { return l.acquCount }
-
-// Contended returns how many acquisitions had to wait.
-func (l *SpinLock) Contended() int64 { return l.contCount }
-
 // Mutex is Linux's adaptive mutex: a thread briefly busy-waits and then
 // yields the CPU (footnote 1 of the paper).
 type Mutex struct {
-	Name string
-
-	// ChargeUser accounts the mutex's CPU cost as user time instead of
-	// system time. Application-level locks built on futexes (PostgreSQL's
-	// lock manager, §5.5) burn user cycles when they contend.
-	ChargeUser bool
-
-	md   *mem.Model
-	line mem.Line
-
-	held    bool
-	waiters []*sim.Proc
-
-	acquCount int64
-	contCount int64
-	stats     *prof.LockStats
-}
-
-// adv charges cycles with the configured accounting.
-func (m *Mutex) adv(p *sim.Proc, cycles int64) {
-	if m.ChargeUser {
-		p.AdvanceUser(cycles)
-	} else {
-		p.Advance(cycles)
-	}
+	waitLock
 }
 
 // NewMutex returns a mutex homed on the given chip, for its owner to
-// embed.
+// embed. name is the mutex's class (see prof.Registry).
 func NewMutex(md *mem.Model, name string, homeChip int) Mutex {
-	return Mutex{Name: name, md: md, line: md.Alloc(homeChip), stats: md.Prof.Lock(name)}
+	return Mutex{newWaitLock(md, name, md.Alloc(homeChip))}
 }
 
 // Acquire takes the mutex. The adaptive behavior (paper footnote 1: "a
@@ -224,23 +217,13 @@ func NewMutex(md *mem.Model, name string, homeChip int) Mutex {
 //     positive feedback behind the lseek collapse between 32 and 48
 //     cores.
 func (m *Mutex) Acquire(p *sim.Proc) {
-	m.acquCount++
-	m.stats.Acquisitions++
-	if !m.held {
-		m.held = true
-		m.adv(p, m.md.Atomic(p.Core(), m.line, p.Now()))
+	contended, waited := m.acquire(p)
+	if !contended {
 		return
 	}
-	m.contCount++
-	m.stats.Contended++
-	m.waiters = append(m.waiters, p)
-	start := p.Now()
-	p.Block()
-	waited := p.Now() - start
-	m.stats.WaitCycles += waited
 	if waited <= costs.mutexSpinWindow {
 		// Spin-resolved: the wait was spent busy-waiting on the CPU.
-		m.accountWaitMutex(p, waited)
+		m.accountWait(p, waited)
 		m.adv(p, m.md.Atomic(p.Core(), m.line, p.Now()))
 		return
 	}
@@ -248,54 +231,23 @@ func (m *Mutex) Acquire(p *sim.Proc) {
 	m.adv(p, costs.mutexSpinWindow+costs.futexWake+penalty+m.md.Atomic(p.Core(), m.line, p.Now()))
 }
 
-// accountWaitMutex attributes busy-wait time with the configured
-// accounting (sleeping waits are not CPU time; spinning waits are).
-func (m *Mutex) accountWaitMutex(p *sim.Proc, cycles int64) {
-	if cycles <= 0 {
-		return
-	}
-	if m.ChargeUser {
-		p.AccountUser(cycles)
-	} else {
-		p.AccountSys(cycles)
-	}
-}
-
 // Release drops the mutex and wakes the oldest sleeper. Ownership passes
 // directly to the woken waiter.
 func (m *Mutex) Release(p *sim.Proc) {
-	if !m.held {
-		panic("slock: release of unheld mutex " + m.Name)
-	}
-	if len(m.waiters) > 0 {
-		next := dequeue(&m.waiters)
-		next.Wake(p.Now())
-	} else {
-		m.held = false
-	}
+	m.release(p.Now())
 	m.adv(p, m.md.Write(p.Core(), m.line, p.Now()))
 }
-
-// Acquisitions returns the total acquire count.
-func (m *Mutex) Acquisitions() int64 { return m.acquCount }
-
-// Contended returns how many acquisitions had to sleep.
-func (m *Mutex) Contended() int64 { return m.contCount }
 
 // RWMutex is a reader-writer lock. Read acquisition modifies the shared
 // reader count, so concurrent readers on different chips still ping-pong
 // the lock word — the Metis region-list bottleneck (§5.8).
 type RWMutex struct {
-	Name string
-
 	md   *mem.Model
 	line mem.Line
 
 	readers   int
 	writer    bool
 	waitQueue []rwWaiter
-	acquCount int64
-	contCount int64
 	stats     *prof.LockStats
 }
 
@@ -304,23 +256,22 @@ type rwWaiter struct {
 	write bool
 }
 
-// NewRWMutex allocates a reader-writer lock homed on the given chip.
+// NewRWMutex allocates a reader-writer lock homed on the given chip. name
+// is the lock's class (see prof.Registry).
 func NewRWMutex(md *mem.Model, name string, homeChip int) *RWMutex {
-	return &RWMutex{Name: name, md: md, line: md.Alloc(homeChip), stats: md.Prof.Lock(name)}
+	return &RWMutex{md: md, line: md.Alloc(homeChip), stats: md.Prof.Lock(name)}
 }
 
 // RLock acquires the lock in shared mode. Even the uncontended fast path
 // pays an atomic write to the shared lock word. State transitions happen
 // instantaneously; the cycle cost is charged afterwards.
 func (rw *RWMutex) RLock(p *sim.Proc) {
-	rw.acquCount++
 	rw.stats.Acquisitions++
 	if !rw.writer && !rw.writerQueued() {
 		rw.readers++
 		p.Advance(rw.md.Atomic(p.Core(), rw.line, p.Now()))
 		return
 	}
-	rw.contCount++
 	rw.stats.Contended++
 	rw.waitQueue = append(rw.waitQueue, rwWaiter{p: p, write: false})
 	start := p.Now()
@@ -343,7 +294,7 @@ func (rw *RWMutex) writerQueued() bool {
 // RUnlock releases shared mode.
 func (rw *RWMutex) RUnlock(p *sim.Proc) {
 	if rw.readers <= 0 {
-		panic("slock: RUnlock with no readers on " + rw.Name)
+		panic("slock: RUnlock with no readers on " + rw.stats.Name)
 	}
 	rw.readers--
 	rw.drain(p)
@@ -352,14 +303,12 @@ func (rw *RWMutex) RUnlock(p *sim.Proc) {
 
 // Lock acquires the lock exclusively.
 func (rw *RWMutex) Lock(p *sim.Proc) {
-	rw.acquCount++
 	rw.stats.Acquisitions++
 	if !rw.writer && rw.readers == 0 {
 		rw.writer = true
 		p.Advance(rw.md.Atomic(p.Core(), rw.line, p.Now()))
 		return
 	}
-	rw.contCount++
 	rw.stats.Contended++
 	rw.waitQueue = append(rw.waitQueue, rwWaiter{p: p, write: true})
 	start := p.Now()
@@ -371,7 +320,7 @@ func (rw *RWMutex) Lock(p *sim.Proc) {
 // Unlock releases exclusive mode.
 func (rw *RWMutex) Unlock(p *sim.Proc) {
 	if !rw.writer {
-		panic("slock: Unlock of unheld RWMutex " + rw.Name)
+		panic("slock: Unlock of unheld RWMutex " + rw.stats.Name)
 	}
 	rw.writer = false
 	rw.drain(p)
@@ -397,12 +346,6 @@ func (rw *RWMutex) drain(p *sim.Proc) {
 		w.p.Wake(p.Now())
 	}
 }
-
-// Acquisitions returns the total acquire count (read + write).
-func (rw *RWMutex) Acquisitions() int64 { return rw.acquCount }
-
-// Contended returns how many acquisitions had to block.
-func (rw *RWMutex) Contended() int64 { return rw.contCount }
 
 // Gen is a generation counter (seqcount) protecting a small set of fields,
 // enabling lock-free readers with fallback (§4.4). Writers must hold the

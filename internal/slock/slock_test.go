@@ -36,8 +36,8 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	if maxInside != 1 {
 		t.Errorf("max procs in critical section = %d, want 1", maxInside)
 	}
-	if l.Acquisitions() != 160 {
-		t.Errorf("acquisitions = %d, want 160", l.Acquisitions())
+	if got := md.Prof.Lock("l").Acquisitions; got != 160 {
+		t.Errorf("acquisitions = %d, want 160", got)
 	}
 }
 
@@ -176,8 +176,8 @@ func TestRWMutexReadersShareButPayCoherence(t *testing.T) {
 	if maxInside < 2 {
 		t.Errorf("readers never overlapped (max %d); RLock must admit concurrent readers", maxInside)
 	}
-	if rw.Contended() != 0 {
-		t.Errorf("read-only workload had %d blocking acquisitions", rw.Contended())
+	if got := md.Prof.Lock("regions").Contended; got != 0 {
+		t.Errorf("read-only workload had %d blocking acquisitions", got)
 	}
 }
 
@@ -350,7 +350,7 @@ func TestContendedCycleAllocatesNothing(t *testing.T) {
 			})
 		}
 		e.Run()
-		if l.Contended() == 0 {
+		if md.Prof.Lock("l").Contended == 0 {
 			t.Fatalf("%s: no acquire waited; the test needs contention", name)
 		}
 		if allocs != 0 {

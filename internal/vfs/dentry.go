@@ -48,9 +48,6 @@ func (d *Dentry) NumChildren() int { return len(d.children) }
 // Ref exposes the reference counter (tests and statistics).
 func (d *Dentry) Ref() scount.Counter { return d.ref }
 
-// Lock exposes the per-dentry spin lock (tests and statistics).
-func (d *Dentry) Lock() *slock.SpinLock { return &d.lock }
-
 // Inode models the fields of a tmpfs inode the workloads touch.
 type Inode struct {
 	// Ino is the inode number.
@@ -61,6 +58,3 @@ type Inode struct {
 	sizeLine mem.Line    // i_size and neighbors, read by stat/lseek
 	mu       slock.Mutex // i_mutex
 }
-
-// Mutex exposes the inode mutex (tests and statistics).
-func (i *Inode) Mutex() *slock.Mutex { return &i.mu }

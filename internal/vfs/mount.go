@@ -96,6 +96,3 @@ func (mt *MountTable) Lookups() int64 { return mt.lookups }
 
 // CacheHits returns how many resolutions were satisfied per-core.
 func (mt *MountTable) CacheHits() int64 { return mt.cacheHits }
-
-// Lock exposes the global mount table lock (statistics).
-func (mt *MountTable) Lock() slock.Locker { return mt.lock }

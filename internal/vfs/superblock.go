@@ -1,8 +1,6 @@
 package vfs
 
 import (
-	"fmt"
-
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/slock"
@@ -39,7 +37,7 @@ func newSuperBlock(md *mem.Model, cfg Config) *SuperBlock {
 	n := md.Machine().NCores
 	sb.coreLocks = make([]slock.SpinLock, n)
 	for c := 0; c < n; c++ {
-		sb.coreLocks[c] = slock.NewSpinLock(md, fmt.Sprintf("sb_files_cpu%d", c), md.Machine().Chip(c))
+		sb.coreLocks[c] = slock.NewSpinLock(md, "sb_files-cpu*", md.Machine().Chip(c))
 		sb.coreLines = append(sb.coreLines, md.AllocLocal(c))
 	}
 	return sb
@@ -103,6 +101,3 @@ func (sb *SuperBlock) RemountCheck(p *sim.Proc) {
 // CrossCoreRemovals returns how many closes happened on a different core
 // than the matching open.
 func (sb *SuperBlock) CrossCoreRemovals() int64 { return sb.crossCoreRemovals }
-
-// Lock exposes the global open-list lock (statistics).
-func (sb *SuperBlock) Lock() *slock.SpinLock { return &sb.lock }

@@ -271,25 +271,23 @@ func (fs *FS) Put(p *sim.Proc, d *Dentry) {
 
 // ---- File operations ----
 
-// File is an open file description.
+// File is an open file description. It is a small value: Open and Create
+// return it, and the caller passes it back until Close.
 type File struct {
 	Dentry *Dentry
-	Inode  *Inode
 
 	openCore int // core whose open-file list holds this file
 }
 
 // Open resolves the path and installs the file on the super block's
 // open-file list.
-func (fs *FS) Open(p *sim.Proc, path string) *File {
+func (fs *FS) Open(p *sim.Proc, path string) File {
 	d := fs.Walk(p, path, true)
-	f := &File{Dentry: d, Inode: &d.inode}
-	f.openCore = fs.sb.Add(p)
-	return f
+	return File{Dentry: d, openCore: fs.sb.Add(p)}
 }
 
 // Close removes the file from the open list and drops the reference.
-func (fs *FS) Close(p *sim.Proc, f *File) {
+func (fs *FS) Close(p *sim.Proc, f File) {
 	p.Advance(costs.syscallEntry)
 	fs.sb.Remove(p, f.openCore)
 	fs.Put(p, f.Dentry)
@@ -304,20 +302,21 @@ func (fs *FS) Stat(p *sim.Proc, path string) {
 
 // Lseek positions the file, reading i_size. The stock kernel takes the
 // inode mutex; PK uses an atomic read (§5.5).
-func (fs *FS) Lseek(p *sim.Proc, f *File) {
+func (fs *FS) Lseek(p *sim.Proc, f File) {
 	p.Advance(costs.syscallEntry)
+	ino := &f.Dentry.inode
 	if fs.cfg.AtomicLseek {
-		p.Advance(fs.md.Read(p.Core(), f.Inode.sizeLine, p.Now()))
+		p.Advance(fs.md.Read(p.Core(), ino.sizeLine, p.Now()))
 		return
 	}
-	f.Inode.mu.Acquire(p)
-	p.Advance(fs.md.Read(p.Core(), f.Inode.sizeLine, p.Now()))
-	f.Inode.mu.Release(p)
+	ino.mu.Acquire(p)
+	p.Advance(fs.md.Read(p.Core(), ino.sizeLine, p.Now()))
+	ino.mu.Release(p)
 }
 
 // Read charges a buffered read of n bytes: lock-free page-cache lookup plus
 // the copy to user space.
-func (fs *FS) Read(p *sim.Proc, f *File, n int64) {
+func (fs *FS) Read(p *sim.Proc, f File, n int64) {
 	p.Advance(costs.syscallEntry)
 	pages := 1 + n/mm.PageBytes
 	p.Advance(pages*costs.hashWork + n/costs.copyPerByte)
@@ -325,24 +324,25 @@ func (fs *FS) Read(p *sim.Proc, f *File, n int64) {
 
 // Append writes n bytes at the end of the file under the inode mutex,
 // allocating tmpfs pages as needed.
-func (fs *FS) Append(p *sim.Proc, f *File, n int64) {
+func (fs *FS) Append(p *sim.Proc, f File, n int64) {
 	p.Advance(costs.syscallEntry)
-	f.Inode.mu.Acquire(p)
-	oldPages := (f.Inode.Size + mm.PageBytes - 1) / mm.PageBytes
-	f.Inode.Size += n
-	newPages := (f.Inode.Size + mm.PageBytes - 1) / mm.PageBytes
+	ino := &f.Dentry.inode
+	ino.mu.Acquire(p)
+	oldPages := (ino.Size + mm.PageBytes - 1) / mm.PageBytes
+	ino.Size += n
+	newPages := (ino.Size + mm.PageBytes - 1) / mm.PageBytes
 	if newPages > oldPages {
 		fs.alloc.AllocPages(p, p.Chip(), newPages-oldPages)
 	}
 	p.Advance(n / costs.copyPerByte)
-	p.Advance(fs.md.Write(p.Core(), f.Inode.sizeLine, p.Now()))
-	f.Inode.mu.Release(p)
+	p.Advance(fs.md.Write(p.Core(), ino.sizeLine, p.Now()))
+	ino.mu.Release(p)
 }
 
 // Create makes a new file in the directory at dirPath. The parent
 // directory's i_mutex serializes creates in the same directory — the
 // residual Exim bottleneck (§5.2). The returned file is open.
-func (fs *FS) Create(p *sim.Proc, dirPath, name string) *File {
+func (fs *FS) Create(p *sim.Proc, dirPath, name string) File {
 	dir := fs.Walk(p, dirPath, true)
 	dir.inode.mu.Acquire(p)
 	if _, exists := dir.children[name]; exists {
@@ -359,8 +359,7 @@ func (fs *FS) Create(p *sim.Proc, dirPath, name string) *File {
 	p.Advance(costs.createWork)
 	dir.inode.mu.Release(p)
 
-	f := &File{Dentry: d, Inode: &d.inode}
-	f.openCore = fs.sb.Add(p)
+	f := File{Dentry: d, openCore: fs.sb.Add(p)}
 	fs.Put(p, dir)
 	return f
 }
@@ -414,25 +413,21 @@ func (fs *FS) chargeDcacheListLock(p *sim.Proc, destroying bool) {
 
 // ---- Anonymous (socket) inodes ----
 
-// AnonInode is an inode+dentry pair backing a socket (sockfs). Creating and
-// destroying them stresses the global inode and dcache list locks, which is
-// the "inode lists"/"dcache lists" bottleneck memcached and Apache hit.
-type AnonInode struct {
-	inode Inode
-}
-
-// CreateAnon allocates a socket-style anonymous inode.
-func (fs *FS) CreateAnon(p *sim.Proc) *AnonInode {
+// CreateAnon charges the creation of a socket's anonymous inode and
+// dentry (sockfs). Creating and destroying them stresses the global inode
+// and dcache list locks, which is the "inode lists"/"dcache lists"
+// bottleneck memcached and Apache hit. Nothing reads a socket inode's
+// fields, so none is built.
+func (fs *FS) CreateAnon(p *sim.Proc) {
 	fs.chargeInodeListLock(p, false)
 	fs.chargeDcacheListLock(p, false)
 	p.Advance(costs.createWork / 2)
-	return &AnonInode{inode: fs.newInodeSetup(p.Chip())}
 }
 
-// ReleaseAnon frees a socket inode. PK defers and batches the list
-// removals, avoiding the global locks on this path too; we model that as
-// skipping the lock (the deferred work is off the critical path).
-func (fs *FS) ReleaseAnon(p *sim.Proc, a *AnonInode) {
+// ReleaseAnon charges freeing a socket inode. PK defers and batches the
+// list removals, avoiding the global locks on this path too; we model
+// that as skipping the lock (the deferred work is off the critical path).
+func (fs *FS) ReleaseAnon(p *sim.Proc) {
 	if !fs.cfg.InodeListAvoidLock {
 		fs.chargeInodeListLock(p, true)
 	}

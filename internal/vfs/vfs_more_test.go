@@ -19,7 +19,7 @@ func TestWalkRefcountBalanceProperty(t *testing.T) {
 		for c := 0; c < 4; c++ {
 			c := c
 			e.Spawn(c, "p", 0, func(p *sim.Proc) {
-				var open []*File
+				var open []File
 				for i, op := range ops {
 					path := "/a/b/c/file1"
 					if (i+c)%2 == 0 {
@@ -123,7 +123,7 @@ func TestScalableMountLockConfig(t *testing.T) {
 		})
 	}
 	e.Run()
-	if fs.MountTable().Lock().Acquisitions() == 0 {
+	if fs.md.Prof.Lock("vfsmount_lock(mcs)").Acquisitions == 0 {
 		t.Error("MCS mount lock never acquired")
 	}
 }

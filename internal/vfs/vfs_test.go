@@ -176,7 +176,7 @@ func TestStockMountLockContended(t *testing.T) {
 		})
 	}
 	e.Run()
-	if fs.MountTable().Lock().Contended() == 0 {
+	if fs.md.Prof.Lock("vfsmount_lock").Contended == 0 {
 		t.Error("stock mount table lock saw no contention under 48-core load")
 	}
 }
@@ -212,7 +212,7 @@ func TestLseekStockVsAtomic(t *testing.T) {
 func TestOpenListCrossCoreRemoval(t *testing.T) {
 	e, fs := newFS(2, pkCfg())
 	fs.MustCreateFile("/f", 1)
-	var f *File
+	var f File
 	var opener *sim.Proc
 	opener = e.Spawn(0, "opener", 0, func(p *sim.Proc) {
 		f = fs.Open(p, "/f")
@@ -239,9 +239,9 @@ func TestAnonInodeChurnStressesGlobalLocksInStock(t *testing.T) {
 		for c := 0; c < 48; c++ {
 			e.Spawn(c, "p", 0, func(p *sim.Proc) {
 				for i := 0; i < 30; i++ {
-					a := fs.CreateAnon(p)
+					fs.CreateAnon(p)
 					p.Advance(1000)
-					fs.ReleaseAnon(p, a)
+					fs.ReleaseAnon(p)
 				}
 			})
 		}
@@ -327,9 +327,9 @@ func BenchmarkWalk(b *testing.B) {
 }
 
 // TestFileCycleAllocationBudget pins the host allocations of one file's
-// life: a Create, Close and Unlink cost one object for the dentry (its
-// inode, locks, generation counter and stock refcount live inside it) and
-// one for the open File. The PK kernel's sloppy reference count adds its
+// life: a Create, Close and Unlink cost one object, the dentry (its inode,
+// locks, generation counter and stock refcount live inside it; the open
+// File is a value). The PK kernel's sloppy reference count adds its
 // counter and its per-core pools.
 func TestFileCycleAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -340,8 +340,8 @@ func TestFileCycleAllocationBudget(t *testing.T) {
 		cfg  Config
 		want float64
 	}{
-		{"stock", stockCfg(), 2},
-		{"pk", pkCfg(), 4},
+		{"stock", stockCfg(), 1},
+		{"pk", pkCfg(), 3},
 	} {
 		e, fs := newFS(1, c.cfg)
 		fs.MustMkdirAll("/spool")
