@@ -75,7 +75,7 @@ func RunExim(k *kernel.Kernel, opts EximOpts) Result {
 			for sent < opts.MessagesPerCore {
 				// One SMTP connection: the master accepts and forks a
 				// per-connection process.
-				conn := stack.DialLoopback(p)
+				stack.DialLoopback(p)
 				connProc := k.Procs.Fork(p, master, mailAS)
 				k.Procs.ChildStart(p, connProc)
 				n := eximCosts.eximMessagesPerConn
@@ -85,11 +85,11 @@ func RunExim(k *kernel.Kernel, opts EximOpts) Result {
 				for m := 0; m < n; m++ {
 					user := e.Rand.Intn(eximCosts.eximUsers)
 					spool := e.Rand.Intn(opts.SpoolDirs)
-					eximMessage(k, p, stack, conn, connProc, user, spool)
+					eximMessage(k, p, stack, connProc, user, spool)
 					sent++
 				}
 				k.Procs.Exit(p, connProc)
-				stack.CloseLoopback(p, conn)
+				stack.CloseLoopback(p)
 			}
 		})
 	}
@@ -117,7 +117,7 @@ func eximMailbox(b []byte, u int) []byte {
 }
 
 // eximMessage models receiving and delivering one message.
-func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsim.LoopbackConn,
+func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack,
 	connProc *proc.Process, user, spool int) {
 
 	fs := k.FS
@@ -130,7 +130,7 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack, conn *netsi
 	dName := string(append(msg, "-D"...))
 
 	// Receive the message body over the SMTP connection.
-	stack.LoopbackXfer(p, conn, eximCosts.eximSMTPBytes)
+	stack.LoopbackXfer(p, eximCosts.eximSMTPBytes)
 
 	// Configuration and hints lookups: Exim stats its configuration,
 	// router files, and Berkeley DB hints on each delivery, so each

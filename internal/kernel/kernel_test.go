@@ -117,3 +117,44 @@ func TestLockClassesShareOneRecord(t *testing.T) {
 		t.Errorf("d_lock acquisitions: walking /spool added %d, /spool/new %d; want 2 and 3 (the new dentry's lock counts into d_lock)", viaSpool, viaNew)
 	}
 }
+
+// TestKernelBuildsOnlyWhatConfigReads pins how many coherence-directory
+// lines a 48-core kernel allocates at boot, for a network stack and for
+// one listening socket. Each structure with a stock and a per-core form
+// builds only the form its Config selects: on Stock the open-file list,
+// the skb pool and the accept backlog are one lock and one line each, and
+// there is no mount cache; on PK there is no single sb_files list, skb
+// free list or backlog lock and line. A PK address space has no
+// super-page mutex, since PK faults take each mapping's own.
+func TestKernelBuildsOnlyWhatConfigReads(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		cfg                 Config
+		boot, stack, listen int
+	}{
+		{"Stock", Stock(), 322, 101, 2},
+		{"PK", PK(), 724, 243, 48},
+	} {
+		k := New(topo.New(48), tc.cfg, 1)
+		boot := k.MD.NumLines()
+		s := k.NewStack(nil)
+		stack := k.MD.NumLines() - boot
+		k.Engine.Spawn(0, "listen", 0, func(p *sim.Proc) { s.Listen(p) })
+		k.Engine.Run()
+		listen := k.MD.NumLines() - boot - stack
+		if boot != tc.boot || stack != tc.stack || listen != tc.listen {
+			t.Errorf("%s: boot %d, NewStack +%d, Listen +%d lines; want %d, +%d, +%d",
+				tc.name, boot, stack, listen, tc.boot, tc.stack, tc.listen)
+		}
+	}
+
+	asLines := func(cfg Config) int {
+		k := New(topo.New(48), cfg, 1)
+		before := k.MD.NumLines()
+		k.NewAddressSpace(0)
+		return k.MD.NumLines() - before
+	}
+	if stock, pk := asLines(Stock()), asLines(PK()); pk != stock-1 {
+		t.Errorf("NewAddressSpace allocates %d lines on PK and %d on Stock; want one fewer on PK (no super-page mutex)", pk, stock)
+	}
+}

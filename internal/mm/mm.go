@@ -100,7 +100,9 @@ type Region struct {
 	// Faulted counts pages already populated.
 	Faulted int64
 
-	mu *slock.Mutex // per-mapping super-page mutex (PK)
+	// mu serializes faults on a super-page mapping: the address space's
+	// one super-page mutex (stock) or the mapping's own (PK).
+	mu *slock.Mutex
 }
 
 // PageSize returns the mapping's page size in bytes.
@@ -127,7 +129,8 @@ type AddressSpace struct {
 	// shared lock state (§5.8).
 	RegionLock *slock.RWMutex
 
-	// superMu is the stock single super-page fault mutex.
+	// superMu is the stock single super-page fault mutex, built only
+	// without Config.PerMappingSuperPageMutex.
 	superMu slock.Mutex
 
 	regions []*Region
@@ -142,15 +145,18 @@ type AddressSpace struct {
 // NewAddressSpace returns an empty address space whose kernel structures
 // are homed on the given chip.
 func NewAddressSpace(md *mem.Model, alloc *Allocator, cfg Config, homeChip int) *AddressSpace {
-	return &AddressSpace{
+	as := &AddressSpace{
 		cfg:        cfg,
 		md:         md,
 		alloc:      alloc,
 		RegionLock: slock.NewRWMutex(md, "mmap_sem", homeChip),
-		superMu:    slock.NewMutex(md, "super-page", homeChip),
 		home:       homeChip,
 		userCores:  make([]uint64, (md.Machine().NCores+63)/64),
 	}
+	if !cfg.PerMappingSuperPageMutex {
+		as.superMu = slock.NewMutex(md, "super-page", homeChip)
+	}
+	return as
 }
 
 // Mmap adds a mapping of the given size, taking the region lock for
@@ -159,9 +165,12 @@ func NewAddressSpace(md *mem.Model, alloc *Allocator, cfg Config, homeChip int) 
 // region list but defers modifying page tables").
 func (as *AddressSpace) Mmap(p *sim.Proc, bytes int64, huge bool) *Region {
 	r := &Region{Bytes: bytes, Huge: huge}
-	if huge && as.cfg.PerMappingSuperPageMutex {
-		mu := slock.NewMutex(as.md, "super-page-mapping", as.home)
-		r.mu = &mu
+	if huge {
+		r.mu = &as.superMu
+		if as.cfg.PerMappingSuperPageMutex {
+			mu := slock.NewMutex(as.md, "super-page-mapping", as.home)
+			r.mu = &mu
+		}
 	}
 	as.RegionLock.Lock(p)
 	p.Advance(costs.mmapWork)
@@ -215,13 +224,9 @@ func (as *AddressSpace) Fault(p *sim.Proc, r *Region, dram *mem.Controllers) {
 	as.userCores[p.Core()>>6] |= 1 << uint(p.Core()&63)
 	as.RegionLock.RLock(p)
 	if r.Huge {
-		mu := &as.superMu
-		if r.mu != nil {
-			mu = r.mu
-		}
-		mu.Acquire(p)
+		r.mu.Acquire(p)
 		as.populate(p, r, dram)
-		mu.Release(p)
+		r.mu.Release(p)
 	} else {
 		as.populate(p, r, dram)
 	}

@@ -181,9 +181,9 @@ func TestLoopbackDoesNotUseNIC(t *testing.T) {
 	nic := NewNICFor(topo.Default(), MemcachedNIC(), 1)
 	e, s := newStack(1, stockCfg(), nic)
 	e.Spawn(0, "p", 0, func(p *sim.Proc) {
-		c := s.DialLoopback(p)
-		s.LoopbackXfer(p, c, 2000)
-		s.CloseLoopback(p, c)
+		s.DialLoopback(p)
+		s.LoopbackXfer(p, 2000)
+		s.CloseLoopback(p)
 	})
 	e.Run()
 	if nic.Packets() != 0 {

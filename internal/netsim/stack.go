@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"strconv"
+
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/scount"
@@ -19,7 +21,7 @@ type Config struct {
 	// SloppyProtoMem tracks per-protocol memory with sloppy counters.
 	SloppyProtoMem bool
 	// LocalDMABuf allocates packet buffers from per-core pools on the
-	// local memory node instead of one pool on node 0.
+	// local memory node instead of one pool on the I/O hub's node.
 	LocalDMABuf bool
 	// NetDevFalseSharingFix places read-only net_device/device fields on
 	// their own cache lines.
@@ -57,30 +59,32 @@ type Stack struct {
 }
 
 // netDev models the net_device/device structure pair. Every packet reads
-// read-only configuration fields and bumps a statistics counter. In the
-// stock layout both live on one cache line, so the stats writes invalidate
-// the configuration for every other core (§4.6, §5.3: "removing a single
-// falsely shared cache line in net_device increased throughput by 30% at
-// 48 cores"). The PK fix isolates the read-only fields on their own line;
-// the driver's statistics are kept per hardware queue, i.e. per core.
+// read-only configuration fields and bumps a statistics counter: core c
+// bumps the one on stats line c mod the number of stats lines. In the
+// stock layout there is one stats line and it is the configuration line,
+// so the stats writes invalidate the configuration for every other core
+// (§4.6, §5.3:
+// "removing a single falsely shared cache line in net_device increased
+// throughput by 30% at 48 cores"). The PK fix isolates the read-only
+// fields on their own line; the driver's statistics are kept per hardware
+// queue, i.e. per core. Only the constructor chooses the layout.
 type netDev struct {
 	md        *mem.Model
-	stockLine mem.Line   // config + stats together (stock)
-	cfgLine   mem.Line   // read-only fields alone (PK)
-	statLines []mem.Line // per-queue stats (PK)
-	padded    bool
+	cfgLine   mem.Line
+	statLines []mem.Line
 }
 
 func newNetDev(md *mem.Model, padded bool) *netDev {
-	nd := &netDev{md: md, padded: padded}
-	if padded {
-		nd.cfgLine = md.Alloc(0)
-		for c := 0; c < md.Machine().NCores; c++ {
-			nd.statLines = append(nd.statLines, md.AllocLocal(c))
-		}
-	} else {
-		nd.stockLine = md.Alloc(0)
-		md.Label(nd.stockLine, "net_device.config+stats")
+	nd := &netDev{md: md, cfgLine: md.Alloc(0)}
+	if !padded {
+		md.Label(nd.cfgLine, "net_device.config+stats")
+		nd.statLines = []mem.Line{nd.cfgLine}
+		return nd
+	}
+	n := md.Machine().NCores
+	nd.statLines = make([]mem.Line, n)
+	for c := 0; c < n; c++ {
+		nd.statLines[c] = md.AllocLocal(c)
 	}
 	return nd
 }
@@ -89,12 +93,8 @@ func newNetDev(md *mem.Model, padded bool) *netDev {
 // update.
 func (nd *netDev) packetTouch(p *sim.Proc) int64 {
 	c := p.Core()
-	if nd.padded {
-		return nd.md.Read(c, nd.cfgLine, p.Now()) +
-			nd.md.Write(c, nd.statLines[c], p.Now())
-	}
-	return nd.md.Read(c, nd.stockLine, p.Now()) +
-		nd.md.Write(c, nd.stockLine, p.Now())
+	return nd.md.Read(c, nd.cfgLine, p.Now()) +
+		nd.md.Write(c, nd.statLines[c%len(nd.statLines)], p.Now())
 }
 
 // NewStack builds a stack. fs provides socket (anonymous) inodes; nic may
@@ -257,15 +257,14 @@ func (s *Stack) txPacket(p *sim.Proc, n int64) {
 
 // ---- UDP (memcached) ----
 
-// UDPSocket is a bound UDP socket pinned to a core.
-type UDPSocket struct {
-	core int
-}
+// UDPSocket is a bound UDP socket. It carries no state: every charge
+// depends only on the calling proc's core.
+type UDPSocket struct{}
 
-// NewUDPSocket creates a socket owned by the calling proc's core.
+// NewUDPSocket creates a socket on the calling proc's core.
 func (s *Stack) NewUDPSocket(p *sim.Proc) *UDPSocket {
 	s.fs.CreateAnon(p)
-	return &UDPSocket{core: p.Core()}
+	return &UDPSocket{}
 }
 
 // CloseUDP destroys the socket.
@@ -289,6 +288,8 @@ func (s *Stack) SendUDP(p *sim.Proc, u *UDPSocket, n int64) {
 // incoming connection requests through one backlog queue protected by the
 // socket lock; PK gives each core its own backlog queue filled by the
 // hardware flow director, with stealing when the local queue is empty.
+// Listen builds only the layout Config.ParallelAccept selects: the lock
+// and the shared queue head, or the per-core queues.
 type Listener struct {
 	lock        slock.SpinLock // stock shared backlog lock
 	backlogLine mem.Line       // stock shared queue head
@@ -298,16 +299,17 @@ type Listener struct {
 
 // Listen creates a listening socket.
 func (s *Stack) Listen(p *sim.Proc) *Listener {
-	l := &Listener{
-		lock:        slock.NewSpinLock(s.md, "accept-backlog", 0),
-		backlogLine: s.md.Alloc(0),
-	}
+	l := &Listener{}
 	if !s.cfg.ParallelAccept {
+		l.lock = slock.NewSpinLock(s.md, "accept-backlog", 0)
+		l.backlogLine = s.md.Alloc(0)
 		s.md.Label(l.backlogLine, "tcp.accept_backlog")
+		return l
 	}
 	n := s.md.Machine().NCores
+	l.coreLines = make([]mem.Line, n)
 	for c := 0; c < n; c++ {
-		l.coreLines = append(l.coreLines, s.md.AllocLocal(c))
+		l.coreLines[c] = s.md.AllocLocal(c)
 	}
 	return l
 }
@@ -417,71 +419,68 @@ func segments(n int64) []int64 {
 
 // ---- Loopback (Exim) ----
 
-// LoopbackConn is a same-machine TCP connection: no NIC, no DMA buffers,
-// but still socket inodes and protocol work.
-type LoopbackConn struct{}
+// A loopback connection is a same-machine TCP connection: no NIC, no DMA
+// buffers, but still socket inodes and protocol work. Its charges depend
+// only on the calling proc, so the calls take no connection handle.
 
-// DialLoopback creates a client->server loopback connection.
-func (s *Stack) DialLoopback(p *sim.Proc) *LoopbackConn {
+// DialLoopback opens a client->server loopback connection.
+func (s *Stack) DialLoopback(p *sim.Proc) {
 	s.fs.CreateAnon(p)
-	return &LoopbackConn{}
 }
 
 // LoopbackXfer charges a loopback send+receive of n bytes.
-func (s *Stack) LoopbackXfer(p *sim.Proc, c *LoopbackConn, n int64) {
+func (s *Stack) LoopbackXfer(p *sim.Proc, n int64) {
 	s.protoMem.Acquire(p, 1)
 	p.Advance(costs.protoWork + n/costs.copyPerByte + costs.sockQueueOp)
 	s.protoMem.Release(p, 1)
 }
 
-// CloseLoopback destroys the loopback connection.
-func (s *Stack) CloseLoopback(p *sim.Proc, c *LoopbackConn) {
+// CloseLoopback closes a loopback connection.
+func (s *Stack) CloseLoopback(p *sim.Proc) {
 	s.fs.ReleaseAnon(p)
 }
 
 // ---- skb pool ----
 
-// SkbPool is the packet-buffer free list. Stock: one list on memory node 0
-// under one lock (all DMA buffers come from the node nearest the PCI bus);
-// PK: per-core free lists on local nodes (§4.5).
+// SkbPool is the packet-buffer free list. The list is split into shards,
+// each a spin lock and the line it guards, and core c allocates from
+// shard c mod the shard count. Stock is the one-shard case: one list on
+// the I/O hub's node (all DMA buffers come from the node nearest the PCI
+// bus), skb-pool-node*. PK keeps one shard per core on the core's own node,
+// skb-pool-cpu* (§4.5). Only the constructor chooses the layout; Get and
+// Put are the same code on both.
 type SkbPool struct {
-	perCore bool
-	md      *mem.Model
-
-	lock     slock.SpinLock
-	listLine mem.Line
-
-	coreLocks []slock.SpinLock
-	coreLines []mem.Line
+	md    *mem.Model
+	locks []slock.SpinLock
+	lines []mem.Line
 
 	// payload samples the cache lines of each core's receive buffer. The
-	// buffer's home node follows the pool's allocation policy: node 0 for
-	// the stock single pool, the core's own node with per-core pools — so
-	// every received packet's first touch is a local or a cross-chip DRAM
-	// fetch accordingly (§5.3).
+	// buffer's home node follows the pool's allocation policy: the I/O
+	// hub's node for the stock single pool, the core's own node with
+	// per-core pools — so every received packet's first touch is a local
+	// or a cross-chip DRAM fetch accordingly (§5.3).
 	payload []*mem.LineSet
 
 	gets int64
 }
 
 func newSkbPool(md *mem.Model, perCore bool) *SkbPool {
-	sp := &SkbPool{
-		perCore:  perCore,
-		md:       md,
-		lock:     slock.NewSpinLock(md, "skb-pool-node*", 0),
-		listLine: md.Alloc(0),
-	}
+	m := md.Machine()
+	sp := &SkbPool{md: md}
 	if !perCore {
-		md.Label(sp.listLine, "skb.free_list(node0)")
+		sp.locks = []slock.SpinLock{slock.NewSpinLock(md, "skb-pool-node*", m.IOHubChip)}
+		sp.lines = []mem.Line{md.Alloc(m.IOHubChip)}
+		md.Label(sp.lines[0], "skb.free_list(node"+strconv.Itoa(m.IOHubChip)+")")
+	} else {
+		sp.locks = make([]slock.SpinLock, m.NCores)
+		sp.lines = make([]mem.Line, m.NCores)
 	}
-	n := md.Machine().NCores
-	sp.coreLocks = make([]slock.SpinLock, n)
-	for c := 0; c < n; c++ {
-		sp.coreLocks[c] = slock.NewSpinLock(md, "skb-pool-cpu*", md.Machine().Chip(c))
-		sp.coreLines = append(sp.coreLines, md.AllocLocal(c))
-		home := 0
+	for c := 0; c < m.NCores; c++ {
+		home := m.IOHubChip
 		if perCore {
-			home = md.Machine().Chip(c)
+			home = m.Chip(c)
+			sp.locks[c] = slock.NewSpinLock(md, "skb-pool-cpu*", home)
+			sp.lines[c] = md.AllocLocal(c)
 		}
 		ls := mem.NewLineSet(costs.dmaPayloadLines)
 		for i := 0; i < costs.dmaPayloadLines; i++ {
@@ -505,30 +504,22 @@ func (sp *SkbPool) DMARecv(p *sim.Proc) {
 // Get allocates a packet buffer.
 func (sp *SkbPool) Get(p *sim.Proc) {
 	sp.gets++
-	if sp.perCore {
-		c := p.Core()
-		sp.coreLocks[c].Acquire(p)
-		p.Advance(sp.md.Write(c, sp.coreLines[c], p.Now()) + costs.skbWork)
-		sp.coreLocks[c].Release(p)
-		return
-	}
-	sp.lock.Acquire(p)
-	p.Advance(sp.md.Write(p.Core(), sp.listLine, p.Now()) + costs.skbWork)
-	sp.lock.Release(p)
+	sp.update(p, costs.skbWork)
 }
 
 // Put frees a packet buffer back to the pool.
 func (sp *SkbPool) Put(p *sim.Proc) {
-	if sp.perCore {
-		c := p.Core()
-		sp.coreLocks[c].Acquire(p)
-		p.Advance(sp.md.Write(c, sp.coreLines[c], p.Now()))
-		sp.coreLocks[c].Release(p)
-		return
-	}
-	sp.lock.Acquire(p)
-	p.Advance(sp.md.Write(p.Core(), sp.listLine, p.Now()))
-	sp.lock.Release(p)
+	sp.update(p, 0)
+}
+
+// update charges one free-list operation, plus work cycles, under the
+// calling core's shard lock.
+func (sp *SkbPool) update(p *sim.Proc, work int64) {
+	c := p.Core()
+	s := c % len(sp.locks)
+	sp.locks[s].Acquire(p)
+	p.Advance(sp.md.Write(c, sp.lines[s], p.Now()) + work)
+	sp.locks[s].Release(p)
 }
 
 // Gets returns the number of allocations served.

@@ -170,3 +170,46 @@ func TestNICParamsValidationFloor(t *testing.T) {
 		t.Errorf("service cycles = %d, want >= 1", n.PacketServiceCycles())
 	}
 }
+
+// TestStockPoolHomesOnIOHub: the stock skb pool lives on the I/O hub's
+// node, the chip dmaHome charges stock DMA against. On a machine whose hub
+// hangs off chip 3, a stock DMARecv on a chip-3 core fetches each payload
+// line from local DRAM.
+func TestStockPoolHomesOnIOHub(t *testing.T) {
+	d := topo.Default()
+	m := (&topo.Machine{
+		Name:               "iohub3",
+		Chips:              d.Chips,
+		CoresPerChip:       d.CoresPerChip,
+		CacheLineBytes:     d.CacheLineBytes,
+		LatL1:              d.LatL1,
+		LatL2:              d.LatL2,
+		LatL3:              d.LatL3,
+		LatDRAMLocal:       d.LatDRAMLocal,
+		LatDRAMFar:         d.LatDRAMFar,
+		L3Bytes:            d.L3Bytes,
+		L2Bytes:            d.L2Bytes,
+		DRAMPerChipBytes:   d.DRAMPerChipBytes,
+		DRAMMaxBytesPerSec: d.DRAMMaxBytesPerSec,
+		LinkBytesPerSec:    d.LinkBytesPerSec,
+		IOHubChip:          3,
+	}).WithCores(48)
+	md := mem.NewModel(m)
+	s := NewStack(md, vfs.New(md, mm.NewAllocator(md), vfs.Config{}), nil, nil, stockCfg())
+	e := sim.NewEngine(m, 1)
+	core := 3 * m.CoresPerChip
+	var cost int64
+	e.Spawn(core, "rx", 0, func(p *sim.Proc) {
+		start := p.Now()
+		s.SkbPool().DMARecv(p)
+		cost = p.Now() - start
+	})
+	e.Run()
+	if m.Chip(core) != 3 {
+		t.Fatalf("core %d is on chip %d, want 3", core, m.Chip(core))
+	}
+	if want := int64(costs.dmaPayloadLines) * m.LatDRAMLocal; cost != want {
+		t.Errorf("stock DMARecv on the hub chip cost %d cycles, want %d (%d local DRAM fetches)",
+			cost, want, costs.dmaPayloadLines)
+	}
+}

@@ -50,8 +50,6 @@ func (d *Dentry) Ref() scount.Counter { return d.ref }
 
 // Inode models the fields of a tmpfs inode the workloads touch.
 type Inode struct {
-	// Ino is the inode number.
-	Ino int64
 	// Size is the file size in bytes.
 	Size int64
 

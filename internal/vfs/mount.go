@@ -11,7 +11,8 @@ import (
 // kernel resolves mounts through a central table protected by one spin
 // lock and reference-counts the vfsmount with a shared counter; Exim's
 // collapse on the stock kernel is primarily this lock (§5.2). PK adds
-// per-core mount caches and sloppy reference counters (§4.5, §4.3).
+// per-core mount caches and sloppy reference counters (§4.5, §4.3). The
+// per-core cache lines exist only when Config.PerCoreMountCache is set.
 type MountTable struct {
 	md  *mem.Model
 	cfg Config
@@ -24,7 +25,7 @@ type MountTable struct {
 	// ref counts references to the (single) vfsmount.
 	ref scount.Counter
 
-	// Per-core cache state (PK).
+	// Per-core cache state, nil without Config.PerCoreMountCache.
 	cacheLines []mem.Line
 	cacheWarm  []bool
 
@@ -51,12 +52,14 @@ func newMountTable(md *mem.Model, cfg Config) *MountTable {
 		ref := scount.NewSharedAt(md, mt.centralLine)
 		mt.ref = &ref
 	}
-	n := md.Machine().NCores
-	mt.cacheLines = make([]mem.Line, n)
-	for c := 0; c < n; c++ {
-		mt.cacheLines[c] = md.AllocLocal(c)
+	if cfg.PerCoreMountCache {
+		n := md.Machine().NCores
+		mt.cacheLines = make([]mem.Line, n)
+		for c := 0; c < n; c++ {
+			mt.cacheLines[c] = md.AllocLocal(c)
+		}
+		mt.cacheWarm = make([]bool, n)
 	}
-	mt.cacheWarm = make([]bool, n)
 	return mt
 }
 

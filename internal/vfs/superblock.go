@@ -7,94 +7,74 @@ import (
 )
 
 // SuperBlock models the per-super-block list of open files, used to decide
-// whether a read-write file system can be remounted read-only. The stock
-// kernel keeps one list under one lock; every open and close from every
-// core serializes there. PK splits it into per-core lists: opens lock only
-// the local list; a close on a different core must "expensively" lock the
-// opener's list (§4.5).
+// whether a read-write file system can be remounted read-only. The list is
+// split into shards, each a spin lock and the line it guards, and a core
+// adds files to shard core mod the shard count. The stock kernel is the
+// one-shard case: one list under one lock, sb_files, where every open and
+// close from every core serializes. PK keeps one shard per core
+// (sb_files-cpu*): opens lock only the local list; a close on a different
+// core must "expensively" lock the opener's list (§4.5). Only the
+// constructor chooses the layout; every operation is the same code on both.
 type SuperBlock struct {
-	md  *mem.Model
-	cfg Config
-
-	// Stock: one lock + one list line.
-	lock     slock.SpinLock
-	listLine mem.Line
-
-	// PK: per-core locks and list lines.
-	coreLocks []slock.SpinLock
-	coreLines []mem.Line
+	md    *mem.Model
+	locks []slock.SpinLock
+	lines []mem.Line
 
 	crossCoreRemovals int64
 }
 
 func newSuperBlock(md *mem.Model, cfg Config) *SuperBlock {
-	sb := &SuperBlock{
-		md:       md,
-		cfg:      cfg,
-		lock:     slock.NewSpinLock(md, "sb_files", 0),
-		listLine: md.Alloc(0),
+	sb := &SuperBlock{md: md}
+	if !cfg.PerCoreOpenList {
+		sb.locks = []slock.SpinLock{slock.NewSpinLock(md, "sb_files", 0)}
+		sb.lines = []mem.Line{md.Alloc(0)}
+		return sb
 	}
 	n := md.Machine().NCores
-	sb.coreLocks = make([]slock.SpinLock, n)
+	sb.locks = make([]slock.SpinLock, n)
+	sb.lines = make([]mem.Line, n)
 	for c := 0; c < n; c++ {
-		sb.coreLocks[c] = slock.NewSpinLock(md, "sb_files-cpu*", md.Machine().Chip(c))
-		sb.coreLines = append(sb.coreLines, md.AllocLocal(c))
+		sb.locks[c] = slock.NewSpinLock(md, "sb_files-cpu*", md.Machine().Chip(c))
+		sb.lines[c] = md.AllocLocal(c)
 	}
 	return sb
 }
 
-// Add installs a file on the open list, returning which core's list holds
-// it (for PK removal accounting).
+// shard returns the list that core c adds to.
+func (sb *SuperBlock) shard(c int) int { return c % len(sb.locks) }
+
+// Add installs a file on the calling core's list and returns that list's
+// shard, which Remove takes back.
 func (sb *SuperBlock) Add(p *sim.Proc) int {
-	core := p.Core()
-	if sb.cfg.PerCoreOpenList {
-		sb.coreLocks[core].Acquire(p)
-		p.Advance(sb.md.Write(core, sb.coreLines[core], p.Now()) + costs.listWork)
-		sb.coreLocks[core].Release(p)
-		return core
-	}
-	sb.lock.Acquire(p)
-	p.Advance(sb.md.Write(core, sb.listLine, p.Now()) + costs.listWork)
-	sb.lock.Release(p)
-	return -1
+	s := sb.shard(p.Core())
+	sb.update(p, s)
+	return s
 }
 
-// Remove takes the file off the list it was added to. With per-core lists,
-// removing from another core's list pays the remote line transfers.
-func (sb *SuperBlock) Remove(p *sim.Proc, addedOn int) {
-	core := p.Core()
-	if sb.cfg.PerCoreOpenList {
-		target := addedOn
-		if target < 0 {
-			target = core
-		}
-		if target != core {
-			sb.crossCoreRemovals++
-		}
-		sb.coreLocks[target].Acquire(p)
-		p.Advance(sb.md.Write(core, sb.coreLines[target], p.Now()) + costs.listWork)
-		sb.coreLocks[target].Release(p)
-		return
+// Remove takes the file off the list it was added to. Removing from
+// another core's list pays the remote line transfers.
+func (sb *SuperBlock) Remove(p *sim.Proc, shard int) {
+	if shard != sb.shard(p.Core()) {
+		sb.crossCoreRemovals++
 	}
-	sb.lock.Acquire(p)
-	p.Advance(sb.md.Write(core, sb.listLine, p.Now()) + costs.listWork)
-	sb.lock.Release(p)
+	sb.update(p, shard)
 }
 
-// RemountCheck scans every core's list, the expensive whole-table walk the
+// update charges one list insertion or removal under the shard's lock.
+func (sb *SuperBlock) update(p *sim.Proc, s int) {
+	sb.locks[s].Acquire(p)
+	p.Advance(sb.md.Write(p.Core(), sb.lines[s], p.Now()) + costs.listWork)
+	sb.locks[s].Release(p)
+}
+
+// RemountCheck scans every list, the expensive whole-table walk the
 // per-core design pays on remount (§4.5: "it must lock and scan all cores'
 // lists").
 func (sb *SuperBlock) RemountCheck(p *sim.Proc) {
-	if !sb.cfg.PerCoreOpenList {
-		sb.lock.Acquire(p)
-		p.Advance(sb.md.Read(p.Core(), sb.listLine, p.Now()) + costs.listWork)
-		sb.lock.Release(p)
-		return
-	}
-	for c := range sb.coreLocks {
-		sb.coreLocks[c].Acquire(p)
-		p.Advance(sb.md.Read(p.Core(), sb.coreLines[c], p.Now()) + costs.listWork)
-		sb.coreLocks[c].Release(p)
+	for s := range sb.locks {
+		sb.locks[s].Acquire(p)
+		p.Advance(sb.md.Read(p.Core(), sb.lines[s], p.Now()) + costs.listWork)
+		sb.locks[s].Release(p)
 	}
 }
 

@@ -81,8 +81,6 @@ type FS struct {
 	// read-side sections (both kernels — the dcache has been RCU-based
 	// since 2.4 [40]); unlinks defer the dentry free past a grace period.
 	rcu *rcu.RCU
-
-	nextIno int64
 }
 
 // New creates an empty file system. Global structures are homed on chip 0,
@@ -115,9 +113,7 @@ func (fs *FS) SuperBlock() *SuperBlock { return fs.sb }
 
 // newInodeSetup builds an inode without charging simulation time.
 func (fs *FS) newInodeSetup(homeChip int) Inode {
-	fs.nextIno++
 	return Inode{
-		Ino:      fs.nextIno,
 		sizeLine: fs.md.Alloc(homeChip),
 		mu:       slock.NewMutex(fs.md, "i_mutex", homeChip),
 	}
@@ -276,20 +272,20 @@ func (fs *FS) Put(p *sim.Proc, d *Dentry) {
 type File struct {
 	Dentry *Dentry
 
-	openCore int // core whose open-file list holds this file
+	openShard int // the open-file list shard that holds this file
 }
 
 // Open resolves the path and installs the file on the super block's
 // open-file list.
 func (fs *FS) Open(p *sim.Proc, path string) File {
 	d := fs.Walk(p, path, true)
-	return File{Dentry: d, openCore: fs.sb.Add(p)}
+	return File{Dentry: d, openShard: fs.sb.Add(p)}
 }
 
 // Close removes the file from the open list and drops the reference.
 func (fs *FS) Close(p *sim.Proc, f File) {
 	p.Advance(costs.syscallEntry)
-	fs.sb.Remove(p, f.openCore)
+	fs.sb.Remove(p, f.openShard)
 	fs.Put(p, f.Dentry)
 }
 
@@ -359,7 +355,7 @@ func (fs *FS) Create(p *sim.Proc, dirPath, name string) File {
 	p.Advance(costs.createWork)
 	dir.inode.mu.Release(p)
 
-	f := File{Dentry: d, openCore: fs.sb.Add(p)}
+	f := File{Dentry: d, openShard: fs.sb.Add(p)}
 	fs.Put(p, dir)
 	return f
 }
