@@ -12,20 +12,13 @@ type ApacheOpts struct {
 	RequestsPerCore int
 	// UseNIC includes the IXGBE receive-FIFO envelope.
 	UseNIC bool
-	// SingleInstance runs one Apache instance with a shared listening
-	// socket (the PK setup). When false, each core runs its own instance
-	// on a distinct port (the paper's stock setup) — accept does not
-	// contend, but everything else does.
-	SingleInstance bool
 }
 
-// DefaultApacheOpts returns the paper's PK configuration; RunApache
-// overrides SingleInstance for stock kernels the way the paper does.
+// DefaultApacheOpts returns the paper's configuration.
 func DefaultApacheOpts() ApacheOpts {
 	return ApacheOpts{
 		RequestsPerCore: 120,
 		UseNIC:          true,
-		SingleInstance:  true,
 	}
 }
 
@@ -51,7 +44,11 @@ var apacheCosts = struct {
 
 // RunApache executes the web-server workload: per-core server processes
 // accept connections, stat+open+read the file, respond, and close. Each
-// request is one short-lived TCP connection.
+// request is one short-lived TCP connection. It deploys Apache the way
+// the paper did on each kernel: with parallel accept, one instance whose
+// listening socket every core shares (the PK setup); without it, one
+// instance per core on a distinct port (the stock setup), so accept does
+// not contend but everything else does.
 func RunApache(k *kernel.Kernel, opts ApacheOpts) Result {
 	e := k.Engine
 	fs := k.FS
@@ -70,7 +67,7 @@ func RunApache(k *kernel.Kernel, opts ApacheOpts) Result {
 	// setup is charged once.
 	listeners := make([]*netsim.Listener, cores)
 	e.Spawn(k.FirstOnline(), "apache-master", 0, func(p *sim.Proc) {
-		if opts.SingleInstance {
+		if k.Cfg.Net.ParallelAccept {
 			shared := stack.Listen(p)
 			for c := range listeners {
 				listeners[c] = shared

@@ -94,21 +94,20 @@ func TestFig5MemcachedKernelSideIsFixedWithoutNIC(t *testing.T) {
 	}
 }
 
-func apacheAt(cfg kernel.Config, cores int, single bool) Result {
+func apacheAt(cfg kernel.Config, cores int) Result {
 	k := kernel.New(topo.New(cores), cfg, 1)
 	opts := DefaultApacheOpts()
 	opts.RequestsPerCore = 80
-	opts.SingleInstance = single
 	return RunApache(k, opts)
 }
 
 func TestFig6ApacheShape(t *testing.T) {
-	stock1 := apacheAt(kernel.Stock(), 1, false) // stock runs per-core instances
-	stock24 := apacheAt(kernel.Stock(), 24, false)
-	stock48 := apacheAt(kernel.Stock(), 48, false)
-	pk1 := apacheAt(kernel.PK(), 1, true)
-	pk24 := apacheAt(kernel.PK(), 24, true)
-	pk48 := apacheAt(kernel.PK(), 48, true)
+	stock1 := apacheAt(kernel.Stock(), 1) // stock runs per-core instances
+	stock24 := apacheAt(kernel.Stock(), 24)
+	stock48 := apacheAt(kernel.Stock(), 48)
+	pk1 := apacheAt(kernel.PK(), 1)
+	pk24 := apacheAt(kernel.PK(), 24)
+	pk48 := apacheAt(kernel.PK(), 48)
 
 	if r := stock48.PerCore() / stock1.PerCore(); r > 0.35 {
 		t.Errorf("stock Apache retains %.0f%% at 48 cores; paper shows collapse", r*100)

@@ -47,15 +47,12 @@ func TestCalibrationProbe(t *testing.T) {
 	fmt.Println("== Apache (req/s/core) ==")
 	for _, variant := range []string{"stock", "pk"} {
 		cfg := kernel.Stock()
-		opts := DefaultApacheOpts()
 		if variant == "pk" {
 			cfg = kernel.PK()
-		} else {
-			opts.SingleInstance = false
 		}
 		for _, n := range coresList {
 			k := kernel.New(topo.New(n), cfg, 1)
-			r := RunApache(k, opts)
+			r := RunApache(k, DefaultApacheOpts())
 			fmt.Printf("  %-6s %2d cores: %8.0f /s/core  u=%5.1f s=%5.1f\n",
 				variant, n, r.PerCore(), r.UserMicrosPerOp(), r.SysMicrosPerOp())
 		}

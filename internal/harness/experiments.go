@@ -58,11 +58,10 @@ func runMemcached(cfg kernel.Config, cores int, o Options) apps.Result {
 	return apps.RunMemcached(k, opts)
 }
 
-func runApache(cfg kernel.Config, cores int, single bool, o Options) apps.Result {
+func runApache(cfg kernel.Config, cores int, o Options) apps.Result {
 	k := o.newKernel(o.topo(cores), cfg)
 	opts := apps.DefaultApacheOpts()
 	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
-	opts.SingleInstance = single
 	return apps.RunApache(k, opts)
 }
 
@@ -190,10 +189,10 @@ func init() {
 			o.runGrid(s, []variantRun{
 				// Stock: one instance per core on distinct ports (§5.4).
 				{"Stock", func(c int, o Options) Point {
-					return point(runApache(kernel.Stock(), c, false, o), "Stock", 1)
+					return point(runApache(kernel.Stock(), c, o), "Stock", 1)
 				}},
 				{"PK", func(c int, o Options) Point {
-					return point(runApache(kernel.PK(), c, true, o), "PK", 1)
+					return point(runApache(kernel.PK(), c, o), "PK", 1)
 				}},
 			})
 			return s
@@ -352,8 +351,8 @@ var paperApps = []struct {
 		func(c int, o Options) apps.Result { return runMemcached(kernel.Stock(), c, o) },
 		func(c int, o Options) apps.Result { return runMemcached(kernel.PK(), c, o) }},
 	{"Apache", "HW: Receive queues on NIC",
-		func(c int, o Options) apps.Result { return runApache(kernel.Stock(), c, false, o) },
-		func(c int, o Options) apps.Result { return runApache(kernel.PK(), c, true, o) }},
+		func(c int, o Options) apps.Result { return runApache(kernel.Stock(), c, o) },
+		func(c int, o Options) apps.Result { return runApache(kernel.PK(), c, o) }},
 	{"PostgreSQL", "App: Application-level spin lock",
 		func(c int, o Options) apps.Result { return runPostgres(kernel.Stock(), c, 0, false, o) },
 		func(c int, o Options) apps.Result { return runPostgres(kernel.PK(), c, 0, true, o) }},

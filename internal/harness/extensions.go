@@ -269,7 +269,9 @@ func runSteering(o Options) *Series {
 		runs = append(runs, variantRun{name, func(cores int, o Options) Point {
 			m := o.topo(cores)
 			cfg := kernel.PK()
-			cfg.Net.ParallelAccept = false // sampled steering, shared backlog
+			// Sampled steering. Each server proc listens on its own stock
+			// listener, so accept never contends: only misdirection costs.
+			cfg.Net.ParallelAccept = false
 			cfg.Net.MisdirectProb = prob
 			k := o.newKernel(m, cfg)
 			stack := k.NewStack(nil)

@@ -269,7 +269,7 @@ func runAblations(o Options) *Series {
 	runFor := func(app string, cfg kernel.Config, o Options) float64 {
 		switch app {
 		case "Apache":
-			return runApache(cfg, max, cfg.Net.ParallelAccept, o).PerCore()
+			return runApache(cfg, max, o).PerCore()
 		case "memcached":
 			return runMemcached(cfg, max, o).PerCore()
 		case "PostgreSQL":

@@ -58,7 +58,7 @@ func TestBootKernel(t *testing.T) {
 	if k.FS == nil || k.Procs == nil || k.Engine == nil {
 		t.Fatal("kernel boot left nil subsystems")
 	}
-	if !k.FS.Config().AtomicLseek {
+	if !k.Cfg.VFS.AtomicLseek {
 		t.Error("PK kernel's FS did not receive AtomicLseek")
 	}
 	stack := k.NewStack(nil)

@@ -3,12 +3,16 @@
 // destination cache (dst_entry) and its reference count, protocol memory
 // accounting, device-structure false sharing, and TCP accept backlogs.
 //
-// Figure 1 rows covered here:
-//   - Parallel accept                   -> Config.ParallelAccept
-//   - dst_entry reference counting      -> Config.SloppyDstRef
-//   - protocol memory usage tracking    -> Config.SloppyProtoMem
-//   - DMA buffer allocation             -> Config.LocalDMABuf
-//   - net_device/device false sharing   -> Config.NetDevFalseSharingFix
+// Figure 1 rows covered here, each decided where its structure is built
+// (Accept and the DMA charges follow the layout Listen and newSkbPool
+// chose, and read no flag):
+//
+//	Figure 1 row                        Config field           decided in
+//	  - Parallel accept                 ParallelAccept         Listen
+//	  - dst_entry reference counting    SloppyDstRef           NewStack
+//	  - protocol memory usage tracking  SloppyProtoMem         NewStack
+//	  - DMA buffer allocation           LocalDMABuf            newSkbPool (SkbPool.home)
+//	  - net_device/device false sharing NetDevFalseSharingFix  newNetDev
 //
 // The card itself is modeled by its measured envelope: the paper reports
 // that it delivers fewer packets per second as the number of configured

@@ -28,8 +28,8 @@ type Config struct {
 	NetDevFalseSharingFix bool
 	// MisdirectProb overrides the probability that a short connection's
 	// packet is steered to the wrong core under the sampling-based flow
-	// director. Zero means the default (costs.misdirectProbability). Used by
-	// the flow-director ablation; ignored when ParallelAccept is set.
+	// director; NewStack turns zero into costs.misdirectProbability. Used
+	// by the flow-director ablation; ignored when ParallelAccept is set.
 	MisdirectProb float64
 }
 
@@ -101,6 +101,9 @@ func (nd *netDev) packetTouch(p *sim.Proc) int64 {
 // be nil when all traffic is loopback. dram, if non-nil, is the NUMA
 // memory system the card's DMA payload bandwidth is charged against.
 func NewStack(md *mem.Model, fs *vfs.FS, nic *NIC, dram *mem.Controllers, cfg Config) *Stack {
+	if cfg.MisdirectProb == 0 {
+		cfg.MisdirectProb = costs.misdirectProbability
+	}
 	s := &Stack{cfg: cfg, md: md, fs: fs, nic: nic, dram: dram}
 	s.skb = newSkbPool(md, cfg.LocalDMABuf)
 	if cfg.SloppyDstRef {
@@ -119,18 +122,6 @@ func NewStack(md *mem.Model, fs *vfs.FS, nic *NIC, dram *mem.Controllers, cfg Co
 	}
 	s.netdev = newNetDev(md, cfg.NetDevFalseSharingFix)
 	return s
-}
-
-// dmaHome returns the chip whose DRAM homes p's packet buffers: the I/O
-// hub's chip for the stock shared pools (all DMA buffers come from the
-// node nearest the PCI bus), the proc's own chip with per-core pools.
-// Both DMA halves (rxPacket landing payloads, txPacket draining them)
-// route against this home.
-func (s *Stack) dmaHome(p *sim.Proc) int {
-	if s.cfg.LocalDMABuf {
-		return p.Chip()
-	}
-	return s.md.Machine().IOHubChip
 }
 
 // Misdirected returns how many packets were steered to the wrong core.
@@ -211,7 +202,7 @@ func (s *Stack) rxPacket(p *sim.Proc, n int64) {
 			// The card DMAs the payload from the I/O hub into the
 			// buffer's home DRAM; the bytes occupy every HT link between
 			// the hub and that chip.
-			s.dram.DMAWrite(p, s.dmaHome(p), n)
+			s.dram.DMAWrite(p, s.skb.home[p.Core()], n)
 		}
 	}
 	s.skb.Get(p)
@@ -248,7 +239,7 @@ func (s *Stack) txPacket(p *sim.Proc, n int64) {
 			// DRAM toward the I/O hub — the transmit mirror of the
 			// receive-half charge in rxPacket. The bytes occupy the home
 			// controller and every HT link between that chip and the hub.
-			s.dram.DMARead(p, s.dmaHome(p), n)
+			s.dram.DMARead(p, s.skb.home[p.Core()], n)
 		}
 	}
 	// The buffer returns to the pool only after the card has drained it.
@@ -321,11 +312,12 @@ type Conn struct {
 	local bool
 }
 
-// Accept dequeues one connection request. The caller is assumed to be a
-// server thread that will process the connection on this core.
+// Accept dequeues one connection request through the layout Listen built
+// for l. The caller is assumed to be a server thread that will process the
+// connection on this core.
 func (s *Stack) Accept(p *sim.Proc, l *Listener) *Conn {
 	conn := &Conn{}
-	if s.cfg.ParallelAccept {
+	if l.coreLines != nil {
 		// Local backlog: a core-private line, no shared lock.
 		if p.Engine().Rand.Float64() < costs.stealProbability {
 			// Steal from a neighbor's queue: remote line traffic.
@@ -371,11 +363,7 @@ func (s *Stack) chargeSteering(p *sim.Proc, c *Conn) {
 	if c.local {
 		return
 	}
-	prob := s.cfg.MisdirectProb
-	if prob == 0 {
-		prob = costs.misdirectProbability
-	}
-	if p.Engine().Rand.Float64() < prob {
+	if p.Engine().Rand.Float64() < s.cfg.MisdirectProb {
 		s.misdirected++
 		// The packet is handled on the wrong core.
 		p.Advance(costs.misdirectWork)
@@ -454,11 +442,13 @@ type SkbPool struct {
 	locks []slock.SpinLock
 	lines []mem.Line
 
-	// payload samples the cache lines of each core's receive buffer. The
-	// buffer's home node follows the pool's allocation policy: the I/O
-	// hub's node for the stock single pool, the core's own node with
-	// per-core pools — so every received packet's first touch is a local
-	// or a cross-chip DRAM fetch accordingly (§5.3).
+	// home is the chip whose DRAM holds each core's packet buffers: the
+	// I/O hub's node for the stock single pool, the core's own node with
+	// per-core pools. The card's DMA in both directions routes against it.
+	home []int
+	// payload samples the cache lines of each core's receive buffer, on
+	// home[core], so every received packet's first touch is a local or a
+	// cross-chip DRAM fetch accordingly (§5.3).
 	payload []*mem.LineSet
 
 	gets int64
@@ -466,7 +456,7 @@ type SkbPool struct {
 
 func newSkbPool(md *mem.Model, perCore bool) *SkbPool {
 	m := md.Machine()
-	sp := &SkbPool{md: md}
+	sp := &SkbPool{md: md, home: make([]int, m.NCores)}
 	if !perCore {
 		sp.locks = []slock.SpinLock{slock.NewSpinLock(md, "skb-pool-node*", m.IOHubChip)}
 		sp.lines = []mem.Line{md.Alloc(m.IOHubChip)}
@@ -482,6 +472,7 @@ func newSkbPool(md *mem.Model, perCore bool) *SkbPool {
 			sp.locks[c] = slock.NewSpinLock(md, "skb-pool-cpu*", home)
 			sp.lines[c] = md.AllocLocal(c)
 		}
+		sp.home[c] = home
 		ls := mem.NewLineSet(costs.dmaPayloadLines)
 		for i := 0; i < costs.dmaPayloadLines; i++ {
 			ls.Add(md.Alloc(home))

@@ -172,7 +172,7 @@ func TestNICParamsValidationFloor(t *testing.T) {
 }
 
 // TestStockPoolHomesOnIOHub: the stock skb pool lives on the I/O hub's
-// node, the chip dmaHome charges stock DMA against. On a machine whose hub
+// node, the chip the card's stock DMA is charged against. On a machine whose hub
 // hangs off chip 3, a stock DMARecv on a chip-3 core fetches each payload
 // line from local DRAM.
 func TestStockPoolHomesOnIOHub(t *testing.T) {

@@ -28,9 +28,11 @@ type LockStats struct {
 	WaitCycles int64
 }
 
-// LineStats accumulates per-cache-line coherence traffic for labeled lines.
+// LineStats accumulates the coherence traffic of one line label: every
+// line labeled with the same name counts into the one record, so a
+// per-core array of labeled lines is one row, as with LockStats.
 type LineStats struct {
-	// Name identifies the line (e.g. "dst_entry.refcnt").
+	// Name is the line label (e.g. "dst_entry.refcnt").
 	Name string
 	// Writes counts modifications.
 	Writes int64
@@ -42,11 +44,13 @@ type LineStats struct {
 // Registry owns all stats for one simulated machine.
 type Registry struct {
 	locks map[string]*LockStats
-	lines []*LineStats
+	lines map[string]*LineStats
 }
 
 // New returns an empty registry.
-func New() *Registry { return &Registry{locks: map[string]*LockStats{}} }
+func New() *Registry {
+	return &Registry{locks: map[string]*LockStats{}, lines: map[string]*LineStats{}}
+}
 
 // Lock returns the stats record of the named lock class, creating it on
 // first use. Every lock of a class shares the record, so the name must be
@@ -61,10 +65,14 @@ func (r *Registry) Lock(name string) *LockStats {
 	return s
 }
 
-// Line registers and returns a stats record for a named cache line.
+// Line returns the stats record of the named line label, creating it on
+// first use. Every line with the label shares the record.
 func (r *Registry) Line(name string) *LineStats {
-	s := &LineStats{Name: name}
-	r.lines = append(r.lines, s)
+	s, ok := r.lines[name]
+	if !ok {
+		s = &LineStats{Name: name}
+		r.lines[name] = s
+	}
 	return s
 }
 
@@ -89,7 +97,8 @@ func (r *Registry) TopLocks(n int) []LockStats {
 	return out
 }
 
-// TopLines returns up to n labeled lines ordered by wait cycles.
+// TopLines returns up to n written line labels ordered by wait cycles
+// (descending), then by name.
 func (r *Registry) TopLines(n int) []LineStats {
 	out := make([]LineStats, 0, len(r.lines))
 	for _, s := range r.lines {

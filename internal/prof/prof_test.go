@@ -78,6 +78,23 @@ func TestTopLinesAndReport(t *testing.T) {
 	}
 }
 
+// TestTopLinesAggregatesLabel: every line under one label gets the one
+// record, so a per-core array of labeled lines is one TopLines row with
+// the writes and waits of all of them.
+func TestTopLinesAggregatesLabel(t *testing.T) {
+	r := New()
+	a := r.Line("tcp.accept_backlog")
+	b := r.Line("tcp.accept_backlog")
+	a.Writes, a.WaitCycles = 20, 100
+	b.Writes += 20
+	b.WaitCycles += 50
+	top := r.TopLines(10)
+	want := LineStats{Name: "tcp.accept_backlog", Writes: 40, WaitCycles: 150}
+	if len(top) != 1 || top[0] != want {
+		t.Errorf("TopLines = %+v, want one row %+v", top, want)
+	}
+}
+
 func TestTopNTruncates(t *testing.T) {
 	r := New()
 	for i := 0; i < 10; i++ {

@@ -12,10 +12,10 @@ import (
 // lock and reference-counts the vfsmount with a shared counter; Exim's
 // collapse on the stock kernel is primarily this lock (§5.2). PK adds
 // per-core mount caches and sloppy reference counters (§4.5, §4.3). The
-// per-core cache lines exist only when Config.PerCoreMountCache is set.
+// per-core cache lines exist only when Config.PerCoreMountCache is set,
+// and Get uses them exactly when they exist.
 type MountTable struct {
-	md  *mem.Model
-	cfg Config
+	md *mem.Model
 
 	// lock is the global mount table lock (stock hot spot). A ticket
 	// spin lock normally; an MCS lock with Config.ScalableMountLock.
@@ -35,7 +35,6 @@ type MountTable struct {
 func newMountTable(md *mem.Model, cfg Config) *MountTable {
 	mt := &MountTable{
 		md:          md,
-		cfg:         cfg,
 		centralLine: md.Alloc(0),
 	}
 	if cfg.ScalableMountLock {
@@ -70,7 +69,7 @@ func newMountTable(md *mem.Model, cfg Config) *MountTable {
 func (mt *MountTable) Get(p *sim.Proc) {
 	mt.lookups++
 	core := p.Core()
-	if mt.cfg.PerCoreMountCache {
+	if mt.cacheLines != nil {
 		if mt.cacheWarm[core] {
 			mt.cacheHits++
 			p.Advance(mt.md.Read(core, mt.cacheLines[core], p.Now()))

@@ -5,17 +5,19 @@
 //
 // Each object charges its cache-line traffic through mem.Model and its lock
 // waits through slock, so the stock configuration reproduces the paper's
-// bottlenecks and the PK configuration removes them:
+// bottlenecks and the PK configuration removes them. Each fix is decided
+// where its structure is built; only the rows marked * are also read by an
+// operation:
 //
-//	Figure 1 rows covered here:
-//	  - dentry reference counting        -> Config.SloppyDentryRef
-//	  - vfsmount reference counting      -> Config.SloppyVfsmountRef
-//	  - dentry spin locks (dlookup)      -> Config.LockFreeDlookup
-//	  - mount point table spin lock      -> Config.PerCoreMountCache
-//	  - open-file list                   -> Config.PerCoreOpenList
-//	  - inode lists                      -> Config.InodeListAvoidLock
-//	  - dcache lists                     -> Config.DcacheListAvoidLock
-//	  - per-inode mutex in lseek         -> Config.AtomicLseek
+//	Figure 1 row                    Config field         decided in
+//	  - dentry reference counting   SloppyDentryRef      newDentrySetup
+//	  - vfsmount reference counting SloppyVfsmountRef    newMountTable
+//	  - dentry spin locks (dlookup) LockFreeDlookup*     newDentrySetup; dgetCompare, Create
+//	  - mount point table spin lock PerCoreMountCache    newMountTable
+//	  - open-file list              PerCoreOpenList      newSuperBlock
+//	  - inode lists                 InodeListAvoidLock   New (FS.createLocks)
+//	  - dcache lists                DcacheListAvoidLock  New (FS.createLocks)
+//	  - per-inode mutex in lseek    AtomicLseek*         Lseek
 package vfs
 
 import (
@@ -73,10 +75,12 @@ type FS struct {
 	mounts *MountTable
 	sb     *SuperBlock
 
-	// inodeLock is the global inode_lock protecting the inode lists.
-	inodeLock slock.SpinLock
-	// dcacheLock is the global dcache_lock protecting dentry LRU lists.
-	dcacheLock slock.SpinLock
+	// listLocks are the global list locks a destroy takes: inode_lock
+	// (the inode lists), then dcache_lock (the dentry LRU lists).
+	listLocks []*slock.SpinLock
+	// createLocks are the list locks a create takes: listLocks minus each
+	// one whose avoid-when-unnecessary fix is on (§4.7).
+	createLocks []*slock.SpinLock
 	// rcu protects the dcache hash chains: lookups walk them inside
 	// read-side sections (both kernels — the dcache has been RCU-based
 	// since 2.4 [40]); unlinks defer the dentry free past a grace period.
@@ -86,12 +90,15 @@ type FS struct {
 // New creates an empty file system. Global structures are homed on chip 0,
 // where the boot CPU would have allocated them.
 func New(md *mem.Model, alloc *mm.Allocator, cfg Config) *FS {
-	fs := &FS{
-		md:         md,
-		cfg:        cfg,
-		alloc:      alloc,
-		inodeLock:  slock.NewSpinLock(md, "inode_lock", 0),
-		dcacheLock: slock.NewSpinLock(md, "dcache_lock", 0),
+	fs := &FS{md: md, cfg: cfg, alloc: alloc}
+	inodeLock := slock.NewSpinLock(md, "inode_lock", 0)
+	dcacheLock := slock.NewSpinLock(md, "dcache_lock", 0)
+	fs.listLocks = []*slock.SpinLock{&inodeLock, &dcacheLock}
+	if !cfg.InodeListAvoidLock {
+		fs.createLocks = append(fs.createLocks, &inodeLock)
+	}
+	if !cfg.DcacheListAvoidLock {
+		fs.createLocks = append(fs.createLocks, &dcacheLock)
 	}
 	fs.mounts = newMountTable(md, cfg)
 	fs.sb = newSuperBlock(md, cfg)
@@ -99,9 +106,6 @@ func New(md *mem.Model, alloc *mm.Allocator, cfg Config) *FS {
 	fs.root = fs.newDentrySetup("/", nil, true)
 	return fs
 }
-
-// Config returns the active configuration.
-func (fs *FS) Config() Config { return fs.cfg }
 
 // MountTable exposes the mount table (for statistics).
 func (fs *FS) MountTable() *MountTable { return fs.mounts }
@@ -344,8 +348,7 @@ func (fs *FS) Create(p *sim.Proc, dirPath, name string) File {
 	if _, exists := dir.children[name]; exists {
 		panic("vfs: create of existing file " + dirPath + "/" + name)
 	}
-	fs.chargeInodeListLock(p, false)
-	fs.chargeDcacheListLock(p, false)
+	fs.chargeListLocks(p, fs.createLocks)
 	d := fs.newDentrySetup(name, dir, false)
 	if fs.cfg.LockFreeDlookup {
 		d.gen.BeginWrite(p)
@@ -371,8 +374,7 @@ func (fs *FS) Unlink(p *sim.Proc, dirPath, name string) {
 		panic("vfs: unlink of missing file " + dirPath + "/" + name)
 	}
 	delete(dir.children, name)
-	fs.chargeInodeListLock(p, true)
-	fs.chargeDcacheListLock(p, true)
+	fs.chargeListLocks(p, fs.listLocks)
 	if s, isSloppy := d.ref.(*scount.Sloppy); isSloppy {
 		s.Reconcile(p)
 	}
@@ -384,27 +386,15 @@ func (fs *FS) Unlink(p *sim.Proc, dirPath, name string) {
 	fs.Put(p, dir)
 }
 
-// chargeInodeListLock models the global inode_lock: the stock kernel takes
-// it on every inode create/destroy; PK avoids it except when a list is
-// really modified (destroy).
-func (fs *FS) chargeInodeListLock(p *sim.Proc, destroying bool) {
-	if fs.cfg.InodeListAvoidLock && !destroying {
-		return
+// chargeListLocks takes and releases each global list lock in ls in
+// turn: the stock kernel takes them on every inode and dentry create and
+// destroy; PK avoids them except when a list is really modified (destroy).
+func (fs *FS) chargeListLocks(p *sim.Proc, ls []*slock.SpinLock) {
+	for _, l := range ls {
+		l.Acquire(p)
+		p.Advance(costs.listLockHold)
+		l.Release(p)
 	}
-	fs.inodeLock.Acquire(p)
-	p.Advance(costs.listLockHold)
-	fs.inodeLock.Release(p)
-}
-
-// chargeDcacheListLock models the global dcache_lock, with the same
-// avoid-when-unnecessary PK behavior.
-func (fs *FS) chargeDcacheListLock(p *sim.Proc, destroying bool) {
-	if fs.cfg.DcacheListAvoidLock && !destroying {
-		return
-	}
-	fs.dcacheLock.Acquire(p)
-	p.Advance(costs.listLockHold)
-	fs.dcacheLock.Release(p)
 }
 
 // ---- Anonymous (socket) inodes ----
@@ -415,8 +405,7 @@ func (fs *FS) chargeDcacheListLock(p *sim.Proc, destroying bool) {
 // bottleneck memcached and Apache hit. Nothing reads a socket inode's
 // fields, so none is built.
 func (fs *FS) CreateAnon(p *sim.Proc) {
-	fs.chargeInodeListLock(p, false)
-	fs.chargeDcacheListLock(p, false)
+	fs.chargeListLocks(p, fs.createLocks)
 	p.Advance(costs.createWork / 2)
 }
 
@@ -424,11 +413,6 @@ func (fs *FS) CreateAnon(p *sim.Proc) {
 // list removals, avoiding the global locks on this path too; we model
 // that as skipping the lock (the deferred work is off the critical path).
 func (fs *FS) ReleaseAnon(p *sim.Proc) {
-	if !fs.cfg.InodeListAvoidLock {
-		fs.chargeInodeListLock(p, true)
-	}
-	if !fs.cfg.DcacheListAvoidLock {
-		fs.chargeDcacheListLock(p, true)
-	}
+	fs.chargeListLocks(p, fs.createLocks)
 	p.Advance(costs.unlinkWork / 2)
 }

@@ -98,10 +98,10 @@ func RunExim(cfg EximConfig) (AppResult, error) {
 // ApacheConfig customizes a web-server run.
 type ApacheConfig struct {
 	Cores int
-	PK    bool
-	// SingleInstance shares one listening socket across cores (the PK
-	// setup); false runs one instance per core (the stock setup).
-	SingleInstance bool
+	// PK selects the patched kernel, which runs one Apache instance whose
+	// listening socket every core shares; the stock kernel runs one
+	// instance per core, as in the paper.
+	PK bool
 	// WithNIC includes the IXGBE receive envelope.
 	WithNIC bool
 	// RequestsPerCore is the run length (0 = default).
@@ -116,7 +116,6 @@ func RunApache(cfg ApacheConfig) (AppResult, error) {
 		return AppResult{}, err
 	}
 	opts := apps.DefaultApacheOpts()
-	opts.SingleInstance = cfg.SingleInstance
 	opts.UseNIC = cfg.WithNIC
 	if cfg.RequestsPerCore > 0 {
 		opts.RequestsPerCore = cfg.RequestsPerCore

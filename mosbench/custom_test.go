@@ -31,11 +31,11 @@ func TestRunEximValidatesCores(t *testing.T) {
 }
 
 func TestRunApacheVariants(t *testing.T) {
-	stock, err := RunApache(ApacheConfig{Cores: 16, SingleInstance: false, WithNIC: false, RequestsPerCore: 30})
+	stock, err := RunApache(ApacheConfig{Cores: 16, WithNIC: false, RequestsPerCore: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, err := RunApache(ApacheConfig{Cores: 16, PK: true, SingleInstance: true, WithNIC: false, RequestsPerCore: 30})
+	pk, err := RunApache(ApacheConfig{Cores: 16, PK: true, WithNIC: false, RequestsPerCore: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
