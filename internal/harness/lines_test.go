@@ -11,12 +11,17 @@ import (
 
 // eximLinesPerMessage bounds how many directory lines one more Exim
 // message adds to the memory model. A message creates and unlinks two
-// spool files, whose dentries stay (three lines each under Stock, about
-// seven under PK), and forks three processes, whose page-table lines Exit
-// frees. A path that leaks lines on every operation (a sloppy counter's
-// per-core pools allocated up front, a process's 24 page-table lines never
-// freed) costs tens to hundreds of lines per message and fails the bound.
-const eximLinesPerMessage = 20
+// spool files and forks three processes. An unlinked file's dentry returns
+// its lines once its RCU grace period has ended, and an exited process
+// its page-table lines, so later messages reuse both. What is left on PK
+// are first touches of long-lived dentries' sloppy pools: a spool
+// directory's or mailbox's pool line the first time a core walks to it
+// (every other long-lived dentry has each core's pool within the first
+// messages). That share falls with run length. A path that leaks lines on
+// every operation (a dentry never reclaimed, a process's 24 page-table
+// lines never freed) costs six to hundreds of lines per message and fails
+// the bound.
+const eximLinesPerMessage = 2
 
 // TestEximDirectoryLinesPerMessage runs Exim, Stock and PK, on the default
 // 48-core machine and on big192, at half the quick message budget and at

@@ -58,8 +58,13 @@ func TestBootKernel(t *testing.T) {
 	if k.FS == nil || k.Procs == nil || k.Engine == nil {
 		t.Fatal("kernel boot left nil subsystems")
 	}
-	if !k.Cfg.VFS.AtomicLseek {
-		t.Error("PK kernel's FS did not receive AtomicLseek")
+	// The booted FS runs the PK VFS config: with AtomicLseek an Lseek
+	// takes no i_mutex, where a stock kernel's takes one.
+	if n := lseekMutexAcquisitions(k); n != 0 {
+		t.Errorf("an Lseek on the PK kernel made %d i_mutex acquisitions, want 0", n)
+	}
+	if n := lseekMutexAcquisitions(New(topo.New(48), Stock(), 1)); n != 1 {
+		t.Errorf("an Lseek on the stock kernel made %d i_mutex acquisitions, want 1", n)
 	}
 	stack := k.NewStack(nil)
 	if stack == nil {
@@ -69,6 +74,23 @@ func TestBootKernel(t *testing.T) {
 	if as == nil {
 		t.Fatal("NewAddressSpace returned nil")
 	}
+}
+
+// lseekMutexAcquisitions opens a new file on k, seeks it once and closes
+// it, and returns how many i_mutex acquisitions the Lseek made.
+func lseekMutexAcquisitions(k *Kernel) int64 {
+	k.FS.MustCreateFile("/lseek-probe", 4096)
+	mu := k.MD.Prof.Lock("i_mutex")
+	var n int64
+	k.Engine.Spawn(0, "seek", 0, func(p *sim.Proc) {
+		f := k.FS.Open(p, "/lseek-probe")
+		before := mu.Acquisitions
+		k.FS.Lseek(p, f)
+		n = mu.Acquisitions - before
+		k.FS.Close(p, f)
+	})
+	k.Engine.Run()
+	return n
 }
 
 // TestLockClassesShareOneRecord: a lock counts into its class's record.

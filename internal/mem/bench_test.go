@@ -61,7 +61,8 @@ func BenchmarkAccessSetRead(b *testing.B) {
 
 // BenchmarkAllocLabel measures allocation plus labeling, the directory
 // growth path. Lines come in fixed pages, so allocs/op should stay near
-// one per page plus one per labeled line's profiler record.
+// one per page: a label's profiler record is kept once however many lines
+// carry it.
 func BenchmarkAllocLabel(b *testing.B) {
 	md := NewModel(topo.New(48))
 	b.ReportAllocs()

@@ -252,6 +252,31 @@ func TestFreedLineAccessPanics(t *testing.T) {
 	}
 }
 
+// TestLabelKeepsOneRecordPerName: lines that share a label share one
+// entry in the model's record list, however many lines carry it, and
+// every write to any of them counts into that one record.
+func TestLabelKeepsOneRecordPerName(t *testing.T) {
+	md := newModel48()
+	var backlog []Line
+	for c := range 48 {
+		l := md.Alloc(0)
+		md.Label(l, "backlog")
+		backlog = append(backlog, l)
+		if c%16 == 0 {
+			md.Label(md.Alloc(0), "other")
+		}
+	}
+	if len(md.labeled) != 2 {
+		t.Fatalf("two labels on 51 lines left %d record entries, want 2", len(md.labeled))
+	}
+	for c, l := range backlog {
+		md.Write(c, l, 0)
+	}
+	if top := md.Prof.TopLines(1); len(top) != 1 || top[0].Name != "backlog" || top[0].Writes != 48 {
+		t.Errorf("backlog line stats = %+v, want one record with 48 writes", top)
+	}
+}
+
 // TestFreeLabeledLinePanics: a label names a long-lived contention point,
 // so its line is never freed.
 func TestFreeLabeledLinePanics(t *testing.T) {

@@ -17,6 +17,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/prof"
 	"repro/internal/topo"
@@ -185,8 +186,8 @@ type Model struct {
 	// that allocates every page.
 	spare *PageList
 
-	// labeled holds the profiler records of labeled lines; state.label
-	// indexes it.
+	// labeled holds the profiler record of each label, once however many
+	// lines carry it; state.label indexes it.
 	labeled []*prof.LineStats
 
 	// chipOf caches the core->chip mapping so the hot paths avoid the
@@ -275,13 +276,20 @@ func (md *Model) newWide() []uint64 {
 }
 
 // Label attaches a profiler record to a line so its coherence traffic
-// appears in contention reports.
+// appears in contention reports. Every line with the same name shares one
+// record.
 func (md *Model) Label(l Line, name string) {
 	s, _ := md.st(l)
-	if s.label == 0 {
-		md.labeled = append(md.labeled, md.Prof.Line(name))
-		s.label = int32(len(md.labeled))
+	if s.label != 0 {
+		return
 	}
+	rec := md.Prof.Line(name)
+	i := slices.Index(md.labeled, rec)
+	if i < 0 {
+		i = len(md.labeled)
+		md.labeled = append(md.labeled, rec)
+	}
+	s.label = int32(i + 1)
 }
 
 // Machine returns the machine this model simulates.

@@ -16,6 +16,12 @@ type Shadow struct {
 	hi      []uint64 // sharer words for cores 64.., nil until one reads
 }
 
+// Reset makes sh a group nobody has read, keeping its sharer words.
+func (sh *Shadow) Reset() {
+	sh.sharers, sh.chips = 0, 0
+	clear(sh.hi)
+}
+
 // hasSharer reports whether the core at (w, bit) read the group.
 func (sh *Shadow) hasSharer(w int, bit uint64) bool {
 	if w == 0 {

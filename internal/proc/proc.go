@@ -28,6 +28,9 @@ type Table struct {
 	nextPID int
 
 	forks, execs int64
+
+	// exited holds the processes Exit tore down, for Fork to reuse.
+	exited []*Process
 }
 
 // NewTable creates a process table. pageStructs models the shared page
@@ -47,10 +50,8 @@ type Process struct {
 	AS *mm.AddressSpace
 	// ptLines sample the page-table lines the parent wrote during fork;
 	// the child's first touches and the final frees pay their transfer.
-	// They live inline, so a fork allocates only the Process.
+	// They live inline, so a fork allocates at most the Process.
 	ptLines [ptSampleLines]mem.Line
-	// creatorCore is the core fork ran on.
-	creatorCore int
 }
 
 // NewInitProcess makes a root process at setup time (no cost).
@@ -59,9 +60,10 @@ func (t *Table) NewInitProcess(as *mm.AddressSpace) *Process {
 	return &Process{PID: t.nextPID, AS: as}
 }
 
-// Fork creates a child of parent. The calling proc pays the fork cost:
-// fixed work, the pid lock, page-struct reference updates, and writes to
-// the sampled page-table lines (the data a cross-core child will miss on).
+// Fork creates a child of parent, reusing a process Exit tore down when
+// there is one. The calling proc pays the fork cost: fixed work, the pid
+// lock, page-struct reference updates, and writes to the sampled
+// page-table lines (the data a cross-core child will miss on).
 func (t *Table) Fork(p *sim.Proc, parent *Process, childAS *mm.AddressSpace) *Process {
 	t.forks++
 	t.pidLock.Acquire(p)
@@ -69,7 +71,14 @@ func (t *Table) Fork(p *sim.Proc, parent *Process, childAS *mm.AddressSpace) *Pr
 	pid := t.nextPID
 	t.pidLock.Release(p)
 
-	child := &Process{PID: pid, AS: childAS, creatorCore: p.Core()}
+	var child *Process
+	if n := len(t.exited); n > 0 {
+		child = t.exited[n-1]
+		t.exited = t.exited[:n-1]
+	} else {
+		child = new(Process)
+	}
+	*child = Process{PID: pid, AS: childAS}
 	for i := range child.ptLines {
 		child.ptLines[i] = t.md.AllocLocal(p.Core())
 	}
@@ -94,13 +103,15 @@ func (t *Table) Exec(p *sim.Proc) {
 // Exit tears a forked process down: page-struct releases and mapping
 // frees, writing the sampled page-table lines (remote if the process
 // migrated). The freed page tables return their lines to the memory
-// model, so the process must not be touched again.
+// model, and the table keeps the Process for the next Fork to reuse, so
+// the caller must not touch it again.
 func (t *Table) Exit(p *sim.Proc, proc *Process) {
 	p.Advance(costs.exitWork + t.md.AccessSet(p.Core(), proc.ptLines[:], mem.OpWrite, p.Now()))
 	for _, l := range proc.ptLines {
 		t.md.Free(l)
 	}
 	t.ps.TouchN(p, t.md, proc.PID*7, costs.pageStructTouches)
+	t.exited = append(t.exited, proc)
 }
 
 // Forks returns the total fork count.

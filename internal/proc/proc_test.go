@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -149,8 +150,9 @@ func TestExecCounts(t *testing.T) {
 }
 
 // TestForkExitAllocationBudget pins a fork's host cost: the sampled
-// page-table lines live inside the Process, so a Fork and Exit allocate
-// one object.
+// page-table lines live inside the Process, and Fork reuses the Process
+// the last Exit kept, so in the steady state a Fork and Exit allocate
+// nothing.
 func TestForkExitAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -164,8 +166,8 @@ func TestForkExitAllocationBudget(t *testing.T) {
 		})
 	})
 	e.Run()
-	if allocs != 1 {
-		t.Errorf("a Fork+Exit allocates %.0f objects, want 1", allocs)
+	if allocs != 0 {
+		t.Errorf("a Fork+Exit allocates %.0f objects, want 0", allocs)
 	}
 }
 
@@ -200,4 +202,58 @@ func TestExitFreesPageTableLines(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// TestRecycledProcessChargesLikeFresh: two tables run the same fork,
+// child start on another chip and exit twice. In one, the second Fork
+// reuses the first child's Process; in the other, that Process is dropped,
+// so the second child is fresh. Every step of the second child's life
+// charges the same in both.
+func TestRecycledProcessChargesLikeFresh(t *testing.T) {
+	run := func(recycle bool) (costs []int64, reused bool) {
+		e, _, tbl := setup(48, false)
+		parent := tbl.NewInitProcess(nil)
+		step := func(p *sim.Proc, do func()) {
+			t0 := p.Now()
+			do()
+			costs = append(costs, p.Now()-t0)
+		}
+		var first *Process
+		e.Spawn(0, "parent", 0, func(p *sim.Proc) {
+			for i := range 2 {
+				var child *Process
+				step(p, func() { child = tbl.Fork(p, parent, nil) })
+				if i == 0 {
+					first = child
+				} else {
+					reused = child == first
+				}
+				done := false
+				p.Engine().Spawn(47, "child", p.Now(), func(cp *sim.Proc) {
+					step(cp, func() { tbl.ChildStart(cp, child) })
+					step(cp, func() { tbl.Exit(cp, child) })
+					done = true
+				})
+				for !done {
+					p.Idle(1000)
+				}
+				if i == 0 {
+					costs = costs[:0]
+					if !recycle {
+						tbl.exited = tbl.exited[:0]
+					}
+				}
+			}
+		})
+		e.Run()
+		return costs, reused
+	}
+	recycled, reused := run(true)
+	fresh, freshReused := run(false)
+	if !reused || freshReused {
+		t.Fatalf("the second fork reused the first child: %v with reuse, %v without; want true, false", reused, freshReused)
+	}
+	if !reflect.DeepEqual(recycled, fresh) {
+		t.Errorf("a recycled process charged %v, a fresh one %v", recycled, fresh)
+	}
 }

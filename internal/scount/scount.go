@@ -125,17 +125,39 @@ type sloppyCore struct {
 // the counter's shadow stands in for it, so a counter costs directory
 // lines only for the cores that use it.
 func NewSloppy(md *mem.Model, homeChip int) *Sloppy {
-	n := md.Machine().NCores
-	s := &Sloppy{
-		md:          md,
-		centralLine: md.Alloc(homeChip),
-		cores:       make([]sloppyCore, n),
+	s := &Sloppy{md: md, cores: make([]sloppyCore, md.Machine().NCores)}
+	s.Reset(homeChip)
+	return s
+}
+
+// Reset makes s the counter NewSloppy would return, on a new central line
+// homed on homeChip, keeping its pool array. A counter that held lines
+// must have returned them with Free first.
+func (s *Sloppy) Reset(homeChip int) {
+	cores := s.cores
+	for c := range cores {
+		cores[c] = sloppyCore{line: mem.NoLine}
+	}
+	s.shadow.Reset()
+	*s = Sloppy{
+		md:          s.md,
+		centralLine: s.md.Alloc(homeChip),
+		cores:       cores,
+		shadow:      s.shadow,
 		Threshold:   DefaultSpareThreshold,
 	}
+}
+
+// Free returns the counter's lines, the central one and each pool line a
+// core touched, to the memory model. The counter must not be used again
+// until Reset.
+func (s *Sloppy) Free() {
+	s.md.Free(s.centralLine)
 	for c := range s.cores {
-		s.cores[c].line = mem.NoLine
+		if l := s.cores[c].line; l != mem.NoLine {
+			s.md.Free(l)
+		}
 	}
-	return s
 }
 
 // pool returns core c's spare pool with its line allocated.

@@ -68,6 +68,9 @@ func newWaitLock(md *mem.Model, name string, line mem.Line) waitLock {
 	return waitLock{md: md, line: line, stats: md.Prof.Lock(name)}
 }
 
+// Line returns the cache line that holds the lock word.
+func (l *waitLock) Line() mem.Line { return l.line }
+
 // adv charges cycles with the configured accounting.
 func (l *waitLock) adv(p *sim.Proc, cycles int64) {
 	if l.ChargeUser {
@@ -365,6 +368,9 @@ type Gen struct {
 func NewGen(md *mem.Model, homeChip int) Gen {
 	return Gen{md: md, line: md.Alloc(homeChip), gen: 1}
 }
+
+// Line returns the cache line that holds the generation.
+func (g *Gen) Line() mem.Line { return g.line }
 
 // BeginWrite marks a modification in progress: the generation is set to 0
 // so concurrent lock-free readers fall back to the locking protocol.

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"repro/internal/mem"
+	"repro/internal/rcu"
 	"repro/internal/scount"
 	"repro/internal/slock"
 )
@@ -13,11 +14,12 @@ import (
 // and lookups use the lock-free generation protocol (§4.3, §4.4).
 //
 // A dentry embeds its inode, lock, generation counter and stock reference
-// count, so creating a file costs one host allocation (three with a sloppy
-// reference count: the counter and its per-core pool array live apart).
-// A sloppy count's pool lines enter the memory model only for the cores
-// that touch them; every other line the dentry allocates stays in the
-// model after Unlink.
+// count. A sloppy reference count's counter and per-core pool array live
+// apart, and its pool lines enter the memory model only for the cores
+// that touch them. An unlinked dentry returns its lines once its RCU
+// grace period has ended and its last reference is gone, and the next
+// Create reuses the struct and its sloppy counter, so a steady stream of
+// creates and unlinks allocates nothing.
 type Dentry struct {
 	// Name is this component's name.
 	Name string
@@ -34,6 +36,8 @@ type Dentry struct {
 	gen        slock.Gen      // PK generation counter, unused in stock
 	count      scount.Shared  // d_count when it is a shared counter
 	ref        scount.Counter // d_count: &count, or a sloppy counter
+
+	gp rcu.Token // the grace period an unlinked dentry waits out
 }
 
 // Inode returns the dentry's inode.

@@ -85,6 +85,11 @@ type FS struct {
 	// read-side sections (both kernels — the dcache has been RCU-based
 	// since 2.4 [40]); unlinks defer the dentry free past a grace period.
 	rcu *rcu.RCU
+	// unlinked holds the dentries Unlink took out of the tree until their
+	// grace period has ended and their last reference is gone; reclaim
+	// then frees their lines and moves them to free, for newDentrySetup
+	// to reuse.
+	unlinked, free []*Dentry
 }
 
 // New creates an empty file system. Global structures are homed on chip 0,
@@ -123,12 +128,24 @@ func (fs *FS) newInodeSetup(homeChip int) Inode {
 	}
 }
 
-// newDentrySetup builds a dentry without charging simulation time. Its
+// newDentrySetup builds a dentry without charging simulation time,
+// reusing a reclaimed one, and its sloppy counter, when there is one. Its
 // lock registers under the class name d_lock, the name contention
 // profiles report for every dentry's lock.
 func (fs *FS) newDentrySetup(name string, parent *Dentry, isDir bool) *Dentry {
 	const homeChip = 0
-	d := &Dentry{
+	if len(fs.free) == 0 {
+		fs.reclaim()
+	}
+	var d *Dentry
+	if n := len(fs.free); n > 0 {
+		d = fs.free[n-1]
+		fs.free = fs.free[:n-1]
+	} else {
+		d = new(Dentry)
+	}
+	sloppy, _ := d.ref.(*scount.Sloppy)
+	*d = Dentry{
 		Name:   name,
 		parent: parent,
 		inode:  fs.newInodeSetup(homeChip),
@@ -146,7 +163,12 @@ func (fs *FS) newDentrySetup(name string, parent *Dentry, isDir bool) *Dentry {
 		d.lock = slock.NewSpinLockAt(fs.md, "d_lock", d.fieldLines[0])
 	}
 	if fs.cfg.SloppyDentryRef {
-		d.ref = scount.NewSloppy(fs.md, homeChip)
+		if sloppy == nil {
+			sloppy = scount.NewSloppy(fs.md, homeChip)
+		} else {
+			sloppy.Reset(homeChip)
+		}
+		d.ref = sloppy
 	} else {
 		d.count = scount.NewSharedAt(fs.md, d.fieldLines[0])
 		d.ref = &d.count
@@ -158,6 +180,36 @@ func (fs *FS) newDentrySetup(name string, parent *Dentry, isDir bool) *Dentry {
 		parent.children[name] = d
 	}
 	return d
+}
+
+// reclaim frees each unlinked dentry whose grace period has ended and
+// whose last reference is gone: it returns the dentry's lines to the
+// memory model and moves the dentry to the free list. The lines are
+// unlabeled, so each can be freed; the stock d_lock and d_count share
+// fieldLines[0].
+func (fs *FS) reclaim() {
+	kept := fs.unlinked[:0]
+	for _, d := range fs.unlinked {
+		if d.ref.InUse() != 0 || !fs.rcu.Expired(d.gp) {
+			kept = append(kept, d)
+			continue
+		}
+		fs.md.Free(d.fieldLines[0])
+		fs.md.Free(d.inode.sizeLine)
+		fs.md.Free(d.inode.mu.Line())
+		if l := d.lock.Line(); l != d.fieldLines[0] {
+			fs.md.Free(l)
+		}
+		if fs.cfg.LockFreeDlookup {
+			fs.md.Free(d.gen.Line())
+		}
+		if s, isSloppy := d.ref.(*scount.Sloppy); isSloppy {
+			s.Free()
+		}
+		fs.free = append(fs.free, d)
+	}
+	clear(fs.unlinked[len(kept):])
+	fs.unlinked = kept
 }
 
 // MustMkdirAll creates a directory path at setup time (no cost).
@@ -210,17 +262,12 @@ func splitDir(path string) (dir, name string) {
 func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
 	p.Advance(costs.syscallEntry)
 	fs.mounts.Get(p)
-	d := fs.root
-	fs.dgetCompare(p, d)
+	d := fs.dgetCompare(p, nil, "", path)
 	for rest := path; rest != ""; {
 		var comp string
 		comp, rest, _ = strings.Cut(rest, "/")
 		if comp == "" {
 			continue
-		}
-		child, ok := d.children[comp]
-		if !ok {
-			panic("vfs: walk of missing path " + path)
 		}
 		// follow_mount: every component crossing consults the mount
 		// table and touches the vfsmount reference (this is why Exim
@@ -228,7 +275,7 @@ func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
 		// times for each message", §5.2).
 		fs.mounts.Get(p)
 		fs.mounts.Put(p)
-		fs.dgetCompare(p, child)
+		child := fs.dgetCompare(p, d, comp, path)
 		d.ref.Release(p, 1)
 		d = child
 	}
@@ -239,22 +286,32 @@ func (fs *FS) Walk(p *sim.Proc, path string, holdFinal bool) *Dentry {
 	return d
 }
 
-// dgetCompare performs the dcache lookup step for one component: an
-// RCU-protected hash probe, field comparison (lock-free with generation
+// dgetCompare performs the dcache lookup step for one component of path
+// and returns the child it found with a reference held: an RCU-protected
+// hash probe for name among dir's children (a nil dir stands for the
+// root's own lookup), field comparison (lock-free with generation
 // counters in PK, under the per-dentry spin lock in stock), and a
 // reference count acquire. The lock-free compare charges the dentry's
 // compared lines in one batch per probe. The RCU section is why
 // the *walk* itself scales on both kernels; the stock bottlenecks are the
 // per-dentry lock and the refcount, which live outside RCU's protection
-// (§4.4).
-func (fs *FS) dgetCompare(p *sim.Proc, d *Dentry) {
+// (§4.4). The probe runs inside the section, so a concurrent Unlink
+// cannot reclaim the child before its reference is taken.
+func (fs *FS) dgetCompare(p *sim.Proc, dir *Dentry, name, path string) *Dentry {
 	fs.rcu.ReadLock(p)
+	d := fs.root
+	if dir != nil {
+		var ok bool
+		if d, ok = dir.children[name]; !ok {
+			panic("vfs: walk of missing path " + path)
+		}
+	}
 	p.Advance(costs.hashWork)
 	if fs.cfg.LockFreeDlookup {
 		if d.gen.TryRead(p, d.fieldLines[:]) {
 			d.ref.Acquire(p, 1)
 			fs.rcu.ReadUnlock(p)
-			return
+			return d
 		}
 	}
 	d.lock.Acquire(p)
@@ -262,6 +319,7 @@ func (fs *FS) dgetCompare(p *sim.Proc, d *Dentry) {
 	d.lock.Release(p)
 	d.ref.Acquire(p, 1)
 	fs.rcu.ReadUnlock(p)
+	return d
 }
 
 // Put releases a dentry reference obtained from Walk/Open/Create.
@@ -365,7 +423,10 @@ func (fs *FS) Create(p *sim.Proc, dirPath, name string) File {
 
 // Unlink removes a file. The dentry is destroyed, which requires list
 // maintenance under the global locks and, for sloppy refcounts, an
-// expensive reconciliation to confirm the count is zero (§4.3).
+// expensive reconciliation to confirm the count is zero (§4.3). The
+// dentry is reclaimed, its lines freed and the struct kept for a later
+// Create, once its RCU grace period has ended and no reference to it is
+// left.
 func (fs *FS) Unlink(p *sim.Proc, dirPath, name string) {
 	dir := fs.Walk(p, dirPath, true)
 	dir.inode.mu.Acquire(p)
@@ -380,7 +441,8 @@ func (fs *FS) Unlink(p *sim.Proc, dirPath, name string) {
 	}
 	// The dentry itself is freed after a grace period so concurrent
 	// RCU-walkers never dereference freed memory.
-	fs.rcu.CallRCU(p)
+	d.gp = fs.rcu.CallRCU(p)
+	fs.unlinked = append(fs.unlinked, d)
 	p.Advance(costs.unlinkWork)
 	dir.inode.mu.Release(p)
 	fs.Put(p, dir)
