@@ -1,20 +1,18 @@
 // Command mosvet runs the repository's custom static analyzers
-// (internal/lint): detlint, fprintcheck, cachekeylint. It
-// speaks the `go vet -vettool` protocol, so CI and developers run it
-// through the toolchain, and it also runs standalone over package
-// patterns for quick local iteration.
+// (internal/lint): detlint, fprintcheck, cachekeylint. It runs only
+// under the `go vet -vettool` protocol: go vet hands it one package's
+// vet.cfg at a time, and -only picks the analyzers (default: all).
 //
 // Usage:
 //
 //	go vet -vettool=$(which mosvet) ./...
-//	go vet -vettool=./bin/mosvet -detlint ./internal/sim/
+//	go vet -vettool=./mosvet -only=detlint,fprintcheck ./internal/sim/
 //	mosvet -list
-//	mosvet ./...
-//	mosvet -only detlint,fprintcheck ./internal/...
 //
 // Diagnostics go to stderr as file:line:col: analyzer: message. Exit
-// status is 0 when the tree is clean, 1 when any diagnostic fires (or a
-// package fails to load), 2 on usage errors — matching cmd/mosbench's
+// status is 0 when the package is clean, 1 when any diagnostic fires (or
+// the package fails to load), 2 on usage errors — anything but one
+// *.cfg argument, or an unknown analyzer — matching cmd/mosbench's
 // conventions. A finding that is a sanctioned boundary is suppressed in
 // the source with //mosvet:allow <analyzer> <reason> (same line or the
 // line above) or //mosvet:allowfile <analyzer> <reason>; the reason is
@@ -38,7 +36,6 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/loader"
 )
 
 func main() {
@@ -59,13 +56,9 @@ func main() {
 	fs := flag.NewFlagSet("mosvet", flag.ExitOnError)
 	list := fs.Bool("list", false, "print the analyzer registry and exit")
 	only := fs.String("only", "", "comma-separated analyzers to run (default: all)")
-	enabled := map[string]*bool{}
-	for _, a := range lint.All() {
-		enabled[a.Name] = fs.Bool(a.Name, false, "run only explicitly enabled analyzers; enable "+a.Name)
-	}
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mosvet [-list] [-only a,b] [package patterns]")
-		fmt.Fprintln(os.Stderr, "   or: go vet -vettool=mosvet [-detlint ...] ./...")
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=mosvet [-only=a,b] packages")
+		fmt.Fprintln(os.Stderr, "   or: mosvet -list")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -77,35 +70,20 @@ func main() {
 		return
 	}
 
-	analyzers, err := selectAnalyzers(*only, enabled)
-	if err != nil {
-		fatalUsage(err.Error())
+	analyzers := lint.All()
+	if *only != "" {
+		var err error
+		if analyzers, err = lint.Select(*only); err != nil {
+			fatalUsage(err.Error())
+		}
 	}
 
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		unitcheck(rest[0], analyzers)
-		return
+	if len(rest) != 1 || !strings.HasSuffix(rest[0], ".cfg") {
+		fs.Usage()
+		os.Exit(2)
 	}
-	standalone(rest, analyzers)
-}
-
-// selectAnalyzers resolves -only and the per-analyzer bool flags; with
-// neither given, every registered analyzer runs.
-func selectAnalyzers(only string, enabled map[string]*bool) ([]*analysis.Analyzer, error) {
-	if only != "" {
-		return lint.Select(only)
-	}
-	var names []string
-	for _, a := range lint.All() {
-		if *enabled[a.Name] {
-			names = append(names, a.Name)
-		}
-	}
-	if len(names) == 0 {
-		return lint.All(), nil
-	}
-	return lint.Select(strings.Join(names, ","))
+	unitcheck(rest[0], analyzers)
 }
 
 // printVersion answers `mosvet -V=full`: cmd/go requires at least three
@@ -131,9 +109,6 @@ func printFlagDefs() {
 	}
 	defs := []flagDef{
 		{Name: "only", Bool: false, Usage: "comma-separated analyzers to run"},
-	}
-	for _, a := range lint.All() {
-		defs = append(defs, flagDef{Name: a.Name, Bool: true, Usage: "enable " + a.Name})
 	}
 	out, err := json.Marshal(defs)
 	if err != nil {
@@ -162,7 +137,7 @@ type vetConfig struct {
 
 // unitcheck analyzes one package under the go vet protocol: parse the
 // listed files, typecheck against the compiler's export data, run the
-// analyzers, print surviving diagnostics.
+// analyzers, print surviving diagnostics and exit 1 if any fired.
 func unitcheck(cfgPath string, analyzers []*analysis.Analyzer) {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -228,51 +203,16 @@ func unitcheck(cfgPath string, analyzers []*analysis.Analyzer) {
 		fatal(fmt.Errorf("typechecking %s: %w", cfg.ImportPath, err))
 	}
 	pkg := &analysis.Package{Fset: fset, Files: files, Types: tpkg, Info: info}
-	if n := report(pkg, analyzers); n > 0 {
-		os.Exit(1)
-	}
-}
-
-// standalone analyzes package patterns (default ./...) without the
-// toolchain: list packages with go list, load each from source.
-func standalone(patterns []string, analyzers []*analysis.Analyzer) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	pkgs, err := loader.List(wd, patterns...)
-	if err != nil {
-		fatal(err)
-	}
-	total, failed := 0, 0
-	for _, p := range pkgs {
-		pkg, err := loader.Dir(p.Dir, p.ImportPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mosvet: %s: %v\n", p.ImportPath, err)
-			failed++
-			continue
-		}
-		total += report(pkg, analyzers)
-	}
-	if total > 0 || failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// report runs the analyzers over one loaded package and prints the
-// surviving diagnostics; it returns how many fired.
-func report(pkg *analysis.Package, analyzers []*analysis.Analyzer) int {
 	diags, err := analysis.Run(pkg, analyzers)
 	if err != nil {
 		fatal(err)
 	}
 	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, analysis.Format(pkg.Fset, d))
+		fmt.Fprintln(os.Stderr, analysis.Format(fset, d))
 	}
-	return len(diags)
+	if len(diags) > 0 {
+		os.Exit(1)
+	}
 }
 
 func fatalUsage(msg string) {

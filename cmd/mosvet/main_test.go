@@ -72,7 +72,8 @@ func TestVersionHandshake(t *testing.T) {
 }
 
 // TestFlagsHandshake checks the flag inventory cmd/go consults when
-// deciding which go vet arguments to forward.
+// deciding which go vet arguments to forward: -only is the one analyzer
+// selector.
 func TestFlagsHandshake(t *testing.T) {
 	out, code := run(t, "-flags")
 	if code != 0 {
@@ -86,17 +87,8 @@ func TestFlagsHandshake(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &defs); err != nil {
 		t.Fatalf("-flags output is not JSON: %v\n%s", err, out)
 	}
-	byName := map[string]bool{}
-	for _, d := range defs {
-		byName[d.Name] = d.Bool
-	}
-	for _, name := range []string{"cachekeylint", "detlint", "fprintcheck"} {
-		if isBool, ok := byName[name]; !ok || !isBool {
-			t.Errorf("-flags missing bool flag %s: %v", name, defs)
-		}
-	}
-	if isBool, ok := byName["only"]; !ok || isBool {
-		t.Errorf("-flags: want string flag only, got %v", defs)
+	if len(defs) != 1 || defs[0].Name != "only" || defs[0].Bool {
+		t.Errorf("-flags: want the one string flag only, got %v", defs)
 	}
 }
 
@@ -110,14 +102,32 @@ func TestUnknownAnalyzerExitsUsage(t *testing.T) {
 	}
 }
 
-// TestStandaloneClean runs the real analyzers over a real package that
-// must be clean (the fingerprint builder itself).
-func TestStandaloneClean(t *testing.T) {
-	out, code := run(t, "../../internal/fprint/")
-	if code != 0 {
-		t.Fatalf("standalone run exited %d:\n%s", code, out)
+// TestNoVetConfigExitsUsage checks that mosvet runs only under go vet:
+// anything but one vet.cfg argument is a usage error.
+func TestNoVetConfigExitsUsage(t *testing.T) {
+	for _, args := range [][]string{{"./..."}, {"-only", "detlint"}, {"a.cfg", "b.cfg"}} {
+		out, code := run(t, args...)
+		if code != 2 {
+			t.Errorf("mosvet %v exited %d, want 2:\n%s", args, code, out)
+		}
+		if !strings.Contains(out, "usage: go vet -vettool=mosvet") {
+			t.Errorf("mosvet %v: want usage, got:\n%s", args, out)
+		}
 	}
-	if strings.TrimSpace(out) != "" {
-		t.Errorf("standalone run on internal/fprint not silent:\n%s", out)
+}
+
+// TestVetToolClean runs the real analyzers through go vet over a real
+// package that must be clean (the fingerprint builder itself), once with
+// every analyzer and once with -only.
+func TestVetToolClean(t *testing.T) {
+	for _, sel := range [][]string{nil, {"-only=detlint,fprintcheck"}} {
+		args := append(append([]string{"vet", "-vettool=" + binary}, sel...), "../../internal/fprint/")
+		out, err := exec.Command("go", args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go %v: %v\n%s", args, err, out)
+		}
+		if strings.TrimSpace(string(out)) != "" {
+			t.Errorf("go %v not silent:\n%s", args, out)
+		}
 	}
 }

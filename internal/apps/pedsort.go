@@ -131,7 +131,7 @@ func RunPedsort(k *kernel.Kernel, opts PedsortOpts) Result {
 			miss := mem.MissRatio(wsOnChip, k.Machine.L3Bytes)
 			totalMerge := float64(int64(opts.Files)*pedsortCosts.pedsortFileBytes*pedsortCosts.pedsortSortPerByte) * userTax
 			sortWork := totalMerge / float64(len(workers))
-			sortWork *= 1 + pedsortCosts.pedsortMissPenalty*miss
+			sortWork *= 1 + float64(pedsortCosts.pedsortMissPenalty*miss) // rounded: never fused, so every GOARCH agrees
 			p.AdvanceUser(int64(sortWork))
 			// The merge streams this core's share of the intermediate
 			// index through the memory system under the configured

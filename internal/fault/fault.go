@@ -372,7 +372,7 @@ func (s *Spec) Scale(f float64) *Spec {
 	for _, ev := range s.Events {
 		switch ev.Kind {
 		case KindLink, KindDRAM:
-			ev.Frac = 1 - f*(1-ev.Frac)
+			ev.Frac = 1 - float64(f*(1-ev.Frac)) // rounded: never fused, so every GOARCH agrees
 			if ev.Frac < 1 {
 				out.Events = append(out.Events, ev)
 			}

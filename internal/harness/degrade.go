@@ -76,9 +76,7 @@ func runDegrade(o Options) *Series {
 	}{{"Stock", kernel.Stock()}, {"PK", kernel.PK()}} {
 		runs = append(runs, variantRun{cfgv.name, func(sev int, co Options) Point {
 			co.Fault = base.Scale(float64(sev) / 100)
-			p := point(runMemcached(cfgv.cfg, cores, co), cfgv.name, 1)
-			p.Cores = sev // severity percent, the series' x-axis
-			return p
+			return point(runMemcached(cfgv.cfg, cores, co), 1)
 		}})
 	}
 	so.runGrid(s, runs)
@@ -122,6 +120,9 @@ func gracefulFloor(scaled *fault.Spec, cores int, healthyPerCore float64) float6
 	drop, dup := scaled.NetProbs()
 	// Healthy per-op wall cycles on one core, from the measured baseline.
 	opCycles := topo.CyclesPerSec() / healthyPerCore
-	latency := 1 + degradePacketsPerOp*(drop*2*float64(fault.RetryBaseCycles)+dup*float64(fault.RetryBaseCycles)/4)/opCycles
+	// Both terms are rounded before the sum (x/4 compiles to x*0.25), so
+	// no GOARCH fuses it and every GOARCH agrees.
+	backoff := float64(fault.RetryBaseCycles)
+	latency := 1 + degradePacketsPerOp*(float64(drop*2*backoff)+float64(dup*backoff/4))/opCycles
 	return (1 - capLoss) / latency
 }

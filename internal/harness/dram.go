@@ -55,7 +55,6 @@ func runPlacementPoint(o Options, pl mem.Placement, cores int, streamBytes int64
 	e.Run()
 	gb := float64(streamBytes) / (1 << 30)
 	return Point{
-		Cores:    cores,
 		PerCore:  gb / topo.CyclesToSec(e.Now()),
 		DRAMUtil: cs.Utilization(e.Now()),
 		LinkUtil: cs.LinkUtilization(e.Now()),
@@ -74,11 +73,8 @@ func runPlacementSweep(o Options, id, title string, notes []string) *Series {
 	}
 	var runs []variantRun
 	for _, v := range placementVariants {
-		v := v
 		runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
-			p := runPlacementPoint(o, v.pl, c, streamBytes)
-			p.Variant = v.name
-			return p
+			return runPlacementPoint(o, v.pl, c, streamBytes)
 		}})
 	}
 	o.runGrid(s, runs)

@@ -20,11 +20,10 @@ func scale(n int, quick bool) int {
 	return n
 }
 
-// point converts an app result to a harness point.
-func point(r apps.Result, variant string, perCoreScale float64) Point {
+// point converts an app result to a harness point; safeCachedPoint names
+// it.
+func point(r apps.Result, perCoreScale float64) Point {
 	return Point{
-		Cores:          r.Cores,
-		Variant:        variant,
 		PerCore:        r.PerCore() * perCoreScale,
 		UserMicros:     r.UserMicrosPerOp(),
 		SysMicros:      r.SysMicrosPerOp(),
@@ -122,9 +121,8 @@ func stockPK(o Options, unit string, id, title string,
 		name string
 		cfg  kernel.Config
 	}{{"Stock", kernel.Stock()}, {"PK", kernel.PK()}} {
-		cfgv := cfgv
 		runs = append(runs, variantRun{cfgv.name, func(c int, o Options) Point {
-			return point(run(cfgv.cfg, c, o), cfgv.name, perCoreScale)
+			return point(run(cfgv.cfg, c, o), perCoreScale)
 		}})
 	}
 	runs = append(runs, extras...)
@@ -189,10 +187,10 @@ func init() {
 			o.runGrid(s, []variantRun{
 				// Stock: one instance per core on distinct ports (§5.4).
 				{"Stock", func(c int, o Options) Point {
-					return point(runApache(kernel.Stock(), c, o), "Stock", 1)
+					return point(runApache(kernel.Stock(), c, o), 1)
 				}},
 				{"PK", func(c int, o Options) Point {
-					return point(runApache(kernel.PK(), c, o), "PK", 1)
+					return point(runApache(kernel.PK(), c, o), 1)
 				}},
 			})
 			return s
@@ -228,7 +226,7 @@ func init() {
 			return stockPK(o, "builds/hr/core", "fig9", "gmake (Figure 9)", runGmake, 3600,
 				variantRun{"PK + striped", func(c int, o Options) Point {
 					o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-					return point(runGmake(kernel.PK(), c, o), "PK + striped", 3600)
+					return point(runGmake(kernel.PK(), c, o), 3600)
 				}})
 		},
 	})
@@ -253,9 +251,8 @@ func init() {
 				// chips, giving access to more total L3.
 				{"Stock + Procs RR", false, true},
 			} {
-				v := v
 				runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
-					return point(runPedsort(v.threads, v.rr, c, o), v.name, 3600)
+					return point(runPedsort(v.threads, v.rr, c, o), 3600)
 				}})
 			}
 			// Registered placement variant, like fig11's: the round-robin
@@ -263,7 +260,7 @@ func init() {
 			// chip's memory controller.
 			runs = append(runs, variantRun{"Procs RR + striped", func(c int, o Options) Point {
 				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-				return point(runPedsort(false, true, c, o), "Procs RR + striped", 3600)
+				return point(runPedsort(false, true, c, o), 3600)
 			}})
 			o.runGrid(s, runs)
 			return s
@@ -283,9 +280,8 @@ func init() {
 				cfg   kernel.Config
 				super bool
 			}{{"Stock + 4KB pages", kernel.Stock(), false}, {"PK + 2MB pages", kernel.PK(), true}} {
-				v := v
 				runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
-					return point(runMetis(v.cfg, v.super, c, o), v.name, 3600)
+					return point(runMetis(v.cfg, v.super, c, o), 3600)
 				}})
 			}
 			// Registered placement variant: the same PK configuration with
@@ -294,7 +290,7 @@ func init() {
 			// requiring a second run with the global -placement knob.
 			runs = append(runs, variantRun{"PK + 2MB striped", func(c int, o Options) Point {
 				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-				return point(runMetis(kernel.PK(), true, c, o), "PK + 2MB striped", 3600)
+				return point(runMetis(kernel.PK(), true, c, o), 3600)
 			}})
 			o.runGrid(s, runs)
 			return s
@@ -328,9 +324,8 @@ func runPostgresFig(o Options, id string, writeFrac float64) *Series {
 	}
 	var runs []variantRun
 	for _, v := range variants {
-		v := v
 		runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
-			return point(runPostgres(v.cfg, c, writeFrac, v.mod, o), v.name, 1)
+			return point(runPostgres(v.cfg, c, writeFrac, v.mod, o), 1)
 		}})
 	}
 	o.runGrid(s, runs)
@@ -386,7 +381,7 @@ func runFig3(o Options) *Series {
 		if i%2 == 1 {
 			cores = max
 		}
-		return label, cores, func(c int, o Options) Point { return point(run(c, o), label, 1) }
+		return label, cores, func(c int, o Options) Point { return point(run(c, o), 1) }
 	})
 	for i, a := range paperApps {
 		if errs[i*4] != nil || errs[i*4+1] != nil || errs[i*4+2] != nil || errs[i*4+3] != nil {
@@ -421,7 +416,7 @@ func runFig12(o Options) *Series {
 		if i%2 == 1 {
 			cores = max
 		}
-		return a.name, cores, func(c int, o Options) Point { return point(a.pk(c, o), a.name, 1) }
+		return a.name, cores, func(c int, o Options) Point { return point(a.pk(c, o), 1) }
 	})
 	for i, a := range paperApps {
 		if errs[i*2] != nil || errs[i*2+1] != nil {

@@ -91,7 +91,7 @@ func runScalableLocks(o Options) *Series {
 		{"Stock + mount refactoring", refactored},
 	} {
 		runs = append(runs, variantRun{v.name, func(cores int, o Options) Point {
-			return opPoint(runExim(v.cfg, cores, o), v.name, cores)
+			return opPoint(runExim(v.cfg, cores, o))
 		}})
 	}
 	o.Cores = []int{o.maxCores()}
@@ -101,10 +101,8 @@ func runScalableLocks(o Options) *Series {
 
 // opPoint is the point the closed-loop extension sweeps report: per-core
 // throughput and CPU time per operation only.
-func opPoint(r apps.Result, variant string, cores int) Point {
+func opPoint(r apps.Result) Point {
 	return Point{
-		Cores:      cores,
-		Variant:    variant,
 		PerCore:    r.PerCore(),
 		UserMicros: r.UserMicrosPerOp(),
 		SysMicros:  r.SysMicrosPerOp(),
@@ -194,7 +192,7 @@ func runSpoolDirs(o Options) *Series {
 			opts := apps.DefaultEximOpts()
 			opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
 			opts.SpoolDirs = dirs
-			return opPoint(apps.RunExim(k, opts), name, cores)
+			return opPoint(apps.RunExim(k, opts))
 		}})
 	}
 	o.Cores = []int{max}
@@ -222,7 +220,7 @@ func runLockMgr(o Options) *Series {
 			opts.QueriesPerCore = scale(opts.QueriesPerCore, o.Quick)
 			opts.WriteFraction = 0.05
 			opts.LockMutexes = n
-			return opPoint(apps.RunPostgres(k, opts), name, cores)
+			return opPoint(apps.RunPostgres(k, opts))
 		}})
 	}
 	o.Cores = []int{cores}
@@ -294,7 +292,7 @@ func runSteering(o Options) *Series {
 			}
 			k.Engine.Run()
 			tput := float64(cores*reqs) / topo.CyclesToSec(k.Engine.Now()) / float64(cores)
-			return Point{Cores: cores, Variant: name, PerCore: tput}
+			return Point{PerCore: tput}
 		}})
 	}
 	o.Cores = []int{cores}

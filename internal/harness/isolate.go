@@ -105,11 +105,13 @@ func (o Options) runGuarded(exp, variant string, cores int, f func(o Options) Po
 
 // safeCachedPoint returns the measurement for (variant, cores), served
 // from o.Cache when possible and computed by f otherwise, with crash
-// isolation; fanOut calls it for every point of every cached sweep. a is
-// the address the sweep builds once (see sweepAddr). A cache hit returns on
-// the calling sweep worker without allocating: the key is built in a
-// stack buffer and looked up as bytes, and only a miss (or a shard check
-// with Shards > 1) turns it into a string.
+// isolation; fanOut calls it for every point of every cached sweep. The
+// key names the point: a computed point takes its Variant and Cores from
+// it, so point bodies leave both unset. a is the address the sweep builds
+// once (see sweepAddr). A cache hit returns on the calling sweep worker
+// without allocating: the key is built in a stack buffer and looked up as
+// bytes, and only a miss (or a shard check with Shards > 1) turns it into
+// a string.
 //
 // A miss runs the point body once under runGuarded, which stores the
 // result unless the watchdog abandoned the point. A panic or a watchdog
@@ -138,6 +140,7 @@ func (o Options) safeCachedPoint(a sweepAddr, slot **engineSlot, variant string,
 	}
 	p, err := o.runGuarded(a.exp, variant, cores, func(co Options) Point {
 		p := f(cores, co)
+		p.Variant, p.Cores = variant, cores
 		co.storePoint(a, skey, p)
 		return p
 	})

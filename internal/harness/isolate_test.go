@@ -180,6 +180,46 @@ func TestWarmHitsBypassGuard(t *testing.T) {
 	}
 }
 
+// TestSweepNamesItsPoints pins that a point's identity comes from its
+// sweep address, not its body: a body that sets neither Variant nor Cores
+// still yields points named by their variant and x value, fresh and when
+// replayed from the saved cache.
+func TestSweepNamesItsPoints(t *testing.T) {
+	runs := []variantRun{
+		{"A", func(int, Options) Point { return Point{PerCore: 1} }},
+		{"B", func(int, Options) Point { return Point{PerCore: 1} }},
+	}
+	want := []Point{
+		{Variant: "A", Cores: 1, PerCore: 1}, {Variant: "A", Cores: 8, PerCore: 1},
+		{Variant: "B", Cores: 1, PerCore: 1}, {Variant: "B", Cores: 8, PerCore: 1},
+	}
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatalf("OpenCache: %v", err)
+	}
+	fresh := &Series{ID: "iso-test"}
+	Options{Cores: []int{1, 8}, Seed: 1, Cache: c}.runGrid(fresh, runs)
+	if !reflect.DeepEqual(fresh.Points, want) {
+		t.Errorf("fresh points %+v, want %+v", fresh.Points, want)
+	}
+	if err := c.Save(); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	reopened, err := OpenCache(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	replayed := &Series{ID: "iso-test"}
+	Options{Cores: []int{1, 8}, Seed: 1, Cache: reopened}.runGrid(replayed, runs)
+	if got := reopened.Hits(); got != int64(len(want)) {
+		t.Errorf("replay hit %d times, want %d", got, len(want))
+	}
+	if !reflect.DeepEqual(replayed.Points, want) {
+		t.Errorf("replayed points %+v, want %+v", replayed.Points, want)
+	}
+}
+
 // TestPersistentPanicFailsExactlyOnePoint: a point that panics every time
 // it runs fails on its own. It becomes one Failed entry carrying the panic
 // value, runs once, and the sweep's other points survive in grid order.

@@ -91,7 +91,6 @@ func runLatload(o Options) *Series {
 	}{{"PK shed", shed}, {"PK fifo", nil}}
 	var runs []variantRun
 	for _, v := range variants {
-		v := v
 		runs = append(runs, variantRun{v.name, func(mult int, co Options) Point {
 			ol := apps.OpenLoopOpts{
 				Arrival:     co.Arrival,
@@ -99,9 +98,7 @@ func runLatload(o Options) *Series {
 				Shed:        v.shed,
 				LoadPercent: mult,
 			}
-			p := point(runMemcachedOpenLoop(kernel.PK(), cores, co, ol), v.name, 1)
-			p.Cores = mult // offered-load percent, the series' x-axis
-			return p
+			return point(runMemcachedOpenLoop(kernel.PK(), cores, co, ol), 1)
 		}})
 	}
 	so.runGrid(s, runs)

@@ -74,12 +74,10 @@ func runMachines(o Options) *Series {
 		so.Cores = nil // each profile sweeps its own machine-sized grid
 		var runs []variantRun
 		for _, w := range workloads {
-			w := w
 			for _, v := range variants {
-				v := v
 				label := fmt.Sprintf("%s %s %s", name, w.app, v.label)
 				runs = append(runs, variantRun{label, func(c int, o Options) Point {
-					return point(w.run(v.cfg, c, o), label, 1)
+					return point(w.run(v.cfg, c, o), 1)
 				}})
 			}
 		}

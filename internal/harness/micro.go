@@ -168,7 +168,7 @@ func runDMAAblation(o Options) *Series {
 	}
 	labels := []string{"node-0 pool", "local pools"}
 	pts, errs := o.fanOut(s, 2, func(i int) (string, int, func(int, Options) Point) {
-		return labels[i], max, func(c int, o Options) Point { return point(run(i == 1, c, o), labels[i], 1) }
+		return labels[i], max, func(c int, o Options) Point { return point(run(i == 1, c, o), 1) }
 	})
 	for i, p := range pts {
 		if errs[i] == nil {
@@ -194,7 +194,7 @@ func runNICEnvelope(o Options) *Series {
 	o.runGrid(s, []variantRun{{"UDP echo", func(c int, o Options) Point {
 		r := runMemcached(kernel.PK(), c, o)
 		pps := r.Throughput() * 2 / 1e6 // one rx + one tx per request
-		return Point{Cores: c, Variant: "UDP echo", PerCore: pps}
+		return Point{PerCore: pps}
 	}}})
 	s.Notes = append(s.Notes,
 		"PerCore column holds aggregate Mpkt/s; the plateau past 16 cores is the card envelope")
@@ -220,7 +220,7 @@ var scountFingerprint = fprint.New("scount-sweep").Table(scountCosts).Sum()
 func runScountSweep(o Options) *Series {
 	s := &Series{ID: "scount", Title: "Reference counter scalability (§4.3)", Unit: "pairs/ms/core"}
 	pairs := scale(scountCosts.scountPairs, o.Quick)
-	runPoint := func(variant string, cores int, o Options, mk func(md *mem.Model) scount.Counter) Point {
+	runPoint := func(cores int, o Options, mk func(md *mem.Model) scount.Counter) Point {
 		m := o.topo(cores)
 		md := mem.NewModel(m)
 		e := o.newEngine(m)
@@ -237,8 +237,6 @@ func runScountSweep(o Options) *Series {
 		e.Run()
 		ms := topo.CyclesToMicros(e.Now()) / 1e3
 		return Point{
-			Cores:      cores,
-			Variant:    variant,
 			PerCore:    float64(pairs) / ms,
 			UserMicros: topo.CyclesToMicros(e.TotalUserCycles()) / float64(pairs*cores),
 			SysMicros:  topo.CyclesToMicros(e.TotalSysCycles()) / float64(pairs*cores),
@@ -246,10 +244,10 @@ func runScountSweep(o Options) *Series {
 	}
 	o.runGrid(s, []variantRun{
 		{"Shared atomic", func(c int, o Options) Point {
-			return runPoint("Shared atomic", c, o, func(md *mem.Model) scount.Counter { s := scount.NewShared(md, 0); return &s })
+			return runPoint(c, o, func(md *mem.Model) scount.Counter { s := scount.NewShared(md, 0); return &s })
 		}},
 		{"Sloppy", func(c int, o Options) Point {
-			return runPoint("Sloppy", c, o, func(md *mem.Model) scount.Counter { return scount.NewSloppy(md, 0) })
+			return runPoint(c, o, func(md *mem.Model) scount.Counter { return scount.NewSloppy(md, 0) })
 		}},
 	})
 	s.Notes = append(s.Notes,
@@ -290,7 +288,7 @@ func runAblations(o Options) *Series {
 			*f.Flag(&cfg) = true
 		}
 		return label, max, func(c int, o Options) Point {
-			return Point{Cores: c, Variant: label, PerCore: runFor(ablationApp(f.Name), cfg, o)}
+			return Point{PerCore: runFor(ablationApp(f.Name), cfg, o)}
 		}
 	})
 	for i, f := range kernel.Fixes {

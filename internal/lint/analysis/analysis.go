@@ -1,8 +1,7 @@
 // Package analysis is a self-contained miniature of
 // golang.org/x/tools/go/analysis: just enough driver-independent analyzer
 // plumbing for the mosvet suite to run the same analyzer code under
-// `go vet -vettool` (cmd/mosvet's unitchecker mode), as a standalone
-// multichecker, and under the linttest fixture harness. The container
+// `go vet -vettool` (cmd/mosvet) and under the linttest fixture harness. The container
 // bakes in only the standard toolchain, so the suite depends on nothing
 // outside std.
 //
@@ -59,8 +58,8 @@ type Diagnostic struct {
 }
 
 // Package is one loaded, type-checked package: what a driver needs to run
-// analyzers over it. Built by the loader (source mode) or cmd/mosvet's
-// unitchecker mode (gc export data).
+// analyzers over it. Built by linttest (from source) or cmd/mosvet (from
+// gc export data).
 type Package struct {
 	Fset  *token.FileSet
 	Files []*ast.File

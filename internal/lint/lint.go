@@ -1,8 +1,9 @@
 // Package lint is the mosvet analyzer registry: the suite of custom
 // static checks that turn the simulator's runtime invariants —
 // bit-identical determinism, fingerprint-complete cost models,
-// cache-key completeness — into vet diagnostics. cmd/mosvet runs the registry under `go vet -vettool` and
-// standalone; linttest runs individual analyzers over fixtures.
+// cache-key completeness — into vet diagnostics. cmd/mosvet runs the
+// registry under `go vet -vettool`; linttest runs individual analyzers
+// over fixtures.
 package lint
 
 import (

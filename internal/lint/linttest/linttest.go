@@ -1,10 +1,17 @@
 // Package linttest is the mosvet analog of
-// golang.org/x/tools/go/analysis/analysistest: it loads a fixture
-// package from a testdata directory, runs one analyzer over it through
-// the same driver pipeline cmd/mosvet uses (so //mosvet:allow
-// suppression is exercised, not bypassed), and compares the surviving
-// diagnostics against `// want "regexp"` comments in the fixture
-// sources.
+// golang.org/x/tools/go/analysis/analysistest: it type-checks a fixture
+// package from a testdata directory from source, runs one analyzer over
+// it through the same analysis.Run pipeline cmd/mosvet uses (so
+// //mosvet:allow suppression is exercised, not bypassed), and compares
+// the surviving diagnostics against `// want "regexp"` comments in the
+// fixture sources.
+//
+// Fixtures load with the standard library only (this module has no
+// golang.org/x/tools/go/packages): go/build selects the files, honoring
+// build constraints, go/parser parses them, and go/types checks them
+// with the "source" importer, which resolves module-local imports
+// through the go command. cmd/mosvet needs none of this: go vet hands
+// it compiler export data.
 //
 // Expectation syntax, on the line the diagnostic anchors to:
 //
@@ -17,15 +24,20 @@ package linttest
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
 	"go/token"
+	"go/types"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/loader"
 )
 
 // wantRE also accepts a relative line offset (`// want-1 "re"`): the
@@ -42,7 +54,7 @@ var wantRE = regexp.MustCompile(`// want([+-][0-9]+)? (.*)$`)
 // repro/internal/... path, cachekeylint exactly repro/internal/harness.
 func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 	t.Helper()
-	pkg, err := loader.Dir(dir, importPath)
+	pkg, err := load(dir, importPath)
 	if err != nil {
 		t.Fatalf("linttest: load %s: %v", dir, err)
 	}
@@ -60,7 +72,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 // one.
 func RunSilent(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 	t.Helper()
-	pkg, err := loader.Dir(dir, importPath)
+	pkg, err := load(dir, importPath)
 	if err != nil {
 		t.Fatalf("linttest: load %s: %v", dir, err)
 	}
@@ -72,6 +84,75 @@ func RunSilent(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 		pos := pkg.Fset.Position(d.Pos)
 		t.Errorf("want silence under import path %s, got diagnostic at %s:%d: %s: %s",
 			importPath, filepath.Base(pos.Filename), pos.Line, d.Analyzer, d.Message)
+	}
+}
+
+var (
+	mu sync.Mutex // the shared importer and build.Default.Dir are not concurrency-safe
+
+	fset = token.NewFileSet()
+	// One importer for the whole process: it memoizes every package it
+	// type-checks, so the second fixture that imports repro/internal/sim
+	// pays nothing.
+	sharedImporter = importer.ForCompiler(fset, "source", nil)
+)
+
+// load type-checks the single package in dir, giving it the stated
+// import path.
+func load(dir, importPath string) (*analysis.Package, error) {
+	mu.Lock()
+	defer mu.Unlock()
+
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	root, err := moduleRoot(abs)
+	if err != nil {
+		return nil, err
+	}
+	// go/build shells out to the go command for module-local import
+	// resolution and runs it in build.Default.Dir; point it at the
+	// module so "repro/..." imports resolve no matter the process cwd.
+	oldDir := build.Default.Dir
+	build.Default.Dir = root
+	defer func() { build.Default.Dir = oldDir }()
+
+	bp, err := build.ImportDir(abs, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(abs, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := analysis.NewInfo()
+	conf := types.Config{
+		Importer: sharedImporter,
+		Sizes:    types.SizesFor(build.Default.Compiler, build.Default.GOARCH),
+	}
+	pkg, err := conf.Check(importPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
+	}
+	return &analysis.Package{Fset: fset, Files: files, Types: pkg, Info: info}, nil
+}
+
+// moduleRoot finds the enclosing module directory of dir.
+func moduleRoot(dir string) (string, error) {
+	for d := dir; ; {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", fmt.Errorf("no go.mod above %s", dir)
+		}
+		d = parent
 	}
 }
 

@@ -71,7 +71,7 @@ func NewNICFor(m *topo.Machine, params NICParams, queues int) *NIC {
 	if queues > params.QueueDeclineAfter && m.MaxCores() > params.QueueDeclineAfter {
 		over := float64(queues-params.QueueDeclineAfter) /
 			float64(m.MaxCores()-params.QueueDeclineAfter)
-		pps *= 1 - params.DeclineFrac*over
+		pps *= 1 - float64(params.DeclineFrac*over) // rounded: never fused, so every GOARCH agrees
 	}
 	n.svc = int64(topo.CyclesPerSec() / pps)
 	if n.svc < 1 {
