@@ -1,8 +1,8 @@
 // Package repro's benchmarks regenerate every table and figure of the
-// paper's evaluation section (see DESIGN.md's experiment index). Each
-// benchmark runs the corresponding experiment and reports the figure's
-// headline quantities as custom metrics, so `go test -bench=. -benchmem`
-// prints the series the paper reports.
+// paper's evaluation section (`mosbench -list` and harness.Experiments()
+// list the experiments). Each benchmark runs the corresponding experiment
+// and reports the figure's headline quantities as custom metrics, so
+// `go test -bench=. -benchmem` prints the series the paper reports.
 //
 // Quick options are used so a full -bench=. sweep completes in minutes;
 // run the cmd/mosbench CLI for full-resolution sweeps.

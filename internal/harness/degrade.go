@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/kernel"
 	"repro/internal/topo"
 )
 
@@ -70,13 +69,10 @@ func runDegrade(o Options) *Series {
 	so := o
 	so.Cores = severities
 	var runs []variantRun
-	for _, cfgv := range []struct {
-		name string
-		cfg  kernel.Config
-	}{{"Stock", kernel.Stock()}, {"PK", kernel.PK()}} {
-		runs = append(runs, variantRun{cfgv.name, func(sev int, co Options) Point {
+	for _, v := range mosAppNamed("memcached").pair() {
+		runs = append(runs, variantRun{v.name, func(sev int, co Options) Point {
 			co.Fault = base.Scale(float64(sev) / 100)
-			return point(runMemcached(cfgv.cfg, cores, co), 1)
+			return v.run(cores, co)
 		}})
 	}
 	so.runGrid(s, runs)

@@ -38,32 +38,120 @@ func point(r apps.Result, perCoreScale float64) Point {
 	}
 }
 
-// ---- Application runners shared by fig3..fig11 ----
-//
-// Every runner boots its kernel through o.newKernel, so a sweep worker's
-// pooled engine is reused point to point instead of being rebuilt.
+// ---- The MOSBENCH applications ----
 
-func runExim(cfg kernel.Config, cores int, o Options) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
-	opts := apps.DefaultEximOpts()
-	opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
-	return apps.RunExim(k, opts)
+// mosApp is one MOSBENCH application: which configuration each of the
+// paper's curves runs is decided by its callers, how it runs by run.
+type mosApp struct {
+	// name spells the application as kernel.Fix.Apps does.
+	name string
+	// key names its "apps/<key>" cost domain.
+	key string
+	// attribution is Figure 12's reading of its residual bottleneck.
+	attribution string
+	// unit scales per-core ops/s to its figure's unit: 3600 for the
+	// per-hour figures (9–11), 1 otherwise.
+	unit float64
+	// run boots a kernel of cfg and runs the application on it; mod is
+	// the application-side change the paper pairs with PK (PostgreSQL's
+	// modified lock manager, pedsort's processes spread round-robin,
+	// Metis's 2 MB pages), which the other applications do not have.
+	// Every run boots through o.newKernel, so a sweep worker's pooled
+	// engine is reused point to point instead of being rebuilt.
+	run func(cfg kernel.Config, mod bool, cores int, o Options) apps.Result
 }
 
-func runMemcached(cfg kernel.Config, cores int, o Options) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
-	opts := apps.DefaultMemcachedOpts()
-	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
-	return apps.RunMemcached(k, opts)
+// mosApps are the seven applications in Figure 3's order.
+var mosApps = []mosApp{
+	{"Exim", "exim", "App: Contention on spool directories", 1,
+		func(cfg kernel.Config, _ bool, cores int, o Options) apps.Result {
+			opts := apps.DefaultEximOpts()
+			opts.MessagesPerCore = scale(opts.MessagesPerCore, o.Quick)
+			return apps.RunExim(o.newKernel(o.topo(cores), cfg), opts)
+		}},
+	{"memcached", "memcached", "HW: Transmit queues on NIC", 1,
+		func(cfg kernel.Config, _ bool, cores int, o Options) apps.Result {
+			opts := apps.DefaultMemcachedOpts()
+			opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
+			return apps.RunMemcached(o.newKernel(o.topo(cores), cfg), opts)
+		}},
+	// Stock Apache runs one instance per core on distinct ports (§5.4).
+	{"Apache", "apache", "HW: Receive queues on NIC", 1,
+		func(cfg kernel.Config, _ bool, cores int, o Options) apps.Result {
+			opts := apps.DefaultApacheOpts()
+			opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
+			return apps.RunApache(o.newKernel(o.topo(cores), cfg), opts)
+		}},
+	{"PostgreSQL", "postgres", "App: Application-level spin lock", 1,
+		func(cfg kernel.Config, mod bool, cores int, o Options) apps.Result {
+			return runPostgres(cfg, cores, 0, mod, o)
+		}},
+	{"gmake", "gmake", "App: Serial stages and stragglers", 3600,
+		func(cfg kernel.Config, _ bool, cores int, o Options) apps.Result {
+			opts := apps.DefaultGmakeOpts()
+			opts.Objects = scale(opts.Objects, o.Quick)
+			opts.Placement = o.Placement
+			return apps.RunGmake(o.newKernel(o.topo(cores), cfg), opts)
+		}},
+	// pedsort always runs on a stock kernel: its change is the
+	// application's own, one thread per core becoming one process per
+	// core spread round-robin.
+	{"pedsort", "pedsort", "HW: Cache capacity", 3600,
+		func(_ kernel.Config, mod bool, cores int, o Options) apps.Result {
+			return runPedsort(!mod, mod, cores, o)
+		}},
+	// Metis boots on round-robin cores, for more total L3 and DRAM.
+	{"Metis", "metis", "HW: DRAM throughput", 3600,
+		func(cfg kernel.Config, mod bool, cores int, o Options) apps.Result {
+			opts := apps.DefaultMetisOpts()
+			if o.Quick {
+				opts.InputBytes /= 4
+			}
+			opts.SuperPages = mod
+			opts.Placement = o.Placement
+			return apps.RunMetis(o.newKernel(o.topoRR(cores), cfg), opts)
+		}},
 }
 
-func runApache(cfg kernel.Config, cores int, o Options) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
-	opts := apps.DefaultApacheOpts()
-	opts.RequestsPerCore = scale(opts.RequestsPerCore, o.Quick)
-	return apps.RunApache(k, opts)
+// mosAppNamed returns the application kernel.Fix.Apps calls name; it
+// panics on any other name, which is a programming error.
+func mosAppNamed(name string) *mosApp {
+	for i := range mosApps {
+		if mosApps[i].name == name {
+			return &mosApps[i]
+		}
+	}
+	panic(fmt.Sprintf("harness: no MOSBENCH application %q", name))
 }
 
+// runAs runs a on the stock kernel or, with pk, on PK together with the
+// application-side change the paper pairs with it.
+func (a *mosApp) runAs(pk bool, cores int, o Options) apps.Result {
+	cfg := kernel.Stock()
+	if pk {
+		cfg = kernel.PK()
+	}
+	return a.run(cfg, pk, cores, o)
+}
+
+// curve is a's stock or PK curve in its figure's unit, labeled label;
+// striped stripes its bulk data across every chip's memory controller.
+func (a *mosApp) curve(label string, pk, striped bool) variantRun {
+	return variantRun{label, func(c int, o Options) Point {
+		if striped {
+			o.Placement = mem.Placement{Kind: mem.PlaceStriped}
+		}
+		return point(a.runAs(pk, c, o), a.unit)
+	}}
+}
+
+// pair is a's Stock and PK curves.
+func (a *mosApp) pair() []variantRun {
+	return []variantRun{a.curve("Stock", false, false), a.curve("PK", true, false)}
+}
+
+// runPostgres runs PostgreSQL with writeFrac of its queries writes; mod
+// is the paper's modified lock manager.
 func runPostgres(cfg kernel.Config, cores int, writeFrac float64, mod bool, o Options) apps.Result {
 	k := o.newKernel(o.topo(cores), cfg)
 	opts := apps.DefaultPostgresOpts()
@@ -72,14 +160,6 @@ func runPostgres(cfg kernel.Config, cores int, writeFrac float64, mod bool, o Op
 	opts.ModPG = mod
 	opts.Placement = o.Placement
 	return apps.RunPostgres(k, opts)
-}
-
-func runGmake(cfg kernel.Config, cores int, o Options) apps.Result {
-	k := o.newKernel(o.topo(cores), cfg)
-	opts := apps.DefaultGmakeOpts()
-	opts.Objects = scale(opts.Objects, o.Quick)
-	opts.Placement = o.Placement
-	return apps.RunGmake(k, opts)
 }
 
 // runPedsort runs pedsort on threads or processes, with the active cores
@@ -98,36 +178,17 @@ func runPedsort(threads, rr bool, cores int, o Options) apps.Result {
 	return apps.RunPedsort(k, opts)
 }
 
-func runMetis(cfg kernel.Config, super bool, cores int, o Options) apps.Result {
-	k := o.newKernel(o.topoRR(cores), cfg)
-	opts := apps.DefaultMetisOpts()
-	if o.Quick {
-		opts.InputBytes /= 4
-	}
-	opts.SuperPages = super
-	opts.Placement = o.Placement
-	return apps.RunMetis(k, opts)
-}
-
-// stockPK runs a two-variant (Stock vs PK) sweep, plus any registered
-// extra variants (a figure's own placement curve, say).
-func stockPK(o Options, unit string, id, title string,
-	run func(cfg kernel.Config, cores int, o Options) apps.Result, perCoreScale float64,
-	extras ...variantRun) *Series {
-
+// gridSeries runs a grid experiment's variants over o's sweep.
+func gridSeries(o Options, id, title, unit string, runs ...variantRun) *Series {
 	s := &Series{ID: id, Title: title, Unit: unit}
-	var runs []variantRun
-	for _, cfgv := range []struct {
-		name string
-		cfg  kernel.Config
-	}{{"Stock", kernel.Stock()}, {"PK", kernel.PK()}} {
-		runs = append(runs, variantRun{cfgv.name, func(c int, o Options) Point {
-			return point(run(cfgv.cfg, c, o), perCoreScale)
-		}})
-	}
-	runs = append(runs, extras...)
 	o.runGrid(s, runs)
 	return s
+}
+
+// stockPK runs app's Stock and PK curves, then any extra variants (a
+// figure's own placement curve, say).
+func stockPK(o Options, app, id, title, unit string, extras ...variantRun) *Series {
+	return gridSeries(o, id, title, unit, append(mosAppNamed(app).pair(), extras...)...)
 }
 
 // ---- Experiment registrations ----
@@ -163,7 +224,7 @@ func init() {
 		Paper:   "Figure 4: messages/sec/core and CPU us/message vs cores",
 		Domains: withApps("exim"),
 		Run: func(o Options) *Series {
-			return stockPK(o, "msg/s/core", "fig4", "Exim (Figure 4)", runExim, 1)
+			return stockPK(o, "Exim", "fig4", "Exim (Figure 4)", "msg/s/core")
 		},
 	})
 
@@ -173,7 +234,7 @@ func init() {
 		Paper:   "Figure 5: requests/sec/core vs cores",
 		Domains: withApps("memcached"),
 		Run: func(o Options) *Series {
-			return stockPK(o, "req/s/core", "fig5", "memcached (Figure 5)", runMemcached, 1)
+			return stockPK(o, "memcached", "fig5", "memcached (Figure 5)", "req/s/core")
 		},
 	})
 
@@ -183,17 +244,7 @@ func init() {
 		Paper:   "Figure 6: requests/sec/core and CPU us/request vs cores",
 		Domains: withApps("apache"),
 		Run: func(o Options) *Series {
-			s := &Series{ID: "fig6", Title: "Apache (Figure 6)", Unit: "req/s/core"}
-			o.runGrid(s, []variantRun{
-				// Stock: one instance per core on distinct ports (§5.4).
-				{"Stock", func(c int, o Options) Point {
-					return point(runApache(kernel.Stock(), c, o), 1)
-				}},
-				{"PK", func(c int, o Options) Point {
-					return point(runApache(kernel.PK(), c, o), 1)
-				}},
-			})
-			return s
+			return stockPK(o, "Apache", "fig6", "Apache (Figure 6)", "req/s/core")
 		},
 	})
 
@@ -213,21 +264,18 @@ func init() {
 		Run:     func(o Options) *Series { return runPostgresFig(o, "fig8", 0.05) },
 	})
 
+	// Figures 9–11 each register a placement variant: the PK curve with
+	// its bulk data striped across every chip, so the figure itself shows
+	// what placement does to the curve instead of requiring a second run
+	// with the global -placement knob.
 	register(Experiment{
 		ID:      "fig9",
 		Title:   "gmake parallel kernel build",
 		Paper:   "Figure 9: builds/hour/core and CPU sec/build vs cores, plus a striped-placement PK curve",
 		Domains: withApps("gmake"),
 		Run: func(o Options) *Series {
-			// Builds/hour/core: scale jobs/sec/core by 3600. The registered
-			// placement variant mirrors fig11's: the PK build with its
-			// object stream striped across every chip, so the figure shows
-			// placement's effect without a second -placement run.
-			return stockPK(o, "builds/hr/core", "fig9", "gmake (Figure 9)", runGmake, 3600,
-				variantRun{"PK + striped", func(c int, o Options) Point {
-					o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-					return point(runGmake(kernel.PK(), c, o), 3600)
-				}})
+			return stockPK(o, "gmake", "fig9", "gmake (Figure 9)", "builds/hr/core",
+				mosAppNamed("gmake").curve("PK + striped", true, true))
 		},
 	})
 
@@ -237,33 +285,18 @@ func init() {
 		Paper:   "Figure 10: jobs/hour/core for Threads, Procs, Procs RR, plus a striped-placement RR curve",
 		Domains: withApps("pedsort"),
 		Run: func(o Options) *Series {
-			s := &Series{ID: "fig10", Title: "pedsort (Figure 10)", Unit: "jobs/hr/core"}
-			var runs []variantRun
-			for _, v := range []struct {
-				name        string
-				threads, rr bool
-			}{
+			a := mosAppNamed("pedsort")
+			return gridSeries(o, "fig10", "pedsort (Figure 10)", "jobs/hr/core",
 				// The original: one thread per core in one address space.
-				{"Stock + Threads", true, false},
-				// One process per core (the paper's ~10-line fix).
-				{"Stock + Procs", false, false},
-				// Processes with active cores spread round-robin across
-				// chips, giving access to more total L3.
-				{"Stock + Procs RR", false, true},
-			} {
-				runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
-					return point(runPedsort(v.threads, v.rr, c, o), 3600)
-				}})
-			}
-			// Registered placement variant, like fig11's: the round-robin
-			// configuration with its file streams striped across every
-			// chip's memory controller.
-			runs = append(runs, variantRun{"Procs RR + striped", func(c int, o Options) Point {
-				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-				return point(runPedsort(false, true, c, o), 3600)
-			}})
-			o.runGrid(s, runs)
-			return s
+				a.curve("Stock + Threads", false, false),
+				// One process per core (the paper's ~10-line fix), packed.
+				variantRun{"Stock + Procs", func(c int, o Options) Point {
+					return point(runPedsort(false, false, c, o), a.unit)
+				}},
+				// pedsort's PK curve, still on a stock kernel: processes
+				// spread round-robin across chips, for more total L3.
+				a.curve("Stock + Procs RR", true, false),
+				a.curve("Procs RR + striped", true, true))
 		},
 	})
 
@@ -273,27 +306,11 @@ func init() {
 		Paper:   "Figure 11: jobs/hour/core for 4KB stock vs 2MB PK, plus a striped-placement PK curve",
 		Domains: withApps("metis"),
 		Run: func(o Options) *Series {
-			s := &Series{ID: "fig11", Title: "Metis (Figure 11)", Unit: "jobs/hr/core"}
-			var runs []variantRun
-			for _, v := range []struct {
-				name  string
-				cfg   kernel.Config
-				super bool
-			}{{"Stock + 4KB pages", kernel.Stock(), false}, {"PK + 2MB pages", kernel.PK(), true}} {
-				runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
-					return point(runMetis(v.cfg, v.super, c, o), 3600)
-				}})
-			}
-			// Registered placement variant: the same PK configuration with
-			// its reduce stream striped across every chip, so the figure
-			// itself shows what placement does to the curve instead of
-			// requiring a second run with the global -placement knob.
-			runs = append(runs, variantRun{"PK + 2MB striped", func(c int, o Options) Point {
-				o.Placement = mem.Placement{Kind: mem.PlaceStriped}
-				return point(runMetis(kernel.PK(), true, c, o), 3600)
-			}})
-			o.runGrid(s, runs)
-			return s
+			a := mosAppNamed("Metis")
+			return gridSeries(o, "fig11", "Metis (Figure 11)", "jobs/hr/core",
+				a.curve("Stock + 4KB pages", false, false),
+				a.curve("PK + 2MB pages", true, false),
+				a.curve("PK + 2MB striped", true, true))
 		},
 	})
 
@@ -312,8 +329,8 @@ func runPostgresFig(o Options, id string, writeFrac float64) *Series {
 	if writeFrac > 0 {
 		title = "PostgreSQL 95/5 read/write (Figure 8)"
 	}
-	s := &Series{ID: id, Title: title, Unit: "q/s/core"}
-	variants := []struct {
+	var runs []variantRun
+	for _, v := range []struct {
 		name string
 		cfg  kernel.Config
 		mod  bool
@@ -321,49 +338,17 @@ func runPostgresFig(o Options, id string, writeFrac float64) *Series {
 		{"Stock", kernel.Stock(), false},
 		{"Stock + mod PG", kernel.Stock(), true},
 		{"PK + mod PG", kernel.PK(), true},
-	}
-	var runs []variantRun
-	for _, v := range variants {
+	} {
 		runs = append(runs, variantRun{v.name, func(c int, o Options) Point {
 			return point(runPostgres(v.cfg, c, writeFrac, v.mod, o), 1)
 		}})
 	}
-	o.runGrid(s, runs)
-	return s
-}
-
-// paperApps are Figure 3's and Figure 12's applications in the figures'
-// order: the paper's attribution of each one's remaining bottleneck at 48
-// cores (Figure 12), and its stock and PK runs.
-var paperApps = []struct {
-	name, attribution string
-	stock, pk         func(cores int, o Options) apps.Result
-}{
-	{"Exim", "App: Contention on spool directories",
-		func(c int, o Options) apps.Result { return runExim(kernel.Stock(), c, o) },
-		func(c int, o Options) apps.Result { return runExim(kernel.PK(), c, o) }},
-	{"memcached", "HW: Transmit queues on NIC",
-		func(c int, o Options) apps.Result { return runMemcached(kernel.Stock(), c, o) },
-		func(c int, o Options) apps.Result { return runMemcached(kernel.PK(), c, o) }},
-	{"Apache", "HW: Receive queues on NIC",
-		func(c int, o Options) apps.Result { return runApache(kernel.Stock(), c, o) },
-		func(c int, o Options) apps.Result { return runApache(kernel.PK(), c, o) }},
-	{"PostgreSQL", "App: Application-level spin lock",
-		func(c int, o Options) apps.Result { return runPostgres(kernel.Stock(), c, 0, false, o) },
-		func(c int, o Options) apps.Result { return runPostgres(kernel.PK(), c, 0, true, o) }},
-	{"gmake", "App: Serial stages and stragglers",
-		func(c int, o Options) apps.Result { return runGmake(kernel.Stock(), c, o) },
-		func(c int, o Options) apps.Result { return runGmake(kernel.PK(), c, o) }},
-	{"pedsort", "HW: Cache capacity",
-		func(c int, o Options) apps.Result { return runPedsort(true, false, c, o) },
-		func(c int, o Options) apps.Result { return runPedsort(false, true, c, o) }},
-	{"Metis", "HW: DRAM throughput",
-		func(c int, o Options) apps.Result { return runMetis(kernel.Stock(), false, c, o) },
-		func(c int, o Options) apps.Result { return runMetis(kernel.PK(), true, c, o) }},
+	return gridSeries(o, id, title, "q/s/core", runs...)
 }
 
 // runFig3 computes the summary bars: per-core throughput at 48 cores
-// relative to 1 core, stock vs PK, per application.
+// relative to 1 core, stock vs PK, per application. Its ratios are of raw
+// ops/s, whatever each application's figure unit.
 func runFig3(o Options) *Series {
 	max := o.maxCores()
 	s := &Series{ID: "fig3", Title: "MOSBENCH summary (Figure 3)",
@@ -371,19 +356,19 @@ func runFig3(o Options) *Series {
 	s.Notes = append(s.Notes, "Table rows are applications, in Figure 3's order:")
 	// Each application needs four independent measurements: stock and PK,
 	// each at 1 and at max cores.
-	results, errs := o.fanOut(s, len(paperApps)*4, func(i int) (string, int, func(int, Options) Point) {
-		a := paperApps[i/4]
-		label, run := a.name+"/Stock", a.stock
-		if i%4 >= 2 {
-			label, run = a.name+"/PK", a.pk
+	results, errs := o.fanOut(s, len(mosApps)*4, func(i int) (string, int, func(int, Options) Point) {
+		a, pk := &mosApps[i/4], i%4 >= 2
+		label := a.name + "/Stock"
+		if pk {
+			label = a.name + "/PK"
 		}
 		cores := 1
 		if i%2 == 1 {
 			cores = max
 		}
-		return label, cores, func(c int, o Options) Point { return point(run(c, o), 1) }
+		return label, cores, func(c int, o Options) Point { return point(a.runAs(pk, c, o), 1) }
 	})
-	for i, a := range paperApps {
+	for i, a := range mosApps {
 		if errs[i*4] != nil || errs[i*4+1] != nil || errs[i*4+2] != nil || errs[i*4+3] != nil {
 			s.Notes = append(s.Notes, fmt.Sprintf("  row %d: %-12s skipped: %s", i+1, a.name,
 				rowSkipReason(errs[i*4:i*4+4])))
@@ -410,15 +395,15 @@ func runFig12(o Options) *Series {
 	s := &Series{ID: "fig12",
 		Title: fmt.Sprintf("Remaining bottlenecks at %d cores (Figure 12)", max)}
 	// Two independent measurements per row: 1 and max cores.
-	pts, errs := o.fanOut(s, len(paperApps)*2, func(i int) (string, int, func(int, Options) Point) {
-		a := paperApps[i/2]
+	pts, errs := o.fanOut(s, len(mosApps)*2, func(i int) (string, int, func(int, Options) Point) {
+		a := &mosApps[i/2]
 		cores := 1
 		if i%2 == 1 {
 			cores = max
 		}
-		return a.name, cores, func(c int, o Options) Point { return point(a.pk(c, o), 1) }
+		return a.name, cores, func(c int, o Options) Point { return point(a.runAs(true, c, o), 1) }
 	})
-	for i, a := range paperApps {
+	for i, a := range mosApps {
 		if errs[i*2] != nil || errs[i*2+1] != nil {
 			s.Notes = append(s.Notes,
 				fmt.Sprintf("%-12s %-42s skipped: %s", a.name, a.attribution, rowSkipReason(errs[i*2:i*2+2])))

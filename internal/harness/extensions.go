@@ -13,8 +13,9 @@ import (
 )
 
 // This file registers the extension experiments: the paper's analysis
-// methodology (contention profiles) and the design-choice ablations listed
-// in DESIGN.md §6 that go beyond the paper's figures.
+// methodology (contention profiles) and the design-choice ablations that
+// go beyond the paper's figures. `mosbench -list` prints every
+// registered experiment.
 
 func init() {
 	register(Experiment{
@@ -91,7 +92,7 @@ func runScalableLocks(o Options) *Series {
 		{"Stock + mount refactoring", refactored},
 	} {
 		runs = append(runs, variantRun{v.name, func(cores int, o Options) Point {
-			return opPoint(runExim(v.cfg, cores, o))
+			return opPoint(mosAppNamed("Exim").run(v.cfg, false, cores, o))
 		}})
 	}
 	o.Cores = []int{o.maxCores()}
@@ -201,8 +202,8 @@ func runSpoolDirs(o Options) *Series {
 }
 
 // runLockMgr sweeps PostgreSQL's lock-manager mutex count on the stock
-// kernel with the read/write workload at 32 cores (past the stock peak,
-// before the lseek wall).
+// kernel with the read/write workload at half the machine, 24 cores on
+// the default host (past the stock peak, before the lseek wall).
 func runLockMgr(o Options) *Series {
 	cores := o.maxCores() / 2
 	if cores < 1 {

@@ -341,7 +341,8 @@ func (o Options) fanOut(s *Series, n int, at func(i int) (variant string, cores 
 
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
-	// ID matches the DESIGN.md index (fig1..fig12, tbl-hw, ...).
+	// ID names the experiment in `mosbench -list` and Experiments()
+	// (fig1..fig12, tbl-hw, ...).
 	ID string
 	// Title describes the artifact.
 	Title string

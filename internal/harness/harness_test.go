@@ -9,7 +9,8 @@ import (
 func quickOpts() Options { return Options{Quick: true, Seed: 1} }
 
 func TestRegistryComplete(t *testing.T) {
-	// Every artifact in the DESIGN.md experiment index must be present.
+	// The expected `mosbench -list`: every experiment below is
+	// registered, and no other is.
 	want := []string{
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "tbl-hw", "dma", "nic-env", "ablate",

@@ -176,3 +176,49 @@ func TestAblationNotesNameTheirApp(t *testing.T) {
 		}
 	}
 }
+
+// TestMOSBENCHTableResolves: every application a Figure 1 fix lists, and
+// every application ablate measures a fix on, names exactly one row of
+// mosApps; each row has its own "apps/<key>" cost domain, and ablate
+// declares the domain of every row it picks, so retuning a measured app
+// invalidates ablate's cached points.
+func TestMOSBENCHTableResolves(t *testing.T) {
+	rows := func(name string) int {
+		n := 0
+		for _, a := range mosApps {
+			if a.name == name {
+				n++
+			}
+		}
+		return n
+	}
+	ablate := ByID("ablate").Domains
+	for _, f := range kernel.Fixes {
+		for _, app := range f.Apps {
+			if n := rows(app); n != 1 {
+				t.Errorf("fix %s lists app %q, which names %d rows of mosApps, want 1", f.Name, app, n)
+			}
+		}
+		app := ablationApp(f.Name)
+		if n := rows(app); n != 1 {
+			t.Errorf("ablate measures fix %s on %q, which names %d rows of mosApps, want 1", f.Name, app, n)
+			continue
+		}
+		if d := "apps/" + mosAppNamed(app).key; !slices.Contains(ablate, d) {
+			t.Errorf("ablate measures fix %s on %s but does not declare its domain %s (declares %v)",
+				f.Name, app, d, ablate)
+		}
+	}
+	keys := map[string]bool{}
+	for _, a := range mosApps {
+		d := "apps/" + a.key
+		if _, ok := costDomains[d]; !ok || keys[a.key] {
+			t.Errorf("row %s: domain %s is unknown or shared with another row", a.name, d)
+		}
+		keys[a.key] = true
+	}
+	if len(keys) != len(appDomains) {
+		t.Errorf("mosApps has %d rows, but there are %d application cost domains %v",
+			len(keys), len(appDomains), appDomains)
+	}
+}

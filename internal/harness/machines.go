@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/apps"
-	"repro/internal/kernel"
 	"repro/internal/topo"
 )
 
@@ -49,20 +47,7 @@ func machineOrder() []string {
 // default host.
 func runMachines(o Options) *Series {
 	s := &Series{ID: "machines", Title: "Stock vs PK across machine profiles", Unit: "ops/s/core"}
-	workloads := []struct {
-		app string
-		run func(cfg kernel.Config, cores int, o Options) apps.Result
-	}{
-		{"Exim", runExim},
-		{"memcached", runMemcached},
-	}
-	variants := []struct {
-		label string
-		cfg   kernel.Config
-	}{
-		{"Stock", kernel.Stock()},
-		{"PK", kernel.PK()},
-	}
+	workloads := []*mosApp{mosAppNamed("Exim"), mosAppNamed("memcached")}
 	names := machineOrder()
 	for _, name := range names {
 		m, ok := topo.Lookup(name)
@@ -74,11 +59,8 @@ func runMachines(o Options) *Series {
 		so.Cores = nil // each profile sweeps its own machine-sized grid
 		var runs []variantRun
 		for _, w := range workloads {
-			for _, v := range variants {
-				label := fmt.Sprintf("%s %s %s", name, w.app, v.label)
-				runs = append(runs, variantRun{label, func(c int, o Options) Point {
-					return point(w.run(v.cfg, c, o), 1)
-				}})
+			for _, v := range w.pair() {
+				runs = append(runs, variantRun{fmt.Sprintf("%s %s %s", name, w.name, v.name), v.run})
 			}
 		}
 		so.runGrid(s, runs)
@@ -87,8 +69,6 @@ func runMachines(o Options) *Series {
 	s.Notes = append(s.Notes, fmt.Sprintf(
 		"collapse onset: first core count where per-core throughput drops below %d%% of the curve's running peak",
 		int(machinesCollapseFrac*100)))
-	type key struct{ profile, app, variant string }
-	onsets := map[key]string{}
 	stockOnset := map[string]map[string]int{} // profile -> app -> onset cores (0 = none)
 	for _, name := range names {
 		m, ok := topo.Lookup(name)
@@ -98,17 +78,16 @@ func runMachines(o Options) *Series {
 		stockOnset[name] = map[string]int{}
 		var cells []string
 		for _, w := range workloads {
-			for _, v := range variants {
-				label := fmt.Sprintf("%s %s %s", name, w.app, v.label)
+			for _, v := range []string{"Stock", "PK"} {
+				label := fmt.Sprintf("%s %s %s", name, w.name, v)
 				cell := fmt.Sprintf("none (%dc)", m.MaxCores())
 				if c, ok := seriesCollapseOnset(s, label); ok {
 					cell = fmt.Sprintf("%dc", c)
-					if v.label == "Stock" {
-						stockOnset[name][w.app] = c
+					if v == "Stock" {
+						stockOnset[name][w.name] = c
 					}
 				}
-				onsets[key{name, w.app, v.label}] = cell
-				cells = append(cells, fmt.Sprintf("%s %s: %s", w.app, v.label, cell))
+				cells = append(cells, fmt.Sprintf("%s %s: %s", w.name, v, cell))
 			}
 		}
 		s.Notes = append(s.Notes, fmt.Sprintf("  %-8s %s", name, strings.Join(cells, "   ")))
@@ -117,16 +96,16 @@ func runMachines(o Options) *Series {
 	for _, name := range names[1:] {
 		var moves []string
 		for _, w := range workloads {
-			from, to := stockOnset[def][w.app], stockOnset[name][w.app]
+			from, to := stockOnset[def][w.name], stockOnset[name][w.name]
 			switch {
 			case from == 0 && to == 0:
-				moves = append(moves, fmt.Sprintf("%s Stock: none on either", w.app))
+				moves = append(moves, fmt.Sprintf("%s Stock: none on either", w.name))
 			case to == 0:
-				moves = append(moves, fmt.Sprintf("%s Stock: %dc -> none", w.app, from))
+				moves = append(moves, fmt.Sprintf("%s Stock: %dc -> none", w.name, from))
 			case from == 0:
-				moves = append(moves, fmt.Sprintf("%s Stock: none -> %dc", w.app, to))
+				moves = append(moves, fmt.Sprintf("%s Stock: none -> %dc", w.name, to))
 			default:
-				moves = append(moves, fmt.Sprintf("%s Stock: %dc -> %dc (%+dc)", w.app, from, to, to-from))
+				moves = append(moves, fmt.Sprintf("%s Stock: %dc -> %dc (%+dc)", w.name, from, to, to-from))
 			}
 		}
 		s.Notes = append(s.Notes, fmt.Sprintf("  onset movement %s vs %s: %s", name, def, strings.Join(moves, ", ")))

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/apps"
 	"repro/internal/fprint"
 	"repro/internal/kernel"
 	"repro/internal/mem"
@@ -161,14 +160,13 @@ func runDMAAblation(o Options) *Series {
 	max := o.maxCores()
 	// Keep the card in the loop, as the paper's measurement did (the
 	// runner's default); the NIC envelope caps the achievable gain.
-	run := func(local bool, cores int, o Options) apps.Result {
-		cfg := kernel.PK()
-		cfg.Net.LocalDMABuf = local
-		return runMemcached(cfg, cores, o)
-	}
 	labels := []string{"node-0 pool", "local pools"}
 	pts, errs := o.fanOut(s, 2, func(i int) (string, int, func(int, Options) Point) {
-		return labels[i], max, func(c int, o Options) Point { return point(run(i == 1, c, o), 1) }
+		cfg := kernel.PK()
+		cfg.Net.LocalDMABuf = i == 1
+		return labels[i], max, func(c int, o Options) Point {
+			return point(mosAppNamed("memcached").run(cfg, true, c, o), 1)
+		}
 	})
 	for i, p := range pts {
 		if errs[i] == nil {
@@ -192,7 +190,7 @@ func runDMAAblation(o Options) *Series {
 func runNICEnvelope(o Options) *Series {
 	s := &Series{ID: "nic-env", Title: "NIC packet envelope (§5.4)", Unit: "Mpkt/s total"}
 	o.runGrid(s, []variantRun{{"UDP echo", func(c int, o Options) Point {
-		r := runMemcached(kernel.PK(), c, o)
+		r := mosAppNamed("memcached").runAs(true, c, o)
 		pps := r.Throughput() * 2 / 1e6 // one rx + one tx per request
 		return Point{PerCore: pps}
 	}}})
@@ -257,38 +255,24 @@ func runScountSweep(o Options) *Series {
 
 // runAblations enables each Figure-1 fix alone on a stock kernel and runs
 // the fix's most affected application at 48 cores, reporting the gain over
-// stock — the evidence that each modeled fix does something.
+// stock — the evidence that each modeled fix does something. Both runs
+// carry the application-side change the paper pairs with PK, so the fix
+// is the only difference between them.
 func runAblations(o Options) *Series {
 	max := o.maxCores()
 	s := &Series{ID: "ablate", Title: fmt.Sprintf("Per-fix ablations at %d cores (Figure 1)", max)}
 
-	// runFor measures one kernel configuration on the app that measures
-	// a fix (ablationApp).
-	runFor := func(app string, cfg kernel.Config, o Options) float64 {
-		switch app {
-		case "Apache":
-			return runApache(cfg, max, o).PerCore()
-		case "memcached":
-			return runMemcached(cfg, max, o).PerCore()
-		case "PostgreSQL":
-			return runPostgres(cfg, max, 0, true, o).PerCore()
-		case "Metis":
-			return runMetis(cfg, true, max, o).PerCore() * 3600
-		default: // Exim
-			return runExim(cfg, max, o).PerCore()
-		}
-	}
-
 	// Each fix needs a baseline and a fix-enabled measurement.
 	pts, errs := o.fanOut(s, 2*len(kernel.Fixes), func(i int) (string, int, func(int, Options) Point) {
 		f := kernel.Fixes[i/2]
+		a := mosAppNamed(ablationApp(f.Name))
 		label, cfg := f.Name+"/stock", kernel.Stock()
 		if i%2 == 1 {
 			label = f.Name + "/fix"
 			*f.Flag(&cfg) = true
 		}
 		return label, max, func(c int, o Options) Point {
-			return Point{PerCore: runFor(ablationApp(f.Name), cfg, o)}
+			return Point{PerCore: a.run(cfg, true, c, o).PerCore() * a.unit}
 		}
 	})
 	for i, f := range kernel.Fixes {

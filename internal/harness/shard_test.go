@@ -52,11 +52,13 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 		exp    string
 		shards int
 	}{
+		{"fig3", 2}, // rows built from four fan-out points each
 		{"fig5", 2},
 		{"fig10", 3}, // variant-rich grid, including the striped RR curve
 		{"degrade", 2},
 		{"dma", 2},
 		{"ablate", 2},
+		{"fig12", 2}, // rows built from two fan-out points each
 		{"spool-dirs", 2},
 		{"lockmgr", 2},
 		{"scalable-locks", 2},

@@ -10,7 +10,12 @@
 //
 // Experiment IDs follow the paper: fig1..fig12 for its figures, plus
 // tbl-hw (the §5.1 latency table), dma (the §5.3 allocation ablation),
-// nic-env (the §5.4 card envelope), and ablate (per-fix ablations).
+// nic-env (the §5.4 card envelope), and ablate (per-fix ablations). The
+// rest extend the paper: its methodology (profile), design choices
+// (sloppy-threshold, scount, spool-dirs, lockmgr, steering,
+// scalable-locks), the memory system (dram, ht), other hosts
+// (machines), injected faults (degrade) and open-loop load (latload).
+// Experiments lists them all, as `mosbench -list` does.
 package mosbench
 
 import (
