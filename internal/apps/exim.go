@@ -121,13 +121,22 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack,
 	connProc *proc.Process, user, spool int) {
 
 	fs := k.FS
-	var buf [64]byte
-	dir := string(eximSpoolDir(buf[:0], spool))
 	// The message's spool files are m<core>-<arrival cycle>-H and -D.
-	msg := appendNum(append(buf[:0], 'm'), int64(p.Core()), 0)
-	msg = appendNum(append(msg, '-'), p.Now(), 0)
-	hName := string(append(msg, "-H"...))
-	dName := string(append(msg, "-D"...))
+	// One string holds the header file's path, <dir>/<msg>-H, and then
+	// the data file's name, <msg>-D; the directory, both names and the
+	// path are substrings of it, so a message allocates one heap object.
+	var buf [96]byte
+	b := append(eximSpoolDir(buf[:0], spool), '/')
+	nDir := len(b)
+	b = appendNum(append(b, 'm'), int64(p.Core()), 0)
+	b = appendNum(append(b, '-'), p.Now(), 0)
+	nMsg := len(b)
+	b = append(b, "-H"...)
+	nHdr := len(b)
+	b = append(append(b, b[nDir:nMsg]...), "-D"...)
+	names := string(b)
+	dir, hPath := names[:nDir-1], names[:nHdr]
+	hName, dName := names[nDir:nHdr], names[nHdr:]
 
 	// Receive the message body over the SMTP connection.
 	stack.LoopbackXfer(p, eximCosts.eximSMTPBytes)
@@ -160,7 +169,7 @@ func eximMessage(k *kernel.Kernel, p *sim.Proc, stack *netsim.Stack,
 
 	// Delivery: locate the spooled message, append to the user's
 	// mailbox, remove the spool files, and log the delivery.
-	fs.Stat(p, dir+"/"+hName)
+	fs.Stat(p, hPath)
 	mf := fs.Open(p, string(eximMailbox(buf[:0], user)))
 	fs.Append(p, mf, eximCosts.eximHeaderBytes+eximCosts.eximSMTPBytes)
 	fs.Close(p, mf)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -55,6 +56,51 @@ func TestEximDirectoryLinesPerMessage(t *testing.T) {
 				t.Errorf("%s %s Exim adds %.1f directory lines per message, want at most %d",
 					m.Name, v.name, perMsg, eximLinesPerMessage)
 			}
+		}
+	}
+}
+
+// eximAllocsPerMessage bounds the heap objects one more Exim message
+// allocates. A message's spool directory, its two file names and the
+// delivery path share one string; its dentries and processes are reused
+// once reclaimed, and its open files are values. What is left is that
+// string, and growth of a map, slice or memory-model page now and then.
+// Three strings per message, or a dentry or process that is never reused,
+// fails the bound.
+const eximAllocsPerMessage = 1.5
+
+// TestEximAllocationsPerMessage runs Exim, Stock and PK, on the default
+// machine at half the quick message budget and at the quick budget, and
+// bounds the heap objects allocated per extra message, as
+// TestEximDirectoryLinesPerMessage bounds directory lines.
+func TestEximAllocationsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	perCore := scale(apps.DefaultEximOpts().MessagesPerCore, true)
+	for _, v := range []struct {
+		name string
+		cfg  kernel.Config
+	}{{"Stock", kernel.Stock()}, {"PK", kernel.PK()}} {
+		run := func(perCore int) (mallocs uint64, msgs int64) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			k := kernel.NewOnEngine(sim.NewEngine(topo.Default(), 1), v.cfg, nil, nil)
+			opts := apps.DefaultEximOpts()
+			opts.MessagesPerCore = perCore
+			r := apps.RunExim(k, opts)
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs, r.Ops
+		}
+		allocs, msgs := run(perCore / 2)
+		allocs2, msgs2 := run(perCore)
+		perMsg := float64(allocs2-allocs) / float64(msgs2-msgs)
+		t.Logf("%s: %d then %d messages, %d then %d objects, %.2f per message",
+			v.name, msgs, msgs2, allocs, allocs2, perMsg)
+		if perMsg > eximAllocsPerMessage {
+			t.Errorf("%s Exim allocates %.2f objects per message, want at most %.1f",
+				v.name, perMsg, eximAllocsPerMessage)
 		}
 	}
 }

@@ -200,29 +200,6 @@ func TestUnallocatedLinePanics(t *testing.T) {
 	md.Read(0, NoLine, 0)
 }
 
-func TestFieldsFalseSharing(t *testing.T) {
-	md := newModel48()
-	shared := NewFields(md, 0, 2, false) // stock: fields share a line
-	padded := NewFields(md, 0, 2, true)  // PK: one line per field
-
-	// Writer core 0 updates field 1 (stats); reader core 47 reads field 0
-	// (a read-only flag). With false sharing the reader misses every time.
-	warm := func(f *Fields, now int64) {
-		md.Read(47, f.LineOf(0), now)
-		md.Write(0, f.LineOf(1), now+100_000)
-	}
-	warm(shared, 0)
-	warm(padded, 0)
-	f := md.Read(47, shared.LineOf(0), 1_000_000)
-	g := md.Read(47, padded.LineOf(0), 1_000_000)
-	if f <= g {
-		t.Errorf("false-shared read (%d) should cost more than padded read (%d)", f, g)
-	}
-	if g != topo.LatL1 {
-		t.Errorf("padded read-only field read = %d, want L1 hit %d", g, topo.LatL1)
-	}
-}
-
 func TestMissRatio(t *testing.T) {
 	if got := MissRatio(1<<20, 5<<20); got != 0 {
 		t.Errorf("fitting working set miss ratio = %v, want 0", got)

@@ -15,11 +15,17 @@
 //     of super-pages flushes on-chip caches (fixed with non-caching
 //     stores).
 //   - §4.6: false sharing of page-struct reference counts and flags (Exim).
+//
+// Host cost: an address space keeps the regions Munmap returns and Mmap
+// reuses them, as the kernel reuses vm_area_structs from a slab cache, so
+// a steady mmap/fault/munmap loop allocates nothing; the sampled page
+// structs hold their lines in two slices, not an object per struct.
 package mm
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -101,8 +107,9 @@ type Region struct {
 	Faulted int64
 
 	// mu serializes faults on a super-page mapping: the address space's
-	// one super-page mutex (stock) or the mapping's own (PK).
-	mu *slock.Mutex
+	// one super-page mutex (stock), or own, the mapping's own (PK).
+	mu  *slock.Mutex
+	own slock.Mutex
 }
 
 // PageSize returns the mapping's page size in bytes.
@@ -134,7 +141,10 @@ type AddressSpace struct {
 	superMu slock.Mutex
 
 	regions []*Region
-	home    int
+	// free holds the regions Munmap removed, for Mmap to reuse, as the
+	// kernel reuses vm_area_structs from their slab cache.
+	free []*Region
+	home int
 
 	// userCores tracks which cores have faulted in this address space
 	// (one bit per core, 64 per word); unmapping must shoot down their
@@ -163,13 +173,23 @@ func NewAddressSpace(md *mem.Model, alloc *Allocator, cfg Config, homeChip int) 
 // writing. Page-table population is deferred to Fault, as Linux does
 // (§5.8: "Metis allocates memory with mmap, which adds the new memory to a
 // region list but defers modifying page tables").
+//
+// The returned region is the caller's until it passes it to Munmap; a
+// later Mmap may then return the same *Region for a new mapping.
 func (as *AddressSpace) Mmap(p *sim.Proc, bytes int64, huge bool) *Region {
-	r := &Region{Bytes: bytes, Huge: huge}
+	var r *Region
+	if n := len(as.free); n > 0 {
+		r = as.free[n-1]
+		as.free = as.free[:n-1]
+	} else {
+		r = new(Region)
+	}
+	*r = Region{Bytes: bytes, Huge: huge}
 	if huge {
 		r.mu = &as.superMu
 		if as.cfg.PerMappingSuperPageMutex {
-			mu := slock.NewMutex(as.md, "super-page-mapping", as.home)
-			r.mu = &mu
+			r.own = slock.NewMutex(as.md, "super-page-mapping", as.home)
+			r.mu = &r.own
 		}
 	}
 	as.RegionLock.Lock(p)
@@ -180,9 +200,15 @@ func (as *AddressSpace) Mmap(p *sim.Proc, bytes int64, huge bool) *Region {
 }
 
 // Munmap removes a mapping, shoots down the TLBs of every core using the
-// address space, and frees the populated pages.
+// address space, and frees the populated pages. It panics if r is not
+// mapped in as: unmapping a region twice would hand it to two later
+// mappings.
 func (as *AddressSpace) Munmap(p *sim.Proc, r *Region) {
 	as.RegionLock.Lock(p)
+	i := slices.Index(as.regions, r)
+	if i < 0 {
+		panic("mm: munmap of a region not mapped in this address space")
+	}
 	cost := costs.mmapWork
 	c := p.Core()
 	others := 0
@@ -196,12 +222,7 @@ func (as *AddressSpace) Munmap(p *sim.Proc, r *Region) {
 		cost += int64(others) * costs.tlbShootdownPerCore
 	}
 	p.Advance(cost)
-	for i, reg := range as.regions {
-		if reg == r {
-			as.regions = append(as.regions[:i], as.regions[i+1:]...)
-			break
-		}
-	}
+	as.regions = slices.Delete(as.regions, i, i+1)
 	as.RegionLock.Unlock(p)
 	if r.Faulted > 0 {
 		units := r.Faulted // buddy operations charged at free
@@ -211,6 +232,7 @@ func (as *AddressSpace) Munmap(p *sim.Proc, r *Region) {
 		as.alloc.FreePages(p, p.Chip(), units)
 		r.Faulted = 0
 	}
+	as.free = append(as.free, r)
 }
 
 // Fault handles a soft page fault on the region: it takes the region lock
@@ -267,9 +289,12 @@ func (as *AddressSpace) Regions() int { return len(as.regions) }
 // PageStructs is a sampled array of kernel page structures used to model
 // false sharing of page reference counts and flags (§4.6, Exim). Each
 // logical page struct has a written field (refcount) and a read-mostly
-// field (flags); in the stock layout they share a cache line.
+// field (flags); in the stock layout they share a cache line, and the PK
+// layout (PageFalseSharingFix) gives each its own.
 type PageStructs struct {
-	fields []*mem.Fields
+	// flags and refs hold page i's flags line and refcount line; in the
+	// stock layout they are one slice, so both name the same line.
+	flags, refs []mem.Line
 
 	// touchFlags/touchRefs are scratch sets reused by TouchN; procs of one
 	// engine run serially, so a single pair suffices and the batch path
@@ -278,20 +303,25 @@ type PageStructs struct {
 	touchRefs  *mem.LineSet
 }
 
-// pageFieldCount: field 0 = flags (read-mostly), field 1 = refcount.
-const (
-	pageFieldFlags = 0 //mosvet:allow fprintcheck field index, not a tunable cost; the layout variation is the padded flag, keyed per variant
-	pageFieldCount = 1 //mosvet:allow fprintcheck field index, not a tunable cost; the layout variation is the padded flag, keyed per variant
-)
-
-// NewPageStructs allocates n sampled page structs.
+// NewPageStructs allocates n sampled page structs, page i homed on chip
+// i mod the chip count: one line each, or with padded a flags line and
+// then a refcount line each.
 func NewPageStructs(md *mem.Model, n int, padded bool) *PageStructs {
 	ps := &PageStructs{
+		flags:      make([]mem.Line, n),
 		touchFlags: mem.NewLineSet(n),
 		touchRefs:  mem.NewLineSet(n),
 	}
-	for i := 0; i < n; i++ {
-		ps.fields = append(ps.fields, mem.NewFields(md, i%md.Machine().Chips, 2, padded))
+	ps.refs = ps.flags
+	if padded {
+		ps.refs = make([]mem.Line, n)
+	}
+	chips := md.Machine().Chips
+	for i := range n {
+		ps.flags[i] = md.Alloc(i % chips)
+		if padded {
+			ps.refs[i] = md.Alloc(i % chips)
+		}
 	}
 	return ps
 }
@@ -312,7 +342,7 @@ func (ps *PageStructs) TouchN(p *sim.Proc, md *mem.Model, base, n int) {
 	ps.touchRefs.Reset()
 	for i := base; i < base+n; i++ {
 		ps.touchFlags.Add(ps.FlagsLine(i))
-		ps.touchRefs.Add(ps.fields[i%len(ps.fields)].LineOf(pageFieldCount))
+		ps.touchRefs.Add(ps.refs[i%len(ps.refs)])
 	}
 	c := p.Core()
 	cost := md.AccessSet(c, ps.touchFlags.Lines(), mem.OpRead, p.Now())
@@ -323,5 +353,5 @@ func (ps *PageStructs) TouchN(p *sim.Proc, md *mem.Model, base, n int) {
 // FlagsLine returns the cache line holding page i's read-mostly flags
 // word (mod the sample size), the word fault handlers read.
 func (ps *PageStructs) FlagsLine(i int) mem.Line {
-	return ps.fields[i%len(ps.fields)].LineOf(pageFieldFlags)
+	return ps.flags[i%len(ps.flags)]
 }

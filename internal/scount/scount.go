@@ -15,6 +15,11 @@
 // Invariant (stated in the paper): the central count equals the number of
 // references in use plus the sum of all per-core spare counts. Check
 // verifies it after every operation in tests.
+//
+// A Sloppy's host cost is small and fixed: its per-core pools are one
+// array, and a pool's line enters the memory model only when its core
+// first touches it (mem.Shadow). NewSloppies builds a batch of counters
+// in two heap objects, which is how vfs gives its dentries their counters.
 package scount
 
 import (
@@ -125,14 +130,30 @@ type sloppyCore struct {
 // the counter's shadow stands in for it, so a counter costs directory
 // lines only for the cores that use it.
 func NewSloppy(md *mem.Model, homeChip int) *Sloppy {
-	s := &Sloppy{md: md, cores: make([]sloppyCore, md.Machine().NCores)}
+	s := &NewSloppies(md, 1)[0]
 	s.Reset(homeChip)
 	return s
 }
 
+// NewSloppies allocates n sloppy counters in two heap objects: the
+// counters, and one array that holds every counter's per-core pools. It
+// allocates no lines, so a counter is not usable until Reset gives it its
+// central line; a kernel that builds many counted objects (dentries)
+// takes their counters from such a batch.
+func NewSloppies(md *mem.Model, n int) []Sloppy {
+	nc := md.Machine().NCores
+	ss := make([]Sloppy, n)
+	pools := make([]sloppyCore, n*nc)
+	for i := range ss {
+		ss[i] = Sloppy{md: md, cores: pools[i*nc : (i+1)*nc : (i+1)*nc]}
+	}
+	return ss
+}
+
 // Reset makes s the counter NewSloppy would return, on a new central line
-// homed on homeChip, keeping its pool array. A counter that held lines
-// must have returned them with Free first.
+// homed on homeChip, keeping its pool array. A counter from NewSloppies
+// is reset once before its first use; a counter that held lines must have
+// returned them with Free first.
 func (s *Sloppy) Reset(homeChip int) {
 	cores := s.cores
 	for c := range cores {

@@ -1,6 +1,7 @@
 package scount
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -214,12 +215,17 @@ func TestSloppyBatchedAcquire(t *testing.T) {
 	}
 }
 
-// sloppySink keeps the counters TestNewSloppyAllocationBudget builds on
-// the heap, as a kernel object's counter is.
-var sloppySink *Sloppy
+// sloppySink and sloppiesSink keep the counters
+// TestNewSloppyAllocationBudget builds on the heap, as a kernel object's
+// counter is.
+var (
+	sloppySink   *Sloppy
+	sloppiesSink []Sloppy
+)
 
 // TestNewSloppyAllocationBudget pins a sloppy counter's host cost: the
-// counter and one array holding every core's spare count and line.
+// counter and one array holding every core's spare count and line. A
+// batch of counters costs the same two objects, whatever its size.
 func TestNewSloppyAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -228,5 +234,67 @@ func TestNewSloppyAllocationBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { sloppySink = NewSloppy(md, 0) })
 	if allocs != 2 {
 		t.Errorf("NewSloppy allocates %.0f objects, want 2", allocs)
+	}
+	lines := md.NumLines()
+	for _, n := range []int{1, 8, 256} {
+		allocs := testing.AllocsPerRun(100, func() { sloppiesSink = NewSloppies(md, n) })
+		if allocs != 2 {
+			t.Errorf("NewSloppies(md, %d) allocates %.0f objects, want 2", n, allocs)
+		}
+	}
+	if got := md.NumLines(); got != lines {
+		t.Errorf("NewSloppies allocated %d lines, want 0", got-lines)
+	}
+}
+
+// TestBatchCounterMatchesNewSloppy checks that a counter from a
+// NewSloppies batch, once Reset, is the counter NewSloppy builds: it
+// allocates its central line in Reset, its pools are its own, and it
+// charges the same costs.
+func TestBatchCounterMatchesNewSloppy(t *testing.T) {
+	run := func(batch bool) (costs []int64, lines int) {
+		m := topo.New(4)
+		md := mem.NewModel(m)
+		e := sim.NewEngine(m, 1)
+		var s *Sloppy
+		var neighbours []*Sloppy
+		if batch {
+			ss := NewSloppies(md, 3)
+			s = &ss[1]
+			s.Reset(0)
+			// The neighbours share the pool array but not the pools:
+			// the spares s leaves in its pools must not show in theirs.
+			ss[0].Reset(0)
+			ss[2].Reset(0)
+			neighbours = []*Sloppy{&ss[0], &ss[2]}
+		} else {
+			s = NewSloppy(md, 0)
+		}
+		for c := 0; c < 4; c++ {
+			e.Spawn(c, "p", 0, func(p *sim.Proc) {
+				for range 20 {
+					t0 := p.Now()
+					s.Acquire(p, 1)
+					s.Release(p, 1)
+					costs = append(costs, p.Now()-t0)
+				}
+			})
+		}
+		e.Run()
+		for _, c := range append(neighbours, s) {
+			if err := c.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return costs, md.NumLines()
+	}
+	single, singleLines := run(false)
+	batch, batchLines := run(true)
+	if !slices.Equal(single, batch) {
+		t.Errorf("batch counter costs %v, NewSloppy's %v", batch, single)
+	}
+	if batchLines != singleLines+2 {
+		t.Errorf("batch of 3 allocated %d lines, want the single counter's %d plus 2 central lines",
+			batchLines, singleLines)
 	}
 }

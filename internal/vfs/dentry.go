@@ -14,12 +14,12 @@ import (
 // and lookups use the lock-free generation protocol (§4.3, §4.4).
 //
 // A dentry embeds its inode, lock, generation counter and stock reference
-// count. A sloppy reference count's counter and per-core pool array live
-// apart, and its pool lines enter the memory model only for the cores
-// that touch them. An unlinked dentry returns its lines once its RCU
-// grace period has ended and its last reference is gone, and the next
-// Create reuses the struct and its sloppy counter, so a steady stream of
-// creates and unlinks allocates nothing.
+// count. A sloppy reference count's counter lives apart, in a chunk of
+// counters built with the dentry's chunk, and its pool lines enter the
+// memory model only for the cores that touch them. An unlinked dentry
+// returns its lines once its RCU grace period has ended and its last
+// reference is gone, and the next Create reuses the struct and its sloppy
+// counter, so a steady stream of creates and unlinks allocates nothing.
 type Dentry struct {
 	// Name is this component's name.
 	Name string

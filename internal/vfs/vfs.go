@@ -18,6 +18,12 @@
 //	  - inode lists                 InodeListAvoidLock   New (FS.createLocks)
 //	  - dcache lists                DcacheListAvoidLock  New (FS.createLocks)
 //	  - per-inode mutex in lseek    AtomicLseek*         Lseek
+//
+// Host cost: dentries, and on PK their sloppy counters, are built in
+// chunks that grow with the file system (newDentry), the way the kernel
+// takes them from a slab cache, and an unlinked dentry is reused once
+// reclaimed. A chunk allocates no lines; each dentry allocates its lines
+// when it is built, in the order a one-at-a-time build would.
 package vfs
 
 import (
@@ -90,7 +96,24 @@ type FS struct {
 	// then frees their lines and moves them to free, for newDentrySetup
 	// to reuse.
 	unlinked, free []*Dentry
+
+	// chunk holds the fresh dentries newDentry hands out, and on PK
+	// sloppies their counters, one per dentry; built counts the
+	// dentries handed out so far, which sizes the next chunk.
+	chunk    []Dentry
+	sloppies []scount.Sloppy
+	built    int
 }
+
+// Dentry chunk sizes: the first chunk holds dentryChunkMin dentries, and
+// each later one as many as were built before it, up to dentryChunkMax.
+// The unused tail of the last chunk is thus never larger than what was
+// built before it, and a large file system allocates once per
+// dentryChunkMax dentries.
+const (
+	dentryChunkMin = 8
+	dentryChunkMax = 256
+)
 
 // New creates an empty file system. Global structures are homed on chip 0,
 // where the boot CPU would have allocated them.
@@ -142,7 +165,7 @@ func (fs *FS) newDentrySetup(name string, parent *Dentry, isDir bool) *Dentry {
 		d = fs.free[n-1]
 		fs.free = fs.free[:n-1]
 	} else {
-		d = new(Dentry)
+		d = fs.newDentry()
 	}
 	sloppy, _ := d.ref.(*scount.Sloppy)
 	*d = Dentry{
@@ -163,11 +186,7 @@ func (fs *FS) newDentrySetup(name string, parent *Dentry, isDir bool) *Dentry {
 		d.lock = slock.NewSpinLockAt(fs.md, "d_lock", d.fieldLines[0])
 	}
 	if fs.cfg.SloppyDentryRef {
-		if sloppy == nil {
-			sloppy = scount.NewSloppy(fs.md, homeChip)
-		} else {
-			sloppy.Reset(homeChip)
-		}
+		sloppy.Reset(homeChip)
 		d.ref = sloppy
 	} else {
 		d.count = scount.NewSharedAt(fs.md, d.fieldLines[0])
@@ -178,6 +197,28 @@ func (fs *FS) newDentrySetup(name string, parent *Dentry, isDir bool) *Dentry {
 	}
 	if parent != nil {
 		parent.children[name] = d
+	}
+	return d
+}
+
+// newDentry takes a never-used dentry from the current chunk, and on PK
+// gives it a never-used sloppy counter from the counter chunk, starting
+// new chunks when they run out. It allocates no lines: newDentrySetup
+// builds the dentry, and resets its counter, as it does a reclaimed one.
+func (fs *FS) newDentry() *Dentry {
+	if len(fs.chunk) == 0 {
+		n := min(max(fs.built, dentryChunkMin), dentryChunkMax)
+		fs.chunk = make([]Dentry, n)
+		if fs.cfg.SloppyDentryRef {
+			fs.sloppies = scount.NewSloppies(fs.md, n)
+		}
+	}
+	d := &fs.chunk[0]
+	fs.chunk = fs.chunk[1:]
+	fs.built++
+	if fs.cfg.SloppyDentryRef {
+		d.ref = &fs.sloppies[0]
+		fs.sloppies = fs.sloppies[1:]
 	}
 	return d
 }

@@ -1,6 +1,8 @@
 package vfs
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -326,15 +328,30 @@ func BenchmarkWalk(b *testing.B) {
 	e.Run()
 }
 
-// TestFileCycleAllocationBudget pins the host allocations of one file's
-// life: in the steady state a Create, Close and Unlink allocate nothing.
-// The open File is a value, and each Create reuses the dentry the last
-// Unlink queued, whose grace period has ended, with its inode, locks,
-// generation counter and refcount (on PK, its sloppy counter and per-core
-// pools).
+// createBurstBudget bounds the heap objects a fresh file system allocates
+// to create createBurst files: dentries and their sloppy counters come
+// from chunks (a few dozen for the burst), and the rest is the directory
+// map's growth and the memory model's directory pages. One object per
+// file or more (a dentry, a counter) fails it.
+const (
+	createBurst       = 1024
+	createBurstBudget = 64
+)
+
+// TestFileCycleAllocationBudget pins the host allocations of a file's
+// life. A burst of creates on a fresh file system takes its dentries from
+// chunks, so it allocates a few dozen objects, not one or more per file.
+// In the steady state a Create, Close and Unlink allocate nothing: the
+// open File is a value, and each Create reuses the dentry the last Unlink
+// queued, whose grace period has ended, with its inode, locks, generation
+// counter and refcount (on PK, its sloppy counter and per-core pools).
 func TestFileCycleAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
+	}
+	names := make([]string, createBurst)
+	for i := range names {
+		names[i] = fmt.Sprintf("f%04d", i)
 	}
 	for _, c := range []struct {
 		name string
@@ -344,7 +361,23 @@ func TestFileCycleAllocationBudget(t *testing.T) {
 		{"stock", stockCfg(), 0},
 		{"pk", pkCfg(), 0},
 	} {
-		e, fs := newFS(1, c.cfg)
+		e, fs := newFS(48, c.cfg)
+		fs.MustMkdirAll("/burst")
+		var burst uint64
+		e.Spawn(0, "p", 0, func(p *sim.Proc) {
+			burst = mallocs(func() {
+				for _, n := range names {
+					fs.Close(p, fs.Create(p, "/burst", n))
+				}
+			})
+		})
+		e.Run()
+		if burst > createBurstBudget {
+			t.Errorf("%s: %d creates on a fresh file system allocate %d objects, want at most %d",
+				c.name, createBurst, burst, createBurstBudget)
+		}
+
+		e, fs = newFS(1, c.cfg)
 		fs.MustMkdirAll("/spool")
 		cycle := func(p *sim.Proc) {
 			fs.Close(p, fs.Create(p, "/spool", "msg"))
@@ -360,4 +393,16 @@ func TestFileCycleAllocationBudget(t *testing.T) {
 			t.Errorf("%s: a Create+Close+Unlink cycle allocates %.0f objects, want %.0f", c.name, allocs, c.want)
 		}
 	}
+}
+
+// mallocs returns how many heap objects f allocates, counted as
+// testing.AllocsPerRun counts them but for one run of f, whose work (a
+// burst on a fresh structure) cannot be repeated.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
